@@ -10,12 +10,16 @@ Configurations come from a file or a named preset; any key can be
 overridden with dotted flags, e.g. `--algorithm.gamma 0.05`.
 Constraint violations at run time are warnings, not errors: experiment
 rates are grid-searched and need not satisfy the worst-case constants.
+
+Exit codes: 0 success, 1 validation or probe failure, 2 bad configuration,
+3 some seed of `run` diverged (the other seeds still run).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +121,7 @@ def cmd_run(args, overrides) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_text = render_config(cfg)
     chash = metrics.config_hash(cfg_text)
+    diverged = False
     for seed in cfg.output.seeds:
         problem = cfg.build_problem(seed)
         hp = cfg.hp_for_seed(seed)
@@ -124,13 +129,18 @@ def cmd_run(args, overrides) -> int:
         if not report.all_satisfied:
             bad = [c.name for c in report.constraints if not c.satisfied]
             print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
-        trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+        try:
+            trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+        except FloatingPointError as exc:
+            print(f"seed {seed}: diverged: {exc}", file=sys.stderr)
+            diverged = True
+            continue
         stem = f"{problem.name}_{hp.variant}_seed{seed}"
         metrics.emit_csv(trace, out_dir / f"{stem}.csv", config_hash=chash)
         (out_dir / f"{stem}.summary.txt").write_text(metrics.render_summary(trace) + "\n")
         last = trace.final()
         print(f"{stem}: T={last.t} objective={last.objective:.6g} sfo={last.sfo} comm={last.comm}")
-    return 0
+    return 3 if diverged else 0
 
 
 def cmd_validate(args, overrides) -> int:
@@ -239,8 +249,7 @@ def cmd_bench(args, overrides) -> int:
     rows = []
     for variant in variants:
         problem = cfg.build_problem(seed)
-        hp = cfg.hp_for_seed(seed)
-        hp = hp.__class__(**{**hp.__dict__, "variant": variant})
+        hp = replace(cfg.hp_for_seed(seed), variant=variant)
         trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
         last = trace.final()
         rows.append((variant, last))

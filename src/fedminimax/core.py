@@ -2,6 +2,20 @@
 
 All numerics are float64. Reductions over clients are done in fixed index
 order (0..K-1) so traces are bit-reproducible across runs and thread counts.
+
+Stacked per-client arrays (one row or one leading slice per client) keep
+those bits only in some forms. Bitwise equal to the per-client call, row by
+row:
+
+- means along axis 1 of stacked (K, n) and (K, n, d) arrays;
+- np.matmul(X3, W[:, :, None]) against each client's X @ w;
+- np.matmul(D[:, None, :], D[:, :, None]) against each row's D[k] @ D[k],
+  the square of np.linalg.norm(D[k]).
+
+Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1), and
+sum(axis=0) or mean(axis=0) across clients on a (K, 1) array, which sums
+pairwise. Cross-client means therefore stay the explicit row loop of
+vec_mean, which takes a stacked (K, d) array as well as a list.
 """
 
 from __future__ import annotations
@@ -30,8 +44,9 @@ def check_finite(v: Vector, what: str = "vector") -> Vector:
     return v
 
 
-def vec_mean(vs: list[Vector]) -> Vector:
-    """Coordinatewise mean, summed in fixed list order (no pairwise reduction)."""
+def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:
+    """Coordinatewise mean of a list of vectors or of the rows of a (K, d)
+    array, summed in fixed order (no pairwise reduction)."""
     if len(vs) == 0:
         raise ValueError("vec_mean of empty list")
     dim = vs[0].shape[0]

@@ -21,7 +21,6 @@ from .problems import (
     ProblemInstance,
     RobustProblem,
     grad_F,
-    grad_full,
     project_y,
     saddle_point,
 )
@@ -175,13 +174,9 @@ class TraceRecorder:
         problem = self.problem
         w_cur = vec_mean([c.w for c in clients])
         v_cur = vec_mean([c.v for c in clients])
-        gxs, gys = [], []
-        for c in clients:
-            gx, gy = grad_full(problem, c.k, c.x, c.y)
-            gxs.append(gx)
-            gys.append(gy)
-        est_err_x = float(np.linalg.norm(w_cur - vec_mean(gxs)))
-        est_err_y = float(np.linalg.norm(v_cur - vec_mean(gys)))
+        GX, GY = problem.grad_full_all(np.stack([c.x for c in clients]), np.stack([c.y for c in clients]))
+        est_err_x = float(np.linalg.norm(w_cur - vec_mean(GX)))
+        est_err_y = float(np.linalg.norm(v_cur - vec_mean(GY)))
         consensus_x = max(float(np.linalg.norm(c.x - x_bar)) for c in clients)
         consensus_y = max(float(np.linalg.norm(c.y - y_bar)) for c in clients)
 

@@ -23,10 +23,10 @@ import numpy as np
 
 from ..core import Vector
 from ..federation import partition
-from .base import ProblemInstance, Unconstrained
+from .base import DatasetProblem, Unconstrained
 
 
-class AucProblem(ProblemInstance):
+class AucProblem(DatasetProblem):
     name = "auc"
 
     def __init__(
@@ -69,6 +69,7 @@ class AucProblem(ProblemInstance):
         self.clients_X = [X[idx] for idx in plan.assignment]
         self.clients_y = [labels[idx] for idx in plan.assignment]
         self.partition_plan = plan
+        self._stack_clients()
 
         self.n_test = int(n_test)
         self.test_X, self.test_y, _ = self._draw(rng, n_test)
@@ -95,9 +96,6 @@ class AucProblem(ProblemInstance):
         )
         return X, labels, groups
 
-    def dataset_size(self, k: int) -> int:
-        return len(self.clients_y[k])
-
     def _split_x(self, xv: Vector) -> tuple[np.ndarray, float, float]:
         return xv[: self.dim], float(xv[self.dim]), float(xv[self.dim + 1])
 
@@ -116,22 +114,22 @@ class AucProblem(ProblemInstance):
     def value(self, k: int, x: Vector, y: Vector) -> float:
         return float(self._sample_values(k, x, float(y[0])).mean())
 
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        w, a, b = self._split_x(x)
-        alpha = float(y[0])
-        X = self.clients_X[k]
-        h = X @ w
-        pos = self.clients_y[k] > 0
+    def _grad_block(
+        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        dim = self.dim
+        W, a, b, alpha = X[:, :dim], X[:, dim:dim + 1], X[:, dim + 1:], Y
+        h = np.matmul(Xs, W[:, :, None])[:, :, 0]
+        pos = labs > 0
         pr = self.pos_ratio
 
         coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
                         2 * pr * (h - b) + 2 * (1 + alpha) * pr)
-        gw = (coef[:, None] * X).mean(axis=0)
-        ga = float(np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean())
-        gb = float(np.where(pos, 0.0, -2 * pr * (h - b)).mean())
-        galpha = float(np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean()) - 2 * pr * (1 - pr) * alpha
-        gx = np.concatenate([gw, [ga, gb]])
-        return gx, np.array([galpha])
+        gw = (coef[:, :, None] * Xs).mean(axis=1)
+        ga = np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean(axis=1)
+        gb = np.where(pos, 0.0, -2 * pr * (h - b)).mean(axis=1)
+        galpha = np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean(axis=1) - 2 * pr * (1 - pr) * alpha[:, 0]
+        return np.column_stack([gw, ga, gb]), galpha[:, None]
 
     def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
         w, a, b = self._split_x(x)

@@ -1,7 +1,7 @@
 """Common interface for K-client minimax problem instances.
 
 An instance exposes per-client stochastic and exact partial-gradient
-oracles for
+oracles, plus a stacked exact oracle over all clients at once, for
 
     min over x of max over y of (1/K) * sum_k f^k(x, y),
 
@@ -68,6 +68,14 @@ class ProblemInstance(ABC):
         """Exact per-client partial gradients (df/dx, df/dy)."""
 
     @abstractmethod
+    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact partial gradients of every client at its own point.
+
+        X is (K, d) and Y is (K, p), one row per client; row k of each
+        output is bitwise equal to grad_full(k, X[k], Y[k]).
+        """
+
+    @abstractmethod
     def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
         """Partial gradients for one sampled realization of client k."""
 
@@ -78,12 +86,10 @@ class ProblemInstance(ABC):
         return acc / self.K
 
     def global_grad(self, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        gxs, gys = [], []
-        for k in range(self.K):
-            gx, gy = self.grad_full(k, x, y)
-            gxs.append(gx)
-            gys.append(gy)
-        return vec_mean(gxs), vec_mean(gys)
+        # Real copies, not broadcast views: matmul on zero-stride operands
+        # leaves BLAS and sums in another order.
+        GX, GY = self.grad_full_all(np.tile(x, (self.K, 1)), np.tile(y, (self.K, 1)))
+        return vec_mean(GX), vec_mean(GY)
 
     # Closed forms; families without them return None.
 
@@ -108,6 +114,53 @@ class ProblemInstance(ABC):
     @abstractmethod
     def describe(self) -> str:
         """key=value dump of all generation parameters, for provenance."""
+
+
+class DatasetProblem(ProblemInstance):
+    """A family whose client k holds a finite labelled dataset
+    (clients_X[k] of shape (n_k, dim), clients_y[k] of shape (n_k,)).
+
+    Clients with equal dataset sizes form one block, stored stacked as
+    (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
+    single block. Subclasses give the exact gradient once, as a kernel over
+    one block, and both exact oracles use it.
+    """
+
+    clients_X: list[np.ndarray]
+    clients_y: list[np.ndarray]
+
+    def _stack_clients(self) -> None:
+        """Group the clients into blocks; call once the datasets are set."""
+        sizes = np.array([len(lab) for lab in self.clients_y])
+        self._blocks = []
+        for n in np.unique(sizes):
+            ks = np.flatnonzero(sizes == n)
+            self._blocks.append((
+                ks,
+                np.stack([self.clients_X[k] for k in ks]),
+                np.stack([self.clients_y[k] for k in ks]),
+            ))
+
+    @abstractmethod
+    def _grad_block(
+        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gradients of B clients with datasets Xs (B, n, dim) and
+        labels labs (B, n), at points X (B, d) and Y (B, p)."""
+
+    def dataset_size(self, k: int) -> int:
+        return len(self.clients_y[k])
+
+    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
+        GX, GY = self._grad_block(self.clients_X[k][None], self.clients_y[k][None], x[None], y[None])
+        return GX[0], GY[0]
+
+    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        GX = np.empty((self.K, self.d))
+        GY = np.empty((self.K, self.p))
+        for ks, Xs, labs in self._blocks:
+            GX[ks], GY[ks] = self._grad_block(Xs, labs, X[ks], Y[ks])
+        return GX, GY
 
 
 def _check_indices(inst: ProblemInstance, k: int, xi: SampleRef | None = None) -> None:

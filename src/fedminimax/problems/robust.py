@@ -22,10 +22,10 @@ from scipy.special import expit
 
 from ..core import Vector
 from ..federation import partition
-from .base import EuclideanBall, ProblemInstance
+from .base import DatasetProblem, EuclideanBall
 
 
-class RobustProblem(ProblemInstance):
+class RobustProblem(DatasetProblem):
     name = "robust"
 
     def __init__(
@@ -62,6 +62,7 @@ class RobustProblem(ProblemInstance):
         self.clients_X = [X[idx] for idx in plan.assignment]
         self.clients_y = [labels[idx] for idx in plan.assignment]
         self.partition_plan = plan
+        self._stack_clients()
 
         self.n_test = int(n_test)
         self.test_X, self.test_y, _ = self._draw(rng, n_test)
@@ -76,20 +77,18 @@ class RobustProblem(ProblemInstance):
         groups = (labels > 0).astype(int)
         return X, labels, groups
 
-    def dataset_size(self, k: int) -> int:
-        return len(self.clients_y[k])
-
     def value(self, k: int, x: Vector, y: Vector) -> float:
         z = self.clients_X[k] @ x + float(x @ y)
         return float(np.logaddexp(0.0, -self.clients_y[k] * z).mean())
 
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        X, lab = self.clients_X[k], self.clients_y[k]
-        z = X @ x + float(x @ y)
-        s = -lab * expit(-lab * z)  # d loss / d z
-        gx = (s[:, None] * (X + y)).mean(axis=0)
-        gy = float(s.mean()) * x
-        return gx, gy
+    def _grad_block(
+        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        z = np.matmul(Xs, X[:, :, None])[:, :, 0] + np.matmul(X[:, None, :], Y[:, :, None])[:, :, 0]
+        s = -labs * expit(-labs * z)  # d loss / d z
+        GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
+        GY = s.mean(axis=1)[:, None] * X
+        return GX, GY
 
     def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
         xi, lab = self.clients_X[k][item], self.clients_y[k][item]

@@ -106,6 +106,10 @@ class SyntheticProblem(ProblemInstance):
         gy = -y + self.b[k] - self.t[k] * x
         return gx, gy
 
+    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = self.t[:, None]
+        return self.tau * X - t * Y, -Y + self.b - t * X
+
     def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
         gx, gy = self.grad_full(k, x, y)
         return gx + self.noise_x[k, item], gy + self.noise_y[k, item]

@@ -110,6 +110,37 @@ class TestCommands:
         csv = next((tmp_path / "out").glob("*.csv"))
         assert "# config_sha256=" in csv.read_text()
 
+    def test_diverging_run_reports_every_seed_and_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--preset", "synthetic-s1", "--algorithm.gamma", "50",
+                     "--algorithm.t", "200", "--output.csv_dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        for seed in (1, 2, 3):
+            assert f"seed {seed}: diverged: " in err
+        assert "Traceback" not in err
+
+    def test_diverging_seed_does_not_stop_the_others(self, tmp_path, capsys, monkeypatch):
+        import fedminimax.cli as cli
+
+        def run_or_diverge(problem, hp, heavy_cadence=1):
+            if hp.seed == 2:
+                raise FloatingPointError("mean contains NaN or Inf")
+            return real_run(problem, hp, heavy_cadence=heavy_cadence)
+
+        real_run = cli.run_algorithm
+        monkeypatch.setattr(cli, "run_algorithm", run_or_diverge)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(
+            "[problem]\nname = synthetic\nk = 2\ndim = 3\n"
+            "[algorithm]\nt = 10\nq = 5\n"
+            f"[output]\ncsv_dir = {tmp_path}/out\nseeds = 1,2,3\n"
+        )
+        assert main(["run", str(cfgfile)]) == 3
+        assert "seed 2: diverged: mean contains NaN or Inf" in capsys.readouterr().err
+        stems = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+        assert stems == ["synthetic_fgda_seed1.csv", "synthetic_fgda_seed3.csv"]
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_text("[problem]\nname = synthetic\nk = oops\n")

@@ -42,6 +42,13 @@ class TestVecMean:
         scale = max(np.abs(v).max() for v in vs)
         assert np.all(np.abs(a - b) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("K,dim", [(10, 1), (16, 1), (100, 1), (10, 20)])
+    def test_stacked_rows_equal_list_bitwise(self, K, dim):
+        # sum(axis=0) on (K, 1) sums pairwise and differs at these K
+        rng = np.random.default_rng(K)
+        vs = [rng.standard_normal(dim) for _ in range(K)]
+        assert np.array_equal(vec_mean(np.stack(vs)), vec_mean(vs))
+
     def test_fixed_order_is_deterministic(self):
         rng = np.random.default_rng(3)
         vs = [rng.standard_normal(8) for _ in range(7)]

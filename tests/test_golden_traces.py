@@ -70,15 +70,34 @@ PRESET_VARIANT = {
     ("synthetic-theorem", "momentum_local_sgda"): "3fecbad2e022202013360c4400ce2accf40bf73e03be8c786b27f7687d6cc47c",
 }
 
+# (preset, overrides, digest); client dataset sizes differ in both
 RAGGED = {
-    ("robust-q6", (("algorithm.t", "13"), ("problem.scheme", "dirichlet"))): "e475728ab84acc7ebb4caee7ad1da33f259cd4476056c9b79a5fc6bb3c2348cc",
-    ("auc-imbalanced", (("algorithm.t", "41"), ("problem.k", "7"))): "e78c2458bda6cb14ad9b5263cd4f98587135777f659ad7c733cfd2d737297dfb",
+    "robust-q6-dirichlet": (
+        "robust-q6", {"problem.scheme": "dirichlet", "algorithm.t": "13"},
+        "e475728ab84acc7ebb4caee7ad1da33f259cd4476056c9b79a5fc6bb3c2348cc",
+    ),
+    "auc-imbalanced-k7": (
+        "auc-imbalanced", {"problem.k": "7", "algorithm.t": "41"},
+        "e78c2458bda6cb14ad9b5263cd4f98587135777f659ad7c733cfd2d737297dfb",
+    ),
 }
 
+# the configs of perfbench/workloads.py, seed 1
 WORKLOADS = {
-    ("synthetic-s1", (("algorithm.q", "20"), ("algorithm.t", "200"), ("algorithm.variant", "fgda"), ("problem.dim", "20"), ("problem.k", "100"))): "3b90ff7b296c04a9c5704a603fa3c5a536aa5f30bf063eaf3d10dbf4d69176a0",
-    ("auc-imbalanced", (("algorithm.t", "400"),)): "3ce56fb709715e66f8eda97fc5b0c219c6585262df3ebb47fb3d3217d9638035",
-    ("robust-q6", (("algorithm.t", "120"),)): "0a759bd89650112b63adaa01c38d100d94383be87d07b15361664b0e764ac540",
+    "synthetic-k100": (
+        "synthetic-s1",
+        {"problem.k": "100", "problem.dim": "20", "algorithm.variant": "fgda",
+         "algorithm.q": "20", "algorithm.t": "200"},
+        "3b90ff7b296c04a9c5704a603fa3c5a536aa5f30bf063eaf3d10dbf4d69176a0",
+    ),
+    "auc-imbalanced": (
+        "auc-imbalanced", {"algorithm.t": "400"},
+        "3ce56fb709715e66f8eda97fc5b0c219c6585262df3ebb47fb3d3217d9638035",
+    ),
+    "robust-q6": (
+        "robust-q6", {"algorithm.t": "120"},
+        "0a759bd89650112b63adaa01c38d100d94383be87d07b15361664b0e764ac540",
+    ),
 }
 
 
@@ -91,13 +110,13 @@ def test_preset_variant_digest(preset, variant, tmp_path):
     assert _csv_digest(preset, _short(preset, variant), tmp_path) == PRESET_VARIANT[(preset, variant)]
 
 
-@pytest.mark.parametrize("preset,overrides", [(p, dict(o)) for p, o in RAGGED], ids=lambda v: str(v))
-def test_ragged_partition_digest(preset, overrides, tmp_path):
-    key = (preset, tuple(sorted(overrides.items())))
-    assert _csv_digest(preset, overrides, tmp_path) == RAGGED[key]
+@pytest.mark.parametrize("name", sorted(RAGGED))
+def test_ragged_partition_digest(name, tmp_path):
+    preset, overrides, digest = RAGGED[name]
+    assert _csv_digest(preset, overrides, tmp_path) == digest
 
 
-@pytest.mark.parametrize("preset,overrides", [(p, dict(o)) for p, o in WORKLOADS], ids=lambda v: str(v))
-def test_benchmark_workload_digest(preset, overrides, tmp_path):
-    key = (preset, tuple(sorted(overrides.items())))
-    assert _csv_digest(preset, overrides, tmp_path, with_hash=True) == WORKLOADS[key]
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_digest(name, tmp_path):
+    preset, overrides, digest = WORKLOADS[name]
+    assert _csv_digest(preset, overrides, tmp_path, with_hash=True) == digest

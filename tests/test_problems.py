@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 import fedminimax as fm
 from fedminimax.problems import EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
+from fedminimax.theory import estimate_constants
 
 from conftest import fd_grad, numeric_inner_max
 
@@ -348,3 +350,89 @@ class TestGradF:
         # the x-side couplings are shared between the two instances; the
         # offset-driven y-side gap is the s-sensitive one
         assert by > ay
+
+
+def _plain_grad_robust(inst, k, x, y):
+    """Client k's exact gradient written as a plain one-client formula."""
+    X, lab = inst.clients_X[k], inst.clients_y[k]
+    z = X @ x + float(x @ y)
+    s = -lab * expit(-lab * z)
+    return (s[:, None] * (X + y)).mean(axis=0), float(s.mean()) * x
+
+
+def _plain_grad_auc(inst, k, x, y):
+    """Client k's exact gradient written as a plain one-client formula."""
+    w, a, b, alpha = x[: inst.dim], float(x[inst.dim]), float(x[inst.dim + 1]), float(y[0])
+    X, pos, pr = inst.clients_X[k], inst.clients_y[k] > 0, inst.pos_ratio
+    h = X @ w
+    coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
+                    2 * pr * (h - b) + 2 * (1 + alpha) * pr)
+    ga = float(np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean())
+    gb = float(np.where(pos, 0.0, -2 * pr * (h - b)).mean())
+    galpha = float(np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean()) - 2 * pr * (1 - pr) * alpha
+    return np.concatenate([(coef[:, None] * X).mean(axis=0), [ga, gb]]), np.array([galpha])
+
+
+STACKED_CASES = {
+    "synthetic": lambda: fm.make_synthetic(K=7, dim=5, s=1.0, tau=10.0, seed=4),
+    "auc-iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
+    "auc-by_group": lambda: fm.make_auc(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
+    "auc-dirichlet": lambda: fm.make_auc(K=10, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
+    "robust-iid": lambda: fm.make_robust(K=6, dim=10, n_per_client=30, seed=11),
+    "robust-by_group": lambda: fm.make_robust(K=2, dim=6, n_per_client=25, seed=5, scheme="by_group"),
+    "robust-dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+}
+RAGGED_CASES = ("auc-by_group", "auc-dirichlet", "robust-by_group", "robust-dirichlet")
+PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_rows_equal_per_client_oracle_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        sizes = {inst.dataset_size(k) for k in range(inst.K)}
+        assert (len(sizes) > 1) == (case in RAGGED_CASES)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            X = 2.0 * rng.standard_normal((inst.K, inst.d))
+            Y = 2.0 * rng.standard_normal((inst.K, inst.p))
+            GX, GY = inst.grad_full_all(X, Y)
+            assert GX.shape == X.shape and GY.shape == Y.shape
+            for k in range(inst.K):
+                gx, gy = grad_full(inst, k, X[k], Y[k])
+                assert np.array_equal(GX[k], gx) and np.array_equal(GY[k], gy)
+                if inst.name in PLAIN_GRAD:
+                    px, py = PLAIN_GRAD[inst.name](inst, k, X[k], Y[k])
+                    assert np.array_equal(gx, px) and np.array_equal(gy, py)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_global_grad_equals_fixed_order_client_loop_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            x = 2.0 * rng.standard_normal(inst.d)
+            y = 2.0 * rng.standard_normal(inst.p)
+            acc_x, acc_y = np.zeros(inst.d), np.zeros(inst.p)
+            for k in range(inst.K):
+                gx, gy = grad_full(inst, k, x, y)
+                acc_x += gx
+                acc_y += gy
+            gx, gy = inst.global_grad(x, y)
+            assert np.array_equal(gx, acc_x / inst.K) and np.array_equal(gy, acc_y / inst.K)
+
+    def test_estimate_constants_equals_pairwise_double_loop_bitwise(self):
+        inst = fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1)
+        n_samples, seed = 4, 9
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        dx = dy = 0.0
+        for _ in range(n_samples):
+            x = 2.0 * rng.standard_normal(inst.d)
+            y = 2.0 * rng.standard_normal(inst.p)
+            gs = [grad_full(inst, k, x, y) for k in range(inst.K)]
+            for a in range(inst.K):
+                for b in range(a + 1, inst.K):
+                    dx = max(dx, float(np.linalg.norm(gs[a][0] - gs[b][0])))
+                    dy = max(dy, float(np.linalg.norm(gs[a][1] - gs[b][1])))
+        c = estimate_constants(inst, n_samples=n_samples, seed=seed)
+        assert (c.delta_x, c.delta_y) == (dx, dy)
+        assert (c.L_f, c.mu, c.sigma) == (inst.lipschitz_L_f, inst.mu, inst.sigma_bound)
