@@ -5,7 +5,6 @@ adaptive diagonal preconditioners."""
 from .algorithms import (
     VARIANTS,
     HyperParams,
-    baseline_momentum_local_sgda,
     eta_schedule,
     init_round,
     local_step,

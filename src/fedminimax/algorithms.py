@@ -6,7 +6,7 @@ averages iterates and gradient estimates, regenerates the diagonal
 preconditioners, takes one preconditioned interpolated step and broadcasts
 everything back) with purely local steps (each client moves with its own
 estimates, then refreshes them with one fresh sample using the recursive
-variance-reduced rule).
+variance-reduced rule). Client state is stacked, one row per client.
 
 Variants share this skeleton:
 
@@ -29,7 +29,7 @@ sfo_per_client = 2q + 2(T - floor(T/q)) and comm_rounds = floor(T/q).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .estimators import (
     storm_update,
 )
 from .metrics import RunTrace, TraceRecorder
-from .problems import ProblemInstance, SampleRef, grad_stoch, project_y
+from .problems import ProblemInstance, project_y
 
 VARIANT_FGDA = "fgda"
 VARIANT_ADAFGDA_ADAM = "adafgda_adam"
@@ -170,13 +170,14 @@ class HyperParams:
 
 
 @dataclass
-class ClientState:
-    k: int
-    x: Vector
-    y: Vector
-    w: Vector  # x-side gradient estimate
-    v: Vector  # y-side gradient estimate
-    rng: np.random.Generator = field(repr=False)
+class Clients:
+    """All K clients, one row each; client k draws its samples with rngs[k]."""
+
+    X: np.ndarray
+    Y: np.ndarray
+    W: np.ndarray  # x-side gradient estimates
+    V: np.ndarray  # y-side gradient estimates
+    rngs: list[np.random.Generator] = field(repr=False)
 
 
 @dataclass
@@ -193,7 +194,7 @@ def _spawn_rngs(seed: int, K: int) -> tuple[list[np.random.Generator], np.random
     return [np.random.default_rng(c) for c in children[:K]], np.random.default_rng(children[K])
 
 
-def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[list[ClientState], ServerState, Counters]:
+def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, ServerState, Counters]:
     """Set up common iterates, initial full-batch-of-q estimates and the
     first preconditioners.
 
@@ -209,28 +210,28 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[list[ClientSt
     y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
     y1 = project_y(problem, np.full(problem.p, y_scale, dtype=np.float64))
 
-    clients = []
-    for k in range(K):
-        n_k = problem.dataset_size(k)
+    n = [problem.dataset_size(k) for k in range(K)]
+    for k, n_k in enumerate(n):
         if hp.q > n_k:
             raise ValueError(f"q={hp.q} exceeds client {k} dataset size {n_k}")
-        items = rngs[k].choice(n_k, size=hp.q, replace=False)
-        w_acc = np.zeros(problem.d)
-        v_acc = np.zeros(problem.p)
-        for item in items:
-            gx, gy = grad_stoch(problem, k, x1, y1, SampleRef(k, int(item)))
-            w_acc += gx
-            v_acc += gy
-        clients.append(
-            ClientState(k=k, x=x1.copy(), y=y1.copy(), w=w_acc / hp.q, v=v_acc / hp.q, rng=rngs[k])
-        )
+    items = np.stack([rng.choice(n_k, size=hp.q, replace=False) for rng, n_k in zip(rngs, n)])
+    X = np.tile(x1, (K, 1))
+    Y = np.tile(y1, (K, 1))
+    W = np.zeros((K, problem.d))
+    V = np.zeros((K, problem.p))
+    ks = np.arange(K)
+    for j in range(hp.q):
+        GX, GY = problem.grad_stoch_rows(ks, items[:, j], X, Y)
+        W += GX
+        V += GY
+    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, rngs=rngs)
 
     counters = Counters()
     counters.add_sfo(2 * hp.q)
 
     acc = AdaptiveAccumulator(mode=_MATRIX_MODE[hp.variant], rho=hp.rho, varrho=hp.varrho)
-    w_bar = vec_mean([c.w for c in clients])
-    v_bar = vec_mean([c.v for c in clients])
+    w_bar = vec_mean(clients.W)
+    v_bar = vec_mean(clients.V)
     A, B = acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(hp.eta(K, 0)))
     server = ServerState(x_bar=x1, y_bar=y1, acc=acc, A=A, B=B)
     return clients, server, counters
@@ -240,48 +241,48 @@ def local_step(
     problem: ProblemInstance,
     hp: HyperParams,
     t: int,
-    client: ClientState,
+    clients: Clients,
     A: DiagMatrix,
     B: DiagMatrix,
-) -> ClientState:
-    """One purely local iteration of a single client.
+) -> Clients:
+    """One purely local iteration of every client, one row each.
 
     Order: preconditioned ascent proposal on y and descent proposal on x,
-    interpolated by eta_t (y projected); then one fresh sample refreshes
-    both estimates, evaluating the new-point and old-point gradients on the
-    same sample.
+    interpolated by eta_t (y projected); then one fresh sample per client
+    refreshes both estimates, evaluating the new-point and old-point
+    gradients on the same sample.
     """
     if t % hp.q == 0:
         raise ValueError(f"t={t} is a sync index (q={hp.q})")
-    k = client.k
     eta_t = hp.eta(problem.K, t)
     alpha, beta = hp.momentum(eta_t)
+    X, Y, W, V = clients.X, clients.Y, clients.W, clients.V
 
-    y_hat = client.y + hp.lam * precondition(B, client.v)
-    y_new = project_y(problem, client.y + eta_t * (y_hat - client.y))
-    x_hat = client.x - hp.gamma * precondition(A, client.w)
-    x_new = client.x + eta_t * (x_hat - client.x)
+    Y_hat = Y + hp.lam * precondition(B, V)
+    Y_new = project_y(problem, Y + eta_t * (Y_hat - Y))
+    X_hat = X - hp.gamma * precondition(A, W)
+    X_new = X + eta_t * (X_hat - X)
 
-    item = int(client.rng.integers(problem.dataset_size(k)))
-    xi = SampleRef(k, item)
-    gx_new, gy_new = grad_stoch(problem, k, x_new, y_new, xi)
+    ks = np.arange(problem.K)
+    items = np.array([rng.integers(problem.dataset_size(k)) for k, rng in enumerate(clients.rngs)])
+    GX_new, GY_new = problem.grad_stoch_rows(ks, items, X_new, Y_new)
 
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
-        w_new = hp.beta_m * client.w + gx_new
-        v_new = hp.beta_m * client.v + gy_new
+        W_new = hp.beta_m * W + GX_new
+        V_new = hp.beta_m * V + GY_new
     else:
-        gx_old, gy_old = grad_stoch(problem, k, client.x, client.y, xi)
-        v_new = storm_update(gy_new, gy_old, client.v, alpha)
-        w_new = storm_update(gx_new, gx_old, client.w, beta)
+        GX_old, GY_old = problem.grad_stoch_rows(ks, items, X, Y)
+        V_new = storm_update(GY_new, GY_old, V, alpha)
+        W_new = storm_update(GX_new, GX_old, W, beta)
 
-    return ClientState(k=k, x=x_new, y=y_new, w=w_new, v=v_new, rng=client.rng)
+    return Clients(X=X_new, Y=Y_new, W=W_new, V=V_new, rngs=clients.rngs)
 
 
 def sync_step(
     problem: ProblemInstance,
     hp: HyperParams,
     t: int,
-    clients: list[ClientState],
+    clients: Clients,
     server: ServerState,
     counters: Counters,
 ) -> None:
@@ -289,16 +290,16 @@ def sync_step(
 
     Averages (v, w, y, x) in fixed client order, regenerates the matrices,
     takes the server's preconditioned interpolated step, and broadcasts the
-    new iterates together with the averaged estimates so all clients agree
-    bitwise afterwards. No samples are drawn.
+    new iterates together with the averaged estimates into every row, so
+    all clients agree bitwise afterwards. No samples are drawn.
     """
     if t % hp.q != 0:
         raise ValueError(f"t={t} is not a sync index (q={hp.q})")
     K = problem.K
-    v_bar = vec_mean([c.v for c in clients])
-    w_bar = vec_mean([c.w for c in clients])
-    y_bar = vec_mean([c.y for c in clients])
-    x_bar = vec_mean([c.x for c in clients])
+    v_bar = vec_mean(clients.V)
+    w_bar = vec_mean(clients.W)
+    y_bar = vec_mean(clients.Y)
+    x_bar = vec_mean(clients.X)
 
     eta_t = hp.eta(K, t)
     A, B = server.acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(eta_t))
@@ -308,11 +309,10 @@ def sync_step(
     x_hat = x_bar - hp.gamma * precondition(A, w_bar)
     x_next = x_bar + eta_t * (x_hat - x_bar)
 
-    for c in clients:
-        c.x = x_next.copy()
-        c.y = y_next.copy()
-        c.w = w_bar.copy()
-        c.v = v_bar.copy()
+    clients.X[:] = x_next
+    clients.Y[:] = y_next
+    clients.W[:] = w_bar
+    clients.V[:] = v_bar
     server.x_bar = x_next
     server.y_bar = y_next
     server.A = A
@@ -320,12 +320,16 @@ def sync_step(
     counters.add_comm()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> RunTrace:
     """Execute initialization plus T steps and return the full trace.
 
     Also draws one uniformly random step index (the single-iterate output
     rule); analyses here use the full trace, the sampled index is reported
     alongside.
+
+    Overflow warnings are silenced: a diverging run ends in the
+    FloatingPointError of the first finiteness check that sees a NaN or Inf.
     """
     t_start = time.perf_counter()
     clients, server, counters = init_round(problem, hp)
@@ -342,12 +346,11 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
             x_bar, y_bar = server.x_bar, server.y_bar
             is_sync = True
         else:
-            for i in range(len(clients)):
-                clients[i] = local_step(problem, hp, t, clients[i], server.A, server.B)
+            clients = local_step(problem, hp, t, clients, server.A, server.B)
             counters.add_sfo(2)
             counters.local_steps += 1
-            x_bar = vec_mean([c.x for c in clients])
-            y_bar = vec_mean([c.y for c in clients])
+            x_bar = vec_mean(clients.X)
+            y_bar = vec_mean(clients.Y)
             is_sync = False
         recorder.record(t, is_sync, hp.q, clients, counters, x_bar, y_bar)
         if t == final_index:
@@ -359,10 +362,3 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
         final_iterate=(x_bar.copy(), y_bar.copy()),
         sampled_iterate=sampled_iterate,
     )
-
-
-def baseline_momentum_local_sgda(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> RunTrace:
-    """Local SGDA with heavy-ball estimator buffers on the same
-    sync/broadcast skeleton. A faithful-in-spirit reimplementation of the
-    standard momentum baseline, not a reproduction of any specific one."""
-    return run(problem, replace(hp, variant=VARIANT_MOMENTUM_LOCAL_SGDA), heavy_cadence=heavy_cadence)

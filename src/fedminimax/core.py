@@ -7,10 +7,14 @@ Stacked per-client arrays (one row or one leading slice per client) keep
 those bits only in some forms. Bitwise equal to the per-client call, row by
 row:
 
-- means along axis 1 of stacked (K, n) and (K, n, d) arrays;
-- np.matmul(X3, W[:, :, None]) against each client's X @ w;
-- np.matmul(D[:, None, :], D[:, :, None]) against each row's D[k] @ D[k],
-  the square of np.linalg.norm(D[k]).
+- elementwise arithmetic on (K, d) rows (the client step);
+- means along axis 1 of stacked (K, n), (K, n, d) and one-item (K, 1, d)
+  arrays;
+- np.matmul(X3, W[:, :, None]) against each client's X @ w, one-item
+  blocks included;
+- row_dots(D) against each row's D[k] @ D[k]; its square root is
+  np.linalg.norm(D[k]) (consensus, ball projection, heterogeneity);
+- np.cumsum(a)[-1] against a sequential sum in index order.
 
 Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1), and
 sum(axis=0) or mean(axis=0) across clients on a (K, 1) array, which sums
@@ -58,6 +62,11 @@ def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:
     return check_finite(acc / len(vs), "mean")
 
 
+def row_dots(D: np.ndarray) -> np.ndarray:
+    """D[k] @ D[k] for each row of D (over its last axis)."""
+    return np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0]
+
+
 @dataclass
 class DiagMatrix:
     """Diagonal preconditioner with strictly positive entries (entry floor rho)."""
@@ -84,10 +93,10 @@ def identity_diag(dim: int) -> DiagMatrix:
     return DiagMatrix(np.ones(dim, dtype=np.float64))
 
 
-def precondition(A: DiagMatrix, g: Vector) -> Vector:
-    """Apply the inverse of a diagonal matrix: returns g_i / diag_i."""
-    if A.dim != g.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {A.dim}, vector {g.shape[0]}")
+def precondition(A: DiagMatrix, g: Vector | np.ndarray) -> Vector | np.ndarray:
+    """Apply the inverse of a diagonal matrix to g or to each row of g."""
+    if A.dim != g.shape[-1]:
+        raise ValueError(f"dimension mismatch: matrix {A.dim}, vector {g.shape[-1]}")
     if np.any(A.diag <= 0.0):
         raise ValueError("preconditioner has a nonpositive diagonal entry")
     return check_finite(g / A.diag, "preconditioned gradient")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import rankdata
 
-from .core import Counters, Vector, vec_mean
+from .core import Counters, Vector, row_dots, vec_mean
 from .problems import (
     AucProblem,
     ProblemInstance,
@@ -86,9 +86,10 @@ def ascend_y(inst: ProblemInstance, x: Vector, n_steps: int = 200, step_size: fl
     """Projected exact-gradient ascent on y for instances without a
     closed-form inner maximizer."""
     y = np.zeros(inst.p) if y0 is None else y0.copy()
+    X = np.tile(x, (inst.K, 1))
     for _ in range(n_steps):
-        _, gy = inst.global_grad(x, y)
-        y = project_y(inst, y + step_size * gy)
+        _, GY = inst.grad_full_all(X, np.tile(y, (inst.K, 1)))
+        y = project_y(inst, y + step_size * vec_mean(GY))
     return y
 
 
@@ -172,13 +173,13 @@ class TraceRecorder:
         y_bar: Vector,
     ) -> TraceRecord:
         problem = self.problem
-        w_cur = vec_mean([c.w for c in clients])
-        v_cur = vec_mean([c.v for c in clients])
-        GX, GY = problem.grad_full_all(np.stack([c.x for c in clients]), np.stack([c.y for c in clients]))
+        w_cur = vec_mean(clients.W)
+        v_cur = vec_mean(clients.V)
+        GX, GY = problem.grad_full_all(clients.X, clients.Y)
         est_err_x = float(np.linalg.norm(w_cur - vec_mean(GX)))
         est_err_y = float(np.linalg.norm(v_cur - vec_mean(GY)))
-        consensus_x = max(float(np.linalg.norm(c.x - x_bar)) for c in clients)
-        consensus_y = max(float(np.linalg.norm(c.y - y_bar)) for c in clients)
+        consensus_x = float(np.sqrt(row_dots(clients.X - x_bar).max()))
+        consensus_y = float(np.sqrt(row_dots(clients.Y - y_bar).max()))
 
         dist_x_sq = dist_y_sq = None
         if self.x_star is not None:

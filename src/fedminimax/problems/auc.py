@@ -66,10 +66,7 @@ class AucProblem(DatasetProblem):
         n_total = K * n_per_client
         X, labels, groups = self._draw(rng, n_total)
         plan = partition(n_total, groups, K, scheme, seed=seed + 1)
-        self.clients_X = [X[idx] for idx in plan.assignment]
-        self.clients_y = [labels[idx] for idx in plan.assignment]
-        self.partition_plan = plan
-        self._stack_clients()
+        self._set_clients(X, labels, plan)
 
         self.n_test = int(n_test)
         self.test_X, self.test_y, _ = self._draw(rng, n_test)
@@ -96,11 +93,8 @@ class AucProblem(DatasetProblem):
         )
         return X, labels, groups
 
-    def _split_x(self, xv: Vector) -> tuple[np.ndarray, float, float]:
-        return xv[: self.dim], float(xv[self.dim]), float(xv[self.dim + 1])
-
     def _sample_values(self, k: int, xv: Vector, alpha: float) -> np.ndarray:
-        w, a, b = self._split_x(xv)
+        w, a, b = xv[: self.dim], float(xv[self.dim]), float(xv[self.dim + 1])
         h = self.clients_X[k] @ w
         pos = self.clients_y[k] > 0
         pr = self.pos_ratio
@@ -131,38 +125,20 @@ class AucProblem(DatasetProblem):
         galpha = np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean(axis=1) - 2 * pr * (1 - pr) * alpha[:, 0]
         return np.column_stack([gw, ga, gb]), galpha[:, None]
 
-    def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
-        w, a, b = self._split_x(x)
-        alpha = float(y[0])
-        xi = self.clients_X[k][item]
-        pr = self.pos_ratio
-        h = float(xi @ w)
-        if self.clients_y[k][item] > 0:
-            gw = (2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr)) * xi
-            ga = -2 * (1 - pr) * (h - a)
-            gb = 0.0
-            galpha = -2 * (1 - pr) * h - 2 * pr * (1 - pr) * alpha
-        else:
-            gw = (2 * pr * (h - b) + 2 * (1 + alpha) * pr) * xi
-            ga = 0.0
-            gb = -2 * pr * (h - b)
-            galpha = 2 * pr * h - 2 * pr * (1 - pr) * alpha
-        gx = np.concatenate([gw, [ga, gb]])
-        return gx, np.array([galpha])
-
     def y_star(self, x: Vector) -> Vector:
         """Closed-form inner maximizer alpha*(w) of the averaged objective."""
         w = x[: self.dim]
         pr = self.pos_ratio
-        m_pos = 0.0
-        m_neg = 0.0
-        for k in range(self.K):
-            h = self.clients_X[k] @ w
-            pos = self.clients_y[k] > 0
-            m_pos += float(np.where(pos, h, 0.0).mean())
-            m_neg += float(np.where(pos, 0.0, h).mean())
-        m_pos /= self.K
-        m_neg /= self.K
+        means_pos = np.empty(self.K)
+        means_neg = np.empty(self.K)
+        for ks, Xs, labs in self._blocks:
+            h = np.matmul(Xs, np.tile(w, (len(ks), 1))[:, :, None])[:, :, 0]
+            pos = labs > 0
+            means_pos[ks] = np.where(pos, h, 0.0).mean(axis=1)
+            means_neg[ks] = np.where(pos, 0.0, h).mean(axis=1)
+        # cumsum adds in client order; sum() would add pairwise.
+        m_pos = np.cumsum(means_pos)[-1] / self.K
+        m_neg = np.cumsum(means_neg)[-1] / self.K
         alpha = (pr * m_neg - (1 - pr) * m_pos) / (pr * (1 - pr))
         return np.array([alpha])
 

@@ -1,7 +1,7 @@
 """Common interface for K-client minimax problem instances.
 
-An instance exposes per-client stochastic and exact partial-gradient
-oracles, plus a stacked exact oracle over all clients at once, for
+An instance exposes stacked stochastic and exact partial-gradient oracles,
+one row per (client, point), and their per-client one-row forms, for
 
     min over x of max over y of (1/K) * sum_k f^k(x, y),
 
@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import Vector, vec_mean
+from ..core import Vector, row_dots, vec_mean
+from ..federation import PartitionPlan
 
 
 class SampleRef(NamedTuple):
@@ -39,11 +40,12 @@ class Unconstrained:
 class EuclideanBall:
     radius: float
 
-    def project(self, y: Vector) -> Vector:
-        norm = float(np.linalg.norm(y))
-        if norm <= self.radius:
+    def project(self, y: Vector | np.ndarray) -> Vector | np.ndarray:
+        """Nearest point of the ball to y, or to each row of a stacked (K, p) y."""
+        norm = np.sqrt(row_dots(y))[..., None]
+        if np.all(norm <= self.radius):
             return y
-        return y * (self.radius / norm)
+        return y * (self.radius / np.maximum(norm, self.radius))
 
 
 class ProblemInstance(ABC):
@@ -76,8 +78,16 @@ class ProblemInstance(ABC):
         """
 
     @abstractmethod
+    def grad_stoch_rows(
+        self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Partial gradients of sampled realizations, one per row: row i is
+        item items[i] of client ks[i], at the point (X[i], Y[i])."""
+
     def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
         """Partial gradients for one sampled realization of client k."""
+        GX, GY = self.grad_stoch_rows(np.array([k]), np.array([item]), x[None], y[None])
+        return GX[0], GY[0]
 
     def global_value(self, x: Vector, y: Vector) -> float:
         acc = 0.0
@@ -123,15 +133,22 @@ class DatasetProblem(ProblemInstance):
     Clients with equal dataset sizes form one block, stored stacked as
     (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
     single block. Subclasses give the exact gradient once, as a kernel over
-    one block, and both exact oracles use it.
+    one block, and every oracle uses it; the stochastic oracle applies it to
+    one-item datasets taken from all items pooled in client order.
     """
 
     clients_X: list[np.ndarray]
     clients_y: list[np.ndarray]
 
-    def _stack_clients(self) -> None:
-        """Group the clients into blocks; call once the datasets are set."""
-        sizes = np.array([len(lab) for lab in self.clients_y])
+    def _set_clients(self, X: np.ndarray, labels: np.ndarray, plan: PartitionPlan) -> None:
+        """Give client k the items plan.assignment[k], then pool and block them."""
+        self.partition_plan = plan
+        self.clients_X = [X[idx] for idx in plan.assignment]
+        self.clients_y = [labels[idx] for idx in plan.assignment]
+        pooled = np.concatenate(plan.assignment)
+        self._pool_X, self._pool_y = X[pooled], labels[pooled]
+        sizes = np.array([len(idx) for idx in plan.assignment])
+        self._pool_start = np.cumsum(sizes) - sizes
         self._blocks = []
         for n in np.unique(sizes):
             ks = np.flatnonzero(sizes == n)
@@ -161,6 +178,12 @@ class DatasetProblem(ProblemInstance):
         for ks, Xs, labs in self._blocks:
             GX[ks], GY[ks] = self._grad_block(Xs, labs, X[ks], Y[ks])
         return GX, GY
+
+    def grad_stoch_rows(
+        self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._pool_start[ks] + items
+        return self._grad_block(self._pool_X[rows][:, None, :], self._pool_y[rows][:, None], X, Y)
 
 
 def _check_indices(inst: ProblemInstance, k: int, xi: SampleRef | None = None) -> None:

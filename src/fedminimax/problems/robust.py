@@ -59,10 +59,7 @@ class RobustProblem(DatasetProblem):
         n_total = K * n_per_client
         X, labels, groups = self._draw(rng, n_total)
         plan = partition(n_total, groups, K, scheme, seed=seed + 1)
-        self.clients_X = [X[idx] for idx in plan.assignment]
-        self.clients_y = [labels[idx] for idx in plan.assignment]
-        self.partition_plan = plan
-        self._stack_clients()
+        self._set_clients(X, labels, plan)
 
         self.n_test = int(n_test)
         self.test_X, self.test_y, _ = self._draw(rng, n_test)
@@ -89,12 +86,6 @@ class RobustProblem(DatasetProblem):
         GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
         GY = s.mean(axis=1)[:, None] * X
         return GX, GY
-
-    def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
-        xi, lab = self.clients_X[k][item], self.clients_y[k][item]
-        z = float(xi @ x + x @ y)
-        s = -lab * expit(-lab * z)
-        return s * (xi + y), s * x
 
     def describe(self) -> str:
         lines = [

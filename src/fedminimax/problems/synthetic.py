@@ -110,9 +110,13 @@ class SyntheticProblem(ProblemInstance):
         t = self.t[:, None]
         return self.tau * X - t * Y, -Y + self.b - t * X
 
-    def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
-        gx, gy = self.grad_full(k, x, y)
-        return gx + self.noise_x[k, item], gy + self.noise_y[k, item]
+    def grad_stoch_rows(
+        self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        t = self.t[ks, None]
+        GX = self.tau * X - t * Y
+        GY = -Y + self.b[ks] - t * X
+        return GX + self.noise_x[ks, items], GY + self.noise_y[ks, items]
 
     def y_star(self, x: Vector) -> Vector:
         return self.b_bar - self.t_bar * x

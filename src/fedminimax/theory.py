@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import HyperParams
-from .core import Vector
+from .core import Vector, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
 
 CONSTRAINT_NAMES = (
@@ -325,9 +325,7 @@ def _max_pairwise_distance(G: np.ndarray) -> float:
     all later rows at a time (bitwise equal to np.linalg.norm per pair)."""
     worst = 0.0
     for a in range(G.shape[0] - 1):
-        D = G[a] - G[a + 1:]
-        sq = np.matmul(D[:, None, :], D[:, :, None])
-        worst = max(worst, float(np.sqrt(sq.max())))
+        worst = max(worst, float(np.sqrt(row_dots(G[a] - G[a + 1:]).max())))
     return worst
 
 
@@ -349,12 +347,13 @@ def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
         y = 2.0 * rng.standard_normal(inst.p)
         for k in range(inst.K):
             gx, gy = grad_full(inst, k, x, y)
-            acc = 0.0
             n_k = inst.dataset_size(k)
-            for item in range(n_k):
-                sx, sy = inst.grad_stoch(k, x, y, item)
-                acc += float((sx - gx) @ (sx - gx) + (sy - gy) @ (sy - gy))
-            worst = max(worst, acc / n_k)
+            SX, SY = inst.grad_stoch_rows(
+                np.full(n_k, k), np.arange(n_k), np.tile(x, (n_k, 1)), np.tile(y, (n_k, 1))
+            )
+            sq = row_dots(SX - gx) + row_dots(SY - gy)
+            # cumsum adds in item order; sum() would add pairwise.
+            worst = max(worst, float(np.cumsum(sq)[-1]) / n_k)
     return math.sqrt(worst)
 
 

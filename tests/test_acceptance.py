@@ -47,8 +47,8 @@ def report(criterion: int, ok: bool, detail: str):
 def _initial_distance(problem, hp):
     clients, _, _ = init_round(problem, hp)
     xs, ys = saddle_point(problem)
-    dx = clients[0].x - xs
-    dy = clients[0].y - ys
+    dx = clients.X[0] - xs
+    dy = clients.Y[0] - ys
     return float(dx @ dx + dy @ dy)
 
 

@@ -82,17 +82,17 @@ class TestInitRound:
         inst = fm.make_synthetic(K=3, dim=4, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=5, q=1, seed=0)
         clients, _, _ = init_round(inst, hp)
-        for c in clients:
-            gx, gy = grad_full(inst, c.k, c.x, c.y)
-            assert np.allclose(c.w, gx)
-            assert np.allclose(c.v, gy)
+        for k in range(inst.K):
+            gx, gy = grad_full(inst, k, clients.X[k], clients.Y[k])
+            assert np.allclose(clients.W[k], gx)
+            assert np.allclose(clients.V[k], gy)
 
     def test_all_clients_share_start(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0)
         clients, server, _ = init_round(synthetic_small, hp)
-        for c in clients:
-            assert np.array_equal(c.x, server.x_bar)
-            assert np.array_equal(c.y, server.y_bar)
+        for k in range(synthetic_small.K):
+            assert np.array_equal(clients.X[k], server.x_bar)
+            assert np.array_equal(clients.Y[k], server.y_bar)
 
     def test_q_larger_than_dataset_rejected(self):
         inst = fm.make_synthetic(K=2, dim=3, s=1.0, tau=10.0, seed=1, n_per_client=4)
@@ -116,37 +116,36 @@ class TestLocalStep:
         hp = HyperParams(T=10, q=5, seed=0)
         clients, server, _ = init_round(synthetic_small, hp)
         with pytest.raises(ValueError):
-            local_step(synthetic_small, hp, 5, clients[0], server.A, server.B)
+            local_step(synthetic_small, hp, 5, clients, server.A, server.B)
 
     def test_zero_step_sizes_only_refresh_estimators(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0, gamma=0.0, lam=0.0)
         clients, server, _ = init_round(synthetic_small, hp)
-        before = clients[0]
+        before = clients
         after = local_step(synthetic_small, hp, 1, before, server.A, server.B)
-        assert np.array_equal(after.x, before.x)
-        assert np.array_equal(after.y, before.y)
+        assert np.array_equal(after.X, before.X)
+        assert np.array_equal(after.Y, before.Y)
 
     def test_unit_constants_give_one_sgda_step(self):
         inst = fm.make_synthetic(K=2, dim=3, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=10, q=5, seed=0, eta_const=1.0, alpha_const=1.0, beta_const=1.0,
                          gamma=0.01, lam=0.01)
         clients, server, _ = init_round(inst, hp)
-        c0 = clients[0]
-        x0, y0, w0, v0 = c0.x.copy(), c0.y.copy(), c0.w.copy(), c0.v.copy()
-        after = local_step(inst, hp, 1, c0, server.A, server.B)
-        assert np.allclose(after.y, y0 + hp.lam * v0)
-        assert np.allclose(after.x, x0 - hp.gamma * w0)
-        gx, gy = grad_full(inst, 0, after.x, after.y)
-        assert np.array_equal(after.v, gy)  # noiseless: estimate equals the fresh gradient
-        assert np.array_equal(after.w, gx)
+        x0, y0, w0, v0 = clients.X[0].copy(), clients.Y[0].copy(), clients.W[0].copy(), clients.V[0].copy()
+        after = local_step(inst, hp, 1, clients, server.A, server.B)
+        assert np.allclose(after.Y[0], y0 + hp.lam * v0)
+        assert np.allclose(after.X[0], x0 - hp.gamma * w0)
+        gx, gy = grad_full(inst, 0, after.X[0], after.Y[0])
+        assert np.array_equal(after.V[0], gy)  # noiseless: estimate equals the fresh gradient
+        assert np.array_equal(after.W[0], gx)
 
     def test_deterministic_replay(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=3)
         c1, s1, _ = init_round(synthetic_small, hp)
         c2, s2, _ = init_round(synthetic_small, hp)
-        a1 = local_step(synthetic_small, hp, 1, c1[0], s1.A, s1.B)
-        a2 = local_step(synthetic_small, hp, 1, c2[0], s2.A, s2.B)
-        for attr in ("x", "y", "w", "v"):
+        a1 = local_step(synthetic_small, hp, 1, c1, s1.A, s1.B)
+        a2 = local_step(synthetic_small, hp, 1, c2, s2.A, s2.B)
+        for attr in ("X", "Y", "W", "V"):
             assert np.array_equal(getattr(a1, attr), getattr(a2, attr))
 
 
@@ -160,13 +159,13 @@ class TestSyncStep:
     def test_broadcast_postcondition(self, synthetic_small):
         hp = HyperParams(T=10, q=2, seed=0)
         clients, server, counters = init_round(synthetic_small, hp)
-        clients = [local_step(synthetic_small, hp, 1, c, server.A, server.B) for c in clients]
+        clients = local_step(synthetic_small, hp, 1, clients, server.A, server.B)
         sync_step(synthetic_small, hp, 2, clients, server, counters)
-        for c in clients:
-            assert np.array_equal(c.x, server.x_bar)
-            assert np.array_equal(c.y, server.y_bar)
-            assert np.array_equal(c.w, clients[0].w)
-            assert np.array_equal(c.v, clients[0].v)
+        for k in range(synthetic_small.K):
+            assert np.array_equal(clients.X[k], server.x_bar)
+            assert np.array_equal(clients.Y[k], server.y_bar)
+            assert np.array_equal(clients.W[k], clients.W[0])
+            assert np.array_equal(clients.V[k], clients.V[0])
         assert counters.comm_rounds == 1
         # sampling ledger belongs to the run loop; sync itself draws nothing
         assert counters.sfo_per_client == 2 * hp.q
@@ -175,8 +174,8 @@ class TestSyncStep:
         inst = fm.make_synthetic(K=1, dim=3, s=1.0, tau=10.0, seed=2, noise_sigma=0.0)
         hp = HyperParams(T=10, q=1, seed=0, eta_const=1.0, gamma=0.05, lam=0.05)
         clients, server, counters = init_round(inst, hp)
-        x0, y0 = clients[0].x.copy(), clients[0].y.copy()
-        w0, v0 = clients[0].w.copy(), clients[0].v.copy()
+        x0, y0 = clients.X[0].copy(), clients.Y[0].copy()
+        w0, v0 = clients.W[0].copy(), clients.V[0].copy()
         sync_step(inst, hp, 1, clients, server, counters)
         assert np.allclose(server.x_bar, x0 - hp.gamma * w0)
         assert np.allclose(server.y_bar, y0 + hp.lam * v0)
@@ -232,7 +231,7 @@ class TestRunInvariants:
                 assert np.all(server.A.diag == 1.0)
                 assert np.all(server.B.diag == 1.0)
             else:
-                clients = [local_step(synthetic_small, hp, t, c, server.A, server.B) for c in clients]
+                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
 
     def test_matrix_freeze_between_syncs(self, synthetic_small):
         hp = HyperParams(T=12, q=4, seed=5, variant=VARIANT_ADAFGDA_ADAM)
@@ -242,7 +241,7 @@ class TestRunInvariants:
             if t % hp.q == 0:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
             else:
-                clients = [local_step(synthetic_small, hp, t, c, server.A, server.B) for c in clients]
+                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
             seen.append((t, server.A.diag.copy()))
         # A changes only at t = 4, 8, 12
         for (t, diag), (t2, diag2) in zip(seen, seen[1:]):
@@ -261,15 +260,15 @@ class TestRunInvariants:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
                 x_bar, y_bar = server.x_bar, server.y_bar
             else:
-                clients = [local_step(synthetic_small, hp, t, c, server.A, server.B) for c in clients]
-                x_bar = vec_mean([c.x for c in clients])
-                y_bar = vec_mean([c.y for c in clients])
+                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                x_bar = vec_mean(clients.X)
+                y_bar = vec_mean(clients.Y)
             rec = trace.records[t - 1]
             assert rec.dist_x_sq == float((x_bar - xs) @ (x_bar - xs))
             assert rec.dist_y_sq == float((y_bar - ys) @ (y_bar - ys))
             if t % hp.q == 0:
-                for c in clients:
-                    assert np.array_equal(c.x, x_bar)
+                for k in range(synthetic_small.K):
+                    assert np.array_equal(clients.X[k], x_bar)
 
     def test_bitwise_determinism(self, synthetic_small):
         hp = HyperParams(T=40, q=8, seed=9, variant=VARIANT_ADAFGDA_ADAM)
@@ -434,11 +433,7 @@ class TestReductions:
         hp_m = HyperParams(T=50, q=10, seed=2, variant=VARIANT_MOMENTUM_LOCAL_SGDA, beta_m=0.0,
                            gamma=0.01, lam=0.01)
         hp_l = HyperParams(T=50, q=10, seed=2, variant=VARIANT_LOCAL_SGDA, gamma=0.01, lam=0.01)
-        local_cells = record_cells(fm.run(synthetic_small, hp_l))
-        assert record_cells(fm.run(synthetic_small, hp_m)) == local_cells
-        # the wrapper pins the variant regardless of what the input carries
-        wrapped = fm.baseline_momentum_local_sgda(synthetic_small, replace(hp_m, variant=VARIANT_FGDA))
-        assert record_cells(wrapped) == local_cells
+        assert record_cells(fm.run(synthetic_small, hp_m)) == record_cells(fm.run(synthetic_small, hp_l))
 
     def test_tied_accumulator_decay_tracks_momentum(self, synthetic_small):
         hp = HyperParams(T=30, q=5, seed=2, variant=VARIANT_ADAFGDA_ADAM,

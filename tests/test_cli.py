@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from fedminimax.cli import main
@@ -112,8 +114,11 @@ class TestCommands:
 
     def test_diverging_run_reports_every_seed_and_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["run", "--preset", "synthetic-s1", "--algorithm.gamma", "50",
-                     "--algorithm.t", "200", "--output.csv_dir", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--preset", "synthetic-s1", "--algorithm.gamma", "50",
+                         "--algorithm.t", "200", "--output.csv_dir", str(out)])
+        assert [str(w.message) for w in caught] == []
         assert code == 3
         err = capsys.readouterr().err
         for seed in (1, 2, 3):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -5,7 +7,7 @@ from scipy.special import expit
 
 import fedminimax as fm
 from fedminimax.problems import EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
-from fedminimax.theory import estimate_constants
+from fedminimax.theory import _estimate_sigma, estimate_constants
 
 from conftest import fd_grad, numeric_inner_max
 
@@ -373,6 +375,41 @@ def _plain_grad_auc(inst, k, x, y):
     return np.concatenate([(coef[:, None] * X).mean(axis=0), [ga, gb]]), np.array([galpha])
 
 
+def _plain_stoch_synthetic(inst, k, x, y, item):
+    """One sampled gradient of client k written as a plain formula."""
+    gx = inst.tau * x - inst.t[k] * y
+    gy = -y + inst.b[k] - inst.t[k] * x
+    return gx + inst.noise_x[k, item], gy + inst.noise_y[k, item]
+
+
+def _plain_stoch_robust(inst, k, x, y, item):
+    """One sampled gradient of client k written as a plain formula."""
+    xi, lab = inst.clients_X[k][item], inst.clients_y[k][item]
+    z = float(xi @ x + x @ y)
+    s = -lab * expit(-lab * z)
+    return s * (xi + y), s * x
+
+
+def _plain_stoch_auc(inst, k, x, y, item):
+    """One sampled gradient of client k written as a plain formula."""
+    w, a, b = x[: inst.dim], float(x[inst.dim]), float(x[inst.dim + 1])
+    alpha = float(y[0])
+    xi = inst.clients_X[k][item]
+    pr = inst.pos_ratio
+    h = float(xi @ w)
+    if inst.clients_y[k][item] > 0:
+        gw = (2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr)) * xi
+        ga = -2 * (1 - pr) * (h - a)
+        gb = 0.0
+        galpha = -2 * (1 - pr) * h - 2 * pr * (1 - pr) * alpha
+    else:
+        gw = (2 * pr * (h - b) + 2 * (1 + alpha) * pr) * xi
+        ga = 0.0
+        gb = -2 * pr * (h - b)
+        galpha = 2 * pr * h - 2 * pr * (1 - pr) * alpha
+    return np.concatenate([gw, [ga, gb]]), np.array([galpha])
+
+
 STACKED_CASES = {
     "synthetic": lambda: fm.make_synthetic(K=7, dim=5, s=1.0, tau=10.0, seed=4),
     "auc-iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
@@ -384,6 +421,7 @@ STACKED_CASES = {
 }
 RAGGED_CASES = ("auc-by_group", "auc-dirichlet", "robust-by_group", "robust-dirichlet")
 PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
+PLAIN_STOCH = {"synthetic": _plain_stoch_synthetic, "auc": _plain_stoch_auc, "robust": _plain_stoch_robust}
 
 
 class TestStackedOracle:
@@ -404,6 +442,55 @@ class TestStackedOracle:
                 if inst.name in PLAIN_GRAD:
                     px, py = PLAIN_GRAD[inst.name](inst, k, X[k], Y[k])
                     assert np.array_equal(gx, px) and np.array_equal(gy, py)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_stochastic_rows_equal_plain_per_sample_formulas_bitwise(self, case):
+        # one row per client (the run's layout), then rows of arbitrary
+        # clients in any order and with repeats (the sigma estimate's layout)
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            ks = np.concatenate([np.arange(inst.K), rng.integers(inst.K, size=2 * inst.K)])
+            items = np.array([rng.integers(inst.dataset_size(k)) for k in ks])
+            X = 2.0 * rng.standard_normal((len(ks), inst.d))
+            Y = 2.0 * rng.standard_normal((len(ks), inst.p))
+            GX, GY = inst.grad_stoch_rows(ks, items, X, Y)
+            assert GX.shape == X.shape and GY.shape == Y.shape
+            for i, (k, item) in enumerate(zip(ks, items)):
+                px, py = PLAIN_STOCH[inst.name](inst, k, X[i], Y[i], item)
+                assert np.array_equal(GX[i], px) and np.array_equal(GY[i], py)
+                sx, sy = grad_stoch(inst, k, X[i], Y[i], SampleRef(k, item))
+                assert np.array_equal(sx, px) and np.array_equal(sy, py)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_sigma_estimate_equals_per_item_loop_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        n_samples, seed = 30, 37
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(n_samples // 10):
+            x = 2.0 * rng.standard_normal(inst.d)
+            y = 2.0 * rng.standard_normal(inst.p)
+            for k in range(inst.K):
+                gx, gy = grad_full(inst, k, x, y)
+                acc = 0.0
+                for item in range(inst.dataset_size(k)):
+                    sx, sy = PLAIN_STOCH[inst.name](inst, k, x, y, item)
+                    acc += float((sx - gx) @ (sx - gx) + (sy - gy) @ (sy - gy))
+                worst = max(worst, acc / inst.dataset_size(k))
+        assert _estimate_sigma(inst, n_samples, np.random.default_rng(seed)) == math.sqrt(worst)
+
+    def test_ball_projection_of_rows_equals_per_row_projection_bitwise(self):
+        ball = EuclideanBall(1.5)
+        rng = np.random.default_rng(31)
+        for p in (1, 2, 10):
+            Y = rng.standard_normal((200, p)) * rng.uniform(0.0, 3.0, size=(200, 1))
+            Y[0] = 0.0
+            P = ball.project(Y)
+            for y, py in zip(Y, P):
+                assert np.array_equal(py, ball.project(y))
+                norm = float(np.linalg.norm(y))
+                assert np.array_equal(py, y if norm <= ball.radius else y * (ball.radius / norm))
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_global_grad_equals_fixed_order_client_loop_bitwise(self, case):
