@@ -11,7 +11,7 @@ from .algorithms import (
     run,
     sync_step,
 )
-from .core import Counters, DiagMatrix, precondition, vec_mean
+from .core import Counters, precondition, vec_mean
 from .estimators import AdaptiveAccumulator, momentum_schedule, storm_update
 from .federation import PartitionPlan, expected_comm_rounds, expected_sfo, partition
 from .metrics import RunTrace, TraceRecord, auc_score, emit_csv, grad_norm_F, read_trace_csv

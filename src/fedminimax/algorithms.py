@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import Counters, DiagMatrix, Vector, precondition, vec_mean
+from .core import Counters, Vector, precondition, vec_mean
 from .estimators import (
     MODE_ADABELIEF,
     MODE_ADAM,
@@ -185,8 +185,8 @@ class ServerState:
     x_bar: Vector
     y_bar: Vector
     acc: AdaptiveAccumulator
-    A: DiagMatrix
-    B: DiagMatrix
+    A: Vector  # positive diagonal of the x-side preconditioner
+    B: Vector  # positive diagonal of the y-side preconditioner
 
 
 def _spawn_rngs(seed: int, K: int) -> tuple[list[np.random.Generator], np.random.Generator]:
@@ -242,8 +242,8 @@ def local_step(
     hp: HyperParams,
     t: int,
     clients: Clients,
-    A: DiagMatrix,
-    B: DiagMatrix,
+    A: Vector,
+    B: Vector,
 ) -> Clients:
     """One purely local iteration of every client, one row each.
 
@@ -328,8 +328,11 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     rule); analyses here use the full trace, the sampled index is reported
     alongside.
 
-    Overflow warnings are silenced: a diverging run ends in the
-    FloatingPointError of the first finiteness check that sees a NaN or Inf.
+    Finiteness is checked once per step, on every client's iterates and
+    estimates after the local or sync step and before the step is recorded:
+    a diverging run raises FloatingPointError naming the first step t at
+    which any of X, Y, W or V holds a NaN or Inf. Overflow warnings are
+    silenced, since that check reports the divergence.
     """
     t_start = time.perf_counter()
     clients, server, counters = init_round(problem, hp)
@@ -352,6 +355,8 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
             x_bar = vec_mean(clients.X)
             y_bar = vec_mean(clients.Y)
             is_sync = False
+        if not all(np.isfinite(M).all() for M in (clients.X, clients.Y, clients.W, clients.V)):
+            raise FloatingPointError(f"non-finite iterate or estimate at t={t}")
         recorder.record(t, is_sync, hp.q, clients, counters, x_bar, y_bar)
         if t == final_index:
             sampled_iterate = (x_bar.copy(), y_bar.copy())

@@ -14,12 +14,15 @@ row:
   blocks included;
 - row_dots(D) against each row's D[k] @ D[k]; its square root is
   np.linalg.norm(D[k]) (consensus, ball projection, heterogeneity);
-- np.cumsum(a)[-1] against a sequential sum in index order.
+- np.cumsum(a)[-1] against a sequential sum in index order, and
+  np.cumsum(A, axis=0)[-1] against adding the rows of A one by one in
+  index order (np.add.accumulate never reassociates).
 
 Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1), and
 sum(axis=0) or mean(axis=0) across clients on a (K, 1) array, which sums
-pairwise. Cross-client means therefore stay the explicit row loop of
-vec_mean, which takes a stacked (K, d) array as well as a list.
+pairwise; these stay forbidden for cross-client reductions. Cross-client
+means are therefore the index-order cumsum of vec_mean, which takes a
+stacked (K, d) array as well as a list of vectors.
 """
 
 from __future__ import annotations
@@ -28,38 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A Vector is a 1-D float64 ndarray with finite entries.
+# A Vector is a 1-D float64 ndarray. Finiteness is checked once per step, by
+# algorithms.run, not by the helpers below.
 Vector = np.ndarray
-
-
-def as_vector(values) -> Vector:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN or Inf")
-    return v
-
-
-def check_finite(v: Vector, what: str = "vector") -> Vector:
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"{what} contains NaN or Inf")
-    return v
 
 
 def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:
     """Coordinatewise mean of a list of vectors or of the rows of a (K, d)
-    array, summed in fixed order (no pairwise reduction)."""
+    array, summed in index order by np.cumsum (no pairwise reduction)."""
     if len(vs) == 0:
         raise ValueError("vec_mean of empty list")
-    dim = vs[0].shape[0]
-    acc = np.zeros(dim, dtype=np.float64)
-    for v in vs:
-        if v.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: {v.shape[0]} != {dim}")
-        acc += v
-    return check_finite(acc / len(vs), "mean")
+    return np.cumsum(vs, axis=0)[-1] / len(vs)
 
 
 def row_dots(D: np.ndarray) -> np.ndarray:
@@ -67,39 +49,13 @@ def row_dots(D: np.ndarray) -> np.ndarray:
     return np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0]
 
 
-@dataclass
-class DiagMatrix:
-    """Diagonal preconditioner with strictly positive entries (entry floor rho)."""
+def precondition(a: Vector, g: Vector | np.ndarray) -> Vector | np.ndarray:
+    """Apply the inverse of the diagonal matrix diag(a) to g or to each row of g.
 
-    diag: Vector
-
-    def __post_init__(self) -> None:
-        self.diag = as_vector(self.diag)
-        if np.any(self.diag <= 0.0):
-            raise ValueError("DiagMatrix requires strictly positive diagonal entries")
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
-
-    def min_entry(self) -> float:
-        return float(self.diag.min())
-
-    def spectral_norm(self) -> float:
-        return float(self.diag.max())
-
-
-def identity_diag(dim: int) -> DiagMatrix:
-    return DiagMatrix(np.ones(dim, dtype=np.float64))
-
-
-def precondition(A: DiagMatrix, g: Vector | np.ndarray) -> Vector | np.ndarray:
-    """Apply the inverse of a diagonal matrix to g or to each row of g."""
-    if A.dim != g.shape[-1]:
-        raise ValueError(f"dimension mismatch: matrix {A.dim}, vector {g.shape[-1]}")
-    if np.any(A.diag <= 0.0):
-        raise ValueError("preconditioner has a nonpositive diagonal entry")
-    return check_finite(g / A.diag, "preconditioned gradient")
+    The entries of a are positive by construction (estimators._emit asserts
+    their floor rho).
+    """
+    return g / a
 
 
 @dataclass

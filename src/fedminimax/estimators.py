@@ -10,7 +10,8 @@ momentum = 1 recovers the plain stochastic gradient.
 The server generates diagonal preconditioners from the averaged estimates,
 either from accumulated squared gradients (adam mode) or squared
 innovations against the previous synchronization's averages (adabelief
-mode). Every emitted diagonal entry is at least rho.
+mode). A diagonal matrix is the 1-D array of its entries; every emitted
+entry is at least rho, asserted once where it is emitted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiagMatrix, Vector, check_finite
+from .core import Vector
 
 MODE_IDENTITY = "identity"
 MODE_ADAM = "adam"
@@ -31,9 +32,7 @@ def storm_update(g_new: Vector, g_old: Vector, prev_est: Vector, momentum: float
     """One recursive variance-reduced estimator step."""
     if not 0.0 < momentum <= 1.0:
         raise ValueError(f"momentum must lie in (0, 1], got {momentum}")
-    if g_new.shape != g_old.shape or g_new.shape != prev_est.shape:
-        raise ValueError("estimator inputs must share one dimension")
-    return check_finite(g_new + (1.0 - momentum) * (prev_est - g_old), "estimator")
+    return g_new + (1.0 - momentum) * (prev_est - g_old)
 
 
 def momentum_schedule(c1: float, c2: float, eta_t: float) -> tuple[float, float]:
@@ -82,26 +81,26 @@ class AdaptiveAccumulator:
             self.b = np.zeros(p)
         return self.a, self.b
 
-    def generate(self, w_bar: Vector, v_bar: Vector, varrho: float | None = None) -> tuple[DiagMatrix, DiagMatrix]:
-        """Produce (A, B) for the next window, mutating the accumulator."""
+    def generate(self, w_bar: Vector, v_bar: Vector, varrho: float | None = None) -> tuple[Vector, Vector]:
+        """Produce the diagonals (A, B) for the next window, mutating the accumulator."""
         if self.mode == MODE_IDENTITY:
-            return DiagMatrix(np.ones_like(w_bar)), DiagMatrix(np.ones_like(v_bar))
+            return np.ones_like(w_bar), np.ones_like(v_bar)
         if self.mode == MODE_ADAM:
             return adam_matrix_update(self, w_bar, v_bar, varrho)
         return adabelief_matrix_update(self, w_bar, v_bar, varrho)
 
 
-def _emit(acc: AdaptiveAccumulator) -> tuple[DiagMatrix, DiagMatrix]:
-    A = DiagMatrix(np.sqrt(acc.a) + acc.rho)
-    B = DiagMatrix(np.sqrt(acc.b) + acc.rho)
-    if A.min_entry() < acc.rho or B.min_entry() < acc.rho:
+def _emit(acc: AdaptiveAccumulator) -> tuple[Vector, Vector]:
+    A = np.sqrt(acc.a) + acc.rho
+    B = np.sqrt(acc.b) + acc.rho
+    if A.min() < acc.rho or B.min() < acc.rho:
         raise AssertionError("adaptive matrix violated its entry floor")
     return A, B
 
 
 def adam_matrix_update(
     acc: AdaptiveAccumulator, w_bar: Vector, v_bar: Vector, varrho: float | None = None
-) -> tuple[DiagMatrix, DiagMatrix]:
+) -> tuple[Vector, Vector]:
     """a <- varrho*a + (1-varrho)*w_bar^2, A = diag(sqrt(a) + rho); same for b/B."""
     if acc.mode != MODE_ADAM:
         raise ValueError(f"accumulator mode is {acc.mode!r}, not {MODE_ADAM!r}")
@@ -114,7 +113,7 @@ def adam_matrix_update(
 
 def adabelief_matrix_update(
     acc: AdaptiveAccumulator, w_bar: Vector, v_bar: Vector, varrho: float | None = None
-) -> tuple[DiagMatrix, DiagMatrix]:
+) -> tuple[Vector, Vector]:
     """Like the adam rule, accumulating (w_bar - w_ref)^2 against the previous
     generation's averages; the reference pair is then advanced."""
     if acc.mode != MODE_ADABELIEF:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Vector, as_vector
+from ..core import Vector
 from .base import ProblemInstance, Unconstrained
 
 
@@ -123,7 +123,7 @@ class SyntheticProblem(ProblemInstance):
 
     def saddle(self) -> tuple[Vector, Vector]:
         x_star = (self.t_bar / (self.tau + self.t_bar**2)) * self.b_bar
-        return as_vector(x_star), as_vector(self.y_star(x_star))
+        return x_star, self.y_star(x_star)
 
     def grad_F(self, x: Vector) -> Vector:
         # F(x) = (tau/2)||x||^2 + (1/2)||b_bar - t_bar x||^2

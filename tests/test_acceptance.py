@@ -246,7 +246,7 @@ def test_criterion_7_matrix_floor_million_calls():
         w_all[::29] *= -1.0
         for i in range(500_000):
             A, B = acc.generate(w_all[i], w_all[i, :2])
-            if A.min_entry() < rho or B.min_entry() < rho:
+            if A.min() < rho or B.min() < rho:
                 violations += 1
             total += 1
     report(7, violations == 0, f"{total} randomized updates, {violations} floor violations")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedminimax.core import Counters, DiagMatrix, identity_diag, precondition, vec_mean
+from fedminimax.core import Counters, precondition, vec_mean
 
 
 def vec(*xs):
@@ -47,7 +47,12 @@ class TestVecMean:
         # sum(axis=0) on (K, 1) sums pairwise and differs at these K
         rng = np.random.default_rng(K)
         vs = [rng.standard_normal(dim) for _ in range(K)]
-        assert np.array_equal(vec_mean(np.stack(vs)), vec_mean(vs))
+        acc = np.zeros(dim)
+        for v in vs:
+            acc += v
+        expected = acc / K
+        assert np.array_equal(vec_mean(np.stack(vs)), expected)
+        assert np.array_equal(vec_mean(vs), expected)
 
     def test_fixed_order_is_deterministic(self):
         rng = np.random.default_rng(3)
@@ -63,17 +68,17 @@ class TestVecMean:
 
 class TestPrecondition:
     def test_identity(self):
-        out = precondition(identity_diag(2), vec(5, -2))
+        out = precondition(np.ones(2), vec(5, -2))
         assert np.array_equal(out, vec(5, -2))
 
     def test_arithmetic(self):
-        out = precondition(DiagMatrix(vec(2, 4)), vec(2, 4))
+        out = precondition(vec(2, 4), vec(2, 4))
         assert np.array_equal(out, vec(1, 1))
 
     def test_floor_scaling_bound(self):
         rho = 0.25
         g = vec(3, -4, 1)
-        out = precondition(DiagMatrix(np.full(3, rho)), g)
+        out = precondition(np.full(3, rho), g)
         assert np.array_equal(out, g / rho)
         assert np.linalg.norm(out) <= np.linalg.norm(g) / rho + 1e-15
 
@@ -81,22 +86,18 @@ class TestPrecondition:
     @settings(deadline=None, max_examples=50)
     def test_norm_bound_for_floored_diagonals(self, seed, rho):
         rng = np.random.default_rng(seed)
-        d = DiagMatrix(rho + np.abs(rng.standard_normal(6)))
+        d = rho + np.abs(rng.standard_normal(6))
         g = 10.0 * rng.standard_normal(6)
         out = precondition(d, g)
         assert np.linalg.norm(out) <= np.linalg.norm(g) / rho * (1 + 1e-12)
 
     def test_dimension_preserved(self):
-        out = precondition(DiagMatrix(vec(1, 2, 3)), vec(1, 1, 1))
+        out = precondition(vec(1, 2, 3), vec(1, 1, 1))
         assert out.shape == (3,)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            DiagMatrix(vec(1.0, 0.0))
-        with pytest.raises(ValueError):
-            DiagMatrix(vec(1.0, -2.0))
-        with pytest.raises(ValueError):
-            precondition(DiagMatrix(vec(1, 2)), vec(1, 2, 3))
+            precondition(vec(1, 2), vec(1, 2, 3))
 
 
 class TestCounters:

@@ -5,6 +5,8 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
 
 - Every shipped preset x every variant, at a short T (two syncs plus one
   local step) and seed 1; the CSV body only, without the config-hash line.
+- Every shipped preset as shipped (its own variant and full T), seed 1,
+  CSV body only.
 - Two configs whose clients hold datasets of different sizes.
 - The three benchmark workload configs at seed 1, emitted the way
   `fedmm run` emits them (config-hash line included); these match the
@@ -70,6 +72,16 @@ PRESET_VARIANT = {
     ("synthetic-theorem", "momentum_local_sgda"): "3fecbad2e022202013360c4400ce2accf40bf73e03be8c786b27f7687d6cc47c",
 }
 
+# each preset at its shipped variant and full T
+PRESET_FULL_T = {
+    "auc-imbalanced": "2454d2946e7115e8d492ff5458082b8661bd30933a7871ce638a2c554547cc97",
+    "robust-q12": "6706ae5dff8b80f6421e7ec8f13321cdd0662423798cda66bdee2bd0cec2e720",
+    "robust-q6": "d5d48df7834986f0cabe90b905733f7b55abbeaca0d21927808099404b36998a",
+    "synthetic-s1": "0317327cbf4e2431305f9e75df89638ae4fae9aeffcef2071b537a64b13d7eea",
+    "synthetic-s10": "cfb9a66c260b0865cc43ba94be84a8434b90667c16824aa558a9661c329e68bd",
+    "synthetic-theorem": "bc507ac180680b48bfc5f57a7d8354c0030a96d727c56359acc379c6649e400e",
+}
+
 # (preset, overrides, digest); client dataset sizes differ in both
 RAGGED = {
     "robust-q6-dirichlet": (
@@ -103,11 +115,17 @@ WORKLOADS = {
 
 def test_roster_is_complete():
     assert set(PRESET_VARIANT) == {(p, v) for p in preset_names() for v in algorithms.VARIANTS}
+    assert set(PRESET_FULL_T) == set(preset_names())
 
 
 @pytest.mark.parametrize("preset,variant", sorted(PRESET_VARIANT))
 def test_preset_variant_digest(preset, variant, tmp_path):
     assert _csv_digest(preset, _short(preset, variant), tmp_path) == PRESET_VARIANT[(preset, variant)]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_FULL_T))
+def test_preset_full_t_digest(preset, tmp_path):
+    assert _csv_digest(preset, {}, tmp_path) == PRESET_FULL_T[preset]
 
 
 @pytest.mark.parametrize("name", sorted(RAGGED))
