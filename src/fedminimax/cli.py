@@ -12,7 +12,7 @@ Constraint violations at run time are warnings, not errors: experiment
 rates are grid-searched and need not satisfy the worst-case constants.
 
 Exit codes: 0 success, 1 validation or probe failure, 2 bad configuration,
-3 some seed of `run` diverged (the other seeds still run).
+3 some seed of `run` or some variant of `bench` diverged (the others still run).
 """
 
 from __future__ import annotations
@@ -103,13 +103,12 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     return rest, overrides
 
 
-def _constants_for(cfg: RunConfig, problem, hp) -> theory.ConstantSet:
+def _constants_for(problem, hp) -> theory.ConstantSet:
     c = theory.estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u)
     return c.with_safety_margin()
 
 
-def _validate(cfg: RunConfig, problem, hp) -> theory.ConstraintReport:
-    c = _constants_for(cfg, problem, hp)
+def _validate(problem, hp, c: theory.ConstantSet) -> theory.ConstraintReport:
     if hp.variant in (VARIANT_ADAFGDA_ADAM, VARIANT_ADAFGDA_ADABELIEF):
         return theory.validate_theorem1(hp, c, problem.K)
     return theory.validate_theorem2(hp, c, problem.K)
@@ -125,7 +124,7 @@ def cmd_run(args, overrides) -> int:
     for seed in cfg.output.seeds:
         problem = cfg.build_problem(seed)
         hp = cfg.hp_for_seed(seed)
-        report = _validate(cfg, problem, hp)
+        report = _validate(problem, hp, _constants_for(problem, hp))
         if not report.all_satisfied:
             bad = [c.name for c in report.constraints if not c.satisfied]
             print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
@@ -148,7 +147,8 @@ def cmd_validate(args, overrides) -> int:
     seed = cfg.output.seeds[0]
     problem = cfg.build_problem(seed)
     hp = cfg.hp_for_seed(seed)
-    report = _validate(cfg, problem, hp)
+    c = _constants_for(problem, hp)
+    report = _validate(problem, hp, c)
     print(report.render())
     print(report.machine_lines())
     sp = problem.saddle()
@@ -156,7 +156,6 @@ def cmd_validate(args, overrides) -> int:
         x1 = np.full(problem.d, hp.init_scale)
         y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
         y1 = project_y(problem, np.full(problem.p, y_scale))
-        c = _constants_for(cfg, problem, hp)
         G = theory.bound_constant_G(
             hp, c, problem.K,
             F_init=problem.inner_max_value(x1),
@@ -247,18 +246,23 @@ def cmd_bench(args, overrides) -> int:
         raise ConfigError(f"unknown variants {sorted(unknown)}")
     seed = cfg.output.seeds[0]
     rows = []
+    diverged = False
     for variant in variants:
         problem = cfg.build_problem(seed)
         hp = replace(cfg.hp_for_seed(seed), variant=variant)
-        trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
-        last = trace.final()
-        rows.append((variant, last))
+        try:
+            trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+        except FloatingPointError as exc:
+            print(f"{variant}: diverged: {exc}", file=sys.stderr)
+            diverged = True
+            continue
+        rows.append((variant, trace.final()))
     print(f"{'variant':<22} {'objective':>12} {'dist_sq':>12} {'auc':>8} {'sfo':>8} {'comm':>6}")
     for variant, last in rows:
         dist = "" if last.dist_x_sq is None else f"{last.dist_x_sq + last.dist_y_sq:.4e}"
         auc = "" if last.auc is None else f"{last.auc:.4f}"
         print(f"{variant:<22} {last.objective:>12.4e} {dist:>12} {auc:>8} {last.sfo:>8} {last.comm:>6}")
-    return 0
+    return 3 if diverged else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

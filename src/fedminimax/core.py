@@ -11,18 +11,24 @@ row:
 - means along axis 1 of stacked (K, n), (K, n, d) and one-item (K, 1, d)
   arrays;
 - np.matmul(X3, W[:, :, None]) against each client's X @ w, one-item
-  blocks included;
+  blocks included, and X3 @ w at one shared w;
 - row_dots(D) against each row's D[k] @ D[k]; its square root is
   np.linalg.norm(D[k]) (consensus, ball projection, heterogeneity);
 - np.cumsum(a)[-1] against a sequential sum in index order, and
   np.cumsum(A, axis=0)[-1] against adding the rows of A one by one in
-  index order (np.add.accumulate never reassociates).
+  index order (np.add.accumulate never reassociates);
+- np.linalg.eigvalsh of a stacked (n, m, m) array against eigvalsh of
+  each matrix, and U[:, :, None] * U[:, None, :] against np.outer(u, u).
 
-Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1), and
-sum(axis=0) or mean(axis=0) across clients on a (K, 1) array, which sums
-pairwise; these stay forbidden for cross-client reductions. Cross-client
-means are therefore the index-order cumsum of vec_mean, which takes a
-stacked (K, d) array as well as a list of vectors.
+Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1),
+A @ v (one gemv) against the row dots A[k] @ v, and sum(axis=0) or
+mean(axis=0) across clients on a (K, 1) array, which sums pairwise; these
+stay forbidden for cross-client reductions. Cross-client means are
+therefore the index-order cumsum of vec_mean, which takes a stacked (K, d)
+array as well as a list of vectors. Nor are two scalar forms: a Python
+float's a**2 (libm pow) and an array's **2 (x*x) differ on ~0.07% of
+inputs, so the AUC objective keeps alpha a float; np.exp and math.exp
+differ on ~5%, so the robust Hessians map math.exp over their items.
 """
 
 from __future__ import annotations
@@ -44,9 +50,10 @@ def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:
     return np.cumsum(vs, axis=0)[-1] / len(vs)
 
 
-def row_dots(D: np.ndarray) -> np.ndarray:
-    """D[k] @ D[k] for each row of D (over its last axis)."""
-    return np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0]
+def row_dots(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """A[k] @ B[k] for each row (over the last axis); B defaults to A, and
+    a shared vector is passed tiled, as np.tile(v, (K, 1))."""
+    return np.matmul(A[..., None, :], (A if B is None else B)[..., :, None])[..., 0, 0]
 
 
 def precondition(a: Vector, g: Vector | np.ndarray) -> Vector | np.ndarray:

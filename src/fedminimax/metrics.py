@@ -9,18 +9,17 @@ oracle quantities by nature.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-from scipy.stats import rankdata
 
 from .core import Counters, Vector, row_dots, vec_mean
 from .problems import (
     AucProblem,
     ProblemInstance,
     RobustProblem,
-    grad_F,
     project_y,
     saddle_point,
 )
@@ -77,10 +76,6 @@ class RunTrace:
         return self.records[-1]
 
 
-def grad_norm_is_exact(inst: ProblemInstance) -> bool:
-    return not isinstance(inst, RobustProblem)
-
-
 def ascend_y(inst: ProblemInstance, x: Vector, n_steps: int = 200, step_size: float = 0.5,
              y0: Vector | None = None) -> Vector:
     """Projected exact-gradient ascent on y for instances without a
@@ -96,13 +91,11 @@ def ascend_y(inst: ProblemInstance, x: Vector, n_steps: int = 200, step_size: fl
 def grad_norm_F(inst: ProblemInstance, x_bar: Vector, ascent_steps: int = 200) -> float:
     """Norm of the value-function gradient at x_bar.
 
-    Closed form for the synthetic and AUC families. The robust family has
-    no closed-form inner maximum; its value is approximate, from a projected
-    ascent with `ascent_steps` steps (see grad_norm_is_exact).
+    Exact for families with a closed-form inner maximizer (synthetic, AUC).
+    The robust family has none; its value is approximate, from a projected
+    ascent with `ascent_steps` steps.
     """
-    if inst.y_star(x_bar) is not None:
-        return float(np.linalg.norm(grad_F(inst, x_bar)))
-    y = ascend_y(inst, x_bar, n_steps=ascent_steps)
+    y = inst.y_star(x_bar) if inst.has_closed_form_inner_max else ascend_y(inst, x_bar, n_steps=ascent_steps)
     gx, _ = inst.global_grad(x_bar, y)
     return float(np.linalg.norm(gx))
 
@@ -126,8 +119,13 @@ def auc_score(inst: ProblemInstance, w: Vector) -> float:
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("held-out set must contain both classes")
-    ranks = rankdata(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    if np.isnan(scores).any():  # unordered, as a rank sum would report
+        return math.nan
+    # Twice the Mann-Whitney count: each negative scored below a positive
+    # counts 2, a tie 1 (integers, so the one division is the only rounding).
+    neg = np.sort(scores[~pos])
+    twice = np.searchsorted(neg, scores[pos], "left") + np.searchsorted(neg, scores[pos], "right")
+    return float(twice.sum() / (2 * n_pos * n_neg))
 
 
 def robust_accuracy(inst: RobustProblem, w: Vector, n_steps: int = 200, step_size: float = 0.5) -> float:
@@ -155,7 +153,6 @@ class TraceRecorder:
         sp = saddle_point(problem)
         self.x_star, self.y_star = (sp if sp is not None else (None, None))
         self.is_auc = isinstance(problem, AucProblem)
-        self.cheap_grad_norm = grad_norm_is_exact(problem)
 
     def _heavy_due(self, t: int, is_sync: bool, q: int) -> bool:
         if not is_sync or self.heavy_cadence <= 0:
@@ -189,11 +186,7 @@ class TraceRecorder:
             dist_y_sq = float(dy @ dy)
 
         heavy = self._heavy_due(t, is_sync, q)
-        gF = None
-        if self.cheap_grad_norm:
-            gF = grad_norm_F(problem, x_bar)
-        elif heavy:
-            gF = grad_norm_F(problem, x_bar)
+        gF = grad_norm_F(problem, x_bar) if (problem.has_closed_form_inner_max or heavy) else None
 
         auc = auc_score(problem, x_bar) if (self.is_auc and heavy) else None
 

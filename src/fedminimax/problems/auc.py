@@ -28,6 +28,7 @@ from .base import DatasetProblem, Unconstrained
 
 class AucProblem(DatasetProblem):
     name = "auc"
+    has_closed_form_inner_max = True
 
     def __init__(
         self,
@@ -93,20 +94,18 @@ class AucProblem(DatasetProblem):
         )
         return X, labels, groups
 
-    def _sample_values(self, k: int, xv: Vector, alpha: float) -> np.ndarray:
-        w, a, b = xv[: self.dim], float(xv[self.dim]), float(xv[self.dim + 1])
-        h = self.clients_X[k] @ w
-        pos = self.clients_y[k] > 0
+    def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+        # alpha stays a Python float: its alpha**2 is libm pow, which an
+        # array's **2 (x*x) does not reproduce bit for bit.
+        a, b, alpha = float(x[self.dim]), float(x[self.dim + 1]), float(y[0])
+        h = Xs @ x[: self.dim]
         pr = self.pos_ratio
         vals = np.where(
-            pos,
+            labs > 0,
             (1 - pr) * (h - a) ** 2 - 2 * (1 + alpha) * (1 - pr) * h,
             pr * (h - b) ** 2 + 2 * (1 + alpha) * pr * h,
         )
-        return vals - pr * (1 - pr) * alpha**2
-
-    def value(self, k: int, x: Vector, y: Vector) -> float:
-        return float(self._sample_values(k, x, float(y[0])).mean())
+        return (vals - pr * (1 - pr) * alpha**2).mean(axis=1)
 
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
@@ -132,7 +131,7 @@ class AucProblem(DatasetProblem):
         means_pos = np.empty(self.K)
         means_neg = np.empty(self.K)
         for ks, Xs, labs in self._blocks:
-            h = np.matmul(Xs, np.tile(w, (len(ks), 1))[:, :, None])[:, :, 0]
+            h = Xs @ w
             pos = labs > 0
             means_pos[ks] = np.where(pos, h, 0.0).mean(axis=1)
             means_neg[ks] = np.where(pos, 0.0, h).mean(axis=1)
@@ -148,27 +147,24 @@ class AucProblem(DatasetProblem):
 
     @property
     def lipschitz_L_f(self) -> float:
-        """Max spectral norm of the (constant) per-sample Hessians."""
-        pr = self.pos_ratio
+        """Max spectral norm of the (constant) per-sample Hessians, one
+        batched eigvalsh over each client's (n_k, d+1, d+1) Hessian stack."""
+        pr, dim, nv = self.pos_ratio, self.dim, self.d + self.p
         worst = 0.0
-        nv = self.d + self.p
-        for k in range(self.K):
-            for xi, lab in zip(self.clients_X[k], self.clients_y[k]):
-                H = np.zeros((nv, nv))
-                u = np.zeros(nv)
-                u[: self.dim] = xi
-                if lab > 0:
-                    u[self.dim] = -1.0
-                    H += 2 * (1 - pr) * np.outer(u, u)
-                    H[: self.dim, -1] += -2 * (1 - pr) * xi
-                    H[-1, : self.dim] += -2 * (1 - pr) * xi
-                else:
-                    u[self.dim + 1] = -1.0
-                    H += 2 * pr * np.outer(u, u)
-                    H[: self.dim, -1] += 2 * pr * xi
-                    H[-1, : self.dim] += 2 * pr * xi
-                H[-1, -1] += -2 * pr * (1 - pr)
-                worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
+        for Xk, labk in zip(self.clients_X, self.clients_y):
+            pos = labk > 0
+            # u = (x_i, -1, 0) for a positive item, (x_i, 0, -1) for a negative one.
+            U = np.zeros((len(Xk), nv))
+            U[:, :dim] = Xk
+            U[pos, dim] = -1.0
+            U[~pos, dim + 1] = -1.0
+            cross = np.where(pos, -2 * (1 - pr), 2 * pr)[:, None] * Xk
+            H = np.zeros((len(Xk), nv, nv))
+            H += np.where(pos, 2 * (1 - pr), 2 * pr)[:, None, None] * (U[:, :, None] * U[:, None, :])
+            H[:, :dim, -1] += cross
+            H[:, -1, :dim] += cross
+            H[:, -1, -1] += -2 * pr * (1 - pr)
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
         return worst
 
     def describe(self) -> str:

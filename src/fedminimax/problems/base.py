@@ -62,8 +62,8 @@ class ProblemInstance(ABC):
         """Number of stochastic realizations held by client k."""
 
     @abstractmethod
-    def value(self, k: int, x: Vector, y: Vector) -> float:
-        """Exact per-client objective f^k(x, y)."""
+    def values(self, x: Vector, y: Vector) -> np.ndarray:
+        """Exact objectives f^k(x, y) of every client at one shared point, shape (K,)."""
 
     @abstractmethod
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
@@ -89,11 +89,12 @@ class ProblemInstance(ABC):
         GX, GY = self.grad_stoch_rows(np.array([k]), np.array([item]), x[None], y[None])
         return GX[0], GY[0]
 
+    def value(self, k: int, x: Vector, y: Vector) -> float:
+        return float(self.values(x, y)[k])
+
     def global_value(self, x: Vector, y: Vector) -> float:
-        acc = 0.0
-        for k in range(self.K):
-            acc += self.value(k, x, y)
-        return acc / self.K
+        # cumsum adds in client order; sum() would add pairwise.
+        return float(np.cumsum(self.values(x, y))[-1] / self.K)
 
     def global_grad(self, x: Vector, y: Vector) -> tuple[Vector, Vector]:
         # Real copies, not broadcast views: matmul on zero-stride operands
@@ -101,25 +102,19 @@ class ProblemInstance(ABC):
         GX, GY = self.grad_full_all(np.tile(x, (self.K, 1)), np.tile(y, (self.K, 1)))
         return vec_mean(GX), vec_mean(GY)
 
-    # Closed forms; families without them return None.
+    # Closed forms: y_star exists iff has_closed_form_inner_max.
+    has_closed_form_inner_max = False
 
     def saddle(self) -> tuple[Vector, Vector] | None:
         return None
 
-    def y_star(self, x: Vector) -> Vector | None:
-        """Closed-form maximizer of y -> f(x, y), when available."""
-        return None
+    def y_star(self, x: Vector) -> Vector:
+        """Closed-form maximizer of y -> f(x, y)."""
+        raise ValueError(f"{self.name} has no closed-form inner maximizer")
 
-    def inner_max_value(self, x: Vector) -> float | None:
-        """Closed-form max over y of f(x, y), when available."""
-        y = self.y_star(x)
-        if y is None:
-            return None
-        return self.global_value(x, y)
-
-    @property
-    def has_closed_form_inner_max(self) -> bool:
-        return self.y_star(np.zeros(self.d)) is not None
+    def inner_max_value(self, x: Vector) -> float:
+        """Closed-form max over y of f(x, y)."""
+        return self.global_value(x, self.y_star(x))
 
     @abstractmethod
     def describe(self) -> str:
@@ -132,9 +127,10 @@ class DatasetProblem(ProblemInstance):
 
     Clients with equal dataset sizes form one block, stored stacked as
     (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
-    single block. Subclasses give the exact gradient once, as a kernel over
-    one block, and every oracle uses it; the stochastic oracle applies it to
-    one-item datasets taken from all items pooled in client order.
+    single block. Subclasses give the objective and the exact gradient
+    once each, as kernels over one block, and every oracle uses them; the
+    stochastic oracle applies the gradient kernel to one-item datasets
+    taken from all items pooled in client order.
     """
 
     clients_X: list[np.ndarray]
@@ -142,7 +138,6 @@ class DatasetProblem(ProblemInstance):
 
     def _set_clients(self, X: np.ndarray, labels: np.ndarray, plan: PartitionPlan) -> None:
         """Give client k the items plan.assignment[k], then pool and block them."""
-        self.partition_plan = plan
         self.clients_X = [X[idx] for idx in plan.assignment]
         self.clients_y = [labels[idx] for idx in plan.assignment]
         pooled = np.concatenate(plan.assignment)
@@ -159,6 +154,11 @@ class DatasetProblem(ProblemInstance):
             ))
 
     @abstractmethod
+    def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+        """Objectives (B,) of B clients with datasets Xs (B, n, dim) and
+        labels labs (B, n), at the shared point (x, y)."""
+
+    @abstractmethod
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,6 +167,12 @@ class DatasetProblem(ProblemInstance):
 
     def dataset_size(self, k: int) -> int:
         return len(self.clients_y[k])
+
+    def values(self, x: Vector, y: Vector) -> np.ndarray:
+        out = np.empty(self.K)
+        for ks, Xs, labs in self._blocks:
+            out[ks] = self._value_block(Xs, labs, x, y)
+        return out
 
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
         GX, GY = self._grad_block(self.clients_X[k][None], self.clients_y[k][None], x[None], y[None])
@@ -226,8 +232,5 @@ def grad_F(inst: ProblemInstance, x: Vector) -> Vector:
     Evaluated as the x-partial of f at (x, y*(x)); requires a closed-form
     inner maximizer.
     """
-    y = inst.y_star(x)
-    if y is None:
-        raise ValueError(f"{inst.name} has no closed-form inner maximizer")
-    gx, _ = inst.global_grad(x, y)
+    gx, _ = inst.global_grad(x, inst.y_star(x))
     return gx

@@ -74,9 +74,9 @@ class RobustProblem(DatasetProblem):
         groups = (labels > 0).astype(int)
         return X, labels, groups
 
-    def value(self, k: int, x: Vector, y: Vector) -> float:
-        z = self.clients_X[k] @ x + float(x @ y)
-        return float(np.logaddexp(0.0, -self.clients_y[k] * z).mean())
+    def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+        z = Xs @ x + float(x @ y)
+        return np.logaddexp(0.0, -labs * z).mean(axis=1)
 
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray

@@ -19,26 +19,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Vector
+from ..core import Vector, row_dots
 from .base import ProblemInstance, Unconstrained
 
 
 def _center_rows(rows: np.ndarray) -> np.ndarray:
     """Subtract the row-mean, then force the last row to cancel the rest
-    exactly (fixed-order sum of the result is bitwise zero)."""
+    exactly (fixed-order sum of the result is bitwise zero). A single row
+    minus its own mean is already zero."""
     out = rows - rows.mean(axis=0)
-    if out.shape[0] > 1:
-        acc = np.zeros(out.shape[1])
-        for i in range(out.shape[0] - 1):
-            acc += out[i]
-        out[-1] = -acc
-    else:
-        out[0] = 0.0
+    if len(out) > 1:
+        out[-1] = -np.cumsum(out[:-1], axis=0)[-1]
     return out
 
 
 class SyntheticProblem(ProblemInstance):
     name = "synthetic"
+    has_closed_form_inner_max = True
 
     def __init__(
         self,
@@ -84,22 +81,17 @@ class SyntheticProblem(ProblemInstance):
                 self.noise_x[k] = _center_rows(rng.normal(0.0, noise_sigma, size=(n_per_client, dim)))
                 self.noise_y[k] = _center_rows(rng.normal(0.0, noise_sigma, size=(n_per_client, dim)))
 
-        # Fixed-order means used by the closed forms.
-        b_acc = np.zeros(dim)
-        t_acc = 0.0
-        for k in range(K):
-            b_acc += self.b[k]
-            t_acc += self.t[k]
-        self.b_bar = b_acc / K
-        self.t_bar = t_acc / K
+        # Fixed-order means used by the closed forms (cumsum adds in client order).
+        self.b_bar = np.cumsum(self.b, axis=0)[-1] / K
+        self.t_bar = np.cumsum(self.t)[-1] / K
 
     def dataset_size(self, k: int) -> int:
         return self.n_per_client
 
-    def value(self, k: int, x: Vector, y: Vector) -> float:
-        return float(
-            0.5 * self.tau * x @ x - (0.5 * y @ y - self.b[k] @ y + self.t[k] * (y @ x))
-        )
+    def values(self, x: Vector, y: Vector) -> np.ndarray:
+        # Per-row dots against a tiled y: self.b @ y (gemv) sums in another order.
+        by = row_dots(self.b, np.tile(y, (self.K, 1)))
+        return 0.5 * self.tau * x @ x - (0.5 * y @ y - by + self.t * (y @ x))
 
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
         gx = self.tau * x - self.t[k] * y
@@ -124,14 +116,6 @@ class SyntheticProblem(ProblemInstance):
     def saddle(self) -> tuple[Vector, Vector]:
         x_star = (self.t_bar / (self.tau + self.t_bar**2)) * self.b_bar
         return x_star, self.y_star(x_star)
-
-    def grad_F(self, x: Vector) -> Vector:
-        # F(x) = (tau/2)||x||^2 + (1/2)||b_bar - t_bar x||^2
-        return self.tau * x - self.t_bar * (self.b_bar - self.t_bar * x)
-
-    def value_F(self, x: Vector) -> float:
-        r = self.b_bar - self.t_bar * x
-        return float(0.5 * self.tau * x @ x + 0.5 * r @ r)
 
     # Analytic constants: the smallest uniform Lipschitz constant over the
     # four partial-gradient blocks is max(tau, 1, max_k t_k); the averaged

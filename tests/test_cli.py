@@ -200,6 +200,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fgda" in out and "local_sgda" in out
 
+    def test_diverging_bench_variant_reports_and_the_others_finish(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bench", "--preset", "synthetic-s1", "--algorithm.gamma", "50",
+                         "--algorithm.t", "200", "--variants", "fgda,adafgda_adam"])
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        captured = capsys.readouterr()
+        assert re.search(r"^fgda: diverged: non-finite iterate or estimate at t=\d+$", captured.err, re.M)
+        assert "adafgda_adam: diverged" not in captured.err
+        assert "Traceback" not in captured.err
+        rows = [ln.split()[0] for ln in captured.out.splitlines()[1:]]
+        assert rows == ["adafgda_adam"]
+
     def test_bench_default_roster_on_imbalanced_preset(self, capsys):
         code = main(["bench", "--preset", "auc-imbalanced", "--algorithm.t", "60"])
         assert code == 0

@@ -8,7 +8,6 @@ from fedminimax.metrics import (
     auc_score,
     emit_csv,
     grad_norm_F,
-    grad_norm_is_exact,
     read_trace_csv,
     render_summary,
     robust_accuracy,
@@ -41,7 +40,7 @@ class TestGradNormF:
     def test_auc_uses_closed_inner_max(self, auc_inst):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(auc_inst.d)
-        assert grad_norm_is_exact(auc_inst)
+        assert auc_inst.has_closed_form_inner_max
         assert grad_norm_F(auc_inst, x) > 0
 
     def test_robust_short_ascent_close_to_long_ascent(self, robust_inst):
@@ -49,7 +48,7 @@ class TestGradNormF:
         w = rng.standard_normal(robust_inst.d)
         approx = grad_norm_F(robust_inst, w, ascent_steps=200)
         reference = grad_norm_F(robust_inst, w, ascent_steps=10_000)
-        assert not grad_norm_is_exact(robust_inst)
+        assert not robust_inst.has_closed_form_inner_max
         assert approx == pytest.approx(reference, rel=0.01)
 
     def test_ascent_never_leaves_the_ball(self, robust_inst):
@@ -71,6 +70,25 @@ class TestAucScore:
         inst.test_X[:6, 0] = np.arange(2.0, 8.0)
         inst.test_X[6:, 0] = -np.arange(1.0, 15.0)
         assert auc_score(inst, np.array([1.0, 0.0])) == 1.0
+
+    def test_equals_pairwise_count_with_ties_bitwise(self):
+        # every (positive, negative) pair: 1 when the positive scores
+        # higher, one half on a tie; a NaN score gives NaN
+        inst = fm.make_auc(K=2, dim=1, n_per_client=10, pos_ratio=0.3, seed=3, n_test=40)
+        rng = np.random.default_rng(2)
+        pos = inst.test_y > 0
+        for _ in range(50):
+            scores = rng.integers(-3, 4, size=40).astype(float)
+            scores[rng.integers(40, size=2)] = rng.choice([np.inf, -np.inf])
+            inst.test_X = scores[:, None]
+            count = 0.0
+            for p in scores[pos]:
+                for n in scores[~pos]:
+                    count += 1.0 if p > n else 0.5 if p == n else 0.0
+            assert auc_score(inst, np.array([1.0])) == count / (pos.sum() * (~pos).sum())
+        scores[0] = np.nan
+        inst.test_X = scores[:, None]
+        assert np.isnan(auc_score(inst, np.array([1.0])))
 
     def test_zero_scorer_is_half(self, auc_inst):
         assert auc_score(auc_inst, np.zeros(auc_inst.dim)) == pytest.approx(0.5)

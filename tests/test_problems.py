@@ -7,7 +7,7 @@ from scipy.special import expit
 
 import fedminimax as fm
 from fedminimax.problems import EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
-from fedminimax.theory import _estimate_sigma, estimate_constants
+from fedminimax.theory import _estimate_robust_L_f, _estimate_sigma, _robust_hessians, estimate_constants
 
 from conftest import fd_grad, numeric_inner_max
 
@@ -206,8 +206,7 @@ class TestAuc:
         k, item = 1, 3
 
         def sample_value(xv, yv):
-            vals = inst._sample_values(k, xv, float(yv[0]))
-            return float(vals[item])
+            return float(_plain_sample_values_auc(inst, k, xv, yv)[item])
 
         gx, gy = grad_stoch(inst, k, x, y, SampleRef(k, item))
         fx = fd_grad(lambda z: sample_value(z, y), x)
@@ -375,6 +374,87 @@ def _plain_grad_auc(inst, k, x, y):
     return np.concatenate([(coef[:, None] * X).mean(axis=0), [ga, gb]]), np.array([galpha])
 
 
+def _plain_value_synthetic(inst, k, x, y):
+    """Client k's objective written as a plain one-client formula."""
+    return float(0.5 * inst.tau * x @ x - (0.5 * y @ y - inst.b[k] @ y + inst.t[k] * (y @ x)))
+
+
+def _plain_value_robust(inst, k, x, y):
+    """Client k's objective written as a plain one-client formula."""
+    z = inst.clients_X[k] @ x + float(x @ y)
+    return float(np.logaddexp(0.0, -inst.clients_y[k] * z).mean())
+
+
+def _plain_sample_values_auc(inst, k, x, y):
+    """Per-item objectives of client k written as a plain formula."""
+    w, a, b, alpha = x[: inst.dim], float(x[inst.dim]), float(x[inst.dim + 1]), float(y[0])
+    h = inst.clients_X[k] @ w
+    pr = inst.pos_ratio
+    vals = np.where(
+        inst.clients_y[k] > 0,
+        (1 - pr) * (h - a) ** 2 - 2 * (1 + alpha) * (1 - pr) * h,
+        pr * (h - b) ** 2 + 2 * (1 + alpha) * pr * h,
+    )
+    return vals - pr * (1 - pr) * alpha**2
+
+
+def _plain_value_auc(inst, k, x, y):
+    """Client k's objective written as a plain one-client formula."""
+    return float(_plain_sample_values_auc(inst, k, x, y).mean())
+
+
+def _plain_auc_L_f(inst):
+    """Max spectral norm of the per-item Hessians, one item at a time."""
+    pr = inst.pos_ratio
+    worst = 0.0
+    nv = inst.d + inst.p
+    for k in range(inst.K):
+        for xi, lab in zip(inst.clients_X[k], inst.clients_y[k]):
+            H = np.zeros((nv, nv))
+            u = np.zeros(nv)
+            u[: inst.dim] = xi
+            if lab > 0:
+                u[inst.dim] = -1.0
+                H += 2 * (1 - pr) * np.outer(u, u)
+                H[: inst.dim, -1] += -2 * (1 - pr) * xi
+                H[-1, : inst.dim] += -2 * (1 - pr) * xi
+            else:
+                u[inst.dim + 1] = -1.0
+                H += 2 * pr * np.outer(u, u)
+                H[: inst.dim, -1] += 2 * pr * xi
+                H[-1, : inst.dim] += 2 * pr * xi
+            H[-1, -1] += -2 * pr * (1 - pr)
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
+    return worst
+
+
+def _plain_robust_hessian(xi, lab, w, rho_v):
+    """Hessian of one item's loss(w.(xi+rho)) in (w, rho)."""
+    d = len(w)
+    z = float((xi + rho_v) @ w)
+    ez = 1.0 / (1.0 + math.exp(lab * z))
+    lpp = ez * (1.0 - ez)
+    lp = -lab * ez
+    u = np.concatenate([xi + rho_v, w])
+    H = lpp * np.outer(u, u)
+    H[:d, d:] += lp * np.eye(d)
+    H[d:, :d] += lp * np.eye(d)
+    return H
+
+
+def _plain_robust_L_f(inst, n_samples, rng):
+    """Sampled max spectral norm of the per-item Hessians, one item at a time."""
+    worst = 0.0
+    for _ in range(max(1, n_samples // 10)):
+        w = rng.standard_normal(inst.d)
+        rho_v = inst.y_constraint.project(rng.standard_normal(inst.p))
+        for k in range(inst.K):
+            for xi, lab in zip(inst.clients_X[k], inst.clients_y[k]):
+                H = _plain_robust_hessian(xi, lab, w, rho_v)
+                worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
+    return worst
+
+
 def _plain_stoch_synthetic(inst, k, x, y, item):
     """One sampled gradient of client k written as a plain formula."""
     gx = inst.tau * x - inst.t[k] * y
@@ -421,6 +501,7 @@ STACKED_CASES = {
 }
 RAGGED_CASES = ("auc-by_group", "auc-dirichlet", "robust-by_group", "robust-dirichlet")
 PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
+PLAIN_VALUE = {"synthetic": _plain_value_synthetic, "auc": _plain_value_auc, "robust": _plain_value_robust}
 PLAIN_STOCH = {"synthetic": _plain_stoch_synthetic, "auc": _plain_stoch_auc, "robust": _plain_stoch_robust}
 
 
@@ -442,6 +523,61 @@ class TestStackedOracle:
                 if inst.name in PLAIN_GRAD:
                     px, py = PLAIN_GRAD[inst.name](inst, k, X[k], Y[k])
                     assert np.array_equal(gx, px) and np.array_equal(gy, py)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_values_equal_plain_per_client_objectives_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            x = 2.0 * rng.standard_normal(inst.d)
+            y = 2.0 * rng.standard_normal(inst.p)
+            vals = inst.values(x, y)
+            assert vals.shape == (inst.K,)
+            acc = 0.0
+            for k in range(inst.K):
+                ref = PLAIN_VALUE[inst.name](inst, k, x, y)
+                assert vals[k] == ref and inst.value(k, x, y) == ref
+                acc += ref
+            assert inst.global_value(x, y) == acc / inst.K
+
+    def test_auc_values_keep_the_scalar_alpha_square_bits(self):
+        # alpha**2 on a Python float is libm pow; an array's **2 is x*x,
+        # which differs on a few inputs in ten thousand
+        inst = fm.make_auc(K=2, dim=3, n_per_client=4, pos_ratio=0.25, seed=8)
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal(inst.d)
+        for alpha in 2.0 * rng.standard_normal(5000):
+            y = np.array([alpha])
+            assert inst.values(x, y)[0] == _plain_value_auc(inst, 0, x, y)
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("auc")))
+    def test_auc_lipschitz_equals_per_item_hessian_loop_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        assert inst.lipschitz_L_f == _plain_auc_L_f(inst)
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
+    def test_robust_lipschitz_estimate_equals_per_item_hessian_loop_bitwise(self, case):
+        inst = STACKED_CASES[case]()
+        for seed in range(5):
+            got = _estimate_robust_L_f(inst, 30, np.random.default_rng(seed))
+            assert got == _plain_robust_L_f(inst, 30, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
+    def test_robust_hessian_stack_and_its_eigenvalues_equal_per_item_bitwise(self, case):
+        # catches np.exp in place of math.exp (which differs on a few
+        # inputs in a hundred) and a batched eigvalsh that is not per matrix
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            w = rng.standard_normal(inst.d)
+            rho_v = inst.y_constraint.project(rng.standard_normal(inst.p))
+            for k in range(inst.K):
+                H = _robust_hessians(inst.clients_X[k], inst.clients_y[k], w, rho_v)
+                eig = np.linalg.eigvalsh(H)
+                for i, (xi, lab) in enumerate(zip(inst.clients_X[k], inst.clients_y[k])):
+                    Hi = _plain_robust_hessian(xi, lab, w, rho_v)
+                    assert np.array_equal(H[i], Hi)
+                    assert np.array_equal(eig[i], np.linalg.eigvalsh(Hi))
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_stochastic_rows_equal_plain_per_sample_formulas_bitwise(self, case):
