@@ -27,12 +27,15 @@ stay forbidden for cross-client reductions. Cross-client means are
 therefore the index-order cumsum of vec_mean, which takes a stacked (K, d)
 array as well as a list of vectors. Nor are two scalar forms: a Python
 float's a**2 (libm pow) and an array's **2 (x*x) differ on ~0.07% of
-inputs, so the AUC objective keeps alpha a float; np.exp and math.exp
-differ on ~5%, so the robust Hessians map math.exp over their items.
+inputs, so the AUC objective keeps alpha a float; np.exp and libm exp
+(math.exp) differ on ~2% of sigmoid inputs, so the logistic sigmoid is
+expit below, which maps math.exp over the items and is bitwise equal to
+scipy.special.expit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,25 @@ def row_dots(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """A[k] @ B[k] for each row (over the last axis); B defaults to A, and
     a shared vector is passed tiled, as np.tile(v, (K, 1))."""
     return np.matmul(A[..., None, :], (A if B is None else B)[..., :, None])[..., 0, 0]
+
+
+# The largest argument math.exp takes; it raises OverflowError above it.
+_EXP_MAX = 709.782712893384
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-z)) of each item, with libm exp.
+
+    Bitwise equal to scipy.special.expit, infinities and NaN included,
+    without importing scipy (about 24 MB resident).
+    """
+    z = np.asarray(z, dtype=float)
+    u = (-z).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, u), float, len(u))
+    except OverflowError:
+        e = np.array([math.inf if v > _EXP_MAX else math.exp(v) for v in u])
+    return (1.0 / (1.0 + e)).reshape(z.shape)
 
 
 def precondition(a: Vector, g: Vector | np.ndarray) -> Vector | np.ndarray:

@@ -7,11 +7,11 @@ fresh sample evaluated at both the new and the old iterate, updates
 
 momentum = 1 recovers the plain stochastic gradient.
 
-The server generates diagonal preconditioners from the averaged estimates,
-either from accumulated squared gradients (adam mode) or squared
-innovations against the previous synchronization's averages (adabelief
-mode). A diagonal matrix is the 1-D array of its entries; every emitted
-entry is at least rho, asserted once where it is emitted.
+The server generates diagonal preconditioners from the averaged estimates
+by one rule, accumulated squared innovations against a reference: zero in
+adam mode (so squared gradients), the previous synchronization's averages
+in adabelief mode. A diagonal matrix is the 1-D array of its entries;
+every emitted entry is at least rho, asserted once where it is emitted.
 """
 
 from __future__ import annotations
@@ -82,12 +82,15 @@ class AdaptiveAccumulator:
         return self.a, self.b
 
     def generate(self, w_bar: Vector, v_bar: Vector, varrho: float | None = None) -> tuple[Vector, Vector]:
-        """Produce the diagonals (A, B) for the next window, mutating the accumulator."""
+        """Produce the diagonals (A, B) for the next window, mutating the
+        accumulator. The innovation reference is zero in adam mode; in
+        adabelief mode it is the previous call's averages, zero at first."""
         if self.mode == MODE_IDENTITY:
             return np.ones_like(w_bar), np.ones_like(v_bar)
-        if self.mode == MODE_ADAM:
-            return adam_matrix_update(self, w_bar, v_bar, varrho)
-        return adabelief_matrix_update(self, w_bar, v_bar, varrho)
+        w_ref, v_ref = self.last_sync_grads or (0.0, 0.0)
+        if self.mode == MODE_ADABELIEF:
+            self.last_sync_grads = (w_bar.copy(), v_bar.copy())
+        return adabelief_matrix_update(self, w_bar, v_bar, w_ref, v_ref, varrho)
 
 
 def _emit(acc: AdaptiveAccumulator) -> tuple[Vector, Vector]:
@@ -98,34 +101,17 @@ def _emit(acc: AdaptiveAccumulator) -> tuple[Vector, Vector]:
     return A, B
 
 
-def adam_matrix_update(
-    acc: AdaptiveAccumulator, w_bar: Vector, v_bar: Vector, varrho: float | None = None
-) -> tuple[Vector, Vector]:
-    """a <- varrho*a + (1-varrho)*w_bar^2, A = diag(sqrt(a) + rho); same for b/B."""
-    if acc.mode != MODE_ADAM:
-        raise ValueError(f"accumulator mode is {acc.mode!r}, not {MODE_ADAM!r}")
-    r = acc.varrho if varrho is None else varrho
-    a, b = acc._moments(len(w_bar), len(v_bar))
-    acc.a = r * a + (1.0 - r) * w_bar**2
-    acc.b = r * b + (1.0 - r) * v_bar**2
-    return _emit(acc)
-
-
 def adabelief_matrix_update(
-    acc: AdaptiveAccumulator, w_bar: Vector, v_bar: Vector, varrho: float | None = None
+    acc: AdaptiveAccumulator, w_bar: Vector, v_bar: Vector,
+    w_ref: Vector | float = 0.0, v_ref: Vector | float = 0.0, varrho: float | None = None,
 ) -> tuple[Vector, Vector]:
-    """Like the adam rule, accumulating (w_bar - w_ref)^2 against the previous
-    generation's averages; the reference pair is then advanced."""
-    if acc.mode != MODE_ADABELIEF:
-        raise ValueError(f"accumulator mode is {acc.mode!r}, not {MODE_ADABELIEF!r}")
+    """a <- varrho*a + (1-varrho)*(w_bar - w_ref)^2, A = diag(sqrt(a) + rho);
+    same for b/B. The zero reference is the adam rule: (w - 0.0)**2 is
+    bitwise w**2."""
+    if acc.mode == MODE_IDENTITY:
+        raise ValueError(f"accumulator mode is {MODE_IDENTITY!r}; it has no moments")
     r = acc.varrho if varrho is None else varrho
     a, b = acc._moments(len(w_bar), len(v_bar))
-    if acc.last_sync_grads is None:
-        w_ref = np.zeros_like(w_bar)
-        v_ref = np.zeros_like(v_bar)
-    else:
-        w_ref, v_ref = acc.last_sync_grads
     acc.a = r * a + (1.0 - r) * (w_bar - w_ref) ** 2
     acc.b = r * b + (1.0 - r) * (v_bar - v_ref) ** 2
-    acc.last_sync_grads = (w_bar.copy(), v_bar.copy())
     return _emit(acc)

@@ -13,16 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Counters, Vector, row_dots, vec_mean
-from .problems import (
-    AucProblem,
-    ProblemInstance,
-    RobustProblem,
-    project_y,
-    saddle_point,
-)
+from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
 
 CSV_COLUMNS = [
     "t",
@@ -76,26 +69,21 @@ class RunTrace:
         return self.records[-1]
 
 
-def ascend_y(inst: ProblemInstance, x: Vector, n_steps: int = 200, step_size: float = 0.5,
-             y0: Vector | None = None) -> Vector:
-    """Projected exact-gradient ascent on y for instances without a
-    closed-form inner maximizer."""
-    y = np.zeros(inst.p) if y0 is None else y0.copy()
-    X = np.tile(x, (inst.K, 1))
-    for _ in range(n_steps):
-        _, GY = inst.grad_full_all(X, np.tile(y, (inst.K, 1)))
-        y = project_y(inst, y + step_size * vec_mean(GY))
-    return y
+def ascend_y(inst: RobustProblem, x: Vector) -> Vector:
+    """Exact inner maximizer of the robust family at x: the endpoint
+    +-r x/||x|| with the larger global_value, + on a tie and zeros at
+    x = 0 (see problems.robust)."""
+    return worst_perturbation(x, inst.y_constraint.radius, lambda y: inst.global_value(x, y))
 
 
-def grad_norm_F(inst: ProblemInstance, x_bar: Vector, ascent_steps: int = 200) -> float:
-    """Norm of the value-function gradient at x_bar.
-
-    Exact for families with a closed-form inner maximizer (synthetic, AUC).
-    The robust family has none; its value is approximate, from a projected
-    ascent with `ascent_steps` steps.
+def grad_norm_F(inst: ProblemInstance, x_bar: Vector) -> float:
+    """Norm of the value-function gradient at x_bar: the x-partial at an
+    exact inner maximizer (Danskin's theorem), the closed-form y_star for
+    the synthetic and AUC families and ascend_y's endpoint for the robust
+    one. Where the robust endpoints tie, F has no gradient and this is the
+    partial at the + endpoint.
     """
-    y = inst.y_star(x_bar) if inst.has_closed_form_inner_max else ascend_y(inst, x_bar, n_steps=ascent_steps)
+    y = inst.y_star(x_bar) if inst.has_closed_form_inner_max else ascend_y(inst, x_bar)
     gx, _ = inst.global_grad(x_bar, y)
     return float(np.linalg.norm(gx))
 
@@ -128,17 +116,15 @@ def auc_score(inst: ProblemInstance, w: Vector) -> float:
     return float(twice.sum() / (2 * n_pos * n_neg))
 
 
-def robust_accuracy(inst: RobustProblem, w: Vector, n_steps: int = 200, step_size: float = 0.5) -> float:
-    """Held-out accuracy under the worst perturbation found by projected
-    ascent of the held-out loss."""
-    X, lab = inst.test_X, inst.test_y
-    rho = np.zeros(inst.p)
-    for _ in range(n_steps):
-        z = X @ w + float(w @ rho)
-        s = -lab * expit(-lab * z)
-        g = float(s.mean()) * w
-        rho = inst.y_constraint.project(rho + step_size * g)
-    z = X @ w + float(w @ rho)
+def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
+    """Held-out accuracy under the perturbation that maximizes the held-out
+    logistic loss, by the same two-endpoint rule as ascend_y."""
+    lab = inst.test_y
+    margins = inst.test_X @ w
+    rho = worst_perturbation(
+        w, inst.y_constraint.radius, lambda rho: float(np.logaddexp(0.0, -lab * (margins + float(w @ rho))).mean())
+    )
+    z = margins + float(w @ rho)
     return float((np.sign(z) == lab).mean())
 
 

@@ -10,7 +10,7 @@ from .base import (
     saddle_point,
 )
 from .auc import AucProblem, make_auc
-from .robust import RobustProblem, make_robust
+from .robust import RobustProblem, make_robust, worst_perturbation
 from .synthetic import SyntheticProblem, make_synthetic
 
 __all__ = [
@@ -29,4 +29,5 @@ __all__ = [
     "make_synthetic",
     "project_y",
     "saddle_point",
+    "worst_perturbation",
 ]

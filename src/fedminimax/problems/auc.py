@@ -184,19 +184,4 @@ class AucProblem(DatasetProblem):
         return "\n".join(lines)
 
 
-def make_auc(
-    K: int,
-    dim: int,
-    n_per_client: int,
-    pos_ratio: float,
-    seed: int,
-    margin: float = 1.0,
-    center_spread: float = 0.5,
-    noise_std: float = 0.5,
-    scheme: str = "by_group",
-    n_test: int = 400,
-) -> AucProblem:
-    """Build the AUC-maximization instance from its generation parameters."""
-    return AucProblem(
-        K, dim, n_per_client, pos_ratio, seed, margin, center_spread, noise_std, scheme, n_test
-    )
+make_auc = AucProblem

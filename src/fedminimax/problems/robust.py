@@ -1,12 +1,14 @@
 """Robust logistic regression against a shared bounded perturbation.
 
-    min over w  max over ||rho|| <= 1  of  (1/K) sum_k mean_i loss(w . (x_i + rho), y_i)
+    min over w  max over ||rho|| <= r  of  (1/K) sum_k mean_i loss(w . (x_i + rho), y_i)
 
 with the logistic loss and labels in {-1, +1}. The perturbation rho is
-shared across all samples and constrained to the unit Euclidean ball,
-enforced by projection. The inner maximization has no closed form (the
-loss is convex, not concave, in rho), so value-function quantities for
-this family are evaluated by projected gradient ascent elsewhere.
+shared across all samples and constrained to the ball of radius r
+(ball_radius, 1 by default). It enters only through c = w . rho in
+[-r||w||, r||w||], and the loss is convex in c, so the inner maximum lies
+at rho = +r w/||w|| or -r w/||w|| (worst_perturbation). That maximizer
+jumps between the two, so the family has no closed-form (unique,
+Lipschitz) inner maximizer.
 
 Generated features split into a few robust coordinates (class signal
 larger than the perturbation budget, unit noise) and many fragile ones
@@ -17,10 +19,11 @@ erase them, which is exactly what robust training has to learn to resist.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import expit
+from collections.abc import Callable
 
-from ..core import Vector
+import numpy as np
+
+from ..core import Vector, expit
 from ..federation import partition
 from .base import DatasetProblem, EuclideanBall
 
@@ -104,19 +107,18 @@ class RobustProblem(DatasetProblem):
         return "\n".join(lines)
 
 
-def make_robust(
-    K: int,
-    dim: int,
-    n_per_client: int,
-    seed: int,
-    margin: float = 1.5,
-    fragile_total: float = 0.5,
-    fragile_noise: float = 0.15,
-    scheme: str = "iid",
-    n_test: int = 400,
-    ball_radius: float = 1.0,
-) -> RobustProblem:
-    """Build the robust-logistic instance from its generation parameters."""
-    return RobustProblem(
-        K, dim, n_per_client, seed, margin, fragile_total, fragile_noise, scheme, n_test, ball_radius
-    )
+def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:
+    """The rho of norm at most radius that maximizes loss(rho), for a loss
+    that depends on rho only through w . rho and is convex in it: whichever
+    of +-radius w/||w|| has the larger loss, + on a tie. At w = 0 every rho
+    gives the same loss, and the rule returns zeros.
+    """
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        return np.zeros_like(w)
+    plus = w * (radius / norm)
+    minus = -plus
+    return minus if loss(minus) > loss(plus) else plus
+
+
+make_robust = RobustProblem

@@ -151,15 +151,4 @@ class SyntheticProblem(ProblemInstance):
         return "\n".join(lines)
 
 
-def make_synthetic(
-    K: int,
-    dim: int,
-    s: float,
-    tau: float,
-    seed: int,
-    n_per_client: int = 50,
-    noise_sigma: float = 0.1,
-    center_b: bool = True,
-) -> SyntheticProblem:
-    """Build the synthetic instance from its generation parameters."""
-    return SyntheticProblem(K, dim, s, tau, seed, n_per_client, noise_sigma, center_b)
+make_synthetic = SyntheticProblem

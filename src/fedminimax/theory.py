@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import HyperParams
-from .core import Vector, row_dots
+from .core import Vector, expit, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
 
 CONSTRAINT_NAMES = (
@@ -387,17 +387,13 @@ def estimate_constants(inst: ProblemInstance, n_samples: int, seed: int,
     )
 
 
-# math.exp (libm) elementwise: np.exp rounds differently on some inputs.
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 def _robust_hessians(Xk: np.ndarray, labk: np.ndarray, w: Vector, rho_v: Vector) -> np.ndarray:
     """Per-item Hessians (n_k, 2d, 2d) of loss(w.(x+rho)) in (w, rho) over
     one client's items: l'' u u^T + l' J with u = (x+rho, w)."""
     d = len(w)
     Xr = Xk + rho_v
     W = np.tile(w, (len(Xk), 1))
-    ez = 1.0 / (1.0 + _libm_exp(labk * row_dots(Xr, W)).astype(float))
+    ez = expit(-labk * row_dots(Xr, W))
     lpp = ez * (1.0 - ez)
     lp = -labk * ez
     U = np.concatenate([Xr, W], axis=1)

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fedminimax
 from fedminimax.cli import main
 from fedminimax.config import ConfigError, apply_overrides, parse_config, render_config
 from fedminimax.metrics import read_trace_csv
@@ -223,3 +228,26 @@ class TestCommands:
 
     def test_missing_config_is_an_error(self, capsys):
         assert main(["run"]) != 0
+
+
+def test_import_and_robust_run_load_no_scipy(tmp_path):
+    # scipy.special alone is about 24 MB resident; the package runs on numpy
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import fedminimax\n"
+        "print(scipy_modules())\n"
+        "from fedminimax.cli import main\n"
+        f"assert main(['run', '--preset', 'robust-q6', '--problem.k', '2', '--algorithm.t', '12',"
+        f" '--output.csv_dir', {str(out)!r}]) == 0\n"
+        "print(scipy_modules())\n"
+    )
+    src = str(Path(fedminimax.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert len(list(out.glob("*.csv"))) == 3

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
 
-from fedminimax.core import Counters, precondition, vec_mean
+from fedminimax import make_robust
+from fedminimax.core import Counters, expit, precondition, vec_mean
+from fedminimax.theory import _robust_hessians
+
+# math.exp raises OverflowError above this argument
+EXP_MAX = 709.782712893384
 
 
 def vec(*xs):
@@ -98,6 +104,38 @@ class TestPrecondition:
     def test_errors(self):
         with pytest.raises(ValueError):
             precondition(vec(1, 2), vec(1, 2, 3))
+
+
+class TestExpit:
+    def test_bitwise_equal_to_scipy_expit(self):
+        rng = np.random.default_rng(0)
+        edges = [EXP_MAX, np.nextafter(EXP_MAX, np.inf), np.nextafter(EXP_MAX, 0.0)]
+        z = np.concatenate([
+            40.0 * rng.standard_normal(1_000_000),
+            rng.uniform(-800.0, 800.0, 200_000),
+            [np.inf, -np.inf, np.nan, 0.0, -0.0],
+            edges,
+            np.negative(edges),
+        ])
+        out = expit(z)
+        ref = scipy_expit(z)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        # the overflow edge: exp(-z) is finite at -EXP_MAX and inf just below
+        assert expit(-EXP_MAX) > 0.0 and expit(-np.nextafter(EXP_MAX, np.inf)) == 0.0
+
+    def test_keeps_the_shape(self):
+        z = np.arange(-3.0, 3.0).reshape(2, 3)
+        assert expit(z).shape == (2, 3)
+        assert np.array_equal(expit(z), scipy_expit(z))
+        assert expit(0.0) == 0.5
+
+    def test_robust_hessians_accept_huge_margins(self):
+        # w . x far past the overflow edge of math.exp on both signs
+        inst = make_robust(K=2, dim=4, n_per_client=6, seed=3)
+        w = np.full(inst.d, 1e4)
+        for Xk, labk in zip(inst.clients_X, inst.clients_y):
+            H = _robust_hessians(Xk, labk, w, np.zeros(inst.p))
+            assert np.isfinite(H).all()
 
 
 class TestCounters:

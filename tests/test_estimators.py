@@ -9,7 +9,6 @@ from fedminimax.estimators import (
     MODE_IDENTITY,
     AdaptiveAccumulator,
     adabelief_matrix_update,
-    adam_matrix_update,
     momentum_schedule,
     storm_update,
 )
@@ -67,16 +66,24 @@ class TestMomentumSchedule:
             momentum_schedule(1.0, 1.0, 0.0)
 
 
+def _plain_adam_rule(acc, w_bar, v_bar):
+    """The squared-gradient rule that adam mode ran as its own function."""
+    a, b = acc._moments(len(w_bar), len(v_bar))
+    acc.a = acc.varrho * a + (1.0 - acc.varrho) * w_bar**2
+    acc.b = acc.varrho * b + (1.0 - acc.varrho) * v_bar**2
+    return np.sqrt(acc.a) + acc.rho, np.sqrt(acc.b) + acc.rho
+
+
 class TestAdamMatrixUpdate:
     def test_zero_gradients_give_floor(self):
         acc = AdaptiveAccumulator(mode=MODE_ADAM, rho=0.01)
-        A, B = adam_matrix_update(acc, np.zeros(3), np.zeros(2))
+        A, B = acc.generate(np.zeros(3), np.zeros(2))
         assert np.all(A == 0.01)
         assert np.all(B == 0.01)
 
     def test_arithmetic_with_zero_decay(self):
         acc = AdaptiveAccumulator(mode=MODE_ADAM, rho=0.01, varrho=0.9)
-        A, _ = adam_matrix_update(acc, vec(3.0, 4.0), vec(1.0), varrho=0.0)
+        A, _ = acc.generate(vec(3.0, 4.0), vec(1.0), varrho=0.0)
         assert np.allclose(acc.a, [9.0, 16.0])
         assert np.allclose(A, [3.01, 4.01])
 
@@ -86,14 +93,27 @@ class TestAdamMatrixUpdate:
         for _ in range(200):
             w = rng.standard_normal(3) * 10.0 ** rng.integers(-8, 8)
             v = rng.standard_normal(2) * 10.0 ** rng.integers(-8, 8)
-            A, B = adam_matrix_update(acc, w, v)
+            A, B = acc.generate(w, v)
             assert A.min() >= 0.05
             assert B.min() >= 0.05
 
     def test_mode_mismatch(self):
         acc = AdaptiveAccumulator(mode=MODE_IDENTITY)
         with pytest.raises(ValueError):
-            adam_matrix_update(acc, vec(1.0), vec(1.0))
+            adabelief_matrix_update(acc, vec(1.0), vec(1.0))
+
+    def test_zero_reference_is_the_squared_gradient_rule_bitwise(self):
+        # the reference never advances, and (w - 0.0)**2 is w**2 bit for bit
+        acc = AdaptiveAccumulator(mode=MODE_ADAM, rho=0.01, varrho=0.7)
+        plain = AdaptiveAccumulator(mode=MODE_ADAM, rho=0.01, varrho=0.7)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            w = rng.standard_normal(4) * 10.0 ** rng.integers(-8, 8)
+            v = rng.choice([-0.0, 0.0, 1.0], size=3) * rng.standard_normal(3)
+            A, B = acc.generate(w, v)
+            A_ref, B_ref = _plain_adam_rule(plain, w, v)
+            assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+            assert acc.last_sync_grads is None
 
 
 class TestAdaBeliefMatrixUpdate:
@@ -101,18 +121,18 @@ class TestAdaBeliefMatrixUpdate:
         w, v = vec(3.0, -1.0), vec(2.0)
         a1 = AdaptiveAccumulator(mode=MODE_ADAM, rho=0.01, varrho=0.9)
         a2 = AdaptiveAccumulator(mode=MODE_ADABELIEF, rho=0.01, varrho=0.9)
-        A1, B1 = adam_matrix_update(a1, w, v)
-        A2, B2 = adabelief_matrix_update(a2, w, v)
+        A1, B1 = a1.generate(w, v)
+        A2, B2 = a2.generate(w, v)
         assert np.array_equal(A1, A2)
         assert np.array_equal(B1, B2)
 
     def test_zero_innovation_decays_to_floor(self):
         acc = AdaptiveAccumulator(mode=MODE_ADABELIEF, rho=0.01, varrho=0.5)
         w, v = vec(5.0), vec(-5.0)
-        adabelief_matrix_update(acc, w, v)
+        acc.generate(w, v)
         first = acc.a.copy()
         for _ in range(80):
-            A, _ = adabelief_matrix_update(acc, w, v)
+            A, _ = acc.generate(w, v)
         assert np.all(acc.a < first * 1e-10)
         assert np.allclose(A, 0.01, atol=1e-9)
 
@@ -120,12 +140,14 @@ class TestAdaBeliefMatrixUpdate:
         acc = AdaptiveAccumulator(mode=MODE_ADABELIEF, rho=1e-12, varrho=0.9)
         acc.last_sync_grads = (vec(0.0, 0.0), vec(0.0))
         acc._moments(2, 1)
-        A, _ = adabelief_matrix_update(acc, vec(1.0, -1.0), vec(0.0), varrho=0.0)
+        A, _ = acc.generate(vec(1.0, -1.0), vec(0.0), varrho=0.0)
         assert np.allclose(A, [1.0, 1.0])
+        A, _ = adabelief_matrix_update(acc, vec(1.0, -1.0), vec(0.0), vec(3.0, 1.0), vec(0.0), varrho=0.0)
+        assert np.allclose(A, [2.0, 2.0])
 
     def test_reference_advances(self):
         acc = AdaptiveAccumulator(mode=MODE_ADABELIEF, rho=0.01)
-        adabelief_matrix_update(acc, vec(1.0), vec(2.0))
+        acc.generate(vec(1.0), vec(2.0))
         w_ref, v_ref = acc.last_sync_grads
         assert w_ref[0] == 1.0 and v_ref[0] == 2.0
 

@@ -45,16 +45,16 @@ PRESET_VARIANT = {
     ("auc-imbalanced", "adafgda_adabelief"): "9a0cd669f3f94607cad3d6734b10f9cd8ec58178ab9d5809df2fb20accadef9e",
     ("auc-imbalanced", "local_sgda"): "4516eda45c2b3ab4e6f6f75d884e213eb35bf6bc4293c69123d491d1a6e7ba15",
     ("auc-imbalanced", "momentum_local_sgda"): "e40eb9f89519f671a782d7fa924715f666e8c65a4afa3e1f0ef77d70d54c0eb4",
-    ("robust-q12", "fgda"): "36842d45245840c57d81716bb60263f3d7339c12dd42abdd7d7a8f2dc1f5b7be",
-    ("robust-q12", "adafgda_adam"): "f88ed7443e9a2e14b7db3209913d1c94e20d0102e8ad7b59e41e83068a432fdb",
-    ("robust-q12", "adafgda_adabelief"): "6a1aca0d77935d21a60574d71d1a9acc4fa392195399e823c90cf3f297c61dd3",
+    ("robust-q12", "fgda"): "6ecedd77e6c9b2069649bb25ff994733e758751e4d5a2be1a3400d35606d0c13",
+    ("robust-q12", "adafgda_adam"): "27f9f4f449a996971a34493c55ed474b2c98bf26f8409c3cb31d07ed3d26e623",
+    ("robust-q12", "adafgda_adabelief"): "3f314c79c135134c60e51a93d1fec97e0b1e0aed45014059b2d935452545f18e",
     ("robust-q12", "local_sgda"): "e8da93dbe28a23fd29c8139d329c52fb1fa25fec43572bb3f69c65b13e1b9e3a",
-    ("robust-q12", "momentum_local_sgda"): "1bf7a45e6a6bcf6faf7876ed38dc85bb542cbabe08b2fa57b2ba94756736fb3e",
-    ("robust-q6", "fgda"): "62b238c6ff80933f5be277a695ea2451e4520f34933867305ba2c51416a6e10e",
+    ("robust-q12", "momentum_local_sgda"): "82863778c305d13676641c73418f0a6cc238d2d2b562f29c32b50a7616c35e53",
+    ("robust-q6", "fgda"): "cee871c8149756830fb8f62d8ca1a5efd915e1717a5204e1197abc01942e076f",
     ("robust-q6", "adafgda_adam"): "5aa1135728f77c89b60d8f39eda055962126c0a0e6b8f95d3528dff128fc5d67",
     ("robust-q6", "adafgda_adabelief"): "ab62da684d6de4d2b909354886de43d5591af5568bbbdc5865e8b957b28429ad",
-    ("robust-q6", "local_sgda"): "35342ba196ec7cf9fa8bf41eb7e6aa3d004dfae313d9f157bfb3f7e6296946a8",
-    ("robust-q6", "momentum_local_sgda"): "1e5ad09c54a9cd6f1c7145cbb63c7a65c3faaf86fb7c27c9b50a5f1c9aa0e48a",
+    ("robust-q6", "local_sgda"): "65c8febf3a812b301fb1af73653efb74b240342b8f09b3aaa0db130bd7485561",
+    ("robust-q6", "momentum_local_sgda"): "19fe5b4377e82c8bf0d694b8635e6bc957d3fdf620decf8377f6380c36d6f92d",
     ("synthetic-s1", "fgda"): "3f0eae4e4fb72eca6acf77d40ed09cb92161f9ee36a4331395831213f5049b87",
     ("synthetic-s1", "adafgda_adam"): "415aa9eb708d2f7c8b760a81f31ab65d5051677615fec3f55604c469c9cbd527",
     ("synthetic-s1", "adafgda_adabelief"): "f1f19da486c49a80084bf4a1d1fed9f71dca6ee55ba13d591a0fc9c4ebd8fce4",
@@ -75,8 +75,8 @@ PRESET_VARIANT = {
 # each preset at its shipped variant and full T
 PRESET_FULL_T = {
     "auc-imbalanced": "2454d2946e7115e8d492ff5458082b8661bd30933a7871ce638a2c554547cc97",
-    "robust-q12": "6706ae5dff8b80f6421e7ec8f13321cdd0662423798cda66bdee2bd0cec2e720",
-    "robust-q6": "d5d48df7834986f0cabe90b905733f7b55abbeaca0d21927808099404b36998a",
+    "robust-q12": "1432e32f7778607262449329ca783f0ed646fe911c5f020d2ed2ad39f468638a",
+    "robust-q6": "304535f104553f5b5b233fe7e87087b079cd847e4de870aec7d289cef6f7adaf",
     "synthetic-s1": "0317327cbf4e2431305f9e75df89638ae4fae9aeffcef2071b537a64b13d7eea",
     "synthetic-s10": "cfb9a66c260b0865cc43ba94be84a8434b90667c16824aa558a9661c329e68bd",
     "synthetic-theorem": "bc507ac180680b48bfc5f57a7d8354c0030a96d727c56359acc379c6649e400e",
@@ -86,7 +86,7 @@ PRESET_FULL_T = {
 RAGGED = {
     "robust-q6-dirichlet": (
         "robust-q6", {"problem.scheme": "dirichlet", "algorithm.t": "13"},
-        "e475728ab84acc7ebb4caee7ad1da33f259cd4476056c9b79a5fc6bb3c2348cc",
+        "bd8d23805a5990ab2d5581464c70e4d13366b80bfd922b397f612f7ec5a716ca",
     ),
     "auc-imbalanced-k7": (
         "auc-imbalanced", {"problem.k": "7", "algorithm.t": "41"},
@@ -108,7 +108,7 @@ WORKLOADS = {
     ),
     "robust-q6": (
         "robust-q6", {"algorithm.t": "120"},
-        "0a759bd89650112b63adaa01c38d100d94383be87d07b15361664b0e764ac540",
+        "a0c68282ada4ab68825e80be1afc0417e842bc73da434d15760a249dfafee029",
     ),
 }
 

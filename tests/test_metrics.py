@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import fedminimax as fm
+from fedminimax.config import apply_overrides
+from fedminimax.core import row_dots, vec_mean
 from fedminimax.metrics import (
     CSV_COLUMNS,
     ascend_y,
@@ -12,8 +15,59 @@ from fedminimax.metrics import (
     render_summary,
     robust_accuracy,
 )
+from fedminimax.presets import load_preset
+from fedminimax.problems import worst_perturbation
 
 from conftest import fd_grad, numeric_inner_max
+
+
+def _ascent_reference(inst, x, n_steps=200, step_size=0.5):
+    """The projected exact-gradient ascent on y that metrics.ascend_y ran
+    before the two-endpoint rule."""
+    y = np.zeros(inst.p)
+    X = np.tile(x, (inst.K, 1))
+    for _ in range(n_steps):
+        _, GY = inst.grad_full_all(X, np.tile(y, (inst.K, 1)))
+        y = fm.project_y(inst, y + step_size * vec_mean(GY))
+    return y
+
+
+def _batched_ascent_reference(inst, P, n_steps=200, step_size=0.5):
+    """_ascent_reference at every row of P at once, for the robust family
+    (its y-gradient is mean(s) * x); equal to it up to rounding."""
+    Y = np.zeros_like(P)
+    for _ in range(n_steps):
+        c = row_dots(P, Y)
+        g = np.zeros(len(P))
+        for Xk, lab in zip(inst.clients_X, inst.clients_y):
+            z = Xk @ P.T + c
+            g += (-lab[:, None] * expit(-lab[:, None] * z)).mean(axis=0)
+        Y = inst.y_constraint.project(Y + step_size * (g / inst.K)[:, None] * P)
+    return Y
+
+
+def _robust_accuracy_reference(inst, w, n_steps=200, step_size=0.5):
+    """The held-out accuracy robust_accuracy reported before the two-endpoint
+    rule, from projected ascent of the held-out loss; also returns the rho."""
+    X, lab = inst.test_X, inst.test_y
+    rho = np.zeros(inst.p)
+    for _ in range(n_steps):
+        z = X @ w + float(w @ rho)
+        s = -lab * expit(-lab * z)
+        g = float(s.mean()) * w
+        rho = inst.y_constraint.project(rho + step_size * g)
+    z = X @ w + float(w @ rho)
+    return float((np.sign(z) == lab).mean()), rho
+
+
+def _held_out_loss(inst, w, rho):
+    return float(np.logaddexp(0.0, -inst.test_y * (inst.test_X @ w + float(w @ rho))).mean())
+
+
+@pytest.fixture(scope="module", params=["iid", "dirichlet"])
+def robust_q6(request):
+    cfg = apply_overrides(load_preset("robust-q6"), {"problem.scheme": request.param})
+    return cfg.build_problem(1)
 
 
 class TestGradNormF:
@@ -43,19 +97,72 @@ class TestGradNormF:
         assert auc_inst.has_closed_form_inner_max
         assert grad_norm_F(auc_inst, x) > 0
 
-    def test_robust_short_ascent_close_to_long_ascent(self, robust_inst):
+    def test_robust_endpoint_at_least_as_exact_as_a_long_ascent(self, robust_inst):
         rng = np.random.default_rng(2)
         w = rng.standard_normal(robust_inst.d)
-        approx = grad_norm_F(robust_inst, w, ascent_steps=200)
-        reference = grad_norm_F(robust_inst, w, ascent_steps=10_000)
+        y = ascend_y(robust_inst, w)
+        reference = _ascent_reference(robust_inst, w, n_steps=10_000)
         assert not robust_inst.has_closed_form_inner_max
-        assert approx == pytest.approx(reference, rel=0.01)
+        assert robust_inst.global_value(w, y) >= robust_inst.global_value(w, reference) - 1e-12
+        gx_ref, _ = robust_inst.global_grad(w, reference)
+        assert grad_norm_F(robust_inst, w) == pytest.approx(np.linalg.norm(gx_ref), rel=0.01)
 
-    def test_ascent_never_leaves_the_ball(self, robust_inst):
+    def test_robust_endpoint_lies_on_the_sphere(self, robust_inst):
         rng = np.random.default_rng(3)
-        w = rng.standard_normal(robust_inst.d)
-        y = ascend_y(robust_inst, w, n_steps=50)
-        assert np.linalg.norm(y) <= robust_inst.y_constraint.radius + 1e-12
+        r = robust_inst.y_constraint.radius
+        for _ in range(20):
+            w = rng.standard_normal(robust_inst.d) * 10.0 ** rng.integers(-3, 4)
+            y = ascend_y(robust_inst, w)
+            assert np.linalg.norm(y) == pytest.approx(r, rel=1e-14)
+            assert abs(abs(float(y @ w)) - r * np.linalg.norm(w)) <= 1e-12 * r * np.linalg.norm(w)
+
+
+class TestRobustEndpointRule:
+    def test_batched_reference_equals_the_ascent(self, robust_q6):
+        P = np.random.default_rng(5).standard_normal((3, robust_q6.d))
+        Y = _batched_ascent_reference(robust_q6, P)
+        for x, y in zip(P, Y):
+            assert np.allclose(y, _ascent_reference(robust_q6, x), rtol=0.0, atol=1e-9)
+
+    def test_endpoint_value_at_least_the_ascent_value(self, robust_q6):
+        rng = np.random.default_rng(6)
+        P = rng.standard_normal((200, robust_q6.d)) * rng.uniform(0.1, 3.0, (200, 1))
+        Y = _batched_ascent_reference(robust_q6, P)
+        wins = 0
+        for x, y_ascent in zip(P, Y):
+            closed = robust_q6.global_value(x, ascend_y(robust_q6, x))
+            ascent = robust_q6.global_value(x, y_ascent)
+            assert closed >= ascent - 1e-12 * max(1.0, abs(ascent))
+            wins += closed > ascent + 1e-9
+        # the ascent stops at the worse endpoint somewhere in the sweep
+        assert wins >= 1
+
+    def test_zero_x_gives_zero_perturbation(self, robust_q6):
+        y = ascend_y(robust_q6, np.zeros(robust_q6.d))
+        assert y.shape == (robust_q6.p,) and not y.any()
+        gx, _ = robust_q6.global_grad(np.zeros(robust_q6.d), np.zeros(robust_q6.p))
+        assert grad_norm_F(robust_q6, np.zeros(robust_q6.d)) == float(np.linalg.norm(gx))
+
+    def test_tie_goes_to_the_plus_endpoint(self):
+        w = np.array([3.0, -4.0])
+        rho = worst_perturbation(w, 2.0, lambda rho: float(w @ rho) ** 2)
+        assert np.array_equal(rho, w * (2.0 / 5.0))
+        assert np.array_equal(worst_perturbation(w, 2.0, lambda rho: -float(w @ rho)), -w * (2.0 / 5.0))
+
+    def test_robust_accuracy_takes_the_worse_held_out_loss(self, robust_q6):
+        rng = np.random.default_rng(7)
+        r = robust_q6.y_constraint.radius
+        for _ in range(50):
+            w = rng.standard_normal(robust_q6.d) * rng.uniform(0.1, 3.0)
+            acc_ref, rho_ref = _robust_accuracy_reference(robust_q6, w)
+            plus = w * (r / np.linalg.norm(w))
+            worst = max((plus, -plus), key=lambda rho: _held_out_loss(robust_q6, w, rho))
+            assert _held_out_loss(robust_q6, w, worst) >= _held_out_loss(robust_q6, w, rho_ref) - 1e-12
+            z = robust_q6.test_X @ w + float(w @ worst)
+            acc = robust_accuracy(robust_q6, w)
+            assert acc == float((np.sign(z) == robust_q6.test_y).mean())
+            if np.allclose(worst, rho_ref, atol=1e-9):
+                assert acc == acc_ref
 
 
 class TestAucScore:
