@@ -189,9 +189,19 @@ class ServerState:
     B: Vector  # positive diagonal of the y-side preconditioner
 
 
-def _spawn_rngs(seed: int, K: int) -> tuple[list[np.random.Generator], np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(K + 1)
-    return [np.random.default_rng(c) for c in children[:K]], np.random.default_rng(children[K])
+def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
+    """Client k samples from child k of the seed; child K draws the output
+    index (see run)."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(K)]
+
+
+def initial_point(problem: ProblemInstance, hp: HyperParams) -> tuple[Vector, Vector]:
+    """The shared starting point: x1 = init_scale in every coordinate and
+    y1 the projection of y_init_scale (init_scale when unset) in every
+    coordinate onto the y-constraint."""
+    x1 = np.full(problem.d, hp.init_scale, dtype=np.float64)
+    y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
+    return x1, project_y(problem, np.full(problem.p, y_scale, dtype=np.float64))
 
 
 def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, ServerState, Counters]:
@@ -205,10 +215,8 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     the non-adaptive variants).
     """
     K = problem.K
-    rngs, _ = _spawn_rngs(hp.seed, K)
-    x1 = np.full(problem.d, hp.init_scale, dtype=np.float64)
-    y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
-    y1 = project_y(problem, np.full(problem.p, y_scale, dtype=np.float64))
+    rngs = _spawn_rngs(hp.seed, K)
+    x1, y1 = initial_point(problem, hp)
 
     n = [problem.dataset_size(k) for k in range(K)]
     for k, n_k in enumerate(n):
@@ -336,12 +344,11 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     """
     t_start = time.perf_counter()
     clients, server, counters = init_round(problem, hp)
-    config_echo = {"problem": problem.describe().replace("\n", ";"), **asdict(hp)}
-    recorder = TraceRecorder(problem, config_echo, heavy_cadence=heavy_cadence)
+    recorder = TraceRecorder(problem, heavy_cadence=heavy_cadence)
 
-    _, out_rng = _spawn_rngs(hp.seed, problem.K)
+    # Child K of the seed: the one after the client generators of _spawn_rngs.
+    out_rng = np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(problem.K,)))
     final_index = int(out_rng.integers(1, hp.T + 1))
-    sampled_iterate = None
 
     for t in range(1, hp.T + 1):
         if t % hp.q == 0:
@@ -351,7 +358,6 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
         else:
             clients = local_step(problem, hp, t, clients, server.A, server.B)
             counters.add_sfo(2)
-            counters.local_steps += 1
             x_bar = vec_mean(clients.X)
             y_bar = vec_mean(clients.Y)
             is_sync = False
@@ -359,11 +365,15 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
             raise FloatingPointError(f"non-finite iterate or estimate at t={t}")
         recorder.record(t, is_sync, hp.q, clients, counters, x_bar, y_bar)
         if t == final_index:
-            sampled_iterate = (x_bar.copy(), y_bar.copy())
+            sampled_x, sampled_y = x_bar.copy(), y_bar.copy()
 
-    return recorder.finish(
-        final_index,
-        time.perf_counter() - t_start,
-        final_iterate=(x_bar.copy(), y_bar.copy()),
-        sampled_iterate=sampled_iterate,
+    return RunTrace(
+        records=recorder.records,
+        config_echo={"problem": problem.describe().replace("\n", ";"), **asdict(hp)},
+        final_sampled_index=final_index,
+        wall_time_s=time.perf_counter() - t_start,
+        final_x=x_bar.copy(),
+        final_y=y_bar.copy(),
+        sampled_x=sampled_x,
+        sampled_y=sampled_y,
     )

@@ -29,6 +29,7 @@ from .algorithms import (
     VARIANT_ADAFGDA_ADABELIEF,
     VARIANT_ADAFGDA_ADAM,
     VARIANTS,
+    initial_point,
     run as run_algorithm,
 )
 from .config import (
@@ -42,7 +43,7 @@ from .config import (
     render_config,
 )
 from .presets import load_preset, preset_names
-from .problems import SampleRef, grad_full, grad_stoch, project_y
+from .problems import SampleRef, grad_full, grad_stoch
 
 PROBE_CHECKS = ("pl", "lipschitz", "gradcheck", "unbiased", "constants")
 
@@ -153,9 +154,7 @@ def cmd_validate(args, overrides) -> int:
     print(report.machine_lines())
     sp = problem.saddle()
     if sp is not None and problem.has_closed_form_inner_max:
-        x1 = np.full(problem.d, hp.init_scale)
-        y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
-        y1 = project_y(problem, np.full(problem.p, y_scale))
+        x1, y1 = initial_point(problem, hp)
         G = theory.bound_constant_G(
             hp, c, problem.K,
             F_init=problem.inner_max_value(x1),

@@ -3,13 +3,18 @@
 
 Parsing is strict: unknown sections or keys, duplicate keys and type
 mismatches are errors. parse -> render -> parse is the identity.
+
+The [algorithm] and [output] keys, their types and their defaults are the
+fields of HyperParams and OutputConfig; ALGORITHM_SCHEMA and OUTPUT_SCHEMA
+are derived from them. [problem] keys are listed in PROBLEM_SCHEMAS, since
+the simulator-scale sizes are not defaults of the problem constructors.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .algorithms import VARIANTS, HyperParams
 from .federation import SCHEMES
@@ -57,36 +62,6 @@ PROBLEM_SCHEMAS = {
     },
 }
 
-ALGORITHM_SCHEMA = {
-    "variant": ("str", "fgda"),
-    "gamma": ("float", 0.1),
-    "lambda": ("float", 0.1),
-    "eta_n": ("float", 1.0),
-    "eta_m": ("float", 10.0),
-    "c1": ("float", 1.0),
-    "c2": ("float", 1.0),
-    "q": ("int", 20),
-    "t": ("int", 4000),
-    "rho": ("float", 0.01),
-    "varrho": ("float", 0.9),
-    "rho_u": ("float", 1.0),
-    "beta_m": ("float", 0.9),
-    "tie_varrho_to_momentum": ("bool", False),
-    "eta_const": ("opt_float", None),
-    "alpha_const": ("opt_float", None),
-    "beta_const": ("opt_float", None),
-    "init_scale": ("float", 1.0),
-    "y_init_scale": ("opt_float", None),
-}
-
-OUTPUT_SCHEMA = {
-    "csv_dir": ("str", "out"),
-    "seeds": ("int_list", (1,)),
-    "heavy_cadence": ("int", 1),
-}
-
-_ALGO_TO_HP = {"lambda": "lam", "t": "T"}
-
 
 @dataclass
 class ProblemConfig:
@@ -97,8 +72,35 @@ class ProblemConfig:
 @dataclass
 class OutputConfig:
     csv_dir: str = "out"
-    seeds: tuple = (1,)
+    seeds: tuple[int, ...] = (1,)
     heavy_cadence: int = 1
+
+
+# Config type tag of each field annotation (a string, as annotations are
+# postponed); a field of any other type fails here, at import.
+_TAGS = {
+    "int": "int",
+    "float": "float",
+    "str": "str",
+    "bool": "bool",
+    "int | None": "opt_int",
+    "float | None": "opt_float",
+    "tuple[int, ...]": "int_list",
+}
+
+# Config keys that differ from their HyperParams field name.
+_ALGO_TO_HP = {"lambda": "lam", "t": "T"}
+_HP_TO_ALGO = {f: k for k, f in _ALGO_TO_HP.items()}
+
+
+def _schema(cls, skip: tuple[str, ...] = ()) -> dict:
+    """key -> (type tag, default) for the fields of a config dataclass."""
+    return {_HP_TO_ALGO.get(f.name, f.name): (_TAGS[f.type], f.default) for f in fields(cls) if f.name not in skip}
+
+
+# The seed is set per run from [output] seeds.
+ALGORITHM_SCHEMA = _schema(HyperParams, skip=("seed",))
+OUTPUT_SCHEMA = _schema(OutputConfig)
 
 
 @dataclass
@@ -150,6 +152,18 @@ def _convert(raw: str, kind: str, key: str):
     raise ConfigError(f"unknown type tag {kind}")
 
 
+def _read_section(raw: dict, section: str, schema: dict) -> dict:
+    """Typed values of every schema key, defaults filled; raw is consumed
+    and any key left in it is an error."""
+    vals = {
+        key: _convert(raw.pop(key), kind, f"{section}.{key}") if key in raw else default
+        for key, (kind, default) in schema.items()
+    }
+    if raw:
+        raise ConfigError(f"unknown {section} keys: {sorted(raw)}")
+    return vals
+
+
 def _render_value(value) -> str:
     if value is None:
         return "none"
@@ -185,42 +199,23 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("[problem] must set name")
     if name not in PROBLEM_SCHEMAS:
         raise ConfigError(f"unknown problem {name!r}; expected one of {sorted(PROBLEM_SCHEMAS)}")
-    schema = PROBLEM_SCHEMAS[name]
-    params = {}
-    for key, (kind, default) in schema.items():
-        if key in prob_raw:
-            params[key] = _convert(prob_raw.pop(key), kind, f"problem.{key}")
-        else:
-            params[key] = default
-    if prob_raw:
-        raise ConfigError(f"unknown problem keys: {sorted(prob_raw)}")
+    params = _read_section(prob_raw, "problem", PROBLEM_SCHEMAS[name])
     if "scheme" in params and params["scheme"] not in SCHEMES:
         raise ConfigError(f"problem.scheme must be one of {SCHEMES}")
 
-    algo_raw = dict(parser["algorithm"]) if "algorithm" in parser else {}
-    hp_kwargs = {}
-    for key, (kind, default) in ALGORITHM_SCHEMA.items():
-        val = _convert(algo_raw.pop(key), kind, f"algorithm.{key}") if key in algo_raw else default
-        hp_kwargs[_ALGO_TO_HP.get(key, key)] = val
-    if algo_raw:
-        raise ConfigError(f"unknown algorithm keys: {sorted(algo_raw)}")
-    if hp_kwargs["variant"] not in VARIANTS:
+    algo = _read_section(dict(parser["algorithm"]) if "algorithm" in parser else {}, "algorithm", ALGORITHM_SCHEMA)
+    if algo["variant"] not in VARIANTS:
         raise ConfigError(f"algorithm.variant must be one of {VARIANTS}")
     try:
-        hp = HyperParams(**hp_kwargs)
+        hp = HyperParams(**{_ALGO_TO_HP.get(key, key): val for key, val in algo.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_raw = dict(parser["output"]) if "output" in parser else {}
-    out_kwargs = {}
-    for key, (kind, default) in OUTPUT_SCHEMA.items():
-        out_kwargs[key] = _convert(out_raw.pop(key), kind, f"output.{key}") if key in out_raw else default
-    if out_raw:
-        raise ConfigError(f"unknown output keys: {sorted(out_raw)}")
-    if not out_kwargs["seeds"]:
+    out = _read_section(dict(parser["output"]) if "output" in parser else {}, "output", OUTPUT_SCHEMA)
+    if not out["seeds"]:
         raise ConfigError("output.seeds must list at least one seed")
 
-    return RunConfig(ProblemConfig(name, params), hp, OutputConfig(**out_kwargs))
+    return RunConfig(ProblemConfig(name, params), hp, OutputConfig(**out))
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -230,15 +225,13 @@ def render_config(cfg: RunConfig) -> str:
     buf.write(f"name = {cfg.problem.name}\n")
     for key in PROBLEM_SCHEMAS[cfg.problem.name]:
         buf.write(f"{key} = {_render_value(cfg.problem.params[key])}\n")
-    buf.write("\n[algorithm]\n")
-    hp_dict = asdict(cfg.algorithm)
-    for key in ALGORITHM_SCHEMA:
-        buf.write(f"{key} = {_render_value(hp_dict[_ALGO_TO_HP.get(key, key)])}\n")
-    buf.write("\n[output]\n")
-    out = cfg.output
-    buf.write(f"csv_dir = {out.csv_dir}\n")
-    buf.write(f"seeds = {_render_value(out.seeds)}\n")
-    buf.write(f"heavy_cadence = {out.heavy_cadence}\n")
+    for section, schema, values in (
+        ("algorithm", ALGORITHM_SCHEMA, cfg.algorithm),
+        ("output", OUTPUT_SCHEMA, cfg.output),
+    ):
+        buf.write(f"\n[{section}]\n")
+        for key in schema:
+            buf.write(f"{key} = {_render_value(getattr(values, _ALGO_TO_HP.get(key, key)))}\n")
     return buf.getvalue()
 
 

@@ -93,12 +93,11 @@ class Counters:
 
     sfo_per_client counts stochastic-gradient evaluations on one client
     (all clients consume the same amount); comm_rounds counts
-    server-averaging rounds; local_steps counts non-sync iterations.
+    server-averaging rounds.
     """
 
     sfo_per_client: int = 0
     comm_rounds: int = 0
-    local_steps: int = 0
 
     def add_sfo(self, n: int) -> None:
         if n < 0:

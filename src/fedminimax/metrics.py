@@ -10,27 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Counters, Vector, row_dots, vec_mean
 from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
-
-CSV_COLUMNS = [
-    "t",
-    "is_sync",
-    "dist_x_sq",
-    "dist_y_sq",
-    "grad_norm_F",
-    "est_err_x",
-    "est_err_y",
-    "consensus_x",
-    "objective",
-    "auc",
-    "sfo",
-    "comm",
-]
 
 
 @dataclass
@@ -49,6 +34,20 @@ class TraceRecord:
     comm: int
     # Kept in memory for the sync invariants; not part of the CSV schema.
     consensus_y: float | None = None
+
+
+# The CSV schema: every TraceRecord field but consensus_y, in field order.
+CSV_COLUMNS = [f.name for f in fields(TraceRecord) if f.name != "consensus_y"]
+
+# How a cell reads back, by its column's declared type; an empty cell is
+# None only in an optional column, and any other type fails here, at import.
+_CELL_READERS = {
+    "int": int,
+    "bool": lambda cell: cell == "1",
+    "float": float,
+    "float | None": lambda cell: None if cell == "" else float(cell),
+}
+_COLUMN_READERS = {f.name: _CELL_READERS[f.type] for f in fields(TraceRecord) if f.name in CSV_COLUMNS}
 
 
 @dataclass
@@ -131,9 +130,8 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
 class TraceRecorder:
     """Single-writer, append-only trace collection for one run."""
 
-    def __init__(self, problem: ProblemInstance, config_echo: dict, heavy_cadence: int = 1):
+    def __init__(self, problem: ProblemInstance, heavy_cadence: int = 1):
         self.problem = problem
-        self.config_echo = config_echo
         self.heavy_cadence = heavy_cadence
         self.records: list[TraceRecord] = []
         sp = saddle_point(problem)
@@ -194,26 +192,6 @@ class TraceRecorder:
         self.records.append(rec)
         return rec
 
-    def finish(
-        self,
-        final_sampled_index: int,
-        wall_time_s: float,
-        final_iterate: tuple[Vector, Vector] | None = None,
-        sampled_iterate: tuple[Vector, Vector] | None = None,
-    ) -> RunTrace:
-        fx, fy = final_iterate if final_iterate is not None else (None, None)
-        sx, sy = sampled_iterate if sampled_iterate is not None else (None, None)
-        return RunTrace(
-            records=self.records,
-            config_echo=self.config_echo,
-            final_sampled_index=final_sampled_index,
-            wall_time_s=wall_time_s,
-            final_x=fx,
-            final_y=fy,
-            sampled_x=sx,
-            sampled_y=sy,
-        )
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -238,32 +216,18 @@ def emit_csv(trace: RunTrace, path, config_hash: str | None = None) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
-    """Re-read an emitted CSV; fields outside the schema come back as None."""
+    """Re-read an emitted CSV; fields outside the schema come back as None.
+    A row whose cell count differs from the header's is a ValueError."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {lines[0]}")
+        rows = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip() and not ln.startswith("#")]
+    if rows[0][1].split(",") != CSV_COLUMNS:
+        raise ValueError(f"unexpected CSV header: {rows[0][1]}")
     records = []
-    for ln in lines[1:]:
+    for n, ln in rows[1:]:
         cells = ln.split(",")
-        vals = dict(zip(CSV_COLUMNS, cells))
-        records.append(
-            TraceRecord(
-                t=int(vals["t"]),
-                is_sync=vals["is_sync"] == "1",
-                dist_x_sq=None if vals["dist_x_sq"] == "" else float(vals["dist_x_sq"]),
-                dist_y_sq=None if vals["dist_y_sq"] == "" else float(vals["dist_y_sq"]),
-                grad_norm_F=None if vals["grad_norm_F"] == "" else float(vals["grad_norm_F"]),
-                est_err_x=float(vals["est_err_x"]),
-                est_err_y=float(vals["est_err_y"]),
-                consensus_x=float(vals["consensus_x"]),
-                objective=float(vals["objective"]),
-                auc=None if vals["auc"] == "" else float(vals["auc"]),
-                sfo=int(vals["sfo"]),
-                comm=int(vals["comm"]),
-            )
-        )
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(f"line {n}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
+        records.append(TraceRecord(**{col: read(cell) for (col, read), cell in zip(_COLUMN_READERS.items(), cells)}))
     return records
 
 

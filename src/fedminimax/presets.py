@@ -10,11 +10,7 @@ full validator system is satisfied; it exists for validation, not speed.
 
 from __future__ import annotations
 
-from .config import ConfigError, RunConfig, parse_config, render_config
-
-
-def _cfg(text: str) -> RunConfig:
-    return parse_config(text)
+from .config import ConfigError, RunConfig, parse_config
 
 
 PRESET_TEXTS = {
@@ -149,8 +145,4 @@ def preset_names() -> list[str]:
 def load_preset(name: str) -> RunConfig:
     if name not in PRESET_TEXTS:
         raise ConfigError(f"unknown preset {name!r}; available: {preset_names()}")
-    return _cfg(PRESET_TEXTS[name])
-
-
-def preset_text(name: str) -> str:
-    return render_config(load_preset(name))
+    return parse_config(PRESET_TEXTS[name])

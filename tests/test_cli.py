@@ -3,20 +3,44 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import fedminimax
+from fedminimax import cli
+from fedminimax.algorithms import init_round, initial_point
 from fedminimax.cli import main
-from fedminimax.config import ConfigError, apply_overrides, parse_config, render_config
-from fedminimax.metrics import read_trace_csv
+from fedminimax.config import (
+    ALGORITHM_SCHEMA,
+    OUTPUT_SCHEMA,
+    ConfigError,
+    _schema,
+    apply_overrides,
+    parse_config,
+    render_config,
+)
+from fedminimax.metrics import config_hash, read_trace_csv
 from fedminimax.presets import load_preset, preset_names
 
 MINIMAL = """
 [problem]
 name = synthetic
 """
+
+# config_hash(render_config(load_preset(name))) for every shipped preset:
+# pins each section's keys, their order, defaults and rendering.
+PRESET_CONFIG_HASHES = {
+    "auc-imbalanced": "d71630d2776f8a66",
+    "robust-q12": "73518095a344e79f",
+    "robust-q6": "6502b6d238608479",
+    "synthetic-s1": "7c6faddf722bef63",
+    "synthetic-s10": "851efc0678840912",
+    "synthetic-theorem": "01a4ddd7481fbe11",
+}
 
 
 class TestParseConfig:
@@ -77,12 +101,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(MINIMAL + "[output]\nseeds =\n")
 
+    def test_schema_rejects_a_field_type_without_a_tag(self):
+        @dataclass
+        class Odd:
+            z: "complex" = 0j
+
+        with pytest.raises(KeyError):
+            _schema(Odd)
+
 
 class TestPresets:
     def test_all_presets_parse(self):
         for name in preset_names():
             cfg = load_preset(name)
             assert cfg.algorithm.T >= 1
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_rendered_config_is_pinned(self, name):
+        assert config_hash(render_config(load_preset(name))) == PRESET_CONFIG_HASHES[name]
+
+    def test_help_lists_every_algorithm_and_output_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        for section, schema in (("[algorithm]", ALGORITHM_SCHEMA), ("[output]", OUTPUT_SCHEMA)):
+            (line,) = [ln for ln in lines if ln.strip().startswith(section + ":")]
+            listed = line.split(": ", 1)[1].split(", ")
+            assert listed == [f"{key}={default}" for key, (_, default) in schema.items()]
 
     def test_expected_roster(self):
         names = preset_names()
@@ -163,6 +208,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "overall: satisfied" in out
         assert "m_lower=satisfied|" in out
+
+    def test_validate_starts_where_the_run_starts(self, monkeypatch, capsys):
+        # On robust-q6 a start of 5 in every y coordinate lies outside the
+        # ball, so the projection is active.
+        cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.y_init_scale": "5"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        x1, y1 = initial_point(problem, hp)
+        _, server, _ = init_round(problem, hp)
+        assert problem.y_constraint.radius < 5 * np.sqrt(problem.p)
+        assert np.linalg.norm(y1) == pytest.approx(problem.y_constraint.radius)
+        assert np.array_equal(x1, server.x_bar) and np.array_equal(y1, server.y_bar)
+        # validate takes the point it bounds from initial_point (only the
+        # synthetic family has a saddle, so only it reports a bound).
+        seen = []
+        monkeypatch.setattr(cli, "initial_point", lambda p, h: seen.append(h) or initial_point(p, h))
+        assert main(["validate", "--preset", "synthetic-theorem", "--algorithm.y_init_scale", "5"]) == 0
+        assert [h.y_init_scale for h in seen] == [5.0]
+        assert "G=" in capsys.readouterr().out
 
     def test_validate_flags_violations_by_name(self, capsys):
         assert main(["validate", "--preset", "synthetic-theorem", "--algorithm.gamma", "1e9"]) == 1

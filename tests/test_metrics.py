@@ -295,6 +295,29 @@ class TestCsv:
         cell = path.read_text().strip().split("\n")[1].split(",")[8]  # objective
         assert float(cell) == trace.records[0].objective
 
+    @pytest.mark.parametrize(
+        "edit", [lambda row: row + ",0", lambda row: row.rsplit(",", 1)[0]], ids=["extra_cell", "short_row"]
+    )
+    def test_row_of_wrong_width_names_its_line(self, trace, tmp_path, edit):
+        path = tmp_path / "t.csv"
+        emit_csv(trace, path)
+        lines = path.read_text().split("\n")
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="line 3"):
+            read_trace_csv(path)
+
+    def test_empty_cell_in_a_required_column_is_rejected(self, trace, tmp_path):
+        path = tmp_path / "t.csv"
+        emit_csv(trace, path)
+        lines = path.read_text().split("\n")
+        cells = lines[1].split(",")
+        cells[CSV_COLUMNS.index("est_err_x")] = ""
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
+
     def test_unwritable_path_raises(self, trace, tmp_path):
         with pytest.raises(OSError):
             emit_csv(trace, tmp_path / "missing_dir" / "t.csv")
