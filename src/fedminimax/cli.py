@@ -38,6 +38,7 @@ from .config import (
     PROBLEM_SCHEMAS,
     ConfigError,
     RunConfig,
+    _render_value,
     apply_overrides,
     parse_config,
     render_config,
@@ -54,15 +55,16 @@ _SIMULATOR_CHOSEN = {"k", "dim", "n_per_client", "n_test", "seed"}
 
 
 def _defaults_epilog() -> str:
+    """Every config default, written as the literal the config accepts."""
     lines = ["config defaults (missing keys take these values):"]
     for name, schema in PROBLEM_SCHEMAS.items():
         pairs = []
         for key, (_, default) in schema.items():
             mark = "*" if key in _SIMULATOR_CHOSEN else ""
-            pairs.append(f"{key}={default}{mark}")
+            pairs.append(f"{key}={_render_value(default)}{mark}")
         lines.append(f"  [problem] name={name}: " + ", ".join(pairs))
-    lines.append("  [algorithm]: " + ", ".join(f"{k}={d}" for k, (_, d) in ALGORITHM_SCHEMA.items()))
-    lines.append("  [output]: " + ", ".join(f"{k}={d}" for k, (_, d) in OUTPUT_SCHEMA.items()))
+    for section, schema in (("algorithm", ALGORITHM_SCHEMA), ("output", OUTPUT_SCHEMA)):
+        lines.append(f"  [{section}]: " + ", ".join(f"{k}={_render_value(d)}" for k, (_, d) in schema.items()))
     lines.append("  (* = simulator-scale choice, not tied to any reproduced setup)")
     lines.append("overrides: --section.key value, e.g. --algorithm.gamma 0.05")
     return "\n".join(lines)

@@ -4,10 +4,11 @@
 Parsing is strict: unknown sections or keys, duplicate keys and type
 mismatches are errors. parse -> render -> parse is the identity.
 
-The [algorithm] and [output] keys, their types and their defaults are the
-fields of HyperParams and OutputConfig; ALGORITHM_SCHEMA and OUTPUT_SCHEMA
-are derived from them. [problem] keys are listed in PROBLEM_SCHEMAS, since
-the simulator-scale sizes are not defaults of the problem constructors.
+Every section is derived from a dataclass: the [algorithm] and [output]
+keys, their types and their defaults are the fields of HyperParams and
+OutputConfig, and the [problem] keys of each family are the fields of its
+problem class (SyntheticProblem, AucProblem, RobustProblem).
+ALGORITHM_SCHEMA, OUTPUT_SCHEMA and PROBLEM_SCHEMAS are built from them.
 """
 
 from __future__ import annotations
@@ -18,49 +19,11 @@ from dataclasses import dataclass, field, fields, replace
 
 from .algorithms import VARIANTS, HyperParams
 from .federation import SCHEMES
-from .problems import ProblemInstance, make_auc, make_robust, make_synthetic
+from .problems import PROBLEMS, ProblemInstance
 
 
 class ConfigError(ValueError):
     pass
-
-
-# key -> (type tag, default); "opt_int"/"opt_float" admit the literal none.
-PROBLEM_SCHEMAS = {
-    "synthetic": {
-        "k": ("int", 10),
-        "dim": ("int", 20),
-        "s": ("float", 1.0),
-        "tau": ("float", 10.0),
-        "n_per_client": ("int", 50),
-        "noise_sigma": ("float", 0.1),
-        "seed": ("opt_int", None),
-    },
-    "auc": {
-        "k": ("int", 10),
-        "dim": ("int", 10),
-        "n_per_client": ("int", 40),
-        "pos_ratio": ("float", 0.05),
-        "margin": ("float", 1.0),
-        "center_spread": ("float", 0.5),
-        "noise_std": ("float", 0.5),
-        "scheme": ("str", "by_group"),
-        "n_test": ("int", 400),
-        "seed": ("opt_int", None),
-    },
-    "robust": {
-        "k": ("int", 10),
-        "dim": ("int", 10),
-        "n_per_client": ("int", 40),
-        "margin": ("float", 1.5),
-        "fragile_total": ("float", 0.5),
-        "fragile_noise": ("float", 0.15),
-        "scheme": ("str", "iid"),
-        "n_test": ("int", 400),
-        "ball_radius": ("float", 1.0),
-        "seed": ("opt_int", None),
-    },
-}
 
 
 @dataclass
@@ -88,19 +51,25 @@ _TAGS = {
     "tuple[int, ...]": "int_list",
 }
 
-# Config keys that differ from their HyperParams field name.
-_ALGO_TO_HP = {"lambda": "lam", "t": "T"}
-_HP_TO_ALGO = {f: k for k, f in _ALGO_TO_HP.items()}
+# Config keys that differ from their field name.
+_KEY_TO_FIELD = {"lambda": "lam", "t": "T", "k": "K"}
+_FIELD_TO_KEY = {f: k for k, f in _KEY_TO_FIELD.items()}
 
 
 def _schema(cls, skip: tuple[str, ...] = ()) -> dict:
-    """key -> (type tag, default) for the fields of a config dataclass."""
-    return {_HP_TO_ALGO.get(f.name, f.name): (_TAGS[f.type], f.default) for f in fields(cls) if f.name not in skip}
+    """key -> (type tag, default) for the fields of a config dataclass;
+    "opt_int"/"opt_float" admit the literal none."""
+    return {_FIELD_TO_KEY.get(f.name, f.name): (_TAGS[f.type], f.default) for f in fields(cls) if f.name not in skip}
 
 
 # The seed is set per run from [output] seeds.
 ALGORITHM_SCHEMA = _schema(HyperParams, skip=("seed",))
 OUTPUT_SCHEMA = _schema(OutputConfig)
+# A problem's seed is required by its constructor; in config it defaults
+# to none, the run seed. center_b is a test-only switch, not a key.
+PROBLEM_SCHEMAS = {
+    name: {**_schema(cls, skip=("seed", "center_b")), "seed": ("opt_int", None)} for name, cls in PROBLEMS.items()
+}
 
 
 @dataclass
@@ -113,17 +82,10 @@ class RunConfig:
         return replace(self.algorithm, seed=seed)
 
     def build_problem(self, run_seed: int) -> ProblemInstance:
-        params = dict(self.problem.params)
-        seed = params.pop("seed", None)
-        seed = run_seed if seed is None else seed
-        k = params.pop("k")
-        if self.problem.name == "synthetic":
-            return make_synthetic(K=k, seed=seed, **params)
-        if self.problem.name == "auc":
-            return make_auc(K=k, seed=seed, **params)
-        if self.problem.name == "robust":
-            return make_robust(K=k, seed=seed, **params)
-        raise ConfigError(f"unknown problem {self.problem.name!r}")
+        params = {_KEY_TO_FIELD.get(key, key): val for key, val in self.problem.params.items()}
+        if params["seed"] is None:
+            params["seed"] = run_seed
+        return PROBLEMS[self.problem.name](**params)
 
 
 def _convert(raw: str, kind: str, key: str):
@@ -207,7 +169,7 @@ def parse_config(text: str) -> RunConfig:
     if algo["variant"] not in VARIANTS:
         raise ConfigError(f"algorithm.variant must be one of {VARIANTS}")
     try:
-        hp = HyperParams(**{_ALGO_TO_HP.get(key, key): val for key, val in algo.items()})
+        hp = HyperParams(**{_KEY_TO_FIELD.get(key, key): val for key, val in algo.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -231,7 +193,7 @@ def render_config(cfg: RunConfig) -> str:
     ):
         buf.write(f"\n[{section}]\n")
         for key in schema:
-            buf.write(f"{key} = {_render_value(getattr(values, _ALGO_TO_HP.get(key, key)))}\n")
+            buf.write(f"{key} = {_render_value(getattr(values, _KEY_TO_FIELD.get(key, key)))}\n")
     return buf.getvalue()
 
 

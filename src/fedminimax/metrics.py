@@ -217,9 +217,12 @@ def emit_csv(trace: RunTrace, path, config_hash: str | None = None) -> None:
 
 def read_trace_csv(path) -> list[TraceRecord]:
     """Re-read an emitted CSV; fields outside the schema come back as None.
-    A row whose cell count differs from the header's is a ValueError."""
+    A missing header or a row whose cell count differs from the header's is
+    a ValueError."""
     with open(path) as fh:
         rows = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip() and not ln.startswith("#")]
+    if not rows:
+        raise ValueError("no CSV header: the file is empty or holds only comments")
     if rows[0][1].split(",") != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {rows[0][1]}")
     records = []

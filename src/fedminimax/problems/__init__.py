@@ -13,9 +13,13 @@ from .auc import AucProblem, make_auc
 from .robust import RobustProblem, make_robust, worst_perturbation
 from .synthetic import SyntheticProblem, make_synthetic
 
+# Family name -> its class; the [problem] name key picks one.
+PROBLEMS = {cls.name: cls for cls in (SyntheticProblem, AucProblem, RobustProblem)}
+
 __all__ = [
     "AucProblem",
     "EuclideanBall",
+    "PROBLEMS",
     "ProblemInstance",
     "RobustProblem",
     "SampleRef",

@@ -19,6 +19,8 @@ concentrate in a few clusters when pos_ratio is small.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core import Vector
@@ -26,51 +28,40 @@ from ..federation import partition
 from .base import DatasetProblem, Unconstrained
 
 
+@dataclass(eq=False, kw_only=True)
 class AucProblem(DatasetProblem):
     name = "auc"
     has_closed_form_inner_max = True
 
-    def __init__(
-        self,
-        K: int,
-        dim: int,
-        n_per_client: int,
-        pos_ratio: float,
-        seed: int,
-        margin: float = 1.0,
-        center_spread: float = 0.5,
-        noise_std: float = 0.5,
-        scheme: str = "by_group",
-        n_test: int = 400,
-    ):
-        if K < 1 or dim < 1 or n_per_client < 1:
+    K: int = 10
+    dim: int = 10
+    n_per_client: int = 40
+    pos_ratio: float = 0.05
+    margin: float = 1.0
+    center_spread: float = 0.5
+    noise_std: float = 0.5
+    scheme: str = "by_group"
+    n_test: int = 400
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.K < 1 or self.dim < 1 or self.n_per_client < 1:
             raise ValueError("K, dim and n_per_client must be >= 1")
-        if not 0.0 < pos_ratio < 1.0:
-            raise ValueError(f"pos_ratio must lie in (0, 1), got {pos_ratio}")
-        self.K = K
-        self.dim = dim
-        self.d = dim + 2  # (w, a, b)
+        if not 0.0 < self.pos_ratio < 1.0:
+            raise ValueError(f"pos_ratio must lie in (0, 1), got {self.pos_ratio}")
+        self.d = self.dim + 2  # (w, a, b)
         self.p = 1  # alpha
-        self.pos_ratio = float(pos_ratio)
-        self.n_per_client = int(n_per_client)
-        self.seed = int(seed)
-        self.margin = float(margin)
-        self.center_spread = float(center_spread)
-        self.noise_std = float(noise_std)
-        self.scheme = scheme
         self.y_constraint = Unconstrained()
 
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        w_true = rng.normal(size=dim)
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        w_true = rng.normal(size=self.dim)
         self.w_true = w_true / np.linalg.norm(w_true)
 
-        n_total = K * n_per_client
+        n_total = self.K * self.n_per_client
         X, labels, groups = self._draw(rng, n_total)
-        plan = partition(n_total, groups, K, scheme, seed=seed + 1)
+        plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
         self._set_clients(X, labels, plan)
-
-        self.n_test = int(n_test)
-        self.test_X, self.test_y, _ = self._draw(rng, n_test)
+        self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
 
     def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n_groups = 2 * self.K
@@ -166,22 +157,6 @@ class AucProblem(DatasetProblem):
             H[:, -1, -1] += -2 * pr * (1 - pr)
             worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
         return worst
-
-    def describe(self) -> str:
-        lines = [
-            "problem=auc",
-            f"K={self.K}",
-            f"dim={self.dim}",
-            f"n_per_client={self.n_per_client}",
-            f"pos_ratio={self.pos_ratio}",
-            f"seed={self.seed}",
-            f"margin={self.margin}",
-            f"center_spread={self.center_spread}",
-            f"noise_std={self.noise_std}",
-            f"scheme={self.scheme}",
-            f"n_test={self.n_test}",
-        ]
-        return "\n".join(lines)
 
 
 make_auc = AucProblem

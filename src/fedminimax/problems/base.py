@@ -9,12 +9,16 @@ plus whatever closed forms the family admits (saddle point, inner
 maximizer y*(x), value function gradient). Instances are immutable after
 construction and the oracles are pure functions, so concurrent reads are
 safe.
+
+Each family is a keyword-only dataclass: its fields are its generation
+parameters (the [problem] config keys, K for k), and __post_init__ draws
+the data from them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -116,9 +120,10 @@ class ProblemInstance(ABC):
         """Closed-form max over y of f(x, y)."""
         return self.global_value(x, self.y_star(x))
 
-    @abstractmethod
     def describe(self) -> str:
-        """key=value dump of all generation parameters, for provenance."""
+        """key=value dump of all generation parameters, for provenance: the
+        dataclass fields of the family, in declaration order."""
+        return "\n".join([f"problem={self.name}", *(f"{f.name}={getattr(self, f.name)}" for f in fields(self))])
 
 
 class DatasetProblem(ProblemInstance):

@@ -20,6 +20,7 @@ erase them, which is exactly what robust training has to learn to resist.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,44 +29,35 @@ from ..federation import partition
 from .base import DatasetProblem, EuclideanBall
 
 
+@dataclass(eq=False, kw_only=True)
 class RobustProblem(DatasetProblem):
     name = "robust"
 
-    def __init__(
-        self,
-        K: int,
-        dim: int,
-        n_per_client: int,
-        seed: int,
-        margin: float = 1.5,
-        fragile_total: float = 0.5,
-        fragile_noise: float = 0.15,
-        scheme: str = "iid",
-        n_test: int = 400,
-        ball_radius: float = 1.0,
-    ):
-        if K < 1 or dim < 2 or n_per_client < 1:
+    K: int = 10
+    dim: int = 10
+    n_per_client: int = 40
+    margin: float = 1.5
+    fragile_total: float = 0.5
+    fragile_noise: float = 0.15
+    scheme: str = "iid"
+    n_test: int = 400
+    ball_radius: float = 1.0
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.K < 1 or self.dim < 2 or self.n_per_client < 1:
             raise ValueError("require K >= 1, dim >= 2, n_per_client >= 1")
-        self.K = K
-        self.d = dim
-        self.p = dim  # rho lives in feature space
-        self.n_per_client = int(n_per_client)
-        self.seed = int(seed)
-        self.margin = float(margin)
-        self.fragile_total = float(fragile_total)
-        self.fragile_noise = float(fragile_noise)
-        self.scheme = scheme
-        self.y_constraint = EuclideanBall(ball_radius)
-        self.n_robust = max(1, dim // 5)
+        self.d = self.dim
+        self.p = self.dim  # rho lives in feature space
+        self.y_constraint = EuclideanBall(self.ball_radius)
+        self.n_robust = max(1, self.dim // 5)
 
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        n_total = K * n_per_client
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        n_total = self.K * self.n_per_client
         X, labels, groups = self._draw(rng, n_total)
-        plan = partition(n_total, groups, K, scheme, seed=seed + 1)
+        plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
         self._set_clients(X, labels, plan)
-
-        self.n_test = int(n_test)
-        self.test_X, self.test_y, _ = self._draw(rng, n_test)
+        self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
 
     def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         labels = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
@@ -89,22 +81,6 @@ class RobustProblem(DatasetProblem):
         GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
         GY = s.mean(axis=1)[:, None] * X
         return GX, GY
-
-    def describe(self) -> str:
-        lines = [
-            "problem=robust",
-            f"K={self.K}",
-            f"dim={self.d}",
-            f"n_per_client={self.n_per_client}",
-            f"seed={self.seed}",
-            f"margin={self.margin}",
-            f"fragile_total={self.fragile_total}",
-            f"fragile_noise={self.fragile_noise}",
-            f"scheme={self.scheme}",
-            f"n_test={self.n_test}",
-            f"ball_radius={self.y_constraint.radius}",
-        ]
-        return "\n".join(lines)
 
 
 def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:

@@ -17,6 +17,8 @@ unbiasedness is exactly testable).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core import Vector, row_dots
@@ -33,53 +35,47 @@ def _center_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(eq=False, kw_only=True)
 class SyntheticProblem(ProblemInstance):
     name = "synthetic"
     has_closed_form_inner_max = True
 
-    def __init__(
-        self,
-        K: int,
-        dim: int,
-        s: float,
-        tau: float,
-        seed: int,
-        n_per_client: int = 50,
-        noise_sigma: float = 0.1,
-        center_b: bool = True,
-    ):
+    K: int = 10
+    dim: int = 20
+    s: float = 1.0
+    tau: float = 10.0
+    n_per_client: int = 50
+    noise_sigma: float = 0.1
+    seed: int
+    center_b: bool = True
+
+    def __post_init__(self) -> None:
+        K, dim, n = self.K, self.dim, self.n_per_client
         if K < 1 or dim < 1:
             raise ValueError("K and dim must be >= 1")
-        if s <= 0 or tau <= 0:
+        if self.s <= 0 or self.tau <= 0:
             raise ValueError("s and tau must be positive")
-        if n_per_client < 1:
+        if n < 1:
             raise ValueError("n_per_client must be >= 1")
-        if noise_sigma < 0:
+        if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        self.K = K
         self.d = dim
         self.p = dim  # t_k * I maps the x-space onto the y-space
-        self.s = float(s)
-        self.tau = float(tau)
-        self.seed = int(seed)
-        self.n_per_client = int(n_per_client)
-        self.noise_sigma = float(noise_sigma)
-        self.center_b = bool(center_b)
         self.y_constraint = Unconstrained()
 
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        b_raw = rng.normal(0.0, s, size=(K, dim))
-        self.b = _center_rows(b_raw) if center_b else b_raw
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        b_raw = rng.normal(0.0, self.s, size=(K, dim))
+        self.b = _center_rows(b_raw) if self.center_b else b_raw
         self.t = rng.uniform(0.0, 0.1, size=K)
 
         # Per-client noise realizations for both gradient blocks, centered
         # per client so the table mean is exactly zero.
-        self.noise_x = np.zeros((K, n_per_client, dim))
-        self.noise_y = np.zeros((K, n_per_client, dim))
-        if noise_sigma > 0:
+        self.noise_x = np.zeros((K, n, dim))
+        self.noise_y = np.zeros((K, n, dim))
+        if self.noise_sigma > 0:
             for k in range(K):
-                self.noise_x[k] = _center_rows(rng.normal(0.0, noise_sigma, size=(n_per_client, dim)))
-                self.noise_y[k] = _center_rows(rng.normal(0.0, noise_sigma, size=(n_per_client, dim)))
+                self.noise_x[k] = _center_rows(rng.normal(0.0, self.noise_sigma, size=(n, dim)))
+                self.noise_y[k] = _center_rows(rng.normal(0.0, self.noise_sigma, size=(n, dim)))
 
         # Fixed-order means used by the closed forms (cumsum adds in client order).
         self.b_bar = np.cumsum(self.b, axis=0)[-1] / K
@@ -135,20 +131,6 @@ class SyntheticProblem(ProblemInstance):
             sq = (self.noise_x[k] ** 2).sum(axis=1) + (self.noise_y[k] ** 2).sum(axis=1)
             worst = max(worst, float(sq.mean()))
         return float(np.sqrt(worst))
-
-    def describe(self) -> str:
-        lines = [
-            "problem=synthetic",
-            f"K={self.K}",
-            f"dim={self.d}",
-            f"s={self.s}",
-            f"tau={self.tau}",
-            f"seed={self.seed}",
-            f"n_per_client={self.n_per_client}",
-            f"noise_sigma={self.noise_sigma}",
-            f"center_b={self.center_b}",
-        ]
-        return "\n".join(lines)
 
 
 make_synthetic = SyntheticProblem

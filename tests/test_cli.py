@@ -17,7 +17,9 @@ from fedminimax.cli import main
 from fedminimax.config import (
     ALGORITHM_SCHEMA,
     OUTPUT_SCHEMA,
+    PROBLEM_SCHEMAS,
     ConfigError,
+    _render_value,
     _schema,
     apply_overrides,
     parse_config,
@@ -120,14 +122,41 @@ class TestPresets:
     def test_rendered_config_is_pinned(self, name):
         assert config_hash(render_config(load_preset(name))) == PRESET_CONFIG_HASHES[name]
 
-    def test_help_lists_every_algorithm_and_output_default(self, capsys):
+    @staticmethod
+    def _help_defaults(capsys) -> dict[str, list[str]]:
+        """The `key=value` pairs of each defaults line of `fedmm --help`,
+        keyed by the line's heading, with the `*` marks stripped."""
         with pytest.raises(SystemExit):
             main(["--help"])
-        lines = capsys.readouterr().out.splitlines()
-        for section, schema in (("[algorithm]", ALGORITHM_SCHEMA), ("[output]", OUTPUT_SCHEMA)):
-            (line,) = [ln for ln in lines if ln.strip().startswith(section + ":")]
-            listed = line.split(": ", 1)[1].split(", ")
-            assert listed == [f"{key}={default}" for key, (_, default) in schema.items()]
+        listed = {}
+        for ln in capsys.readouterr().out.splitlines():
+            if ln.strip().startswith("[") and ": " in ln:
+                heading, pairs = ln.strip().split(": ", 1)
+                listed[heading] = [pair.rstrip("*") for pair in pairs.split(", ")]
+        return listed
+
+    def test_help_lists_every_algorithm_and_output_default(self, capsys):
+        listed = self._help_defaults(capsys)
+        sections = [(f"[problem] name={name}", schema) for name, schema in PROBLEM_SCHEMAS.items()]
+        sections += [("[algorithm]", ALGORITHM_SCHEMA), ("[output]", OUTPUT_SCHEMA)]
+        assert list(listed) == [heading for heading, _ in sections]
+        for heading, schema in sections:
+            assert listed[heading] == [f"{key}={_render_value(default)}" for key, (_, default) in schema.items()]
+        assert "seeds=1" in listed["[output]"]
+        assert "tie_varrho_to_momentum=false" in listed["[algorithm]"]
+        assert "seed=none" in listed["[problem] name=synthetic"]
+
+    def test_help_defaults_parse_back_to_the_defaults(self, capsys):
+        listed = self._help_defaults(capsys)
+        for name in PROBLEM_SCHEMAS:
+            base = parse_config(f"[problem]\nname = {name}\n")
+            overrides = {}
+            for heading, pairs in listed.items():
+                if heading.startswith("[problem]") and heading != f"[problem] name={name}":
+                    continue
+                section = heading.split("]", 1)[0][1:]
+                overrides.update({f"{section}.{key}": val for key, val in (pair.split("=", 1) for pair in pairs)})
+            assert apply_overrides(base, overrides) == base
 
     def test_expected_roster(self):
         names = preset_names()

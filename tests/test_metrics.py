@@ -280,6 +280,13 @@ class TestCsv:
         assert "# config_sha256=abcd1234" in text
         assert len(read_trace_csv(path)) == 3
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# config_sha256=abcd1234\n"], ids=["empty", "blank", "comment-only"])
+    def test_headerless_file_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no CSV header"):
+            read_trace_csv(path)
+
     def test_sync_rows_have_zero_consensus(self, synthetic_small, tmp_path):
         hp = fm.HyperParams(T=20, q=4, seed=2)
         trace = fm.run(synthetic_small, hp)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import fedminimax as fm
-from fedminimax.problems import EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
+from fedminimax.problems import PROBLEMS, EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
 from fedminimax.theory import _estimate_robust_L_f, _estimate_sigma, _robust_hessians, estimate_constants
 
 from conftest import fd_grad, numeric_inner_max
@@ -32,21 +33,45 @@ class TestSyntheticConstruction:
     def test_dims_are_tied(self, synthetic):
         assert synthetic.d == synthetic.p == 20
 
-    def test_reconstructible_from_described_parameters(self, synthetic):
-        params = dict(line.split("=", 1) for line in synthetic.describe().splitlines())
-        rebuilt = fm.make_synthetic(
-            K=int(params["K"]),
-            dim=int(params["dim"]),
-            s=float(params["s"]),
-            tau=float(params["tau"]),
-            seed=int(params["seed"]),
-            n_per_client=int(params["n_per_client"]),
-            noise_sigma=float(params["noise_sigma"]),
-            center_b=params["center_b"] == "True",
-        )
-        assert np.array_equal(rebuilt.b, synthetic.b)
-        assert np.array_equal(rebuilt.t, synthetic.t)
-        assert np.array_equal(rebuilt.noise_x, synthetic.noise_x)
+
+
+# Generation parameters away from the defaults where a family allows it,
+# so a field missing from describe() would rebuild a different instance.
+DESCRIBED_CASES = {
+    "synthetic": lambda: fm.make_synthetic(K=4, dim=6, s=2.5, tau=7.0, seed=7, n_per_client=25, noise_sigma=0.3),
+    "synthetic-uncentered": lambda: fm.make_synthetic(K=5, dim=4, s=1.0, tau=10.0, seed=2, center_b=False),
+    "auc-by_group": lambda: fm.make_auc(K=5, dim=6, n_per_client=30, pos_ratio=0.1, seed=3, margin=1.5,
+                                        center_spread=0.7, noise_std=0.4, n_test=50),
+    "auc-dirichlet": lambda: fm.make_auc(K=6, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
+    "robust-iid": lambda: fm.make_robust(K=6, dim=10, n_per_client=30, seed=11, margin=2.0, fragile_total=0.6,
+                                         fragile_noise=0.2, n_test=60, ball_radius=0.5),
+    "robust-dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+}
+GENERATED_ARRAYS = {
+    "synthetic": ("b", "t", "noise_x", "noise_y"),
+    "auc": ("clients_X", "clients_y", "test_X", "test_y"),
+    "robust": ("clients_X", "clients_y", "test_X", "test_y"),
+}
+FIELD_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda v: v == "True"}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("case", sorted(DESCRIBED_CASES))
+    def test_reconstructible_from_described_parameters(self, case):
+        inst = DESCRIBED_CASES[case]()
+        params = dict(line.split("=", 1) for line in inst.describe().splitlines())
+        cls = PROBLEMS[params.pop("problem")]
+        rebuilt = cls(**{f.name: FIELD_PARSERS[f.type](params.pop(f.name)) for f in fields(cls)})
+        assert not params
+        for name in GENERATED_ARRAYS[inst.name]:
+            ours, theirs = getattr(rebuilt, name), getattr(inst, name)
+            if isinstance(ours, np.ndarray):
+                ours, theirs = [ours], [theirs]
+            assert len(ours) == len(theirs) and all(map(_same_bits, ours, theirs)), name
 
 
 class TestSyntheticGradients:
