@@ -6,7 +6,9 @@ averages iterates and gradient estimates, regenerates the diagonal
 preconditioners, takes one preconditioned interpolated step and broadcasts
 everything back) with purely local steps (each client moves with its own
 estimates, then refreshes them with one fresh sample using the recursive
-variance-reduced rule). Client state is stacked, one row per client.
+variance-reduced rule). Client state is stacked, one row per client. Each
+client draws its items for a round's q - 1 local steps in one call, at the
+sync (or initialization) that opens the round.
 
 Variants share this skeleton:
 
@@ -29,7 +31,7 @@ sfo_per_client = 2q + 2(T - floor(T/q)) and comm_rounds = floor(T/q).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -171,13 +173,16 @@ class HyperParams:
 
 @dataclass
 class Clients:
-    """All K clients, one row each; client k draws its samples with rngs[k]."""
+    """All K clients, one row each. Client k samples its n[k] items with
+    rngs[k]; items[k, j] is its item at local step j + 1 of the round."""
 
     X: np.ndarray
     Y: np.ndarray
     W: np.ndarray  # x-side gradient estimates
     V: np.ndarray  # y-side gradient estimates
     rngs: list[np.random.Generator] = field(repr=False)
+    n: np.ndarray = field(repr=False)  # dataset sizes, shape (K,)
+    items: np.ndarray = field(repr=False)  # (K, q - 1) item table of the round
 
 
 @dataclass
@@ -193,6 +198,12 @@ def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
     """Client k samples from child k of the seed; child K draws the output
     index (see run)."""
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(K)]
+
+
+def _draw_round(rngs: list[np.random.Generator], n: np.ndarray, q: int) -> np.ndarray:
+    """The next round's (K, q - 1) item table, one call per client: bitwise
+    the draws of one call per local step (see core). Items past T go unread."""
+    return np.stack([rng.integers(n_k, size=q - 1) for rng, n_k in zip(rngs, n)])
 
 
 def initial_point(problem: ProblemInstance, hp: HyperParams) -> tuple[Vector, Vector]:
@@ -218,7 +229,7 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     rngs = _spawn_rngs(hp.seed, K)
     x1, y1 = initial_point(problem, hp)
 
-    n = [problem.dataset_size(k) for k in range(K)]
+    n = np.array([problem.dataset_size(k) for k in range(K)])
     for k, n_k in enumerate(n):
         if hp.q > n_k:
             raise ValueError(f"q={hp.q} exceeds client {k} dataset size {n_k}")
@@ -232,7 +243,7 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
         GX, GY = problem.grad_stoch_rows(ks, items[:, j], X, Y)
         W += GX
         V += GY
-    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, rngs=rngs)
+    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, rngs=rngs, n=n, items=_draw_round(rngs, n, hp.q))
 
     counters = Counters()
     counters.add_sfo(2 * hp.q)
@@ -257,12 +268,13 @@ def local_step(
 
     Order: preconditioned ascent proposal on y and descent proposal on x,
     interpolated by eta_t (y projected); then one fresh sample per client
-    refreshes both estimates, evaluating the new-point and old-point
-    gradients on the same sample.
+    (column t % q - 1 of the item table) refreshes both estimates, from one
+    oracle call on 2K rows: the new points, then the old points.
     """
     if t % hp.q == 0:
         raise ValueError(f"t={t} is a sync index (q={hp.q})")
-    eta_t = hp.eta(problem.K, t)
+    K = problem.K
+    eta_t = hp.eta(K, t)
     alpha, beta = hp.momentum(eta_t)
     X, Y, W, V = clients.X, clients.Y, clients.W, clients.V
 
@@ -271,19 +283,19 @@ def local_step(
     X_hat = X - hp.gamma * precondition(A, W)
     X_new = X + eta_t * (X_hat - X)
 
-    ks = np.arange(problem.K)
-    items = np.array([rng.integers(problem.dataset_size(k)) for k, rng in enumerate(clients.rngs)])
-    GX_new, GY_new = problem.grad_stoch_rows(ks, items, X_new, Y_new)
-
+    ks = np.arange(K)
+    items = clients.items[:, t % hp.q - 1]
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
+        GX_new, GY_new = problem.grad_stoch_rows(ks, items, X_new, Y_new)
         W_new = hp.beta_m * W + GX_new
         V_new = hp.beta_m * V + GY_new
     else:
-        GX_old, GY_old = problem.grad_stoch_rows(ks, items, X, Y)
-        V_new = storm_update(GY_new, GY_old, V, alpha)
-        W_new = storm_update(GX_new, GX_old, W, beta)
+        rows = [np.concatenate(pair) for pair in ((ks, ks), (items, items), (X_new, X), (Y_new, Y))]
+        GX, GY = problem.grad_stoch_rows(*rows)
+        V_new = storm_update(GY[:K], GY[K:], V, alpha)
+        W_new = storm_update(GX[:K], GX[K:], W, beta)
 
-    return Clients(X=X_new, Y=Y_new, W=W_new, V=V_new, rngs=clients.rngs)
+    return replace(clients, X=X_new, Y=Y_new, W=W_new, V=V_new)
 
 
 def sync_step(
@@ -299,7 +311,7 @@ def sync_step(
     Averages (v, w, y, x) in fixed client order, regenerates the matrices,
     takes the server's preconditioned interpolated step, and broadcasts the
     new iterates together with the averaged estimates into every row, so
-    all clients agree bitwise afterwards. No samples are drawn.
+    all clients agree bitwise afterwards; then draws the next round's items.
     """
     if t % hp.q != 0:
         raise ValueError(f"t={t} is not a sync index (q={hp.q})")
@@ -325,6 +337,7 @@ def sync_step(
     server.y_bar = y_next
     server.A = A
     server.B = B
+    clients.items = _draw_round(clients.rngs, clients.n, hp.q)
     counters.add_comm()
 
 

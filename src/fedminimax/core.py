@@ -7,7 +7,9 @@ Stacked per-client arrays (one row or one leading slice per client) keep
 those bits only in some forms. Bitwise equal to the per-client call, row by
 row:
 
-- elementwise arithmetic on (K, d) rows (the client step);
+- elementwise arithmetic on (K, d) rows (the client step), and a stacked
+  oracle on the rows of two calls concatenated (new and old points);
+- Generator.integers(n, size=m) against m integers(n) calls, state included;
 - means along axis 1 of stacked (K, n), (K, n, d) and one-item (K, 1, d)
   arrays;
 - np.matmul(X3, W[:, :, None]) against each client's X @ w, one-item

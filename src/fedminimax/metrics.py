@@ -18,7 +18,7 @@ from .core import Counters, Vector, row_dots, vec_mean
 from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     t: int
     is_sync: bool

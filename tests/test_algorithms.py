@@ -167,7 +167,7 @@ class TestSyncStep:
             assert np.array_equal(clients.W[k], clients.W[0])
             assert np.array_equal(clients.V[k], clients.V[0])
         assert counters.comm_rounds == 1
-        # sampling ledger belongs to the run loop; sync itself draws nothing
+        # sampling ledger belongs to the run loop; sync itself evaluates nothing
         assert counters.sfo_per_client == 2 * hp.q
 
     def test_single_client_sync_is_plain_descent_ascent(self):
@@ -179,6 +179,52 @@ class TestSyncStep:
         sync_step(inst, hp, 1, clients, server, counters)
         assert np.allclose(server.x_bar, x0 - hp.gamma * w0)
         assert np.allclose(server.y_bar, y0 + hp.lam * v0)
+
+
+ITEM_TABLE_CASES = {
+    "iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
+    "by_group": lambda: fm.make_auc(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
+    "dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+}
+
+
+class TestItemTable:
+    @pytest.mark.parametrize("case", sorted(ITEM_TABLE_CASES))
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_columns_equal_per_step_sequential_draws(self, case, q):
+        # The client-stream contract: after the q init items, client k's
+        # local step t samples one rng.integers(n_k) call. T = 13 leaves a
+        # partial last round for q = 2 and q = 5.
+        inst = ITEM_TABLE_CASES[case]()
+        hp = HyperParams(T=13, q=q, seed=4, variant=VARIANT_FGDA, gamma=0.01, lam=0.01)
+        sizes = [inst.dataset_size(k) for k in range(inst.K)]
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(hp.seed).spawn(inst.K)]
+        for rng, n_k in zip(rngs, sizes):
+            rng.choice(n_k, size=q, replace=False)
+
+        clients, server, counters = init_round(inst, hp)
+        assert clients.items.shape == (inst.K, q - 1)
+        checked = 0
+        for t in range(1, hp.T + 1):
+            if t % q == 0:
+                sync_step(inst, hp, t, clients, server, counters)
+                continue
+            expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, sizes)]
+            assert clients.items[:, t % q - 1].tolist() == expected
+            clients = local_step(inst, hp, t, clients, server.A, server.B)
+            checked += 1
+        assert checked == hp.T - hp.T // q
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 57, 100, 2**31 + 5])
+    def test_numpy_batched_integers_equal_sequential_calls(self, n):
+        # The item table rests on this numpy behaviour; a numpy release that
+        # changes it fails here by name rather than by a moved digest.
+        for m in (1, 19, 3800):
+            batched = np.random.default_rng(n + m)
+            sequential = np.random.default_rng(n + m)
+            values = batched.integers(n, size=m)
+            assert values.tolist() == [int(sequential.integers(n)) for _ in range(m)]
+            assert batched.bit_generator.state == sequential.bit_generator.state
 
 
 @pytest.fixture(scope="module")
@@ -286,16 +332,17 @@ class TestRunInvariants:
 
 class TestFiniteness:
     def _nan_x_gradient_at_step(self, monkeypatch, problem, hp, s):
-        # init_round makes q stacked oracle calls, each fgda local step two
-        # (new point, then old point); poison the new-point x-gradient of step s
+        # init_round makes q stacked oracle calls, each fgda local step one
+        # on 2K rows (new points, then old points); poison the new-point
+        # x-gradients of step s
         real = problem.grad_stoch_rows
-        target = hp.q + 2 * (s - 1)
+        target = hp.q + (s - 1)
         calls = [0]
 
         def stub(ks, items, X, Y):
             GX, GY = real(ks, items, X, Y)
             if calls[0] == target:
-                GX = np.full_like(GX, np.nan)
+                GX[:problem.K] = np.nan
             calls[0] += 1
             return GX, GY
 

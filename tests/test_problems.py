@@ -624,6 +624,22 @@ class TestStackedOracle:
                 assert np.array_equal(sx, px) and np.array_equal(sy, py)
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_concatenated_rows_equal_two_calls_bitwise(self, case):
+        # a local step evaluates its sample at the new and the old point in
+        # one call on 2K rows; no kernel may let one row affect another
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(31)
+        ks = np.arange(inst.K)
+        for _ in range(10):
+            items = np.array([rng.integers(inst.dataset_size(k)) for k in ks])
+            X = 2.0 * rng.standard_normal((2 * inst.K, inst.d))
+            Y = 2.0 * rng.standard_normal((2 * inst.K, inst.p))
+            GX, GY = inst.grad_stoch_rows(np.tile(ks, 2), np.tile(items, 2), X, Y)
+            for half in (slice(None, inst.K), slice(inst.K, None)):
+                gx, gy = inst.grad_stoch_rows(ks, items, X[half], Y[half])
+                assert np.array_equal(GX[half], gx) and np.array_equal(GY[half], gy)
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_sigma_estimate_equals_per_item_loop_bitwise(self, case):
         inst = STACKED_CASES[case]()
         n_samples, seed = 30, 37
