@@ -44,7 +44,7 @@ from .estimators import (
     momentum_schedule,
     storm_update,
 )
-from .metrics import RunTrace, TraceRecorder
+from .metrics import RunTrace, TraceRecorder, TraceTable
 from .problems import ProblemInstance, project_y
 
 VARIANT_FGDA = "fgda"
@@ -381,7 +381,7 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
             sampled_x, sampled_y = x_bar.copy(), y_bar.copy()
 
     return RunTrace(
-        records=recorder.records,
+        records=TraceTable.pack(recorder.records),
         config_echo={"problem": problem.describe().replace("\n", ";"), **asdict(hp)},
         final_sampled_index=final_index,
         wall_time_s=time.perf_counter() - t_start,

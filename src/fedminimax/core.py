@@ -7,8 +7,11 @@ Stacked per-client arrays (one row or one leading slice per client) keep
 those bits only in some forms. Bitwise equal to the per-client call, row by
 row:
 
-- elementwise arithmetic on (K, d) rows (the client step), and a stacked
-  oracle on the rows of two calls concatenated (new and old points);
+- elementwise arithmetic on (K, d) rows (the client step), a stacked
+  oracle on the rows of two calls concatenated (new and old points), and
+  the exact oracle on n stacked K-row blocks against one call per block;
+- vec_mean of (K, d_i) blocks side by side, (K, 1) ones included, against
+  each block's own vec_mean (cumsum adds each column on its own);
 - Generator.integers(n, size=m) against m integers(n) calls, state included;
 - means along axis 1 of stacked (K, n), (K, n, d) and one-item (K, 1, d)
   arrays;

@@ -3,14 +3,17 @@
 Metrics are computed with full simulator access (exact gradients,
 closed-form saddle points) even though the algorithms only ever see
 stochastic samples; distance-to-saddle and value-function gradients are
-oracle quantities by nature.
+oracle quantities by nature. The recorder builds one TraceRecord per step;
+run packs them by column into a TraceTable, which reads them back unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,8 +39,9 @@ class TraceRecord:
     consensus_y: float | None = None
 
 
+_FIELDS = fields(TraceRecord)
 # The CSV schema: every TraceRecord field but consensus_y, in field order.
-CSV_COLUMNS = [f.name for f in fields(TraceRecord) if f.name != "consensus_y"]
+CSV_COLUMNS = [f.name for f in _FIELDS if f.name != "consensus_y"]
 
 # How a cell reads back, by its column's declared type; an empty cell is
 # None only in an optional column, and any other type fails here, at import.
@@ -47,12 +51,56 @@ _CELL_READERS = {
     "float": float,
     "float | None": lambda cell: None if cell == "" else float(cell),
 }
-_COLUMN_READERS = {f.name: _CELL_READERS[f.type] for f in fields(TraceRecord) if f.name in CSV_COLUMNS}
+_COLUMN_READERS = {f.name: _CELL_READERS[f.type] for f in _FIELDS if f.name in CSV_COLUMNS}
+
+_ROW = attrgetter(*(f.name for f in _FIELDS))
+_EXACT = [(j, {"int": int, "bool": bool}[f.type]) for j, f in enumerate(_FIELDS) if f.type in ("int", "bool")]
+_OPTIONAL = [j for j, f in enumerate(_FIELDS) if f.type == "float | None"]
+
+
+@dataclass(slots=True, eq=False)
+class TraceTable(Sequence[TraceRecord]):
+    """TraceRecords packed by column: columns[j] holds field j of every
+    record as float64 (bools and ints up to 2**53 exactly), and present[i]
+    marks the records whose i-th optional field is not None. A row reads
+    back as its TraceRecord, a slice as a list of them."""
+
+    columns: np.ndarray
+    present: np.ndarray
+
+    @classmethod
+    def pack(cls, records: Sequence[TraceRecord]) -> TraceTable:
+        rows = list(map(_ROW, records))  # None packs as NaN; present tells the two apart
+        present = [[row[j] is not None for j in _OPTIONAL] for row in rows]
+        return cls(np.array(rows, float).reshape(-1, len(_FIELDS)).T,
+                   np.array(present, bool).reshape(-1, len(_OPTIONAL)).T)
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._record(self.columns[:, i].tolist(), self.present[:, i].tolist())
+
+    def __iter__(self):
+        return map(self._record, self.columns.T.tolist(), self.present.T.tolist())
+
+    @staticmethod
+    def _record(cells: list, present: list[bool]) -> TraceRecord:
+        for j, read in _EXACT:
+            cells[j] = read(cells[j])
+        for j, has in zip(_OPTIONAL, present):
+            cells[j] = cells[j] if has else None
+        return TraceRecord(*cells)
 
 
 @dataclass
 class RunTrace:
-    records: list[TraceRecord]
+    """One run's outcome. algorithms.run returns its records packed in a
+    TraceTable; any sequence of TraceRecords, a list say, serves as well."""
+
+    records: Sequence[TraceRecord]
     config_echo: dict
     final_sampled_index: int
     wall_time_s: float = 0.0
@@ -75,15 +123,18 @@ def ascend_y(inst: RobustProblem, x: Vector) -> Vector:
     return worst_perturbation(x, inst.y_constraint.radius, lambda y: inst.global_value(x, y))
 
 
+def inner_maximizer(inst: ProblemInstance, x: Vector) -> Vector:
+    """An exact maximizer of y -> f(x, y): y_star, or ascend_y's endpoint for the robust family."""
+    return inst.y_star(x) if inst.has_closed_form_inner_max else ascend_y(inst, x)
+
+
 def grad_norm_F(inst: ProblemInstance, x_bar: Vector) -> float:
-    """Norm of the value-function gradient at x_bar: the x-partial at an
-    exact inner maximizer (Danskin's theorem), the closed-form y_star for
-    the synthetic and AUC families and ascend_y's endpoint for the robust
-    one. Where the robust endpoints tie, F has no gradient and this is the
-    partial at the + endpoint.
+    """Norm of the value-function gradient at x_bar: the x-partial at
+    inner_maximizer(inst, x_bar) (Danskin's theorem). Where the robust
+    endpoints tie, F has no gradient and this is the partial at the +
+    endpoint. The recorder reports these bits from its one oracle call.
     """
-    y = inst.y_star(x_bar) if inst.has_closed_form_inner_max else ascend_y(inst, x_bar)
-    gx, _ = inst.global_grad(x_bar, y)
+    gx, _ = inst.global_grad(x_bar, inner_maximizer(inst, x_bar))
     return float(np.linalg.norm(gx))
 
 
@@ -144,50 +195,36 @@ class TraceRecorder:
         return (t // q) % self.heavy_cadence == 0
 
     def record(
-        self,
-        t: int,
-        is_sync: bool,
-        q: int,
-        clients,
-        counters: Counters,
-        x_bar: Vector,
-        y_bar: Vector,
+        self, t: int, is_sync: bool, q: int, clients, counters: Counters, x_bar: Vector, y_bar: Vector
     ) -> TraceRecord:
-        problem = self.problem
-        w_cur = vec_mean(clients.W)
-        v_cur = vec_mean(clients.V)
-        GX, GY = problem.grad_full_all(clients.X, clients.Y)
-        est_err_x = float(np.linalg.norm(w_cur - vec_mean(GX)))
-        est_err_y = float(np.linalg.norm(v_cur - vec_mean(GY)))
-        consensus_x = float(np.sqrt(row_dots(clients.X - x_bar).max()))
-        consensus_y = float(np.sqrt(row_dots(clients.Y - y_bar).max()))
+        """Measure step t. Every exact gradient comes from one oracle call:
+        the clients' own points, then, when grad_norm_F is due, (x_bar, y*)
+        tiled as global_grad tiles it, which keeps grad_norm_F's bits."""
+        problem, K, d, p = self.problem, self.problem.K, self.problem.d, self.problem.p
+        heavy = self._heavy_due(t, is_sync, q)
+        X, Y = clients.X, clients.Y
+        if problem.has_closed_form_inner_max or heavy:
+            X = np.concatenate([X, np.tile(x_bar, (K, 1))])
+            Y = np.concatenate([Y, np.tile(inner_maximizer(problem, x_bar), (K, 1))])
+        GX, GY = problem.grad_full_all(X, Y)
+        # One index-order mean over the blocks side by side: each block's own bits.
+        m = vec_mean(np.concatenate([clients.W, clients.V, GY[:K], *GX.reshape(-1, K, d)], axis=1))
+        w_cur, v_cur, gy, gx, gx_star = m[:d], m[d:d + p], m[d + p:d + 2 * p], m[d + 2 * p:2 * (d + p)], m[2 * (d + p):]
 
         dist_x_sq = dist_y_sq = None
         if self.x_star is not None:
-            dx = x_bar - self.x_star
-            dy = y_bar - self.y_star
-            dist_x_sq = float(dx @ dx)
-            dist_y_sq = float(dy @ dy)
-
-        heavy = self._heavy_due(t, is_sync, q)
-        gF = grad_norm_F(problem, x_bar) if (problem.has_closed_form_inner_max or heavy) else None
-
-        auc = auc_score(problem, x_bar) if (self.is_auc and heavy) else None
+            dx, dy = x_bar - self.x_star, y_bar - self.y_star
+            dist_x_sq, dist_y_sq = float(dx @ dx), float(dy @ dy)
 
         rec = TraceRecord(
-            t=t,
-            is_sync=is_sync,
-            dist_x_sq=dist_x_sq,
-            dist_y_sq=dist_y_sq,
-            grad_norm_F=gF,
-            est_err_x=est_err_x,
-            est_err_y=est_err_y,
-            consensus_x=consensus_x,
+            t=t, is_sync=is_sync, dist_x_sq=dist_x_sq, dist_y_sq=dist_y_sq,
+            grad_norm_F=float(np.linalg.norm(gx_star)) if len(gx_star) else None,
+            est_err_x=float(np.linalg.norm(w_cur - gx)), est_err_y=float(np.linalg.norm(v_cur - gy)),
+            consensus_x=float(np.sqrt(row_dots(clients.X - x_bar).max())),
             objective=float(problem.global_value(x_bar, y_bar)),
-            auc=auc,
-            sfo=counters.sfo_per_client,
-            comm=counters.comm_rounds,
-            consensus_y=consensus_y,
+            auc=auc_score(problem, x_bar) if (self.is_auc and heavy) else None,
+            sfo=counters.sfo_per_client, comm=counters.comm_rounds,
+            consensus_y=float(np.sqrt(row_dots(clients.Y - y_bar).max())),
         )
         self.records.append(rec)
         return rec
@@ -207,8 +244,9 @@ def emit_csv(trace: RunTrace, path, config_hash: str | None = None) -> None:
     """Write the trace with the fixed column schema; unavailable fields are
     empty cells, floats carry 17 significant digits (round-trip exact)."""
     lines = [",".join(CSV_COLUMNS)]
+    cells = attrgetter(*CSV_COLUMNS)
     for r in trace.records:
-        lines.append(",".join(_fmt(getattr(r, col)) for col in CSV_COLUMNS))
+        lines.append(",".join(map(_fmt, cells(r))))
     if config_hash is not None:
         lines.append(f"# config_sha256={config_hash}")
     with open(path, "w") as fh:

@@ -77,8 +77,9 @@ class ProblemInstance(ABC):
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact partial gradients of every client at its own point.
 
-        X is (K, d) and Y is (K, p), one row per client; row k of each
-        output is bitwise equal to grad_full(k, X[k], Y[k]).
+        X is (nK, d) and Y is (nK, p): n stacked blocks of one row per
+        client, so row i belongs to client i mod K. Row i of each output is
+        bitwise equal to grad_full(i mod K, X[i], Y[i]).
         """
 
     @abstractmethod
@@ -157,6 +158,7 @@ class DatasetProblem(ProblemInstance):
                 np.stack([self.clients_X[k] for k in ks]),
                 np.stack([self.clients_y[k] for k in ks]),
             ))
+        self._tiled = {1: self._blocks}
 
     @abstractmethod
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
@@ -184,10 +186,14 @@ class DatasetProblem(ProblemInstance):
         return GX[0], GY[0]
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        GX = np.empty((self.K, self.d))
-        GY = np.empty((self.K, self.p))
-        for ks, Xs, labs in self._blocks:
-            GX[ks], GY[ks] = self._grad_block(Xs, labs, X[ks], Y[ks])
+        n = len(X) // self.K
+        if n not in self._tiled:  # each size block's rows in all n K-row blocks, its data tiled to match
+            self._tiled[n] = [((ks + self.K * np.arange(n)[:, None]).ravel(), np.tile(Xs, (n, 1, 1)),
+                               np.tile(labs, (n, 1))) for ks, Xs, labs in self._blocks]
+        GX = np.empty((len(X), self.d))
+        GY = np.empty((len(X), self.p))
+        for rows, Xs, labs in self._tiled[n]:
+            GX[rows], GY[rows] = self._grad_block(Xs, labs, X[rows], Y[rows])
         return GX, GY
 
     def grad_stoch_rows(

@@ -95,8 +95,10 @@ class SyntheticProblem(ProblemInstance):
         return gx, gy
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Viewed as (n, K, d) blocks; elementwise arithmetic keeps its bits when broadcast.
+        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
         t = self.t[:, None]
-        return self.tau * X - t * Y, -Y + self.b - t * X
+        return (self.tau * X3 - t * Y3).reshape(X.shape), (-Y3 + self.b - t * X3).reshape(Y.shape)
 
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray

@@ -60,6 +60,18 @@ class TestVecMean:
         assert np.array_equal(vec_mean(np.stack(vs)), expected)
         assert np.array_equal(vec_mean(vs), expected)
 
+    @pytest.mark.parametrize("K", [10, 16, 100])
+    def test_column_concatenated_blocks_equal_each_blocks_own_mean_bitwise(self, K):
+        # the recorder takes every cross-client mean from one vec_mean over
+        # its blocks side by side; the (K, 1) blocks are AUC's y side
+        rng = np.random.default_rng(K)
+        blocks = [rng.standard_normal((K, w)) * 10.0 ** rng.integers(-3, 4) for w in (12, 1, 1, 12, 12, 20)]
+        means = vec_mean(np.concatenate(blocks, axis=1))
+        start = 0
+        for B in blocks:
+            assert np.array_equal(means[start:start + B.shape[1]], vec_mean(B))
+            start += B.shape[1]
+
     def test_fixed_order_is_deterministic(self):
         rng = np.random.default_rng(3)
         vs = [rng.standard_normal(8) for _ in range(7)]

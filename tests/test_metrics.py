@@ -1,12 +1,20 @@
+import gc
+import math
+import tracemalloc
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import fedminimax as fm
+from fedminimax import algorithms, metrics
 from fedminimax.config import apply_overrides
 from fedminimax.core import row_dots, vec_mean
 from fedminimax.metrics import (
     CSV_COLUMNS,
+    TraceRecord,
+    TraceTable,
     ascend_y,
     auc_score,
     emit_csv,
@@ -15,7 +23,7 @@ from fedminimax.metrics import (
     render_summary,
     robust_accuracy,
 )
-from fedminimax.presets import load_preset
+from fedminimax.presets import load_preset, preset_names
 from fedminimax.problems import worst_perturbation
 
 from conftest import fd_grad, numeric_inner_max
@@ -338,3 +346,110 @@ class TestSummary:
         assert f"sfo_per_client={trace.final().sfo}" in text
         assert f"comm_rounds={trace.final().comm}" in text
         assert "wall_time_s=" in text
+
+
+def _recorded_run(monkeypatch, preset: str, overrides: dict):
+    """Run a preset and return its trace together with what the recorder
+    saw and built: one (t, x_bar, TraceRecord) per step."""
+    cfg = apply_overrides(load_preset(preset), overrides)
+    problem = cfg.build_problem(1)
+    seen = []
+    real_record = metrics.TraceRecorder.record
+
+    def record(self, t, is_sync, q, clients, counters, x_bar, y_bar):
+        rec = real_record(self, t, is_sync, q, clients, counters, x_bar, y_bar)
+        seen.append((t, x_bar.copy(), rec))
+        return rec
+
+    monkeypatch.setattr(metrics.TraceRecorder, "record", record)
+    trace = algorithms.run(problem, cfg.hp_for_seed(1), heavy_cadence=cfg.output.heavy_cadence)
+    return problem, trace, seen
+
+
+def _same_cell(a, b) -> bool:
+    """Equal type and equal bits (repr tells -0.0 from 0.0 and keeps NaN)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+class TestRecordedGradNormF:
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_recorded_value_equals_the_public_definition_bitwise(self, monkeypatch, preset):
+        # the recorder folds grad_norm_F into its one oracle call; the bits
+        # must stay those of metrics.grad_norm_F at x_bar
+        q = load_preset(preset).algorithm.q
+        problem, _, seen = _recorded_run(monkeypatch, preset, {"algorithm.t": str(5 * q + 1)})
+        checked = 0
+        for t, x_bar, rec in seen:
+            if problem.has_closed_form_inner_max or t % q == 0:
+                assert rec.grad_norm_F == grad_norm_F(problem, x_bar), t
+                checked += 1
+            else:
+                assert rec.grad_norm_F is None
+        assert checked == (len(seen) if problem.has_closed_form_inner_max else 5)
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("preset,variant", [(p, v) for p in preset_names() for v in algorithms.VARIANTS])
+    def test_packed_rows_equal_the_records_built(self, monkeypatch, preset, variant):
+        q = load_preset(preset).algorithm.q
+        _, trace, seen = _recorded_run(monkeypatch, preset, {"algorithm.variant": variant, "algorithm.t": str(2 * q + 1)})
+        assert isinstance(trace.records, TraceTable) and len(trace.records) == len(seen) == 2 * q + 1
+        for packed, (_, _, built) in zip(trace.records, seen):
+            for f in fields(TraceRecord):
+                assert _same_cell(getattr(packed, f.name), getattr(built, f.name)), (built.t, f.name)
+
+    def test_special_floats_read_back_the_same(self):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+        built = [
+            TraceRecord(t=i, is_sync=i % 2 == 0, dist_x_sq=v, dist_y_sq=None if i % 3 else -v,
+                        grad_norm_F=None, est_err_x=v, est_err_y=-v, consensus_x=v, objective=v,
+                        auc=v if i % 2 else None, sfo=2**52 + i, comm=i, consensus_y=v)
+            for i, v in enumerate(specials)
+        ]
+        table = TraceTable.pack(built)
+        assert len(table) == len(built)
+        for got, want in zip(table, built):
+            for f in fields(TraceRecord):
+                assert _same_cell(getattr(got, f.name), getattr(want, f.name)), f.name
+        assert TraceTable.pack([]).columns.shape == (len(fields(TraceRecord)), 0)
+
+    def test_indices_and_slices(self):
+        built = [TraceRecord(t=t, is_sync=False, dist_x_sq=None, dist_y_sq=None, grad_norm_F=float(t),
+                             est_err_x=0.5, est_err_y=0.25, consensus_x=1.0, objective=-1.0, auc=None,
+                             sfo=2 * t, comm=0) for t in range(1, 8)]
+        table = TraceTable.pack(built)
+        for i in range(-7, 7):
+            assert table[i] == built[i]
+        for sl in (slice(None), slice(2, 5), slice(None, -1), slice(-3, None), slice(None, None, -2), slice(9, 12)):
+            assert table[sl] == built[sl]
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                table[i]
+        assert list(table) == built and table.index(built[3]) == 3 and built[-1] in table
+
+    def test_records_stay_assignable(self, trace):
+        # perfbench's tamper test edits a trace this way
+        copy = replace(trace)
+        records = copy.records
+        copy.records = records[:-1] + [replace(records[-1], sfo=records[-1].sfo + 2)]
+        assert isinstance(copy.records, list) and len(copy.records) == len(records)
+        assert copy.final().sfo == trace.final().sfo + 2
+        assert copy.records[:-1] == list(trace.records)[:-1]
+
+    def test_one_trace_retains_at_most_64_kb(self):
+        # perfbench keeps every repeat's trace; auc-imbalanced at T = 400 is
+        # its largest, and held about 133 KB as a list of records
+        cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        tracemalloc.start()
+        try:
+            trace = fm.run(problem, hp)
+            assert len(trace.records) == 400
+            gc.collect()
+            with_trace = tracemalloc.get_traced_memory()[0]
+            del trace  # what this frees is what the trace held
+            gc.collect()
+            retained = with_trace - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 64 * 1024, retained

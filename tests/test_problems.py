@@ -639,6 +639,25 @@ class TestStackedOracle:
                 gx, gy = inst.grad_stoch_rows(ks, items, X[half], Y[half])
                 assert np.array_equal(GX[half], gx) and np.array_equal(GY[half], gy)
 
+    @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
+    def test_exact_oracle_on_stacked_k_row_blocks_equals_one_call_per_block_bitwise(self, case):
+        # the recorder evaluates the clients' points and (x_bar, y*) tiled in
+        # one call on 2K rows; row i belongs to client i mod K
+        make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
+        inst = make()
+        K = inst.K
+        rng = np.random.default_rng(43)
+        for n in (2, 2, 2, 3):
+            X = 2.0 * rng.standard_normal((n * K, inst.d))
+            Y = 2.0 * rng.standard_normal((n * K, inst.p))
+            X[K:2 * K], Y[K:2 * K] = X[K], Y[K]  # one shared point, as the recorder tiles it
+            GX, GY = inst.grad_full_all(X, Y)
+            assert GX.shape == X.shape and GY.shape == Y.shape
+            for b in range(n):
+                rows = slice(b * K, (b + 1) * K)
+                gx, gy = inst.grad_full_all(X[rows], Y[rows])
+                assert np.array_equal(GX[rows], gx) and np.array_equal(GY[rows], gy)
+
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_sigma_estimate_equals_per_item_loop_bitwise(self, case):
         inst = STACKED_CASES[case]()
