@@ -6,9 +6,10 @@ averages iterates and gradient estimates, regenerates the diagonal
 preconditioners, takes one preconditioned interpolated step and broadcasts
 everything back) with purely local steps (each client moves with its own
 estimates, then refreshes them with one fresh sample using the recursive
-variance-reduced rule). Client state is stacked, one row per client. Each
-client draws its items for a round's q - 1 local steps in one call, at the
-sync (or initialization) that opens the round.
+variance-reduced rule). Client state is stacked, one row per client.
+Initialization draws every item a client samples in the whole run, as one
+(rounds, q - 1) slice of the item table per client, after its q
+initialization items; syncs draw nothing.
 
 Variants share this skeleton:
 
@@ -173,16 +174,16 @@ class HyperParams:
 
 @dataclass
 class Clients:
-    """All K clients, one row each. Client k samples its n[k] items with
-    rngs[k]; items[k, j] is its item at local step j + 1 of the round."""
+    """All K clients, one row each. items is the whole run's item table,
+    shape (K, rounds, q - 1): items[k, r, j] is client k's item at local
+    step r * q + j + 1, the j-th step of round r (the steps after sync r * q,
+    or after initialization for r = 0)."""
 
     X: np.ndarray
     Y: np.ndarray
     W: np.ndarray  # x-side gradient estimates
     V: np.ndarray  # y-side gradient estimates
-    rngs: list[np.random.Generator] = field(repr=False)
-    n: np.ndarray = field(repr=False)  # dataset sizes, shape (K,)
-    items: np.ndarray = field(repr=False)  # (K, q - 1) item table of the round
+    items: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -200,10 +201,20 @@ def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(K)]
 
 
-def _draw_round(rngs: list[np.random.Generator], n: np.ndarray, q: int) -> np.ndarray:
-    """The next round's (K, q - 1) item table, one call per client: bitwise
-    the draws of one call per local step (see core). Items past T go unread."""
-    return np.stack([rng.integers(n_k, size=q - 1) for rng, n_k in zip(rngs, n)])
+# Items per rng.integers call while drawing the item table.
+_ITEM_CHUNK = 2**16
+
+
+def _draw_items(rngs: list[np.random.Generator], n: np.ndarray, q: int, rounds: int) -> np.ndarray:
+    """The (K, rounds, q - 1) item table: client k's items in draw order, a
+    chunk of whole rounds (at most _ITEM_CHUNK items) per call; bitwise the
+    draws of one rng.integers(n_k) call per local step (see core)."""
+    items = np.empty((len(rngs), rounds, q - 1), dtype=np.int64)
+    step = max(1, _ITEM_CHUNK // max(1, q - 1))
+    for k, (rng, n_k) in enumerate(zip(rngs, n)):
+        for r in range(0, rounds, step):
+            items[k, r:r + step] = rng.integers(n_k, size=items[k, r:r + step].shape)
+    return items
 
 
 def initial_point(problem: ProblemInstance, hp: HyperParams) -> tuple[Vector, Vector]:
@@ -223,7 +234,8 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     point (sampled without replacement), costing 2q gradient evaluations.
     The initial matrices come from the variant's generation rule applied to
     the averaged initial estimates with a zero accumulator (identity for
-    the non-adaptive variants).
+    the non-adaptive variants). Each client's generator then draws the item
+    table of all ceil(T / q) rounds that hold local steps, and nothing else.
     """
     K = problem.K
     rngs = _spawn_rngs(hp.seed, K)
@@ -243,7 +255,7 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
         GX, GY = problem.grad_stoch_rows(ks, items[:, j], X, Y)
         W += GX
         V += GY
-    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, rngs=rngs, n=n, items=_draw_round(rngs, n, hp.q))
+    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, items=_draw_items(rngs, n, hp.q, -(-hp.T // hp.q)))
 
     counters = Counters()
     counters.add_sfo(2 * hp.q)
@@ -268,8 +280,8 @@ def local_step(
 
     Order: preconditioned ascent proposal on y and descent proposal on x,
     interpolated by eta_t (y projected); then one fresh sample per client
-    (column t % q - 1 of the item table) refreshes both estimates, from one
-    oracle call on 2K rows: the new points, then the old points.
+    (items[:, t // q, t % q - 1]) refreshes both estimates, from one oracle
+    call on 2K rows: the new points, then the old points.
     """
     if t % hp.q == 0:
         raise ValueError(f"t={t} is a sync index (q={hp.q})")
@@ -284,7 +296,7 @@ def local_step(
     X_new = X + eta_t * (X_hat - X)
 
     ks = np.arange(K)
-    items = clients.items[:, t % hp.q - 1]
+    items = clients.items[:, t // hp.q, t % hp.q - 1]
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
         GX_new, GY_new = problem.grad_stoch_rows(ks, items, X_new, Y_new)
         W_new = hp.beta_m * W + GX_new
@@ -311,7 +323,8 @@ def sync_step(
     Averages (v, w, y, x) in fixed client order, regenerates the matrices,
     takes the server's preconditioned interpolated step, and broadcasts the
     new iterates together with the averaged estimates into every row, so
-    all clients agree bitwise afterwards; then draws the next round's items.
+    all clients agree bitwise afterwards. It draws nothing: the next round's
+    items are already in the item table that initialization drew.
     """
     if t % hp.q != 0:
         raise ValueError(f"t={t} is not a sync index (q={hp.q})")
@@ -337,7 +350,6 @@ def sync_step(
     server.y_bar = y_next
     server.A = A
     server.B = B
-    clients.items = _draw_round(clients.rngs, clients.n, hp.q)
     counters.add_comm()
 
 

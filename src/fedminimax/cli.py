@@ -44,7 +44,7 @@ from .config import (
     render_config,
 )
 from .presets import load_preset, preset_names
-from .problems import SampleRef, grad_full, grad_stoch
+from .problems import grad_full
 
 PROBE_CHECKS = ("pl", "lipschitz", "gradcheck", "unbiased", "constants")
 
@@ -215,12 +215,11 @@ def cmd_probe(args, overrides) -> int:
                 y = rng.standard_normal(problem.p)
                 gx, gy = grad_full(problem, k, x, y)
                 n_k = problem.dataset_size(k)
-                sx = np.zeros_like(gx)
-                sy = np.zeros_like(gy)
-                for item in range(n_k):
-                    a, b = grad_stoch(problem, k, x, y, SampleRef(k, item))
-                    sx += a
-                    sy += b
+                SX, SY = problem.grad_stoch_rows(
+                    np.full(n_k, k), np.arange(n_k), np.tile(x, (n_k, 1)), np.tile(y, (n_k, 1))
+                )
+                # cumsum adds the items in order; sum() would add pairwise.
+                sx, sy = np.cumsum(SX, axis=0)[-1], np.cumsum(SY, axis=0)[-1]
                 worst = max(
                     worst,
                     float(np.linalg.norm(sx / n_k - gx)),

@@ -12,7 +12,10 @@ row:
   the exact oracle on n stacked K-row blocks against one call per block;
 - vec_mean of (K, d_i) blocks side by side, (K, 1) ones included, against
   each block's own vec_mean (cumsum adds each column on its own);
-- Generator.integers(n, size=m) against m integers(n) calls, state included;
+- Generator.integers(n, size=m) against m integers(n) calls, and
+  size=(r, m) against r calls of size m, state included;
+- Generator.standard_normal(size=(n, a + b)) against n pairs of calls of
+  sizes a and b, state included (the probe points of theory);
 - means along axis 1 of stacked (K, n), (K, n, d) and one-item (K, 1, d)
   arrays;
 - np.matmul(X3, W[:, :, None]) against each client's X @ w, one-item

@@ -4,7 +4,8 @@ Metrics are computed with full simulator access (exact gradients,
 closed-form saddle points) even though the algorithms only ever see
 stochastic samples; distance-to-saddle and value-function gradients are
 oracle quantities by nature. The recorder builds one TraceRecord per step;
-run packs them by column into a TraceTable, which reads them back unchanged.
+run packs them by column into a TraceTable, which reads them back unchanged,
+and the CSV is written from that table's columns.
 """
 
 from __future__ import annotations
@@ -54,45 +55,71 @@ _CELL_READERS = {
 _COLUMN_READERS = {f.name: _CELL_READERS[f.type] for f in _FIELDS if f.name in CSV_COLUMNS}
 
 _ROW = attrgetter(*(f.name for f in _FIELDS))
-_EXACT = [(j, {"int": int, "bool": bool}[f.type]) for j, f in enumerate(_FIELDS) if f.type in ("int", "bool")]
+_INTS = [j for j, f in enumerate(_FIELDS) if f.type == "int"]
+_BOOLS = [j for j, f in enumerate(_FIELDS) if f.type == "bool"]
+_FLOATS = [j for j, f in enumerate(_FIELDS) if f.type in ("float", "float | None")]
 _OPTIONAL = [j for j, f in enumerate(_FIELDS) if f.type == "float | None"]
+
+
+def _stored_floats(flags: np.ndarray) -> list[int]:
+    """The float fields a TraceTable stores: all but the optional ones that
+    no record has (read from the table's flags)."""
+    has = dict(zip(_OPTIONAL, flags[len(_BOOLS):].any(axis=1).tolist()))
+    return [j for j in _FLOATS if has.get(j, True)]
 
 
 @dataclass(slots=True, eq=False)
 class TraceTable(Sequence[TraceRecord]):
-    """TraceRecords packed by column: columns[j] holds field j of every
-    record as float64 (bools and ints up to 2**53 exactly), and present[i]
-    marks the records whose i-th optional field is not None. A row reads
-    back as its TraceRecord, a slice as a list of them."""
+    """TraceRecords packed by column into few bytes, every bit kept:
 
-    columns: np.ndarray
-    present: np.ndarray
+    - ints: the int fields, as rows of the smallest integer dtype that holds
+      every value;
+    - flags: the bool fields, then one row per optional field that marks the
+      records that have it;
+    - floats: the float fields in field order as float64 rows (NaN where a
+      record lacks the field), less the optional fields no record has.
+
+    A row reads back as its TraceRecord, a slice as a list of them, and
+    column(j) gives field j of every record."""
+
+    ints: np.ndarray
+    flags: np.ndarray
+    floats: np.ndarray
 
     @classmethod
     def pack(cls, records: Sequence[TraceRecord]) -> TraceTable:
-        rows = list(map(_ROW, records))  # None packs as NaN; present tells the two apart
-        present = [[row[j] is not None for j in _OPTIONAL] for row in rows]
-        return cls(np.array(rows, float).reshape(-1, len(_FIELDS)).T,
-                   np.array(present, bool).reshape(-1, len(_OPTIONAL)).T)
+        cols = list(zip(*map(_ROW, records))) or [()] * len(_FIELDS)
+        flags = np.array([cols[j] for j in _BOOLS] + [[v is not None for v in cols[j]] for j in _OPTIONAL], bool)
+        ints = np.array([cols[j] for j in _INTS], np.int64)
+        if ints.size:
+            ints = ints.astype(np.result_type(np.min_scalar_type(ints.min()), np.min_scalar_type(ints.max())))
+        # None packs as NaN; flags tell the two apart
+        return cls(ints, flags, np.array([cols[j] for j in _stored_floats(flags)], float))
 
     def __len__(self) -> int:
-        return self.columns.shape[1]
+        return self.flags.shape[1]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return self._record(self.columns[:, i].tolist(), self.present[:, i].tolist())
+        rows = list(zip(*map(self.column, range(len(_FIELDS)))))
+        return [TraceRecord(*row) for row in rows[i]] if isinstance(i, slice) else TraceRecord(*rows[i])
 
     def __iter__(self):
-        return map(self._record, self.columns.T.tolist(), self.present.T.tolist())
+        return map(TraceRecord, *map(self.column, range(len(_FIELDS))))
 
-    @staticmethod
-    def _record(cells: list, present: list[bool]) -> TraceRecord:
-        for j, read in _EXACT:
-            cells[j] = read(cells[j])
-        for j, has in zip(_OPTIONAL, present):
-            cells[j] = cells[j] if has else None
-        return TraceRecord(*cells)
+    def column(self, j: int) -> list:
+        """Field j of every record as Python values, None where absent."""
+        if j in _INTS:
+            return self.ints[_INTS.index(j)].tolist()
+        if j in _BOOLS:
+            return self.flags[_BOOLS.index(j)].tolist()
+        stored = _stored_floats(self.flags)
+        if j not in stored:
+            return [None] * len(self)
+        values = self.floats[stored.index(j)].tolist()
+        if j in _OPTIONAL:
+            has = self.flags[len(_BOOLS) + _OPTIONAL.index(j)].tolist()
+            values = [v if h else None for v, h in zip(values, has)]
+        return values
 
 
 @dataclass
@@ -240,13 +267,24 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+# How a cell prints, by its column's declared type; a missing cell is empty.
+_CELL_WRITERS = {
+    "int": str,
+    "bool": lambda v: "1" if v else "0",
+    "float": lambda v: format(v, ".17g"),
+    "float | None": lambda v: "" if v is None else format(v, ".17g"),
+}
+_CSV_WRITERS = [(j, _CELL_WRITERS[f.type]) for j, f in enumerate(_FIELDS) if f.name in CSV_COLUMNS]
+
+
 def emit_csv(trace: RunTrace, path, config_hash: str | None = None) -> None:
     """Write the trace with the fixed column schema; unavailable fields are
-    empty cells, floats carry 17 significant digits (round-trip exact)."""
-    lines = [",".join(CSV_COLUMNS)]
-    cells = attrgetter(*CSV_COLUMNS)
-    for r in trace.records:
-        lines.append(",".join(map(_fmt, cells(r))))
+    empty cells, floats carry 17 significant digits (round-trip exact).
+    Cells are formatted a column at a time, from the trace's TraceTable (a
+    list of records is packed into one first)."""
+    table = trace.records if isinstance(trace.records, TraceTable) else TraceTable.pack(trace.records)
+    columns = [list(map(write, table.column(j))) for j, write in _CSV_WRITERS]
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
     if config_hash is not None:
         lines.append(f"# config_sha256={config_hash}")
     with open(path, "w") as fh:

@@ -158,7 +158,7 @@ class DatasetProblem(ProblemInstance):
                 np.stack([self.clients_X[k] for k in ks]),
                 np.stack([self.clients_y[k] for k in ks]),
             ))
-        self._tiled = {1: self._blocks}
+        self._tiled = (1, self._blocks)
 
     @abstractmethod
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
@@ -187,12 +187,20 @@ class DatasetProblem(ProblemInstance):
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = len(X) // self.K
-        if n not in self._tiled:  # each size block's rows in all n K-row blocks, its data tiled to match
-            self._tiled[n] = [((ks + self.K * np.arange(n)[:, None]).ravel(), np.tile(Xs, (n, 1, 1)),
-                               np.tile(labs, (n, 1))) for ks, Xs, labs in self._blocks]
+        # Each size block's rows in all n K-row blocks, its data tiled to
+        # match; only the last block count's tiles are kept, so an instance
+        # holds at most one tiled copy of its data besides the data itself.
+        if n == 1:
+            tiles = self._blocks
+        elif self._tiled[0] == n:
+            tiles = self._tiled[1]
+        else:
+            tiles = [((ks + self.K * np.arange(n)[:, None]).ravel(), np.tile(Xs, (n, 1, 1)),
+                      np.tile(labs, (n, 1))) for ks, Xs, labs in self._blocks]
+            self._tiled = (n, tiles)
         GX = np.empty((len(X), self.d))
         GY = np.empty((len(X), self.p))
-        for rows, Xs, labs in self._tiled[n]:
+        for rows, Xs, labs in tiles:
             GX[rows], GY[rows] = self._grad_block(Xs, labs, X[rows], Y[rows])
         return GX, GY
 

@@ -320,40 +320,54 @@ def grad_check(inst: ProblemInstance, k: int, x: Vector, y: Vector, h: float = 1
     return err / scale
 
 
+def _draw_probes(inst: ProblemInstance, n_points: int, rng, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """n_points probe points as stacked (n_points, d) and (n_points, p)
+    arrays, bitwise the draws of a loop that draws x and then y per point."""
+    Z = scale * rng.standard_normal((n_points, inst.d + inst.p))
+    return Z[:, :inst.d], Z[:, inst.d:]
+
+
+# Probe points per exact-oracle call of the heterogeneity probe (5K rows).
+_PROBE_CHUNK = 5
+
+
 def _max_pairwise_distance(G: np.ndarray) -> float:
-    """Largest Euclidean distance between two rows of G, one row against
-    all later rows at a time (bitwise equal to np.linalg.norm per pair)."""
+    """Largest Euclidean distance between two rows of one (K, m) slice of a
+    (B, K, m) stack: each row against all later rows of every slice at a time
+    (bitwise the max of np.linalg.norm per pair, as max and sqrt are exact)."""
     worst = 0.0
-    for a in range(G.shape[0] - 1):
-        worst = max(worst, float(np.sqrt(row_dots(G[a] - G[a + 1:]).max())))
+    for a in range(G.shape[1] - 1):
+        worst = max(worst, float(np.sqrt(row_dots(G[:, a:a + 1] - G[:, a + 1:]).max())))
     return worst
 
 
 def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple[float, float]:
+    K = inst.K
+    X, Y = _draw_probes(inst, n_samples, rng, scale=2.0)
     dx = dy = 0.0
-    for _ in range(n_samples):
-        x = 2.0 * rng.standard_normal(inst.d)
-        y = 2.0 * rng.standard_normal(inst.p)
-        GX, GY = inst.grad_full_all(np.tile(x, (inst.K, 1)), np.tile(y, (inst.K, 1)))
-        dx = max(dx, _max_pairwise_distance(GX))
-        dy = max(dy, _max_pairwise_distance(GY))
+    for i in range(0, n_samples, _PROBE_CHUNK):
+        x, y = X[i:i + _PROBE_CHUNK], Y[i:i + _PROBE_CHUNK]
+        GX, GY = inst.grad_full_all(np.repeat(x, K, axis=0), np.repeat(y, K, axis=0))
+        dx = max(dx, _max_pairwise_distance(GX.reshape(len(x), K, -1)))
+        dy = max(dy, _max_pairwise_distance(GY.reshape(len(y), K, -1)))
     return dx, dy
 
 
 def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
+    # One stochastic call per probe on every client's items, in client order.
+    sizes = [inst.dataset_size(k) for k in range(inst.K)]
+    ks = np.repeat(np.arange(inst.K), sizes)
+    items = np.concatenate([np.arange(n_k) for n_k in sizes])
     worst = 0.0
-    for _ in range(max(1, n_samples // 10)):
-        x = 2.0 * rng.standard_normal(inst.d)
-        y = 2.0 * rng.standard_normal(inst.p)
-        for k in range(inst.K):
+    for x, y in zip(*_draw_probes(inst, max(1, n_samples // 10), rng, scale=2.0)):
+        SX, SY = inst.grad_stoch_rows(ks, items, np.tile(x, (len(ks), 1)), np.tile(y, (len(ks), 1)))
+        start = 0
+        for k, n_k in enumerate(sizes):
             gx, gy = grad_full(inst, k, x, y)
-            n_k = inst.dataset_size(k)
-            SX, SY = inst.grad_stoch_rows(
-                np.full(n_k, k), np.arange(n_k), np.tile(x, (n_k, 1)), np.tile(y, (n_k, 1))
-            )
-            sq = row_dots(SX - gx) + row_dots(SY - gy)
+            sq = row_dots(SX[start:start + n_k] - gx) + row_dots(SY[start:start + n_k] - gy)
             # cumsum adds in item order; sum() would add pairwise.
             worst = max(worst, float(np.cumsum(sq)[-1]) / n_k)
+            start += n_k
     return math.sqrt(worst)
 
 
@@ -387,49 +401,55 @@ def estimate_constants(inst: ProblemInstance, n_samples: int, seed: int,
     )
 
 
-def _robust_hessians(Xk: np.ndarray, labk: np.ndarray, w: Vector, rho_v: Vector) -> np.ndarray:
-    """Per-item Hessians (n_k, 2d, 2d) of loss(w.(x+rho)) in (w, rho) over
-    one client's items: l'' u u^T + l' J with u = (x+rho, w)."""
-    d = len(w)
-    Xr = Xk + rho_v
-    W = np.tile(w, (len(Xk), 1))
-    ez = expit(-labk * row_dots(Xr, W))
-    lpp = ez * (1.0 - ez)
-    lp = -labk * ez
-    U = np.concatenate([Xr, W], axis=1)
-    H = lpp[:, None, None] * (U[:, :, None] * U[:, None, :])
-    H[:, :d, d:] += lp[:, None, None] * np.eye(d)
-    H[:, d:, :d] += lp[:, None, None] * np.eye(d)
-    return H
+def _robust_curvatures(Xr: np.ndarray, lab: np.ndarray, w: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """l' and l'' of the logistic loss at each item's margin w.(x + rho),
+    Xr holding the rows x + rho; the sigmoid is libm's (core.expit)."""
+    ez = expit(-lab * row_dots(Xr, np.tile(w, (len(Xr), 1))))
+    return -lab * ez, ez * (1.0 - ez)
+
+
+def _robust_hessian_norms(Xr: np.ndarray, lab: np.ndarray, w: Vector) -> np.ndarray:
+    """Spectral norm of each item's Hessian of loss(w.(x+rho)) in (w, rho),
+    Xr holding the rows a = x + rho (closed form: see _estimate_robust_L_f)."""
+    lp, lpp = _robust_curvatures(Xr, lab, w)
+    W = np.tile(w, (len(Xr), 1))
+    s = lpp * row_dots(Xr + W) / 4.0
+    t = lpp * row_dots(Xr - W) / 4.0
+    return s + t + np.sqrt((s - t + lp) ** 2 + 4.0 * s * t)
 
 
 def _estimate_robust_L_f(inst: RobustProblem, n_samples: int, rng) -> float:
-    # Spectral norm of the per-item Hessians sampled over points and items,
-    # one batched eigvalsh per client.
-    worst = 0.0
-    for _ in range(max(1, n_samples // 10)):
-        w = rng.standard_normal(inst.d)
-        rho_v = inst.y_constraint.project(rng.standard_normal(inst.p))
-        for Xk, labk in zip(inst.clients_X, inst.clients_y):
-            H = _robust_hessians(Xk, labk, w, rho_v)
-            worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
-    return worst
+    """Largest spectral norm of the per-item Hessians over sampled (w, rho)
+    and every item, within a few ulp of np.linalg.eigvalsh on each one.
+
+    Each is H = l''uu^T + l'J, u = (a, w), a = x + rho, J = [[0, I], [I, 0]].
+    In the frame (a+w, a+w), (a-w, w-a) of J's eigenvectors, H on span{u, Ju}
+    is l''[p m]^T[p m] + l'diag(1, -1), p^2 = |a+w|^2/2, m^2 = |a-w|^2/2: with
+    s = l''p^2/2, t = l''m^2/2 >= 0, its eigenvalues are s + t +- sqrt((s - t
+    + l')^2 + 4st), and the + root also bounds H = l'J's +-l' off that span.
+    """
+    X, lab = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
+    W, R = _draw_probes(inst, max(1, n_samples // 10), rng, scale=1.0)
+    R = inst.y_constraint.project(R)
+    return max(float(_robust_hessian_norms(X + rho_v, lab, w).max()) for w, rho_v in zip(W, R))
 
 
 def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
     # Sampled surrogate for a gradient-growth constant. The robust family's
     # inner problem is convex, not concave, so no true constant exists; this
     # is a nominal estimate for record-keeping, floored away from zero.
+    # Each probe draws x and then its 8 y's; one exact call on 8K rows gives
+    # every y's global_grad (each K-row block's vec_mean).
+    K, p = inst.K, inst.p
+    Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
     best = math.inf
-    for _ in range(max(2, n_samples // 5)):
-        x = rng.standard_normal(inst.d)
-        ys = [inst.y_constraint.project(rng.standard_normal(inst.p)) for _ in range(8)]
-        vals = [inst.global_value(x, y) for y in ys]
-        f_best = max(vals)
-        for y, val in zip(ys, vals):
-            gap = f_best - val
-            if gap <= 1e-12:
-                continue
-            _, gy = inst.global_grad(x, y)
-            best = min(best, float(gy @ gy) / (2.0 * gap))
+    for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
+        ys = inst.y_constraint.project(ys)
+        vals = np.array([inst.global_value(x, y) for y in ys])
+        gaps = vals.max() - vals
+        _, GY = inst.grad_full_all(np.tile(x, (8 * K, 1)), np.repeat(ys, K, axis=0))
+        gy = np.cumsum(GY.reshape(8, K, p), axis=1)[:, -1] / K
+        due = gaps > 1e-12
+        if due.any():
+            best = min(best, float((row_dots(gy[due]) / (2.0 * gaps[due])).min()))
     return max(1e-6, 0.0 if math.isinf(best) else best)

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 import fedminimax as fm
+from fedminimax import algorithms
 from fedminimax.algorithms import (
     VARIANT_ADAFGDA_ADABELIEF,
     VARIANT_ADAFGDA_ADAM,
@@ -191,10 +192,15 @@ ITEM_TABLE_CASES = {
 class TestItemTable:
     @pytest.mark.parametrize("case", sorted(ITEM_TABLE_CASES))
     @pytest.mark.parametrize("q", [1, 2, 5])
-    def test_columns_equal_per_step_sequential_draws(self, case, q):
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_columns_equal_per_step_sequential_draws(self, case, q, chunk, monkeypatch):
         # The client-stream contract: after the q init items, client k's
-        # local step t samples one rng.integers(n_k) call. T = 13 leaves a
-        # partial last round for q = 2 and q = 5.
+        # local step t samples one rng.integers(n_k) call, read from
+        # items[k, t // q, t % q - 1]. T = 13 leaves a partial last round for
+        # q = 2 and q = 5; chunk = 3 draws the table in several calls per
+        # client (one round per call at q = 5).
+        if chunk is not None:
+            monkeypatch.setattr(algorithms, "_ITEM_CHUNK", chunk)
         inst = ITEM_TABLE_CASES[case]()
         hp = HyperParams(T=13, q=q, seed=4, variant=VARIANT_FGDA, gamma=0.01, lam=0.01)
         sizes = [inst.dataset_size(k) for k in range(inst.K)]
@@ -203,17 +209,30 @@ class TestItemTable:
             rng.choice(n_k, size=q, replace=False)
 
         clients, server, counters = init_round(inst, hp)
-        assert clients.items.shape == (inst.K, q - 1)
+        table = clients.items.copy()
+        assert table.shape == (inst.K, -(-hp.T // q), q - 1)
         checked = 0
         for t in range(1, hp.T + 1):
             if t % q == 0:
                 sync_step(inst, hp, t, clients, server, counters)
+                assert np.array_equal(clients.items, table)  # a sync draws nothing
                 continue
             expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, sizes)]
-            assert clients.items[:, t % q - 1].tolist() == expected
+            assert clients.items[:, t // q, t % q - 1].tolist() == expected
             clients = local_step(inst, hp, t, clients, server.A, server.B)
             checked += 1
         assert checked == hp.T - hp.T // q
+
+    def test_table_of_several_full_size_chunks_equals_one_flat_draw(self):
+        # 65,538 rounds of one item: two chunks of at most 2**16 items each
+        q, rounds, sizes = 2, 2**16 + 2, np.array([7, 2**31 + 5])
+        assert rounds * (q - 1) > algorithms._ITEM_CHUNK
+        seeds = np.random.SeedSequence(9).spawn(len(sizes))
+        table = algorithms._draw_items([np.random.default_rng(c) for c in seeds], sizes, q, rounds)
+        assert table.shape == (len(sizes), rounds, q - 1)
+        for row, c, n_k in zip(table, seeds, sizes):
+            flat = np.random.default_rng(c).integers(n_k, size=rounds * (q - 1))
+            assert np.array_equal(row.ravel(), flat)
 
     @pytest.mark.parametrize("n", [1, 7, 40, 57, 100, 2**31 + 5])
     def test_numpy_batched_integers_equal_sequential_calls(self, n):
@@ -225,6 +244,14 @@ class TestItemTable:
             values = batched.integers(n, size=m)
             assert values.tolist() == [int(sequential.integers(n)) for _ in range(m)]
             assert batched.bit_generator.state == sequential.bit_generator.state
+        # a (rounds, q - 1) table against one call per round and one per item
+        for rounds, width in ((1, 1), (13, 4), (7, 19), (3, 0)):
+            batched, per_round, per_item = (np.random.default_rng(n + rounds * width) for _ in range(3))
+            table = batched.integers(n, size=(rounds, width))
+            assert table.shape == (rounds, width)
+            assert table.tolist() == [per_round.integers(n, size=width).tolist() for _ in range(rounds)]
+            assert table.ravel().tolist() == [int(per_item.integers(n)) for _ in range(rounds * width)]
+            assert batched.bit_generator.state == per_round.bit_generator.state == per_item.bit_generator.state
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,22 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
 - Two configs whose clients hold datasets of different sizes.
 - The three benchmark workload configs at seed 1, emitted the way
   `fedmm run` emits them (config-hash line included); these match the
-  digests printed by `perfbench/run.py`.
+  digests printed by `perfbench/run.py`. They are also computed in two
+  fresh processes, with OpenBLAS held to one thread and to two.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import fedminimax
 
 from fedminimax import algorithms, metrics
 from fedminimax.config import apply_overrides, render_config
@@ -138,3 +146,25 @@ def test_ragged_partition_digest(name, tmp_path):
 def test_benchmark_workload_digest(name, tmp_path):
     preset, overrides, digest = WORKLOADS[name]
     assert _csv_digest(preset, overrides, tmp_path, with_hash=True) == digest
+
+
+_WORKLOAD_DIGESTS = """
+import json, pathlib, sys
+from test_golden_traces import WORKLOADS, _csv_digest
+out = pathlib.Path(sys.argv[1])
+print(json.dumps({name: _csv_digest(p, o, out, with_hash=True) for name, (p, o, _) in WORKLOADS.items()}))
+"""
+
+
+def test_benchmark_workload_digests_hold_at_one_and_two_blas_threads(tmp_path):
+    # core.py's claim: bit-reproducible across thread counts. The variable
+    # must be set before numpy loads, hence one fresh process per count.
+    path = os.pathsep.join([str(Path(fedminimax.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", _WORKLOAD_DIGESTS, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(json.loads(done.stdout))
+    assert digests[0] == digests[1] == {name: digest for name, (_, _, digest) in WORKLOADS.items()}

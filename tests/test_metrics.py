@@ -411,7 +411,23 @@ class TestTraceTable:
         for got, want in zip(table, built):
             for f in fields(TraceRecord):
                 assert _same_cell(getattr(got, f.name), getattr(want, f.name)), f.name
-        assert TraceTable.pack([]).columns.shape == (len(fields(TraceRecord)), 0)
+        empty = TraceTable.pack([])
+        assert len(empty) == 0 and list(empty) == [] and empty[:] == []
+        assert all(empty.column(j) == [] for j in range(len(fields(TraceRecord))))
+
+    def test_packs_ints_narrow_and_leaves_out_fields_no_record_has(self):
+        built = [TraceRecord(t=t, is_sync=t % 3 == 0, dist_x_sq=None, dist_y_sq=None,
+                             grad_norm_F=None if t % 3 else float(t), est_err_x=0.5, est_err_y=0.25,
+                             consensus_x=1.0, objective=-1.0, auc=None, sfo=2 * t, comm=t // 3)
+                 for t in range(1, 300)]
+        table = TraceTable.pack(built)
+        names = [f.name for f in fields(TraceRecord)]
+        assert table.ints.dtype == np.uint16
+        # stored: grad_norm_F and the four required floats (consensus_y is unset)
+        assert table.floats.shape == (5, len(built))
+        assert table.column(names.index("auc")) == [None] * len(built)
+        assert table.column(names.index("grad_norm_F")) == [r.grad_norm_F for r in built]
+        assert list(table) == built
 
     def test_indices_and_slices(self):
         built = [TraceRecord(t=t, is_sync=False, dist_x_sq=None, dist_y_sq=None, grad_norm_F=float(t),
@@ -436,9 +452,10 @@ class TestTraceTable:
         assert copy.final().sfo == trace.final().sfo + 2
         assert copy.records[:-1] == list(trace.records)[:-1]
 
-    def test_one_trace_retains_at_most_64_kb(self):
+    def test_one_trace_retains_at_most_36_kb(self):
         # perfbench keeps every repeat's trace; auc-imbalanced at T = 400 is
-        # its largest, and held about 133 KB as a list of records
+        # its largest: about 133 KB as a list of records, 45 KB as one
+        # float64 row per field, 29 KB with narrow ints and no absent fields
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         tracemalloc.start()
@@ -452,4 +469,4 @@ class TestTraceTable:
             retained = with_trace - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained <= 64 * 1024, retained
+        assert retained <= 36 * 1024, retained

@@ -8,7 +8,13 @@ from scipy.special import expit
 
 import fedminimax as fm
 from fedminimax.problems import PROBLEMS, EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
-from fedminimax.theory import _estimate_robust_L_f, _estimate_sigma, _robust_hessians, estimate_constants
+from fedminimax.theory import (
+    _estimate_robust_L_f,
+    _estimate_sigma,
+    _robust_curvatures,
+    _robust_hessian_norms,
+    estimate_constants,
+)
 
 from conftest import fd_grad, numeric_inner_max
 
@@ -581,28 +587,56 @@ class TestStackedOracle:
         assert inst.lipschitz_L_f == _plain_auc_L_f(inst)
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
-    def test_robust_lipschitz_estimate_equals_per_item_hessian_loop_bitwise(self, case):
+    def test_robust_lipschitz_estimate_matches_per_item_hessian_loop(self, case):
+        # The closed form is not eigvalsh's arithmetic: equal within a few ulp.
         inst = STACKED_CASES[case]()
         for seed in range(5):
             got = _estimate_robust_L_f(inst, 30, np.random.default_rng(seed))
-            assert got == _plain_robust_L_f(inst, 30, np.random.default_rng(seed))
+            assert got == pytest.approx(_plain_robust_L_f(inst, 30, np.random.default_rng(seed)), rel=1e-13)
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
-    def test_robust_hessian_stack_and_its_eigenvalues_equal_per_item_bitwise(self, case):
-        # catches np.exp in place of math.exp (which differs on a few
-        # inputs in a hundred) and a batched eigvalsh that is not per matrix
+    def test_robust_hessian_norms_equal_per_item_largest_eigenvalue(self, case):
         inst = STACKED_CASES[case]()
         rng = np.random.default_rng(53)
         for _ in range(3):
             w = rng.standard_normal(inst.d)
             rho_v = inst.y_constraint.project(rng.standard_normal(inst.p))
             for k in range(inst.K):
-                H = _robust_hessians(inst.clients_X[k], inst.clients_y[k], w, rho_v)
-                eig = np.linalg.eigvalsh(H)
+                norms = _robust_hessian_norms(inst.clients_X[k] + rho_v, inst.clients_y[k], w)
+                for got, xi, lab in zip(norms, inst.clients_X[k], inst.clients_y[k]):
+                    ref = float(np.abs(np.linalg.eigvalsh(_plain_robust_hessian(xi, lab, w, rho_v))).max())
+                    assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
+    def test_robust_curvatures_come_from_libm_exp_bitwise(self, case):
+        # catches np.exp in place of math.exp, which differs on a few inputs
+        # in a hundred
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(59)
+        for _ in range(3):
+            w = rng.standard_normal(inst.d)
+            rho_v = inst.y_constraint.project(rng.standard_normal(inst.p))
+            for k in range(inst.K):
+                lp, lpp = _robust_curvatures(inst.clients_X[k] + rho_v, inst.clients_y[k], w)
                 for i, (xi, lab) in enumerate(zip(inst.clients_X[k], inst.clients_y[k])):
-                    Hi = _plain_robust_hessian(xi, lab, w, rho_v)
-                    assert np.array_equal(H[i], Hi)
-                    assert np.array_equal(eig[i], np.linalg.eigvalsh(Hi))
+                    ez = 1.0 / (1.0 + math.exp(lab * float((xi + rho_v) @ w)))
+                    assert (lp[i], lpp[i]) == (-lab * ez, ez * (1.0 - ez))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_robust_hessian_norms_at_d1_and_where_u_is_parallel_to_Ju(self, d):
+        # d = 1: span{u, Ju} is the whole space. a = x + rho = +-w: u and Ju
+        # are parallel and the span is a line; a = w = 0: H = l'J.
+        rng = np.random.default_rng(61 + d)
+        pairs = [(2.0 * rng.standard_normal(d), rng.standard_normal(d)) for _ in range(30)]
+        for _ in range(15):
+            w = rng.uniform(0.05, 3.0) * rng.standard_normal(d)
+            pairs += [(w.copy(), w), (-w, w)]
+        pairs.append((np.zeros(d), np.zeros(d)))
+        for a, w in pairs:
+            for lab in (1.0, -1.0):
+                got = float(_robust_hessian_norms(a[None], np.array([lab]), w)[0])
+                ref = float(np.abs(np.linalg.eigvalsh(_plain_robust_hessian(a, lab, w, np.zeros(d)))).max())
+                assert got == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_stochastic_rows_equal_plain_per_sample_formulas_bitwise(self, case):
@@ -642,12 +676,14 @@ class TestStackedOracle:
     @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
     def test_exact_oracle_on_stacked_k_row_blocks_equals_one_call_per_block_bitwise(self, case):
         # the recorder evaluates the clients' points and (x_bar, y*) tiled in
-        # one call on 2K rows; row i belongs to client i mod K
+        # one call on 2K rows, the constants' probes on 5K and 8K rows; row i
+        # belongs to client i mod K. A dataset family keeps one block count's
+        # tiled data, so the sequence also re-tiles after each change.
         make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
         inst = make()
         K = inst.K
         rng = np.random.default_rng(43)
-        for n in (2, 2, 2, 3):
+        for n in (2, 2, 2, 3, 5, 8, 2):
             X = 2.0 * rng.standard_normal((n * K, inst.d))
             Y = 2.0 * rng.standard_normal((n * K, inst.p))
             X[K:2 * K], Y[K:2 * K] = X[K], Y[K]  # one shared point, as the recorder tiles it

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import fedminimax as fm
 from fedminimax.algorithms import HyperParams
+from fedminimax.config import apply_overrides
+from fedminimax.presets import load_preset, preset_names
 from fedminimax.theory import (
     CONSTRAINT_NAMES,
     ConstantSet,
+    _estimate_heterogeneity,
     estimate_constants,
     grad_check,
     pl_slack,
@@ -15,6 +18,8 @@ from fedminimax.theory import (
     validate_theorem1,
     validate_theorem2,
 )
+
+from test_problems import _plain_robust_L_f
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +234,105 @@ class TestEstimateConstants:
         assert c.provenance["L_f"] == "estimated"
         assert c.provenance["mu"] == "estimated"
         assert c.L_f > 0 and c.mu > 0
+
+
+# Every shipped preset, plus K = 100 and two splits whose clients hold
+# datasets of different sizes: (preset, overrides).
+PIN_CONFIGS = {
+    **{name: (name, {}) for name in preset_names()},
+    "synthetic-s1 k=100": ("synthetic-s1", {"problem.k": "100"}),
+    "auc-imbalanced scheme=dirichlet": ("auc-imbalanced", {"problem.scheme": "dirichlet"}),
+    "robust-q6 scheme=dirichlet": ("robust-q6", {"problem.scheme": "dirichlet"}),
+}
+
+# float.hex of (delta_x, delta_y, sigma, mu, L_f) from estimate_constants as
+# `fedmm run` calls it (n_samples=50, the seed's own seed), at seeds 1 and 7,
+# computed with the one-probe-at-a-time loops that the stacked probes
+# replaced. The robust L_f is None: its closed form is checked against
+# eigvalsh below.
+CONSTANT_PINS = {
+    ("auc-imbalanced", 1): ("0x1.d9118e19c9f26p+3", "0x1.943cb57397fd1p+2", "0x1.39e9506643c7cp+4", "0x1.851eb851eb852p-4", "0x1.f6a333fcf095cp+3"),
+    ("auc-imbalanced", 7): ("0x1.661826a9007bap+4", "0x1.d02830634d018p+2", "0x1.57c3b706a9fe4p+4", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba8p+4"),
+    ("robust-q12", 1): ("0x1.28411e4378ae8p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
+    ("robust-q12", 7): ("0x1.673a93569ee3ap+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
+    ("robust-q6", 1): ("0x1.28411e4378ae8p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
+    ("robust-q6", 7): ("0x1.673a93569ee3ap+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
+    ("synthetic-s1", 1): ("0x1.13877754cdd97p+0", "0x1.176e8c61d77c6p+3", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-s1", 7): ("0x1.43af28ba29753p+0", "0x1.d948ed114f342p+2", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-s10", 1): ("0x1.13877754cdd97p+0", "0x1.5bdba6468d95fp+6", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-s10", 7): ("0x1.43af28ba29753p+0", "0x1.0f4d081078312p+6", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-theorem", 1): ("0x1.1db05dee697c7p+0", "0x1.c108d0eb8f00bp+2", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-theorem", 7): ("0x1.43af28ba29753p+0", "0x1.d948ed114f342p+2", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-s1 k=100", 1): ("0x1.2abe86bd70169p+0", "0x1.4b4ed7faa0f4ap+3", "0x1.4c1cf4d396f47p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("synthetic-s1 k=100", 7): ("0x1.5b3fe9d87154bp+0", "0x1.47d77d58cd4e0p+3", "0x1.4b0ad48a85cb2p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
+    ("auc-imbalanced scheme=dirichlet", 1): ("0x1.5e6afee584706p+2", "0x1.572367860cd7ep+1", "0x1.7c8a4c1ba9ee6p+3", "0x1.851eb851eb852p-4", "0x1.f6a333fcf095cp+3"),
+    ("auc-imbalanced scheme=dirichlet", 7): ("0x1.dcd3115ba736ep+2", "0x1.2cfebfa4ae3f4p+1", "0x1.cd16bf47fa9e3p+3", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba8p+4"),
+    ("robust-q6 scheme=dirichlet", 1): ("0x1.22520f972c0e7p+3", "0x1.121c7c599d1ffp+3", "0x1.65f56d1764e20p+2", "0x1.11c3f26cbf921p-17", None),
+    ("robust-q6 scheme=dirichlet", 7): ("0x1.2866137070a66p+3", "0x1.275723735c9dfp+3", "0x1.6b59e9ca8a48fp+2", "0x1.ac9ae72786496p-17", None),
+}
+
+# float.hex of (delta_x, delta_y) from 1 and 7 heterogeneity probes, neither a
+# whole number of probe chunks, at seed 1 with rng default_rng(n_samples).
+HETEROGENEITY_PINS = {
+    ("auc-imbalanced", 1): ("0x1.0894c74e561b4p+3", "0x1.d86c9041f3d8cp+1"),
+    ("auc-imbalanced", 7): ("0x1.8934580f4944dp+2", "0x1.016df1bb8ae9cp+2"),
+    ("robust-q12", 1): ("0x1.11cd95db51b5cp-2", "0x1.90ec925be0ee4p-2"),
+    ("robust-q12", 7): ("0x1.9308201f19792p+0", "0x1.0796088be758ap+1"),
+    ("robust-q6", 1): ("0x1.11cd95db51b5cp-2", "0x1.90ec925be0ee4p-2"),
+    ("robust-q6", 7): ("0x1.9308201f19792p+0", "0x1.0796088be758ap+1"),
+    ("synthetic-s1", 1): ("0x1.e01d9c20bfffbp-1", "0x1.163b62680a551p+3"),
+    ("synthetic-s1", 7): ("0x1.9a13c334ffcf8p-1", "0x1.168d619dfac83p+3"),
+    ("synthetic-s10", 1): ("0x1.e01d9c20bfffbp-1", "0x1.5bcd2c5fda3b0p+6"),
+    ("synthetic-s10", 7): ("0x1.9a13c334ffcf8p-1", "0x1.5bd76644e7e79p+6"),
+    ("synthetic-theorem", 1): ("0x1.f1d1bcacf2541p-1", "0x1.bb7ce6dafccbap+2"),
+    ("synthetic-theorem", 7): ("0x1.a932c025b80dcp-1", "0x1.d948ed114f342p+2"),
+    ("synthetic-s1 k=100", 1): ("0x1.0448c308d6667p+0", "0x1.49d7d15decd65p+3"),
+    ("synthetic-s1 k=100", 7): ("0x1.bca0f919f73f1p-1", "0x1.4a6b2d840d181p+3"),
+    ("auc-imbalanced scheme=dirichlet", 1): ("0x1.7a12252b08cf8p+1", "0x1.7141dcdad1458p+0"),
+    ("auc-imbalanced scheme=dirichlet", 7): ("0x1.34e9deb351bedp+1", "0x1.7ccdcfd0dfab8p+0"),
+    ("robust-q6 scheme=dirichlet", 1): ("0x1.b363c6a6827e8p-1", "0x1.4c534c54f4cc6p+0"),
+    ("robust-q6 scheme=dirichlet", 7): ("0x1.6820c71ceaebdp+2", "0x1.d5d6d092cd9c1p+2"),
+}
+
+
+def _pin_problem(label: str, seed: int):
+    preset, overrides = PIN_CONFIGS[label]
+    cfg = apply_overrides(load_preset(preset), overrides)
+    return cfg.build_problem(seed), cfg.hp_for_seed(seed)
+
+
+class TestConstantPins:
+    def test_roster_is_complete(self):
+        assert set(CONSTANT_PINS) == {(label, seed) for label in PIN_CONFIGS for seed in (1, 7)}
+        assert set(HETEROGENEITY_PINS) == {(label, n) for label in PIN_CONFIGS for n in (1, 7)}
+
+    def test_numpy_batched_normals_equal_sequential_calls(self):
+        # The probe points rest on this numpy behaviour: every point drawn
+        # up front, x and y side by side in one row per point.
+        for seed in range(5):
+            for n, a, b in ((1, 3, 3), (7, 20, 20), (50, 12, 1), (10, 10, 80)):
+                batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+                Z = batched.standard_normal((n, a + b))
+                rows = [np.concatenate([sequential.standard_normal(a), sequential.standard_normal(b)])
+                        for _ in range(n)]
+                assert np.array_equal(Z, np.array(rows))
+                assert batched.bit_generator.state == sequential.bit_generator.state
+
+    @pytest.mark.parametrize("label,seed", sorted(CONSTANT_PINS))
+    def test_constants_keep_their_bits(self, label, seed):
+        problem, hp = _pin_problem(label, seed)
+        c = estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u)
+        *pinned, L_f = CONSTANT_PINS[(label, seed)]
+        assert [v.hex() for v in (c.delta_x, c.delta_y, c.sigma, c.mu)] == pinned
+        if L_f is not None:
+            assert c.L_f.hex() == L_f
+        else:  # the reference draws the heterogeneity probes' points first
+            rng = np.random.default_rng(np.random.SeedSequence(hp.seed))
+            rng.standard_normal((50, problem.d + problem.p))
+            assert c.L_f == pytest.approx(_plain_robust_L_f(problem, 50, rng), rel=1e-13)
+
+    @pytest.mark.parametrize("label,n_samples", sorted(HETEROGENEITY_PINS))
+    def test_heterogeneity_probe_keeps_its_bits(self, label, n_samples):
+        problem, _ = _pin_problem(label, 1)
+        dx, dy = _estimate_heterogeneity(problem, n_samples, np.random.default_rng(n_samples))
+        assert (dx.hex(), dy.hex()) == HETEROGENEITY_PINS[(label, n_samples)]
