@@ -29,16 +29,18 @@ row:
   each matrix, and U[:, :, None] * U[:, None, :] against np.outer(u, u).
 
 Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1),
-A @ v (one gemv) against the row dots A[k] @ v, and sum(axis=0) or
-mean(axis=0) across clients on a (K, 1) array, which sums pairwise; these
-stay forbidden for cross-client reductions. Cross-client means are
-therefore the index-order cumsum of vec_mean, which takes a stacked (K, d)
-array as well as a list of vectors. Nor are two scalar forms: a Python
-float's a**2 (libm pow) and an array's **2 (x*x) differ on ~0.07% of
-inputs, so the AUC objective keeps alpha a float; np.exp and libm exp
-(math.exp) differ on ~2% of sigmoid inputs, so the logistic sigmoid is
-expit below, which maps math.exp over the items and is bitwise equal to
-scipy.special.expit.
+A @ v (one gemv) against the row dots A[k] @ v, the Gram form
+N_a + N_b - 2 G_a.G_b of a squared distance against row_dots(G_a - G_b)
+(theory uses it only to screen pairs, within a proven slack, before the
+row dots), and sum(axis=0) or mean(axis=0) across clients on a (K, 1)
+array, which sums pairwise; these stay forbidden for cross-client
+reductions. Cross-client means are therefore the index-order cumsum of
+vec_mean, which takes a stacked (K, d) array as well as a list of vectors.
+Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
+**2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
+float; np.exp and libm exp (math.exp) differ on ~2% of sigmoid inputs, so
+the logistic sigmoid is expit below, which maps math.exp over the items and
+is bitwise equal to scipy.special.expit.
 """
 
 from __future__ import annotations

@@ -79,8 +79,8 @@ class TraceTable(Sequence[TraceRecord]):
     - floats: the float fields in field order as float64 rows (NaN where a
       record lacks the field), less the optional fields no record has.
 
-    A row reads back as its TraceRecord, a slice as a list of them, and
-    column(j) gives field j of every record."""
+    An int index reads back its own row as a TraceRecord, a slice a list of
+    them, and column(j) gives field j of every record."""
 
     ints: np.ndarray
     flags: np.ndarray
@@ -100,8 +100,15 @@ class TraceTable(Sequence[TraceRecord]):
         return self.flags.shape[1]
 
     def __getitem__(self, i):
-        rows = list(zip(*map(self.column, range(len(_FIELDS)))))
-        return [TraceRecord(*row) for row in rows[i]] if isinstance(i, slice) else TraceRecord(*rows[i])
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = range(len(self))[i]  # negative indices and IndexError as for a list
+        flags = self.flags[:, i].tolist()
+        row = dict(zip(_INTS, self.ints[:, i].tolist()))
+        row.update(zip(_BOOLS, flags))
+        row.update(zip(_stored_floats(self.flags), self.floats[:, i].tolist()))
+        row.update((j, None) for j, has in zip(_OPTIONAL, flags[len(_BOOLS):]) if not has)
+        return TraceRecord(*map(row.get, range(len(_FIELDS))))
 
     def __iter__(self):
         return map(TraceRecord, *map(self.column, range(len(_FIELDS))))

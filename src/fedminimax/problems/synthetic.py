@@ -17,6 +17,7 @@ unbiasedness is exactly testable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,24 @@ class SyntheticProblem(ProblemInstance):
         self.b = _center_rows(b_raw) if self.center_b else b_raw
         self.t = rng.uniform(0.0, 0.1, size=K)
 
-        # Per-client noise realizations for both gradient blocks, centered
-        # per client so the table mean is exactly zero.
-        self.noise_x = np.zeros((K, n, dim))
-        self.noise_y = np.zeros((K, n, dim))
+        # Per-client noise realizations for both gradient blocks, in one draw
+        # (client k's x-table, then its y-table, as a per-client loop draws
+        # them), centered per client and block as _center_rows does, so each
+        # table's fixed-order mean is exactly zero. The last item is minus the
+        # others added in item order, as np.cumsum adds them, but without a
+        # table-sized cumsum.
         if self.noise_sigma > 0:
-            for k in range(K):
-                self.noise_x[k] = _center_rows(rng.normal(0.0, self.noise_sigma, size=(n, dim)))
-                self.noise_y[k] = _center_rows(rng.normal(0.0, self.noise_sigma, size=(n, dim)))
+            noise = rng.normal(0.0, self.noise_sigma, size=(K, 2, n, dim))
+            noise -= noise.mean(axis=2, keepdims=True)
+            if n > 1:
+                last = noise[:, :, -1]
+                last[...] = noise[:, :, 0]
+                for i in range(1, n - 1):
+                    last += noise[:, :, i]
+                np.negative(last, out=last)
+        else:
+            noise = np.zeros((K, 2, n, dim))
+        self.noise_x, self.noise_y = noise[:, 0], noise[:, 1]
 
         # Fixed-order means used by the closed forms (cumsum adds in client order).
         self.b_bar = np.cumsum(self.b, axis=0)[-1] / K
@@ -128,11 +139,8 @@ class SyntheticProblem(ProblemInstance):
 
     @property
     def sigma_bound(self) -> float:
-        worst = 0.0
-        for k in range(self.K):
-            sq = (self.noise_x[k] ** 2).sum(axis=1) + (self.noise_y[k] ** 2).sum(axis=1)
-            worst = max(worst, float(sq.mean()))
-        return float(np.sqrt(worst))
+        sq = (self.noise_x**2).sum(axis=2) + (self.noise_y**2).sum(axis=2)
+        return math.sqrt(sq.mean(axis=1).max())
 
 
 make_synthetic = SyntheticProblem

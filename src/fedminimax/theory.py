@@ -333,12 +333,52 @@ _PROBE_CHUNK = 5
 
 def _max_pairwise_distance(G: np.ndarray) -> float:
     """Largest Euclidean distance between two rows of one (K, m) slice of a
-    (B, K, m) stack: each row against all later rows of every slice at a time
-    (bitwise the max of np.linalg.norm per pair, as max and sqrt are exact)."""
+    finite (B, K, m) stack: the square root of the largest E_ab =
+    row_dots(G[s, a] - G[s, b]), a < b, bitwise the max of np.linalg.norm per
+    pair (max and sqrt are exact).
+
+    Screen, then verify. With N = row_dots(G) and one Gram gemm G G^T,
+    S_ab = N_a + N_b - 2 Gram_ab holds every squared distance at once, but
+    summed in another order, so it only screens: E_ab is taken, in chunks of
+    at most B*K pairs, on the pairs with S_ab >= max S - slack.
+
+    The slack. Let u = 2^-53, n = max N and T_ab the exact squared
+    distance. A length-m dot product in any summation order, FMA or not, is
+    within m*u*(sum of |terms|) of exact to first order, and a product that
+    underflows adds at most 2^-1075. To first order in u:
+    - |S_ab - T_ab| <= (4m + 7) u n: m u (N_a + N_b) from the norms,
+      m u (N_a + N_b) from 2 |Gram_ab| <= N_a + N_b, and 7 u n from the two
+      additions that form S;
+    - |E_ab - T_ab| <= (m + 2) u T_ab <= (4m + 8) u n: the rounded
+      difference, then the dot, with T_ab <= 2 (N_a + N_b) <= 4 n;
+    so |S_ab - E_ab| <= (8m + 15) u n + 5m 2^-1075. The 17 u n left below
+    8 (m + 4) u n covers the second-order terms for m < 10^7, so with
+    M = 8 n, slack = 16 (m + 4) (u M + 2^-1074) is at least twice the bound.
+    Then the maximizing pair ab of E survives: S_ab >= E_ab - slack/2 and
+    max S <= E_ab + slack/2.
+
+    Overflow. Every step forming S stays within 4 n, so nothing overflows
+    while M = 8 n is finite. Past that, slack is infinite, max S - slack is
+    -inf or NaN, and the ~(<) form keeps every pair. (With M = n, -2 Gram
+    can overflow to -inf on near-parallel rows of squared norm above 2^1023
+    and drop the maximizing pair; the tests hold such a stack.)
+    """
+    B, K, m = G.shape
+    N = row_dots(G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.matmul(G, G.transpose(0, 2, 1))
+        S *= -2.0
+        S += N[:, :, None]
+        S += N[:, None, :]
+        slack = 16.0 * (m + 4) * (2.0**-53 * (8.0 * N.max()) + 2.0**-1074)
+        keep = ~(S < S.max() - slack)
+    s, a, b = np.unravel_index(np.flatnonzero(keep), S.shape)
+    pairs = np.flatnonzero(a < b)
     worst = 0.0
-    for a in range(G.shape[1] - 1):
-        worst = max(worst, float(np.sqrt(row_dots(G[:, a:a + 1] - G[:, a + 1:]).max())))
-    return worst
+    for i in range(0, len(pairs), B * K):
+        j = pairs[i:i + B * K]
+        worst = max(worst, float(row_dots(G[s[j], a[j]] - G[s[j], b[j]]).max()))
+    return math.sqrt(worst)
 
 
 def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple[float, float]:
@@ -348,6 +388,8 @@ def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple
     for i in range(0, n_samples, _PROBE_CHUNK):
         x, y = X[i:i + _PROBE_CHUNK], Y[i:i + _PROBE_CHUNK]
         GX, GY = inst.grad_full_all(np.repeat(x, K, axis=0), np.repeat(y, K, axis=0))
+        if not (np.isfinite(GX).all() and np.isfinite(GY).all()):
+            raise ValueError(f"{inst.name}: non-finite exact gradient at a heterogeneity probe point")
         dx = max(dx, _max_pairwise_distance(GX.reshape(len(x), K, -1)))
         dy = max(dy, _max_pairwise_distance(GY.reshape(len(y), K, -1)))
     return dx, dy

@@ -232,6 +232,13 @@ class TestCommands:
         assert main(["run", str(cfgfile)]) != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_probe_gradient_is_an_error_exit(self, capsys):
+        # tau * x overflows at the heterogeneity probe points
+        assert main(["validate", "--preset", "synthetic-s1", "--problem.tau", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "error: synthetic: non-finite exact gradient" in err and "Traceback" not in err
+
     def test_validate_passing_preset(self, capsys):
         assert main(["validate", "--preset", "synthetic-theorem"]) == 0
         out = capsys.readouterr().out

@@ -11,7 +11,8 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
 - The three benchmark workload configs at seed 1, emitted the way
   `fedmm run` emits them (config-hash line included); these match the
   digests printed by `perfbench/run.py`. They are also computed in two
-  fresh processes, with OpenBLAS held to one thread and to two.
+  fresh processes, with OpenBLAS held to one thread and to two, along with
+  the K = 100 heterogeneity probe pinned in test_theory.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import fedminimax
 from fedminimax import algorithms, metrics
 from fedminimax.config import apply_overrides, render_config
 from fedminimax.presets import load_preset, preset_names
+
+from test_theory import HETEROGENEITY_PINS
 
 
 def _csv_digest(preset: str, overrides: dict, tmp_path, with_hash: bool = False) -> str:
@@ -150,21 +153,33 @@ def test_benchmark_workload_digest(name, tmp_path):
 
 _WORKLOAD_DIGESTS = """
 import json, pathlib, sys
+import numpy as np
+from fedminimax.theory import _estimate_heterogeneity
 from test_golden_traces import WORKLOADS, _csv_digest
+from test_theory import _pin_problem
 out = pathlib.Path(sys.argv[1])
-print(json.dumps({name: _csv_digest(p, o, out, with_hash=True) for name, (p, o, _) in WORKLOADS.items()}))
+problem, _ = _pin_problem("synthetic-s1 k=100", 1)
+print(json.dumps({
+    "digests": {name: _csv_digest(p, o, out, with_hash=True) for name, (p, o, _) in WORKLOADS.items()},
+    "heterogeneity": [d.hex() for d in _estimate_heterogeneity(problem, 7, np.random.default_rng(7))],
+}))
 """
 
 
 def test_benchmark_workload_digests_hold_at_one_and_two_blas_threads(tmp_path):
     # core.py's claim: bit-reproducible across thread counts. The variable
     # must be set before numpy loads, hence one fresh process per count.
+    # The heterogeneity probe at K = 100 screens pairs with a Gram gemm,
+    # whose summation order may follow the thread count; its result may not.
     path = os.pathsep.join([str(Path(fedminimax.__file__).parents[1]), str(Path(__file__).parent)])
-    digests = []
+    runs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         done = subprocess.run([sys.executable, "-c", _WORKLOAD_DIGESTS, str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        digests.append(json.loads(done.stdout))
-    assert digests[0] == digests[1] == {name: digest for name, (_, _, digest) in WORKLOADS.items()}
+        runs.append(json.loads(done.stdout))
+    assert runs[0] == runs[1] == {
+        "digests": {name: digest for name, (_, _, digest) in WORKLOADS.items()},
+        "heterogeneity": list(HETEROGENEITY_PINS[("synthetic-s1 k=100", 7)]),
+    }

@@ -443,6 +443,32 @@ class TestTraceTable:
                 table[i]
         assert list(table) == built and table.index(built[3]) == 3 and built[-1] in table
 
+    @pytest.mark.parametrize("source", ["special floats", "synthetic run", "auc run"])
+    def test_an_int_index_reads_the_row_that_iteration_reads(self, source, synthetic_small, auc_inst):
+        # An int index unpacks only its own row; it must read what a full
+        # unpack reads, cell for cell, at every index a list accepts.
+        if source == "special floats":
+            table = TraceTable.pack([
+                TraceRecord(t=i, is_sync=i % 2 == 0, dist_x_sq=v, dist_y_sq=None if i % 3 else -v,
+                            grad_norm_F=None, est_err_x=v, est_err_y=-v, consensus_x=v, objective=v,
+                            auc=v if i % 2 else None, sfo=2**40 + i, comm=i, consensus_y=None if i % 2 else v)
+                for i, v in enumerate([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.5])
+            ])
+        else:
+            inst = synthetic_small if source == "synthetic run" else auc_inst
+            table = fm.run(inst, fm.HyperParams(T=9, q=4, seed=3)).records
+        # repr tells the cells' types and bits apart, NaN and -0.0 included
+        rows = list(table)
+        n = len(table)
+        for i in range(-n, n):
+            assert repr(table[i]) == repr(rows[i]), i
+        assert repr(table[np.int64(1)]) == repr(rows[1])
+        for sl in (slice(None), slice(1, -1), slice(None, None, -3), slice(n + 2, n + 5)):
+            assert [repr(r) for r in table[sl]] == [repr(r) for r in rows[sl]]
+        for i in (n, -n - 1, n + 10):
+            with pytest.raises(IndexError):
+                table[i]
+
     def test_records_stay_assignable(self, trace):
         # perfbench's tamper test edits a trace this way
         copy = replace(trace)

@@ -39,6 +39,40 @@ class TestSyntheticConstruction:
     def test_dims_are_tied(self, synthetic):
         assert synthetic.d == synthetic.p == 20
 
+    @pytest.mark.parametrize("K,n,dim", [(1, 1, 1), (1, 50, 1), (3, 50, 1), (7, 9, 1), (6, 130, 1), (100, 50, 20)])
+    @pytest.mark.parametrize("noise_sigma", [0.1, 0.0])
+    def test_noise_tables_equal_a_per_client_loop(self, K, n, dim, noise_sigma):
+        # The per-client loop the stacked draw replaced: x-table then y-table
+        # per client, each centered on its own (mean, then the last item
+        # cancels the others in index order), sigma the largest client mean.
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        rng.normal(0.0, 1.0, size=(K, dim))
+        rng.uniform(0.0, 0.1, size=K)
+        tables = np.zeros((2, K, n, dim))
+        if noise_sigma > 0:
+            for k in range(K):
+                for block in tables:
+                    rows = rng.normal(0.0, noise_sigma, size=(n, dim))
+                    rows = rows - rows.mean(axis=0)
+                    if n > 1:
+                        rows[-1] = -np.cumsum(rows[:-1], axis=0)[-1]
+                    block[k] = rows
+        worst = 0.0
+        for k in range(K):
+            worst = max(worst, float(((tables[0, k] ** 2).sum(axis=1) + (tables[1, k] ** 2).sum(axis=1)).mean()))
+
+        inst = fm.make_synthetic(K=K, dim=dim, n_per_client=n, noise_sigma=noise_sigma, seed=5)
+        assert _same_bits(np.ascontiguousarray(inst.noise_x), tables[0])
+        assert _same_bits(np.ascontiguousarray(inst.noise_y), tables[1])
+        assert inst.sigma_bound.hex() == math.sqrt(worst).hex()
+        # one draw of every table leaves the generator where the loop left it
+        stacked = np.random.default_rng(np.random.SeedSequence(5))
+        stacked.normal(0.0, 1.0, size=(K, dim))
+        stacked.uniform(0.0, 0.1, size=K)
+        if noise_sigma > 0:
+            stacked.normal(0.0, noise_sigma, size=(K, 2, n, dim))
+        assert stacked.bit_generator.state == rng.bit_generator.state
+
 
 
 # Generation parameters away from the defaults where a family allows it,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -10,6 +12,7 @@ from fedminimax.theory import (
     CONSTRAINT_NAMES,
     ConstantSet,
     _estimate_heterogeneity,
+    _max_pairwise_distance,
     estimate_constants,
     grad_check,
     pl_slack,
@@ -336,3 +339,75 @@ class TestConstantPins:
         problem, _ = _pin_problem(label, 1)
         dx, dy = _estimate_heterogeneity(problem, n_samples, np.random.default_rng(n_samples))
         assert (dx.hex(), dy.hex()) == HETEROGENEITY_PINS[(label, n_samples)]
+
+
+def _reference_max_distance(G):
+    """Largest np.linalg.norm over every pair of rows of each (K, m) slice."""
+    worst = 0.0
+    for S in G:
+        for a in range(len(S)):
+            for b in range(a + 1, len(S)):
+                worst = max(worst, float(np.linalg.norm(S[a] - S[b])))
+    return worst
+
+
+def _stack(kind: str, K: int, m: int) -> np.ndarray:
+    rng = np.random.default_rng([K, m, len(kind)])
+    G = rng.standard_normal((5, K, m))
+    if kind.startswith("offset"):  # a common offset: the Gram form cancels worst here
+        return G + float(kind.split()[1])
+    if kind == "identical":  # every pair within rounding of the max: all kept
+        return np.repeat(G[:, :1], K, axis=1)
+    if kind == "one ulp apart":  # as identical, but one entry of one client 1 ulp off
+        G = np.repeat(G[:, :1], K, axis=1)
+        G[2, K // 2, m - 1] = np.nextafter(G[2, K // 2, m - 1], np.inf)
+        return G
+    if kind == "near 1e160":  # norms overflow, distances do not
+        return 1e160 * (1.0 + 1e-10 * G)
+    if kind == "1e154, mixed signs":  # norms finite, the Gram form overflows
+        return 0.9e154 / np.sqrt(m) * np.sign(G) * (1.0 + 0.01 * np.abs(G))
+    return G
+
+
+def _near_parallel_stack() -> np.ndarray:
+    """Squared norms near 1.7e308: -2 Gram overflows to -inf on the pairs
+    (0, 1), which holds the largest distance, and (1, 2), while pair (0, 2)
+    keeps a finite S."""
+    r, psi = math.sqrt(1.7e308), math.acos(0.614)
+    return np.array([[[r, 0.0], [0.6 * r, 0.8 * r], [1e154 * math.cos(psi), 1e154 * math.sin(psi)]]])
+
+
+class TestPairwiseDistanceScreen:
+    @pytest.mark.parametrize("K", [1, 2, 3, 10, 100])
+    @pytest.mark.parametrize("m", [1, 12, 20])
+    @pytest.mark.parametrize("kind", ["random", "offset 1e6", "offset 1e9"])
+    def test_bitwise_the_per_pair_norm(self, kind, K, m):
+        G = _stack(kind, K, m)
+        assert _max_pairwise_distance(G).hex() == _reference_max_distance(G).hex()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["identical", "one ulp apart", "near 1e160", "1e154, mixed signs"])
+    @pytest.mark.parametrize("K,m", [(2, 1), (10, 12), (100, 20)])
+    def test_bitwise_the_per_pair_norm_where_the_screen_keeps_many_pairs(self, kind, K, m):
+        # identical clients keep all 5 * 4950 pairs at K = 100: 50 chunks of B * K
+        G = _stack(kind, K, m)
+        assert _max_pairwise_distance(G).hex() == _reference_max_distance(G).hex()
+
+    def test_gram_overflow_to_minus_inf_keeps_the_maximizing_pair(self):
+        G = _near_parallel_stack()
+        assert _max_pairwise_distance(G).hex() == _reference_max_distance(G).hex()
+        assert _max_pairwise_distance(G) == float(np.linalg.norm(G[0, 0] - G[0, 1]))
+
+    def test_one_ulp_apart_is_found(self):
+        G = _stack("one ulp apart", 100, 20)
+        assert 0.0 < _max_pairwise_distance(G) < 1e-15 and _max_pairwise_distance(_stack("identical", 100, 20)) == 0.0
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_probe_gradient_raises(self, poison):
+        # the row loop let max() skip a NaN block, understating delta
+        inst = fm.make_synthetic(K=5, dim=3, seed=2)
+        inst.b[3, 1] = poison
+        with pytest.raises(ValueError, match="non-finite"):
+            _estimate_heterogeneity(inst, 7, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_constants(inst, n_samples=7, seed=1)
