@@ -45,7 +45,7 @@ from .estimators import (
     momentum_schedule,
     storm_update,
 )
-from .metrics import RunTrace, TraceRecorder, TraceTable
+from .metrics import RunTrace, TraceChunk, TraceRecorder
 from .problems import ProblemInstance, project_y
 
 VARIANT_FGDA = "fgda"
@@ -203,6 +203,10 @@ def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
 
 # Items per rng.integers call while drawing the item table.
 _ITEM_CHUNK = 2**16
+# Client rows (K per step) the recorder measures per call: the temporaries
+# of its stacked calls grow with them. At least two steps, since one step
+# per call spends more on copying it into the chunk than stacking saves.
+_RECORD_ROWS = 50
 
 
 def _draw_items(rngs: list[np.random.Generator], n: np.ndarray, q: int, rounds: int) -> np.ndarray:
@@ -362,14 +366,17 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     alongside.
 
     Finiteness is checked once per step, on every client's iterates and
-    estimates after the local or sync step and before the step is recorded:
-    a diverging run raises FloatingPointError naming the first step t at
-    which any of X, Y, W or V holds a NaN or Inf. Overflow warnings are
-    silenced, since that check reports the divergence.
+    estimates after the local or sync step and before the step is kept for
+    the recorder: a diverging run raises FloatingPointError naming the
+    first step t at which any of X, Y, W or V holds a NaN or Inf. Overflow
+    warnings are silenced, since that check reports the divergence. The
+    recorder measures the kept steps a chunk of them at a time, and the rest
+    at the end.
     """
     t_start = time.perf_counter()
     clients, server, counters = init_round(problem, hp)
-    recorder = TraceRecorder(problem, heavy_cadence=heavy_cadence)
+    recorder = TraceRecorder(problem, hp.q, hp.T, heavy_cadence=heavy_cadence)
+    chunk = TraceChunk(problem, max(2, _RECORD_ROWS // problem.K))
 
     # Child K of the seed: the one after the client generators of _spawn_rngs.
     out_rng = np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(problem.K,)))
@@ -388,12 +395,14 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
             is_sync = False
         if not all(np.isfinite(M).all() for M in (clients.X, clients.Y, clients.W, clients.V)):
             raise FloatingPointError(f"non-finite iterate or estimate at t={t}")
-        recorder.record(t, is_sync, hp.q, clients, counters, x_bar, y_bar)
+        if chunk.add(t, is_sync, clients, counters, x_bar, y_bar):
+            recorder.record(chunk)
         if t == final_index:
             sampled_x, sampled_y = x_bar.copy(), y_bar.copy()
+    recorder.record(chunk)
 
     return RunTrace(
-        records=TraceTable.pack(recorder.records),
+        records=recorder.table(),
         config_echo={"problem": problem.describe().replace("\n", ";"), **asdict(hp)},
         final_sampled_index=final_index,
         wall_time_s=time.perf_counter() - t_start,

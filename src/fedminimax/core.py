@@ -24,7 +24,18 @@ row:
   np.linalg.norm(D[k]) (consensus, ball projection, heterogeneity);
 - np.cumsum(a)[-1] against a sequential sum in index order, and
   np.cumsum(A, axis=0)[-1] against adding the rows of A one by one in
-  index order (np.add.accumulate never reassociates);
+  index order (np.add.accumulate never reassociates), also along the K
+  axis of an (S, K, d) stack against each (K, d) slice's own cumsum, and
+  in place (out=A);
+- a family's values and y_star at S row-stacked points, (S, d) and
+  (S, p), against one call per point; the AUC objective squares each
+  alpha as a Python float;
+- matmul with one operand broadcast over leading axes (a dataset block's
+  (K, n, dim) against (S, K, dim, 1) points) against one call per slice:
+  it still makes one gemv per matrix;
+- add.reduce(A, axis) / n against A.mean(axis), and one reduction of a
+  stacked (3, ..., B, n) array over its last axis against each (B, n)
+  row's own (each row keeps its pairwise sum);
 - np.linalg.eigvalsh of a stacked (n, m, m) array against eigvalsh of
   each matrix, and U[:, :, None] * U[:, None, :] against np.outer(u, u).
 
@@ -32,10 +43,12 @@ Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1),
 A @ v (one gemv) against the row dots A[k] @ v, the Gram form
 N_a + N_b - 2 G_a.G_b of a squared distance against row_dots(G_a - G_b)
 (theory uses it only to screen pairs, within a proven slack, before the
-row dots), and sum(axis=0) or mean(axis=0) across clients on a (K, 1)
-array, which sums pairwise; these stay forbidden for cross-client
-reductions. Cross-client means are therefore the index-order cumsum of
-vec_mean, which takes a stacked (K, d) array as well as a list of vectors.
+row dots), a (B, n, 3) stack's mean over axis 1 against three (B, n)
+means (it adds the items in index order, not pairwise), and sum(axis=0)
+or mean(axis=0) across clients on a (K, 1) array, which sums pairwise;
+these stay forbidden for cross-client reductions. Cross-client means are
+therefore the index-order cumsum of vec_mean, which takes a stacked (K, d)
+array as well as a list of vectors.
 Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
 **2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
 float; np.exp and libm exp (math.exp) differ on ~2% of sigmoid inputs, so

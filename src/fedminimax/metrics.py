@@ -3,14 +3,18 @@
 Metrics are computed with full simulator access (exact gradients,
 closed-form saddle points) even though the algorithms only ever see
 stochastic samples; distance-to-saddle and value-function gradients are
-oracle quantities by nature. The recorder builds one TraceRecord per step;
-run packs them by column into a TraceTable, which reads them back unchanged,
-and the CSV is written from that table's columns.
+oracle quantities by nature. The run keeps its steps in a TraceChunk, and
+the recorder measures a whole chunk at a time in stacked calls (one exact
+oracle call on all its K-row blocks, one cumsum for every cross-client
+mean), bitwise what one step at a time gives. It appends each metric as a
+column; run packs the columns into a TraceTable, which reads the records
+back, and the CSV is written from that table's columns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -18,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import Counters, Vector, row_dots, vec_mean
+from .core import Counters, Vector, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
 
 
@@ -59,13 +63,7 @@ _INTS = [j for j, f in enumerate(_FIELDS) if f.type == "int"]
 _BOOLS = [j for j, f in enumerate(_FIELDS) if f.type == "bool"]
 _FLOATS = [j for j, f in enumerate(_FIELDS) if f.type in ("float", "float | None")]
 _OPTIONAL = [j for j, f in enumerate(_FIELDS) if f.type == "float | None"]
-
-
-def _stored_floats(flags: np.ndarray) -> list[int]:
-    """The float fields a TraceTable stores: all but the optional ones that
-    no record has (read from the table's flags)."""
-    has = dict(zip(_OPTIONAL, flags[len(_BOOLS):].any(axis=1).tolist()))
-    return [j for j in _FLOATS if has.get(j, True)]
+_DTYPES = {"int": np.int64, "bool": bool}
 
 
 @dataclass(slots=True, eq=False)
@@ -75,9 +73,10 @@ class TraceTable(Sequence[TraceRecord]):
     - ints: the int fields, as rows of the smallest integer dtype that holds
       every value;
     - flags: the bool fields, then one row per optional field that marks the
-      records that have it;
-    - floats: the float fields in field order as float64 rows (NaN where a
-      record lacks the field), less the optional fields no record has.
+      records that have it, eight records to a byte (np.packbits);
+    - floats: the float fields in field order, one after another, each as
+      the float64 values of the records that have it (every record, for a
+      required field).
 
     An int index reads back its own row as a TraceRecord, a slice a list of
     them, and column(j) gives field j of every record."""
@@ -89,25 +88,51 @@ class TraceTable(Sequence[TraceRecord]):
     @classmethod
     def pack(cls, records: Sequence[TraceRecord]) -> TraceTable:
         cols = list(zip(*map(_ROW, records))) or [()] * len(_FIELDS)
-        flags = np.array([cols[j] for j in _BOOLS] + [[v is not None for v in cols[j]] for j in _OPTIONAL], bool)
+        return cls.from_columns(cols, [[v is not None for v in cols[j]] for j in _OPTIONAL])
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[Sequence], has: Sequence[Sequence[bool]]) -> TraceTable:
+        """The table of cols[j], field j of every record, where has[i] marks
+        the records that have optional field i (in field order); an absent
+        value may be anything that converts to a float, None or NaN."""
+        flags = np.array([cols[j] for j in _BOOLS] + list(has), bool)
         ints = np.array([cols[j] for j in _INTS], np.int64)
         if ints.size:
             ints = ints.astype(np.result_type(np.min_scalar_type(ints.min()), np.min_scalar_type(ints.max())))
-        # None packs as NaN; flags tell the two apart
-        return cls(ints, flags, np.array([cols[j] for j in _stored_floats(flags)], float))
+        present = dict(zip(_OPTIONAL, flags[len(_BOOLS):]))
+        floats = [np.asarray(cols[j], float) for j in _FLOATS]  # None converts to NaN, then drops out
+        floats = np.concatenate([v[present[j]] if j in present else v for j, v in zip(_FLOATS, floats)])
+        return cls(ints, np.packbits(flags, axis=1), floats)
 
     def __len__(self) -> int:
-        return self.flags.shape[1]
+        return self.ints.shape[1]
+
+    def _layout(self) -> tuple[np.ndarray, dict[int, tuple[int, np.ndarray | None]]]:
+        """The flags unpacked, and for each float field where its values
+        start in floats and the row of records that have it (None for a
+        required field)."""
+        n = len(self)
+        bits = np.unpackbits(self.flags, axis=1, count=n).astype(bool)
+        present = dict(zip(_OPTIONAL, bits[len(_BOOLS):]))
+        spans, start = {}, 0
+        for j in _FLOATS:
+            has = present.get(j)
+            spans[j] = (start, has)
+            start += n if has is None else int(np.count_nonzero(has))
+        return bits, spans
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
         i = range(len(self))[i]  # negative indices and IndexError as for a list
-        flags = self.flags[:, i].tolist()
+        bits, spans = self._layout()
         row = dict(zip(_INTS, self.ints[:, i].tolist()))
-        row.update(zip(_BOOLS, flags))
-        row.update(zip(_stored_floats(self.flags), self.floats[:, i].tolist()))
-        row.update((j, None) for j, has in zip(_OPTIONAL, flags[len(_BOOLS):]) if not has)
+        row.update(zip(_BOOLS, bits[:len(_BOOLS), i].tolist()))
+        for j, (start, has) in spans.items():  # an absent optional field stays None
+            if has is None:
+                row[j] = self.floats[start + i].item()
+            elif has[i]:
+                row[j] = self.floats[start + int(np.count_nonzero(has[:i]))].item()
         return TraceRecord(*map(row.get, range(len(_FIELDS))))
 
     def __iter__(self):
@@ -117,16 +142,14 @@ class TraceTable(Sequence[TraceRecord]):
         """Field j of every record as Python values, None where absent."""
         if j in _INTS:
             return self.ints[_INTS.index(j)].tolist()
+        bits, spans = self._layout()
         if j in _BOOLS:
-            return self.flags[_BOOLS.index(j)].tolist()
-        stored = _stored_floats(self.flags)
-        if j not in stored:
-            return [None] * len(self)
-        values = self.floats[stored.index(j)].tolist()
-        if j in _OPTIONAL:
-            has = self.flags[len(_BOOLS) + _OPTIONAL.index(j)].tolist()
-            values = [v if h else None for v, h in zip(values, has)]
-        return values
+            return bits[_BOOLS.index(j)].tolist()
+        start, has = spans[j]
+        if has is None:
+            return self.floats[start:start + len(self)].tolist()
+        values = iter(self.floats[start:start + np.count_nonzero(has)].tolist())
+        return [next(values) if h else None for h in has.tolist()]
 
 
 @dataclass
@@ -157,18 +180,15 @@ def ascend_y(inst: RobustProblem, x: Vector) -> Vector:
     return worst_perturbation(x, inst.y_constraint.radius, lambda y: inst.global_value(x, y))
 
 
-def inner_maximizer(inst: ProblemInstance, x: Vector) -> Vector:
-    """An exact maximizer of y -> f(x, y): y_star, or ascend_y's endpoint for the robust family."""
-    return inst.y_star(x) if inst.has_closed_form_inner_max else ascend_y(inst, x)
-
-
 def grad_norm_F(inst: ProblemInstance, x_bar: Vector) -> float:
-    """Norm of the value-function gradient at x_bar: the x-partial at
-    inner_maximizer(inst, x_bar) (Danskin's theorem). Where the robust
-    endpoints tie, F has no gradient and this is the partial at the +
-    endpoint. The recorder reports these bits from its one oracle call.
+    """Norm of the value-function gradient at x_bar: the x-partial at an
+    exact maximizer of y -> f(x_bar, y) (Danskin's theorem), y_star or, for
+    the robust family, ascend_y's endpoint. Where the robust endpoints tie,
+    F has no gradient and this is the partial at the + endpoint. The
+    recorder reports these bits from its one oracle call per chunk.
     """
-    gx, _ = inst.global_grad(x_bar, inner_maximizer(inst, x_bar))
+    y = inst.y_star(x_bar) if inst.has_closed_form_inner_max else ascend_y(inst, x_bar)
+    gx, _ = inst.global_grad(x_bar, y)
     return float(np.linalg.norm(gx))
 
 
@@ -212,56 +232,129 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
     return float((np.sign(z) == lab).mean())
 
 
-class TraceRecorder:
-    """Single-writer, append-only trace collection for one run."""
+class TraceChunk:
+    """The steps of a run not yet recorded, at most capacity of them: each
+    step's t, is_sync and counters, and copies of its client rows and
+    averages (sync_step overwrites the clients' rows in place), in buffers
+    allocated once and laid out for the recorder's stacked calls:
 
-    def __init__(self, problem: ProblemInstance, heavy_cadence: int = 1):
+    - X, Y: the exact oracle's input rows, each step's K client rows, then
+      room for a K-row block of (x_bar, y*) per step;
+    - M: per step and client, W and V, then room for the exact gradients
+      whose cross-client means the recorder takes with them.
+    """
+
+    def __init__(self, problem: ProblemInstance, capacity: int):
+        K, d, p = problem.K, problem.d, problem.p
+        self.capacity = capacity
+        self.steps: list[tuple[int, bool, int, int]] = []  # (t, is_sync, sfo, comm)
+        self.X, self.Y = np.empty((2 * capacity * K, d)), np.empty((2 * capacity * K, p))
+        self.M = np.zeros((capacity, K, 3 * d + 2 * p))
+        self.x_bar, self.y_bar = np.empty((capacity, d)), np.empty((capacity, p))
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def add(self, t: int, is_sync: bool, clients, counters: Counters, x_bar: Vector, y_bar: Vector) -> bool:
+        """Keep step t; True once the chunk is full."""
+        i, (K, d) = len(self.steps), clients.W.shape
+        self.steps.append((t, is_sync, counters.sfo_per_client, counters.comm_rounds))
+        self.X[i * K:(i + 1) * K], self.Y[i * K:(i + 1) * K] = clients.X, clients.Y
+        self.M[i, :, :d], self.M[i, :, d:d + clients.V.shape[1]] = clients.W, clients.V
+        self.x_bar[i], self.y_bar[i] = x_bar, y_bar
+        return i + 1 == self.capacity
+
+
+class TraceRecorder:
+    """Single-writer, append-only trace collection for one run of T steps:
+    each record call measures a chunk of steps and writes their cells into
+    one (T,) buffer per field, and one presence mask per optional field."""
+
+    def __init__(self, problem: ProblemInstance, q: int, T: int, heavy_cadence: int = 1):
         self.problem = problem
+        self.q = q
         self.heavy_cadence = heavy_cadence
-        self.records: list[TraceRecord] = []
+        self.n = 0  # steps recorded
+        self.columns = {f.name: np.empty(T, _DTYPES.get(f.type, float)) for f in _FIELDS}
+        self.has = {_FIELDS[j].name: np.zeros(T, bool) for j in _OPTIONAL}
         sp = saddle_point(problem)
         self.x_star, self.y_star = (sp if sp is not None else (None, None))
         self.is_auc = isinstance(problem, AucProblem)
+        # the column slices of a chunk's M: W, V, then the exact GY, GX and GX at (x_bar, y*)
+        d, p = problem.d, problem.p
+        cuts = list(itertools.accumulate([0, d, p, p, d, d]))
+        self._stacked = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def _heavy_due(self, t: int, is_sync: bool, q: int) -> bool:
-        if not is_sync or self.heavy_cadence <= 0:
-            return False
-        return (t // q) % self.heavy_cadence == 0
+    def record(self, chunk: TraceChunk) -> None:
+        """Measure every step of the chunk, then empty it. Each metric is
+        computed for all the steps at once, every bit as one step at a time:
 
-    def record(
-        self, t: int, is_sync: bool, q: int, clients, counters: Counters, x_bar: Vector, y_bar: Vector
-    ) -> TraceRecord:
-        """Measure step t. Every exact gradient comes from one oracle call:
-        the clients' own points, then, when grad_norm_F is due, (x_bar, y*)
-        tiled as global_grad tiles it, which keeps grad_norm_F's bits."""
+        - one exact-oracle call on the steps' K-row blocks, then (x_bar, y*)
+          repeated K times for each step whose grad_norm_F is due, as
+          global_grad tiles it;
+        - one index-order cumsum over the K axis of an (S, K, .) stack for
+          every cross-client mean;
+        - row_dots for every norm, distance and consensus value;
+        - y_star and global_value at the S stacked points."""
+        S = len(chunk)
+        if not S:
+            return
         problem, K, d, p = self.problem, self.problem.K, self.problem.d, self.problem.p
-        heavy = self._heavy_due(t, is_sync, q)
-        X, Y = clients.X, clients.Y
-        if problem.has_closed_form_inner_max or heavy:
-            X = np.concatenate([X, np.tile(x_bar, (K, 1))])
-            Y = np.concatenate([Y, np.tile(inner_maximizer(problem, x_bar), (K, 1))])
-        GX, GY = problem.grad_full_all(X, Y)
-        # One index-order mean over the blocks side by side: each block's own bits.
-        m = vec_mean(np.concatenate([clients.W, clients.V, GY[:K], *GX.reshape(-1, K, d)], axis=1))
-        w_cur, v_cur, gy, gx, gx_star = m[:d], m[d:d + p], m[d + p:d + 2 * p], m[d + 2 * p:2 * (d + p)], m[2 * (d + p):]
+        a, b = self.n, self.n + S
+        cols, has = self.columns, self.has
+        t, is_sync, sfo, comm = zip(*chunk.steps)
+        cols["t"][a:b], cols["is_sync"][a:b], cols["sfo"][a:b], cols["comm"][a:b] = t, is_sync, sfo, comm
+        cadence = self.heavy_cadence
+        heavy = [s and cadence > 0 and (step // self.q) % cadence == 0 for step, s in zip(t, is_sync)]
+        x_bar, y_bar = chunk.x_bar[:S], chunk.y_bar[:S]
 
-        dist_x_sq = dist_y_sq = None
+        # grad_norm_F is due at every step of a closed-form family, else at heavy ones
+        if problem.has_closed_form_inner_max:
+            due = slice(None)
+            x_due = x_bar
+            y_due = problem.y_star(x_due)
+            has["grad_norm_F"][a:b] = True
+        else:
+            due = np.flatnonzero(heavy)
+            x_due = x_bar[due]
+            y_due = np.array([ascend_y(problem, x) for x in x_due]).reshape(-1, p)
+            has["grad_norm_F"][a:b] = heavy
+        SK, n = S * K, (S + len(x_due)) * K
+        chunk.X[SK:n].reshape(-1, K, d)[:] = x_due[:, None]
+        chunk.Y[SK:n].reshape(-1, K, p)[:] = y_due[:, None]
+        GX, GY = problem.grad_full_all(chunk.X[:n], chunk.Y[:n])
+        M = chunk.M[:S]
+        w_cur, v_cur, gy, gx, gx_star = self._stacked
+        M[..., gy] = GY[:SK].reshape(S, K, p)
+        M[..., gx] = GX[:SK].reshape(S, K, d)
+        if len(x_due) < S:
+            M[..., gx_star] = 0.0  # no stale sums where grad_norm_F is not due
+        M[due, :, gx_star] = GX[SK:].reshape(-1, K, d)
+        m = np.add.accumulate(M, axis=1, out=M)[:, -1] / K
+        cols["grad_norm_F"][a:b][due] = np.sqrt(row_dots(m[due, gx_star]))
+        cols["est_err_x"][a:b] = np.sqrt(row_dots(m[:, w_cur] - m[:, gx]))
+        cols["est_err_y"][a:b] = np.sqrt(row_dots(m[:, v_cur] - m[:, gy]))
+
+        X, Y = chunk.X[:SK].reshape(S, K, d), chunk.Y[:SK].reshape(S, K, p)
+        cols["consensus_x"][a:b] = np.sqrt(np.maximum.reduce(row_dots(X - x_bar[:, None]), axis=1))
+        cols["consensus_y"][a:b] = np.sqrt(np.maximum.reduce(row_dots(Y - y_bar[:, None]), axis=1))
+        has["consensus_y"][a:b] = True
+        cols["objective"][a:b] = problem.global_value(x_bar, y_bar)
         if self.x_star is not None:
-            dx, dy = x_bar - self.x_star, y_bar - self.y_star
-            dist_x_sq, dist_y_sq = float(dx @ dx), float(dy @ dy)
+            cols["dist_x_sq"][a:b] = row_dots(x_bar - self.x_star)
+            cols["dist_y_sq"][a:b] = row_dots(y_bar - self.y_star)
+            has["dist_x_sq"][a:b] = has["dist_y_sq"][a:b] = True
+        if self.is_auc:
+            for i in np.flatnonzero(heavy):
+                cols["auc"][a + i] = auc_score(problem, x_bar[i])
+            has["auc"][a:b] = heavy
+        self.n = b
+        chunk.steps.clear()
 
-        rec = TraceRecord(
-            t=t, is_sync=is_sync, dist_x_sq=dist_x_sq, dist_y_sq=dist_y_sq,
-            grad_norm_F=float(np.linalg.norm(gx_star)) if len(gx_star) else None,
-            est_err_x=float(np.linalg.norm(w_cur - gx)), est_err_y=float(np.linalg.norm(v_cur - gy)),
-            consensus_x=float(np.sqrt(row_dots(clients.X - x_bar).max())),
-            objective=float(problem.global_value(x_bar, y_bar)),
-            auc=auc_score(problem, x_bar) if (self.is_auc and heavy) else None,
-            sfo=counters.sfo_per_client, comm=counters.comm_rounds,
-            consensus_y=float(np.sqrt(row_dots(clients.Y - y_bar).max())),
-        )
-        self.records.append(rec)
-        return rec
+    def table(self) -> TraceTable:
+        """Every step recorded so far, packed."""
+        return TraceTable.from_columns([c[:self.n] for c in self.columns.values()],
+                                       [h[:self.n] for h in self.has.values()])
 
 
 def _fmt(value) -> str:

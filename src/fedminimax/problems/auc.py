@@ -86,51 +86,55 @@ class AucProblem(DatasetProblem):
         return X, labels, groups
 
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
-        # alpha stays a Python float: its alpha**2 is libm pow, which an
-        # array's **2 (x*x) does not reproduce bit for bit.
-        a, b, alpha = float(x[self.dim]), float(x[self.dim + 1]), float(y[0])
-        h = Xs @ x[: self.dim]
-        pr = self.pos_ratio
+        dim, pr = self.dim, self.pos_ratio
+        a, b, alpha = x[..., dim, None, None], x[..., dim + 1, None, None], y[..., 0, None, None]
+        # alpha**2 on Python floats: libm pow, which an array's **2 (x*x)
+        # does not reproduce bit for bit.
+        alpha_sq = np.array([v**2 for v in alpha.ravel().tolist()]).reshape(alpha.shape)
+        h = np.matmul(Xs, x[..., None, :dim, None])[..., 0]
         vals = np.where(
             labs > 0,
             (1 - pr) * (h - a) ** 2 - 2 * (1 + alpha) * (1 - pr) * h,
             pr * (h - b) ** 2 + 2 * (1 + alpha) * pr * h,
         )
-        return (vals - pr * (1 - pr) * alpha**2).mean(axis=1)
+        return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
 
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        dim = self.dim
-        W, a, b, alpha = X[:, :dim], X[:, dim:dim + 1], X[:, dim + 1:], Y
-        h = np.matmul(Xs, W[:, :, None])[:, :, 0]
+        dim, n = self.dim, labs.shape[-1]
+        a, b, alpha = X[..., dim:dim + 1], X[..., dim + 1:], Y
+        h = np.matmul(Xs, X[..., :dim, None])[..., 0]
         pos = labs > 0
         pr = self.pos_ratio
 
         coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
                         2 * pr * (h - b) + 2 * (1 + alpha) * pr)
-        gw = (coef[:, :, None] * Xs).mean(axis=1)
-        ga = np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean(axis=1)
-        gb = np.where(pos, 0.0, -2 * pr * (h - b)).mean(axis=1)
-        galpha = np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean(axis=1) - 2 * pr * (1 - pr) * alpha[:, 0]
-        return np.column_stack([gw, ga, gb]), galpha[:, None]
+        # Means as a sum and one division (what mean does, without its
+        # wrapper): over the items for gw, and along the last axis of one
+        # (3, ..., B, n) stack for the scalar columns, each row its own
+        # pairwise sum.
+        gw = np.add.reduce(coef[..., None] * Xs, axis=-2) / n
+        ga, gb, gh = np.add.reduce(np.stack([
+            np.where(pos, -2 * (1 - pr) * (h - a), 0.0),
+            np.where(pos, 0.0, -2 * pr * (h - b)),
+            np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
+        ]), axis=-1) / n
+        galpha = gh - 2 * pr * (1 - pr) * alpha[..., 0]
+        return np.concatenate([gw, ga[..., None], gb[..., None]], axis=-1), galpha[..., None]
 
     def y_star(self, x: Vector) -> Vector:
         """Closed-form inner maximizer alpha*(w) of the averaged objective."""
-        w = x[: self.dim]
         pr = self.pos_ratio
-        means_pos = np.empty(self.K)
-        means_neg = np.empty(self.K)
+        means = np.empty((2, *x.shape[:-1], self.K))  # per-client means of h over positives, negatives
         for ks, Xs, labs in self._blocks:
-            h = Xs @ w
+            h = np.matmul(Xs, x[..., None, :self.dim, None])[..., 0]
             pos = labs > 0
-            means_pos[ks] = np.where(pos, h, 0.0).mean(axis=1)
-            means_neg[ks] = np.where(pos, 0.0, h).mean(axis=1)
+            means[..., ks] = np.stack([np.where(pos, h, 0.0), np.where(pos, 0.0, h)]).mean(axis=-1)
         # cumsum adds in client order; sum() would add pairwise.
-        m_pos = np.cumsum(means_pos)[-1] / self.K
-        m_neg = np.cumsum(means_neg)[-1] / self.K
+        m_pos, m_neg = np.cumsum(means, axis=-1)[..., -1] / self.K
         alpha = (pr * m_neg - (1 - pr) * m_pos) / (pr * (1 - pr))
-        return np.array([alpha])
+        return alpha[..., None]
 
     @property
     def mu(self) -> float:

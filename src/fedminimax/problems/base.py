@@ -67,7 +67,9 @@ class ProblemInstance(ABC):
 
     @abstractmethod
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        """Exact objectives f^k(x, y) of every client at one shared point, shape (K,)."""
+        """Exact objectives f^k(x, y) of every client at one shared point,
+        shape (K,); at S row-stacked points x (S, d) and y (S, p), shape
+        (S, K), row s bitwise equal to values(x[s], y[s])."""
 
     @abstractmethod
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
@@ -97,9 +99,12 @@ class ProblemInstance(ABC):
     def value(self, k: int, x: Vector, y: Vector) -> float:
         return float(self.values(x, y)[k])
 
-    def global_value(self, x: Vector, y: Vector) -> float:
+    def global_value(self, x: Vector, y: Vector) -> float | np.ndarray:
+        """The averaged objective at (x, y), a float; at S row-stacked
+        points, the (S,) array of each point's value."""
         # cumsum adds in client order; sum() would add pairwise.
-        return float(np.cumsum(self.values(x, y))[-1] / self.K)
+        v = np.cumsum(self.values(x, y), axis=-1)[..., -1] / self.K
+        return float(v) if v.ndim == 0 else v
 
     def global_grad(self, x: Vector, y: Vector) -> tuple[Vector, Vector]:
         # Real copies, not broadcast views: matmul on zero-stride operands
@@ -114,7 +119,8 @@ class ProblemInstance(ABC):
         return None
 
     def y_star(self, x: Vector) -> Vector:
-        """Closed-form maximizer of y -> f(x, y)."""
+        """Closed-form maximizer of y -> f(x, y); at S row-stacked points
+        x (S, d), the (S, p) rows of each point's maximizer."""
         raise ValueError(f"{self.name} has no closed-form inner maximizer")
 
     def inner_max_value(self, x: Vector) -> float:
@@ -136,7 +142,10 @@ class DatasetProblem(ProblemInstance):
     single block. Subclasses give the objective and the exact gradient
     once each, as kernels over one block, and every oracle uses them; the
     stochastic oracle applies the gradient kernel to one-item datasets
-    taken from all items pooled in client order.
+    taken from all items pooled in client order. The kernels take points
+    with any leading axes, over which the block's data is broadcast, not
+    copied: matmul still makes one gemv per matrix, and the elementwise
+    terms and the reductions over the items keep their bits.
     """
 
     clients_X: list[np.ndarray]
@@ -158,27 +167,27 @@ class DatasetProblem(ProblemInstance):
                 np.stack([self.clients_X[k] for k in ks]),
                 np.stack([self.clients_y[k] for k in ks]),
             ))
-        self._tiled = (1, self._blocks)
 
     @abstractmethod
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
-        """Objectives (B,) of B clients with datasets Xs (B, n, dim) and
-        labels labs (B, n), at the shared point (x, y)."""
+        """Objectives (..., B) of B clients with datasets Xs (B, n, dim) and
+        labels labs (B, n), at points x (..., d) and y (..., p) that every
+        client shares."""
 
     @abstractmethod
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients of B clients with datasets Xs (B, n, dim) and
-        labels labs (B, n), at points X (B, d) and Y (B, p)."""
+        labels labs (B, n), at points X (..., B, d) and Y (..., B, p)."""
 
     def dataset_size(self, k: int) -> int:
         return len(self.clients_y[k])
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        out = np.empty(self.K)
+        out = np.empty(x.shape[:-1] + (self.K,))
         for ks, Xs, labs in self._blocks:
-            out[ks] = self._value_block(Xs, labs, x, y)
+            out[..., ks] = self._value_block(Xs, labs, x, y)
         return out
 
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
@@ -186,23 +195,13 @@ class DatasetProblem(ProblemInstance):
         return GX[0], GY[0]
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(X) // self.K
-        # Each size block's rows in all n K-row blocks, its data tiled to
-        # match; only the last block count's tiles are kept, so an instance
-        # holds at most one tiled copy of its data besides the data itself.
-        if n == 1:
-            tiles = self._blocks
-        elif self._tiled[0] == n:
-            tiles = self._tiled[1]
-        else:
-            tiles = [((ks + self.K * np.arange(n)[:, None]).ravel(), np.tile(Xs, (n, 1, 1)),
-                      np.tile(labs, (n, 1))) for ks, Xs, labs in self._blocks]
-            self._tiled = (n, tiles)
-        GX = np.empty((len(X), self.d))
-        GY = np.empty((len(X), self.p))
-        for rows, Xs, labs in tiles:
-            GX[rows], GY[rows] = self._grad_block(Xs, labs, X[rows], Y[rows])
-        return GX, GY
+        # The n K-row blocks as (n, K, .): each size block's data is
+        # broadcast over the n blocks, not tiled.
+        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
+        GX, GY = np.empty_like(X3), np.empty_like(Y3)
+        for ks, Xs, labs in self._blocks:
+            GX[:, ks], GY[:, ks] = self._grad_block(Xs, labs, X3[:, ks], Y3[:, ks])
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
 
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray

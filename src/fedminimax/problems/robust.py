@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Vector, expit
+from ..core import Vector, expit, row_dots
 from ..federation import partition
 from .base import DatasetProblem, EuclideanBall
 
@@ -70,16 +70,18 @@ class RobustProblem(DatasetProblem):
         return X, labels, groups
 
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
-        z = Xs @ x + float(x @ y)
-        return np.logaddexp(0.0, -labs * z).mean(axis=1)
+        z = np.matmul(Xs, x[..., None, :, None])[..., 0] + row_dots(x, y)[..., None, None]
+        return np.logaddexp(0.0, -labs * z).mean(axis=-1)
 
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        z = np.matmul(Xs, X[:, :, None])[:, :, 0] + np.matmul(X[:, None, :], Y[:, :, None])[:, :, 0]
+        n = labs.shape[-1]
+        z = np.matmul(Xs, X[..., :, None])[..., 0] + np.matmul(X[..., None, :], Y[..., :, None])[..., 0]
         s = -labs * expit(-labs * z)  # d loss / d z
-        GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
-        GY = s.mean(axis=1)[:, None] * X
+        # Means over the items as a sum and one division, as mean does.
+        GX = np.add.reduce(s[..., None] * (Xs + Y[..., None, :]), axis=-2) / n
+        GY = (np.add.reduce(s, axis=-1) / n)[..., None] * X
         return GX, GY
 
 

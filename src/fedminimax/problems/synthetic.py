@@ -96,9 +96,11 @@ class SyntheticProblem(ProblemInstance):
         return self.n_per_client
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        # Per-row dots against a tiled y: self.b @ y (gemv) sums in another order.
-        by = row_dots(self.b, np.tile(y, (self.K, 1)))
-        return 0.5 * self.tau * x @ x - (0.5 * y @ y - by + self.t * (y @ x))
+        # Per-row dots against y repeated per client: self.b @ y (gemv) sums
+        # in another order.
+        by = row_dots(self.b, np.repeat(y[..., None, :], self.K, axis=-2))
+        xx, yy, yx = row_dots(0.5 * self.tau * x, x), row_dots(0.5 * y, y), row_dots(y, x)
+        return xx[..., None] - (yy[..., None] - by + self.t * yx[..., None])
 
     def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
         gx = self.tau * x - self.t[k] * y

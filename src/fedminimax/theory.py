@@ -127,6 +127,17 @@ class ConstraintReport:
 
 
 def _theorem_system(hp: HyperParams, c: ConstantSet, K: int, rho: float, rho_l: float, rho_u: float) -> ConstraintReport:
+    # A Python float's ** raises OverflowError where * gives inf.
+    try:
+        records = _constraint_records(hp, c, K, rho, rho_l, rho_u)
+    except OverflowError as exc:
+        raise ValueError(f"step-size constraint terms overflow a float (L_f={c.L_f:.6g}, mu={c.mu:.6g})") from exc
+    assert [r.name for r in records] == list(CONSTRAINT_NAMES)
+    return ConstraintReport(records)
+
+
+def _constraint_records(hp: HyperParams, c: ConstantSet, K: int, rho: float, rho_l: float,
+                        rho_u: float) -> list[ConstraintRecord]:
     n, m = hp.eta_n, hp.eta_m
     c1, c2, q = hp.c1, hp.c2, hp.q
     gamma, lam = hp.gamma, hp.lam
@@ -179,9 +190,7 @@ def _theorem_system(hp: HyperParams, c: ConstantSet, K: int, rho: float, rho_l: 
     add("rho_range", rho, 1.0, 0.0 < rho <= 1.0)
     add("rho_u_range", rho_u, 135.0 / (64.0 * rho**2), 0.0 < rho_u <= 135.0 / (64.0 * rho**2))
 
-    report = ConstraintReport(records)
-    assert [c.name for c in records] == list(CONSTRAINT_NAMES)
-    return report
+    return records
 
 
 def validate_theorem1(hp: HyperParams, c: ConstantSet, K: int) -> ConstraintReport:
@@ -480,14 +489,15 @@ def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
     # Sampled surrogate for a gradient-growth constant. The robust family's
     # inner problem is convex, not concave, so no true constant exists; this
     # is a nominal estimate for record-keeping, floored away from zero.
-    # Each probe draws x and then its 8 y's; one exact call on 8K rows gives
-    # every y's global_grad (each K-row block's vec_mean).
+    # Each probe draws x and then its 8 y's; one global_value call at the 8
+    # stacked points gives their values, and one exact call on 8K rows every
+    # y's global_grad (each K-row block's vec_mean).
     K, p = inst.K, inst.p
     Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
     best = math.inf
     for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
         ys = inst.y_constraint.project(ys)
-        vals = np.array([inst.global_value(x, y) for y in ys])
+        vals = inst.global_value(np.tile(x, (8, 1)), ys)
         gaps = vals.max() - vals
         _, GY = inst.grad_full_all(np.tile(x, (8 * K, 1)), np.repeat(ys, K, axis=0))
         gy = np.cumsum(GY.reshape(8, K, p), axis=1)[:, -1] / K

@@ -239,6 +239,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error: synthetic: non-finite exact gradient" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_constraint_terms_past_a_float_are_an_error_exit(self, command, tmp_path, capsys):
+        # L_f = 1e200: the gradients stay finite, but powers of L_f in the
+        # step-size system overflow a Python float
+        argv = [command, "--preset", "synthetic-s1", "--problem.tau", "1e200", "--output.csv_dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: step-size constraint terms overflow a float (L_f=1e+200, mu=1)"]
+        assert "Traceback" not in err and not list(tmp_path.iterdir())
+
     def test_validate_passing_preset(self, capsys):
         assert main(["validate", "--preset", "synthetic-theorem"]) == 0
         out = capsys.readouterr().out

@@ -350,20 +350,22 @@ class TestSummary:
 
 def _recorded_run(monkeypatch, preset: str, overrides: dict):
     """Run a preset and return its trace together with what the recorder
-    saw and built: one (t, x_bar, TraceRecord) per step."""
+    saw, one (t, x_bar) per step in the order it measured them, and the
+    recorder itself, whose column buffers hold what it computed."""
     cfg = apply_overrides(load_preset(preset), overrides)
     problem = cfg.build_problem(1)
-    seen = []
+    seen, recorders = [], []
     real_record = metrics.TraceRecorder.record
 
-    def record(self, t, is_sync, q, clients, counters, x_bar, y_bar):
-        rec = real_record(self, t, is_sync, q, clients, counters, x_bar, y_bar)
-        seen.append((t, x_bar.copy(), rec))
-        return rec
+    def record(self, chunk):
+        seen.extend((t, x_bar.copy()) for (t, *_), x_bar in zip(chunk.steps, chunk.x_bar))
+        recorders.append(self)
+        real_record(self, chunk)
 
     monkeypatch.setattr(metrics.TraceRecorder, "record", record)
     trace = algorithms.run(problem, cfg.hp_for_seed(1), heavy_cadence=cfg.output.heavy_cadence)
-    return problem, trace, seen
+    assert len({id(r) for r in recorders}) == 1
+    return problem, trace, seen, recorders[0]
 
 
 def _same_cell(a, b) -> bool:
@@ -374,12 +376,13 @@ def _same_cell(a, b) -> bool:
 class TestRecordedGradNormF:
     @pytest.mark.parametrize("preset", preset_names())
     def test_recorded_value_equals_the_public_definition_bitwise(self, monkeypatch, preset):
-        # the recorder folds grad_norm_F into its one oracle call; the bits
-        # must stay those of metrics.grad_norm_F at x_bar
+        # the recorder folds grad_norm_F into its one oracle call per chunk;
+        # the bits must stay those of metrics.grad_norm_F at x_bar
         q = load_preset(preset).algorithm.q
-        problem, _, seen = _recorded_run(monkeypatch, preset, {"algorithm.t": str(5 * q + 1)})
+        problem, trace, seen, _ = _recorded_run(monkeypatch, preset, {"algorithm.t": str(5 * q + 1)})
+        assert [t for t, _ in seen] == [rec.t for rec in trace.records] == list(range(1, 5 * q + 2))
         checked = 0
-        for t, x_bar, rec in seen:
+        for (t, x_bar), rec in zip(seen, trace.records):
             if problem.has_closed_form_inner_max or t % q == 0:
                 assert rec.grad_norm_F == grad_norm_F(problem, x_bar), t
                 checked += 1
@@ -388,15 +391,75 @@ class TestRecordedGradNormF:
         assert checked == (len(seen) if problem.has_closed_form_inner_max else 5)
 
 
+def _one_step_chunks(monkeypatch):
+    """Make every chunk full after one step, so each record call measures one step."""
+    real_add = metrics.TraceChunk.add
+    monkeypatch.setattr(metrics.TraceChunk, "add", lambda self, *args: real_add(self, *args) or True)
+
+
+def _chunk_case(preset: str, variant: str, overrides: dict | None = None):
+    """A preset's problem, seed-1 hyperparameters at T = 2q + 3, and heavy cadence."""
+    cfg = apply_overrides(load_preset(preset), {"algorithm.variant": variant, **(overrides or {})})
+    cfg = apply_overrides(cfg, {"algorithm.t": str(2 * cfg.algorithm.q + 3)})
+    return cfg.build_problem(1), cfg.hp_for_seed(1), cfg.output.heavy_cadence
+
+
+CHUNK_CASES = [
+    *[(p, v, None) for p in preset_names() for v in algorithms.VARIANTS],
+    *[(p, "fgda", {"algorithm.q": "1"}) for p in ("synthetic-s1", "auc-imbalanced", "robust-q6")],
+    ("synthetic-s1", "adafgda_adam", {"problem.k": "100"}),
+    ("robust-q6", "fgda", {"problem.k": "100", "problem.n_per_client": "8"}),
+]
+
+
+class TestChunkedRecorder:
+    @pytest.mark.parametrize("preset,variant,overrides", CHUNK_CASES)
+    def test_chunked_trace_equals_a_one_step_chunk_trace(self, monkeypatch, preset, variant, overrides):
+        # T = 2q + 3: the last chunk ends mid-round; q = 1 syncs at every step
+        problem, hp, cadence = _chunk_case(preset, variant, overrides)
+        chunked = algorithms.run(problem, hp, heavy_cadence=cadence).records
+        with monkeypatch.context() as m:
+            _one_step_chunks(m)
+            stepwise = algorithms.run(problem, hp, heavy_cadence=cadence).records
+        assert len(chunked) == len(stepwise) == hp.T
+        assert [repr(r) for r in chunked] == [repr(r) for r in stepwise]
+
+    @pytest.mark.parametrize("rows", [1, 7, 30, 1000])
+    def test_any_chunk_budget_gives_the_same_trace(self, monkeypatch, rows):
+        problem, hp, cadence = _chunk_case("robust-q6", "fgda")
+        reference = [repr(r) for r in algorithms.run(problem, hp, heavy_cadence=cadence).records]
+        monkeypatch.setattr(algorithms, "_RECORD_ROWS", rows)
+        assert [repr(r) for r in algorithms.run(problem, hp, heavy_cadence=cadence).records] == reference
+
+    def test_record_measures_full_chunks_then_the_rest(self, monkeypatch):
+        # auc-imbalanced has K = 10: five steps per chunk, a T = 43 run ends on three
+        sizes = []
+        real_record = metrics.TraceRecorder.record
+        monkeypatch.setattr(metrics.TraceRecorder, "record",
+                            lambda self, chunk: sizes.append(len(chunk)) or real_record(self, chunk))
+        problem, hp, cadence = _chunk_case("auc-imbalanced", "adafgda_adam")
+        algorithms.run(problem, hp, heavy_cadence=cadence)
+        assert sizes == [5] * 8 + [3]
+
+    def test_heavy_cadence_zero_records_no_robust_grad_norm_F(self):
+        problem, hp, _ = _chunk_case("robust-q6", "fgda")
+        records = algorithms.run(problem, hp, heavy_cadence=0).records
+        assert all(r.grad_norm_F is None for r in records)
+
+
 class TestTraceTable:
     @pytest.mark.parametrize("preset,variant", [(p, v) for p in preset_names() for v in algorithms.VARIANTS])
     def test_packed_rows_equal_the_records_built(self, monkeypatch, preset, variant):
+        # the records the recorder built are the cells of its column buffers
         q = load_preset(preset).algorithm.q
-        _, trace, seen = _recorded_run(monkeypatch, preset, {"algorithm.variant": variant, "algorithm.t": str(2 * q + 1)})
+        _, trace, seen, recorder = _recorded_run(monkeypatch, preset,
+                                                 {"algorithm.variant": variant, "algorithm.t": str(2 * q + 1)})
         assert isinstance(trace.records, TraceTable) and len(trace.records) == len(seen) == 2 * q + 1
-        for packed, (_, _, built) in zip(trace.records, seen):
+        for i, packed in enumerate(trace.records):
             for f in fields(TraceRecord):
-                assert _same_cell(getattr(packed, f.name), getattr(built, f.name)), (built.t, f.name)
+                has = recorder.has.get(f.name)
+                built = None if has is not None and not has[i] else recorder.columns[f.name][i].item()
+                assert _same_cell(getattr(packed, f.name), built), (packed.t, f.name)
 
     def test_special_floats_read_back_the_same(self):
         specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
@@ -423,8 +486,11 @@ class TestTraceTable:
         table = TraceTable.pack(built)
         names = [f.name for f in fields(TraceRecord)]
         assert table.ints.dtype == np.uint16
-        # stored: grad_norm_F and the four required floats (consensus_y is unset)
-        assert table.floats.shape == (5, len(built))
+        # stored: the four required floats of every record, and grad_norm_F
+        # of the records that have it (auc and consensus_y are unset); the
+        # six flag rows take a bit per record
+        assert table.floats.shape == (4 * len(built) + sum(r.grad_norm_F is not None for r in built),)
+        assert table.flags.shape == (6, math.ceil(len(built) / 8))
         assert table.column(names.index("auc")) == [None] * len(built)
         assert table.column(names.index("grad_norm_F")) == [r.grad_norm_F for r in built]
         assert list(table) == built
@@ -481,7 +547,8 @@ class TestTraceTable:
     def test_one_trace_retains_at_most_36_kb(self):
         # perfbench keeps every repeat's trace; auc-imbalanced at T = 400 is
         # its largest: about 133 KB as a list of records, 45 KB as one
-        # float64 row per field, 29 KB with narrow ints and no absent fields
+        # float64 row per field, 29 KB with narrow ints and no absent fields,
+        # 23 KB with optional fields stored only where present and packed flags
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         tracemalloc.start()
@@ -496,3 +563,19 @@ class TestTraceTable:
         finally:
             tracemalloc.stop()
         assert retained <= 36 * 1024, retained
+
+    def test_one_run_peaks_under_768_kb(self):
+        # The recorder's stacked calls hold about 90 KB of temporaries per
+        # step in a chunk on auc-imbalanced, where a chunk is five steps: a
+        # peak of about 650 KB (460 KB measuring one step at a time). Eight
+        # steps per chunk would reach about 880 KB.
+        cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fm.run(problem, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 768 * 1024, peak

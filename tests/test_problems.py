@@ -555,6 +555,35 @@ def _plain_stoch_auc(inst, k, x, y, item):
     return np.concatenate([gw, [ga, gb]]), np.array([galpha])
 
 
+def _mean_kernel_auc(inst, Xs, labs, X, Y):
+    """AucProblem._grad_block as it was written with ndarray.mean(axis=1)
+    and one reduction per scalar column."""
+    dim = inst.dim
+    W, a, b, alpha = X[:, :dim], X[:, dim:dim + 1], X[:, dim + 1:], Y
+    h = np.matmul(Xs, W[:, :, None])[:, :, 0]
+    pos = labs > 0
+    pr = inst.pos_ratio
+    coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
+                    2 * pr * (h - b) + 2 * (1 + alpha) * pr)
+    gw = (coef[:, :, None] * Xs).mean(axis=1)
+    ga = np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean(axis=1)
+    gb = np.where(pos, 0.0, -2 * pr * (h - b)).mean(axis=1)
+    galpha = np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean(axis=1) - 2 * pr * (1 - pr) * alpha[:, 0]
+    return np.column_stack([gw, ga, gb]), galpha[:, None]
+
+
+def _mean_kernel_robust(inst, Xs, labs, X, Y):
+    """RobustProblem._grad_block as it was written with ndarray.mean(axis=1)."""
+    z = np.matmul(Xs, X[:, :, None])[:, :, 0] + np.matmul(X[:, None, :], Y[:, :, None])[:, :, 0]
+    s = -labs * fm.core.expit(-labs * z)
+    GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
+    GY = s.mean(axis=1)[:, None] * X
+    return GX, GY
+
+
+MEAN_KERNELS = {"auc": _mean_kernel_auc, "robust": _mean_kernel_robust}
+
+
 STACKED_CASES = {
     "synthetic": lambda: fm.make_synthetic(K=7, dim=5, s=1.0, tau=10.0, seed=4),
     "auc-iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
@@ -611,9 +640,59 @@ class TestStackedOracle:
         inst = fm.make_auc(K=2, dim=3, n_per_client=4, pos_ratio=0.25, seed=8)
         rng = np.random.default_rng(47)
         x = rng.standard_normal(inst.d)
-        for alpha in 2.0 * rng.standard_normal(5000):
+        alphas = 2.0 * rng.standard_normal(5000)
+        stacked = inst.values(np.tile(x, (len(alphas), 1)), alphas[:, None])[:, 0]
+        for alpha, value in zip(alphas, stacked):
             y = np.array([alpha])
-            assert inst.values(x, y)[0] == _plain_value_auc(inst, 0, x, y)
+            assert inst.values(x, y)[0] == value == _plain_value_auc(inst, 0, x, y)
+
+    @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
+    def test_values_and_y_star_at_stacked_points_equal_one_call_per_point_bitwise(self, case):
+        # the recorder evaluates a chunk's S points in one call each
+        make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
+        inst = make()
+        rng = np.random.default_rng(71)
+        for scale in (1e-3, 1.0, 1e3):
+            for S in (1, 2, 7):
+                X = scale * rng.standard_normal((S, inst.d))
+                Y = scale * rng.standard_normal((S, inst.p))
+                V, G = inst.values(X, Y), inst.global_value(X, Y)
+                assert V.shape == (S, inst.K) and G.shape == (S,)
+                for s in range(S):
+                    assert _same_bits(V[s], inst.values(X[s], Y[s]))
+                    g = inst.global_value(X[s], Y[s])
+                    assert type(g) is float and G[s] == g
+                if inst.has_closed_form_inner_max:
+                    Y_star = inst.y_star(X)
+                    assert Y_star.shape == (S, inst.p)
+                    for s in range(S):
+                        assert _same_bits(Y_star[s], inst.y_star(X[s]))
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    def test_gradient_kernel_equals_its_mean_form_bitwise(self, case):
+        # np.add.reduce(..., axis) / n is what mean computes, and the AUC
+        # scalar columns reduced as one (3, ..., B, n) stack keep each row's
+        # own pairwise sum; at 200 random points per scale: one-item blocks
+        # (a local step's), each size block's whole datasets, and those under
+        # a leading axis (the exact oracle on stacked K-row blocks)
+        inst = STACKED_CASES[case]()
+        plain = MEAN_KERNELS[inst.name]
+        rng = np.random.default_rng(67)
+        pool_X, pool_y = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
+        for scale in (1e-3, 1.0, 1e3):
+            rows = rng.integers(len(pool_y), size=200)
+            Xs, labs = pool_X[rows][:, None, :], pool_y[rows][:, None]
+            X = scale * rng.standard_normal((200, inst.d))
+            Y = scale * rng.standard_normal((200, inst.p))
+            for got, want in zip(inst._grad_block(Xs, labs, X, Y), plain(inst, Xs, labs, X, Y)):
+                assert _same_bits(got, want)
+            for _, Xs, labs in inst._blocks:
+                X = scale * rng.standard_normal((3, len(Xs), inst.d))
+                Y = scale * rng.standard_normal((3, len(Xs), inst.p))
+                GX, GY = inst._grad_block(Xs, labs, X, Y)
+                for i in range(3):
+                    want_x, want_y = plain(inst, Xs, labs, X[i], Y[i])
+                    assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("auc")))
     def test_auc_lipschitz_equals_per_item_hessian_loop_bitwise(self, case):
@@ -709,10 +788,10 @@ class TestStackedOracle:
 
     @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
     def test_exact_oracle_on_stacked_k_row_blocks_equals_one_call_per_block_bitwise(self, case):
-        # the recorder evaluates the clients' points and (x_bar, y*) tiled in
-        # one call on 2K rows, the constants' probes on 5K and 8K rows; row i
-        # belongs to client i mod K. A dataset family keeps one block count's
-        # tiled data, so the sequence also re-tiles after each change.
+        # the recorder evaluates a chunk's client points and (x_bar, y*)
+        # tiled in one call on a few K-row blocks each, the constants' probes
+        # on 5K and 8K rows; row i belongs to client i mod K. A dataset family
+        # broadcasts its data over however many blocks a call brings.
         make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
         inst = make()
         K = inst.K
