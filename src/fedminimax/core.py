@@ -11,7 +11,8 @@ row:
   oracle on the rows of two calls concatenated (new and old points), and
   the exact oracle on n stacked K-row blocks against one call per block;
 - vec_mean of (K, d_i) blocks side by side, (K, 1) ones included, against
-  each block's own vec_mean (cumsum adds each column on its own);
+  each block's own vec_mean (each column is added on its own, in index
+  order);
 - Generator.integers(n, size=m) against m integers(n) calls, and
   size=(r, m) against r calls of size m, state included;
 - Generator.standard_normal(size=(n, a + b)) against n pairs of calls of
@@ -27,6 +28,14 @@ row:
   index order (np.add.accumulate never reassociates), also along the K
   axis of an (S, K, d) stack against each (K, d) slice's own cumsum, and
   in place (out=A);
+- np.add.reduce(A, axis) against that cumsum's last slice, where the axis
+  is not the last and A is C-contiguous with a trailing length of at
+  least 2: numpy adds whole rows in index order and sums pairwise only
+  along the fast axis (index_sum: vec_mean, the recorder's (S, K, .)
+  stack, theory's gradient-growth probe);
+- the real part of np.exp on a complex array at imaginary 0 against libm
+  exp (math.exp), up to 709: glibc's cexp is exp(x) * 1 there, and it
+  rescales above 709 (expit);
 - a family's values and y_star at S row-stacked points, (S, d) and
   (S, p), against one call per point; the AUC objective squares each
   alpha as a Python float;
@@ -44,16 +53,18 @@ A @ v (one gemv) against the row dots A[k] @ v, the Gram form
 N_a + N_b - 2 G_a.G_b of a squared distance against row_dots(G_a - G_b)
 (theory uses it only to screen pairs, within a proven slack, before the
 row dots), a (B, n, 3) stack's mean over axis 1 against three (B, n)
-means (it adds the items in index order, not pairwise), and sum(axis=0)
-or mean(axis=0) across clients on a (K, 1) array, which sums pairwise;
-these stay forbidden for cross-client reductions. Cross-client means are
-therefore the index-order cumsum of vec_mean, which takes a stacked (K, d)
-array as well as a list of vectors.
+means (it adds the items in index order, not pairwise), and add.reduce,
+sum or mean along the fast axis, or across clients on a (K, 1) array,
+which sum pairwise; these stay forbidden for cross-client reductions.
+Cross-client means are therefore index_sum's: add.reduce where it adds
+rows in index order, the index-order cumsum elsewhere. vec_mean takes a
+stacked (K, d) array as well as a list of vectors.
 Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
 **2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
-float; np.exp and libm exp (math.exp) differ on ~2% of sigmoid inputs, so
-the logistic sigmoid is expit below, which maps math.exp over the items and
-is bitwise equal to scipy.special.expit.
+float; np.exp on a real array and libm exp (math.exp) differ on ~2% of
+sigmoid inputs, so the logistic sigmoid is expit below, which takes libm
+exp from the complex np.exp (math.exp past 709 and at NaN) and is bitwise
+equal to scipy.special.expit.
 """
 
 from __future__ import annotations
@@ -68,12 +79,23 @@ import numpy as np
 Vector = np.ndarray
 
 
+def index_sum(A: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum of A over axis (counted from the front), its slices added one by
+    one in index order, never pairwise. np.add.reduce adds whole rows in
+    that order when the axis is not the last and A is C-contiguous with a
+    trailing length of at least 2; otherwise (a (K, 1) column, say) it
+    would sum pairwise, and np.cumsum adds in order instead."""
+    if axis < A.ndim - 1 and A.shape[-1] > 1 and A.flags.c_contiguous:
+        return np.add.reduce(A, axis=axis)
+    return np.cumsum(A, axis=axis)[(slice(None),) * axis + (-1,)]
+
+
 def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:
     """Coordinatewise mean of a list of vectors or of the rows of a (K, d)
-    array, summed in index order by np.cumsum (no pairwise reduction)."""
+    array, the rows added in index order (index_sum)."""
     if len(vs) == 0:
         raise ValueError("vec_mean of empty list")
-    return np.cumsum(vs, axis=0)[-1] / len(vs)
+    return index_sum(np.asarray(vs)) / len(vs)
 
 
 def row_dots(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -90,14 +112,20 @@ def expit(z: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-z)) of each item, with libm exp.
 
     Bitwise equal to scipy.special.expit, infinities and NaN included,
-    without importing scipy (about 24 MB resident).
+    without importing scipy (about 24 MB resident). libm's exp is the real
+    part of glibc's cexp at imaginary 0, exp(u) * 1, for u = -z up to 709;
+    above that cexp rescales, so those items and NaN go through math.exp.
     """
     z = np.asarray(z, dtype=float)
-    u = (-z).ravel().tolist()
-    try:
-        e = np.fromiter(map(math.exp, u), float, len(u))
-    except OverflowError:
-        e = np.array([math.inf if v > _EXP_MAX else math.exp(v) for v in u])
+    u = -z.reshape(-1)
+    c = u.astype(complex)
+    tame = np.maximum.reduce(u, initial=-math.inf) <= 709.0  # False on NaN
+    if not tame:
+        rest = ~(u <= 709.0)
+        c[rest] = 0.0  # so that cexp cannot overflow
+    e = np.exp(c, out=c).real
+    if not tame:
+        e[rest] = [math.inf if v > _EXP_MAX else math.exp(v) for v in u[rest].tolist()]
     return (1.0 / (1.0 + e)).reshape(z.shape)
 
 

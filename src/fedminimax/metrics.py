@@ -5,10 +5,11 @@ closed-form saddle points) even though the algorithms only ever see
 stochastic samples; distance-to-saddle and value-function gradients are
 oracle quantities by nature. The run keeps its steps in a TraceChunk, and
 the recorder measures a whole chunk at a time in stacked calls (one exact
-oracle call on all its K-row blocks, one cumsum for every cross-client
-mean), bitwise what one step at a time gives. It appends each metric as a
-column; run packs the columns into a TraceTable, which reads the records
-back, and the CSV is written from that table's columns.
+oracle call on all its K-row blocks, one index-order sum over the clients
+for every cross-client mean), bitwise what one step at a time gives. It
+appends each metric as a column; run packs the columns into a TraceTable,
+which reads the records back, and the CSV is written from that table's
+columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import Counters, Vector, row_dots
+from .core import Counters, Vector, index_sum, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
 
 
@@ -292,8 +293,9 @@ class TraceRecorder:
         - one exact-oracle call on the steps' K-row blocks, then (x_bar, y*)
           repeated K times for each step whose grad_norm_F is due, as
           global_grad tiles it;
-        - one index-order cumsum over the K axis of an (S, K, .) stack for
-          every cross-client mean;
+        - one index-order sum (core.index_sum, an add.reduce adding whole
+          rows) over the K axis of an (S, K, .) stack for every
+          cross-client mean;
         - row_dots for every norm, distance and consensus value;
         - y_star and global_value at the S stacked points."""
         S = len(chunk)
@@ -328,9 +330,9 @@ class TraceRecorder:
         M[..., gy] = GY[:SK].reshape(S, K, p)
         M[..., gx] = GX[:SK].reshape(S, K, d)
         if len(x_due) < S:
-            M[..., gx_star] = 0.0  # no stale sums where grad_norm_F is not due
+            M[..., gx_star] = 0.0  # no stale gradients where grad_norm_F is not due
         M[due, :, gx_star] = GX[SK:].reshape(-1, K, d)
-        m = np.add.accumulate(M, axis=1, out=M)[:, -1] / K
+        m = index_sum(M, axis=1) / K
         cols["grad_norm_F"][a:b][due] = np.sqrt(row_dots(m[due, gx_star]))
         cols["est_err_x"][a:b] = np.sqrt(row_dots(m[:, w_cur] - m[:, gx]))
         cols["est_err_y"][a:b] = np.sqrt(row_dots(m[:, v_cur] - m[:, gy]))

@@ -76,13 +76,27 @@ class RobustProblem(DatasetProblem):
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = labs.shape[-1]
-        z = np.matmul(Xs, X[..., :, None])[..., 0] + np.matmul(X[..., None, :], Y[..., :, None])[..., 0]
-        s = -labs * expit(-labs * z)  # d loss / d z
+        s, GY = self._slopes_and_grad_y(Xs, labs, X, Y)
         # Means over the items as a sum and one division, as mean does.
-        GX = np.add.reduce(s[..., None] * (Xs + Y[..., None, :]), axis=-2) / n
-        GY = (np.add.reduce(s, axis=-1) / n)[..., None] * X
+        GX = np.add.reduce(s[..., None] * (Xs + Y[..., None, :]), axis=-2) / labs.shape[-1]
         return GX, GY
+
+    def _slopes_and_grad_y(
+        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """d loss / d z of each item, and the y-gradients, of _grad_block."""
+        z = np.matmul(Xs, X[..., :, None])[..., 0] + np.matmul(X[..., None, :], Y[..., :, None])[..., 0]
+        s = -labs * expit(-labs * z)
+        return s, (np.add.reduce(s, axis=-1) / labs.shape[-1])[..., None] * X
+
+    def grad_y_all(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The y-gradients of grad_full_all(X, Y), bitwise, without the
+        x-gradients' (..., n, dim) product and reduction."""
+        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
+        GY = np.empty_like(Y3)
+        for ks, Xs, labs in self._blocks:
+            GY[:, ks] = self._slopes_and_grad_y(Xs, labs, X3[:, ks], Y3[:, ks])[1]
+        return GY.reshape(Y.shape)
 
 
 def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import HyperParams
-from .core import Vector, expit, row_dots
+from .core import Vector, expit, index_sum, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
 
 CONSTRAINT_NAMES = (
@@ -373,8 +373,8 @@ def _max_pairwise_distance(G: np.ndarray) -> float:
     and drop the maximizing pair; the tests hold such a stack.)
     """
     B, K, m = G.shape
-    N = row_dots(G)
     with np.errstate(over="ignore", invalid="ignore"):
+        N = row_dots(G)
         S = np.matmul(G, G.transpose(0, 2, 1))
         S *= -2.0
         S += N[:, :, None]
@@ -490,8 +490,8 @@ def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
     # inner problem is convex, not concave, so no true constant exists; this
     # is a nominal estimate for record-keeping, floored away from zero.
     # Each probe draws x and then its 8 y's; one global_value call at the 8
-    # stacked points gives their values, and one exact call on 8K rows every
-    # y's global_grad (each K-row block's vec_mean).
+    # stacked points gives their values, and one y-only exact call on 8K
+    # rows the y-half of every y's global_grad (each K-row block's mean).
     K, p = inst.K, inst.p
     Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
     best = math.inf
@@ -499,8 +499,8 @@ def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
         ys = inst.y_constraint.project(ys)
         vals = inst.global_value(np.tile(x, (8, 1)), ys)
         gaps = vals.max() - vals
-        _, GY = inst.grad_full_all(np.tile(x, (8 * K, 1)), np.repeat(ys, K, axis=0))
-        gy = np.cumsum(GY.reshape(8, K, p), axis=1)[:, -1] / K
+        GY = inst.grad_y_all(np.tile(x, (8 * K, 1)), np.repeat(ys, K, axis=0))
+        gy = index_sum(GY.reshape(8, K, p), axis=1) / K
         due = gaps > 1e-12
         if due.any():
             best = min(best, float((row_dots(gy[due]) / (2.0 * gaps[due])).min()))

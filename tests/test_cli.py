@@ -239,11 +239,12 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error: synthetic: non-finite exact gradient" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_constraint_terms_past_a_float_are_an_error_exit(self, command, tmp_path, capsys):
         # L_f = 1e200: the gradients stay finite, but powers of L_f in the
-        # step-size system overflow a Python float
+        # step-size system overflow a Python float; the probe gradients'
+        # squared norms overflow too, and print no warning
         argv = [command, "--preset", "synthetic-s1", "--problem.tau", "1e200", "--output.csv_dir", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 
 from fedminimax import make_robust
-from fedminimax.core import Counters, expit, precondition, vec_mean
+from fedminimax.core import Counters, expit, index_sum, precondition, vec_mean
 from fedminimax.theory import _robust_hessian_norms
 
 # math.exp raises OverflowError above this argument
@@ -84,6 +84,50 @@ class TestVecMean:
             vec_mean([vec(1, 2), vec(1, 2, 3)])
 
 
+def _mixed_scales(rng, shape):
+    """Normals times scales from 1e-3 to 1e3: mixed signs and magnitudes,
+    on which a pairwise sum differs from an index-order one."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+
+class TestIndexSum:
+    # The client-axis sums rest on this numpy behaviour: add.reduce over a
+    # slow axis of a C-contiguous array whose trailing length is at least 2
+    # adds whole rows in index order, as add.accumulate does.
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 10, 100])
+    @pytest.mark.parametrize("m", [2, 3, 12, 38, 100])
+    def test_add_reduce_over_a_slow_axis_is_add_accumulate_bitwise(self, K, m):
+        rng = np.random.default_rng([K, m])
+        for S in (None, 1, 2, 5):
+            A = _mixed_scales(rng, (K, m) if S is None else (S, K, m))
+            axis = A.ndim - 2
+            ordered = np.take(np.add.accumulate(A, axis=axis), -1, axis=axis)
+            assert np.array_equal(np.add.reduce(A, axis=axis).view(np.int64), ordered.view(np.int64))
+            assert np.array_equal(index_sum(A, axis=axis).view(np.int64), ordered.view(np.int64))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 7, 10, 100])
+    def test_a_column_or_a_strided_array_is_summed_in_index_order(self, K):
+        # add.reduce would sum a (K, 1) column pairwise; index_sum falls
+        # back to cumsum there, on a 1-D array, and off C-contiguous memory
+        rng = np.random.default_rng(K)
+        for A, axis in [
+            (_mixed_scales(rng, (K, 1)), 0),
+            (_mixed_scales(rng, (2, K, 1)), 1),
+            (_mixed_scales(rng, K), 0),
+            (_mixed_scales(rng, (12, K)).T, 0),
+            (_mixed_scales(rng, (K, 24))[:, ::2], 0),
+        ]:
+            ordered = np.take(np.add.accumulate(A, axis=axis), -1, axis=axis)
+            assert np.array_equal(index_sum(A, axis=axis).view(np.int64), ordered.view(np.int64))
+
+    def test_the_fallback_is_needed_on_a_column(self):
+        # pairwise and index order differ on some of these columns, so the
+        # test above would see a (K, 1) column sent to add.reduce
+        rng = np.random.default_rng(100)
+        columns = [_mixed_scales(rng, (100, 1)) for _ in range(20)]
+        assert any(np.add.reduce(A, axis=0) != np.add.accumulate(A, axis=0)[-1] for A in columns)
+
+
 class TestPrecondition:
     def test_identity(self):
         out = precondition(np.ones(2), vec(5, -2))
@@ -134,6 +178,35 @@ class TestExpit:
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
         # the overflow edge: exp(-z) is finite at -EXP_MAX and inf just below
         assert expit(-EXP_MAX) > 0.0 and expit(-np.nextafter(EXP_MAX, np.inf)) == 0.0
+
+    def test_edges_bitwise_equal_to_scipy_expit(self):
+        # exp(-z) comes from cexp up to -z = 709 and from math.exp past it
+        around = lambda v: [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+        edges = [*around(709.0), *around(EXP_MAX), *around(708.0), *around(745.0)]
+        rng = np.random.default_rng(1)
+        z = np.concatenate([
+            edges,
+            np.negative(edges),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+            np.linspace(-710.0, -708.3, 2001),  # subnormal outputs, then 0
+            rng.uniform(-709.79, -708.39, 10_000),
+        ])
+        out = expit(z)
+        ref = scipy_expit(z)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        subnormal = (ref > 0.0) & (ref < np.finfo(float).tiny)
+        assert subnormal.sum() > 5_000 and (ref == 0.0).any()
+        assert set(np.signbit(ref[np.isnan(ref)]).tolist()) == {False, True}  # NaN of both signs
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_any_shape_bitwise_equal_to_scipy_expit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        z = 300.0 * rng.standard_normal(shape)
+        if shape:
+            z[0, 0, :] = [np.nan, -710.0, 710.0, -0.0]
+        out = expit(z)
+        assert out.shape == shape
+        assert np.array_equal(np.asarray(out).view(np.int64), np.asarray(scipy_expit(z)).view(np.int64))
 
     def test_keeps_the_shape(self):
         z = np.arange(-3.0, 3.0).reshape(2, 3)

@@ -694,6 +694,21 @@ class TestStackedOracle:
                     want_x, want_y = plain(inst, Xs, labs, X[i], Y[i])
                     assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
 
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
+    def test_robust_y_only_oracle_equals_the_exact_oracles_y_half_bitwise(self, case):
+        # theory's gradient-growth estimate takes its y-gradients from it:
+        # 8 y's at one shared x, tiled into 8 K-row blocks
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(73)
+        for scale in (1e-3, 1.0, 1e3):
+            for n in (1, 8):
+                X = np.tile(scale * rng.standard_normal(inst.d), (n * inst.K, 1))
+                Y = np.repeat(scale * rng.standard_normal((n, inst.p)), inst.K, axis=0)
+                GY = inst.grad_y_all(X, Y)
+                assert GY.shape == Y.shape and _same_bits(GY, inst.grad_full_all(X, Y)[1])
+                X = scale * rng.standard_normal((n * inst.K, inst.d))
+                assert _same_bits(inst.grad_y_all(X, Y), inst.grad_full_all(X, Y)[1])
+
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("auc")))
     def test_auc_lipschitz_equals_per_item_hessian_loop_bitwise(self, case):
         inst = STACKED_CASES[case]()

@@ -398,6 +398,19 @@ class TestPairwiseDistanceScreen:
         assert _max_pairwise_distance(G).hex() == _reference_max_distance(G).hex()
         assert _max_pairwise_distance(G) == float(np.linalg.norm(G[0, 0] - G[0, 1]))
 
+    def test_delta_x_at_tau_1e200_is_the_per_pair_maximum(self):
+        # tau x - t_k y rounds to one row on every client at each probe: the
+        # t_k y term is far below an ulp of tau x, so 0.0 is exact
+        cfg = apply_overrides(load_preset("synthetic-s1"), {"problem.tau": "1e200"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        c = estimate_constants(problem, n_samples=50, seed=hp.seed)
+        Z = 2.0 * np.random.default_rng(np.random.SeedSequence(hp.seed)).standard_normal((50, problem.d + problem.p))
+        G = np.array([[problem.grad_full(k, z[:problem.d], z[problem.d:])[0] for k in range(problem.K)]
+                      for z in Z])
+        assert all(len(np.unique(rows, axis=0)) == 1 for rows in G)
+        assert c.delta_x == _reference_max_distance(G) == 0.0
+        assert c.delta_y > 0.0
+
     def test_one_ulp_apart_is_found(self):
         G = _stack("one ulp apart", 100, 20)
         assert 0.0 < _max_pairwise_distance(G) < 1e-15 and _max_pairwise_distance(_stack("identical", 100, 20)) == 0.0
