@@ -46,7 +46,7 @@ from .estimators import (
     storm_update,
 )
 from .metrics import RunTrace, TraceChunk, TraceRecorder
-from .problems import ProblemInstance, project_y
+from .problems import ProblemInstance
 
 VARIANT_FGDA = "fgda"
 VARIANT_ADAFGDA_ADAM = "adafgda_adam"
@@ -227,7 +227,7 @@ def initial_point(problem: ProblemInstance, hp: HyperParams) -> tuple[Vector, Ve
     coordinate onto the y-constraint."""
     x1 = np.full(problem.d, hp.init_scale, dtype=np.float64)
     y_scale = hp.init_scale if hp.y_init_scale is None else hp.y_init_scale
-    return x1, project_y(problem, np.full(problem.p, y_scale, dtype=np.float64))
+    return x1, problem.y_constraint.project(np.full(problem.p, y_scale, dtype=np.float64))
 
 
 def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, ServerState, Counters]:
@@ -245,10 +245,10 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     rngs = _spawn_rngs(hp.seed, K)
     x1, y1 = initial_point(problem, hp)
 
-    n = np.array([problem.dataset_size(k) for k in range(K)])
-    for k, n_k in enumerate(n):
-        if hp.q > n_k:
-            raise ValueError(f"q={hp.q} exceeds client {k} dataset size {n_k}")
+    n = problem.sizes
+    if (n < hp.q).any():
+        k = int(np.argmax(n < hp.q))
+        raise ValueError(f"q={hp.q} exceeds client {k} dataset size {n[k]}")
     items = np.stack([rng.choice(n_k, size=hp.q, replace=False) for rng, n_k in zip(rngs, n)])
     X = np.tile(x1, (K, 1))
     Y = np.tile(y1, (K, 1))
@@ -295,7 +295,7 @@ def local_step(
     X, Y, W, V = clients.X, clients.Y, clients.W, clients.V
 
     Y_hat = Y + hp.lam * precondition(B, V)
-    Y_new = project_y(problem, Y + eta_t * (Y_hat - Y))
+    Y_new = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
     X_hat = X - hp.gamma * precondition(A, W)
     X_new = X + eta_t * (X_hat - X)
 
@@ -342,7 +342,7 @@ def sync_step(
     A, B = server.acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(eta_t))
 
     y_hat = y_bar + hp.lam * precondition(B, v_bar)
-    y_next = project_y(problem, y_bar + eta_t * (y_hat - y_bar))
+    y_next = problem.y_constraint.project(y_bar + eta_t * (y_hat - y_bar))
     x_hat = x_bar - hp.gamma * precondition(A, w_bar)
     x_next = x_bar + eta_t * (x_hat - x_bar)
 

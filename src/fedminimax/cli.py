@@ -43,6 +43,7 @@ from .config import (
     parse_config,
     render_config,
 )
+from .core import index_sum
 from .presets import load_preset, preset_names
 from .problems import grad_full
 
@@ -214,12 +215,11 @@ def cmd_probe(args, overrides) -> int:
                 x = rng.standard_normal(problem.d)
                 y = rng.standard_normal(problem.p)
                 gx, gy = grad_full(problem, k, x, y)
-                n_k = problem.dataset_size(k)
+                n_k = problem.sizes[k]
                 SX, SY = problem.grad_stoch_rows(
                     np.full(n_k, k), np.arange(n_k), np.tile(x, (n_k, 1)), np.tile(y, (n_k, 1))
                 )
-                # cumsum adds the items in order; sum() would add pairwise.
-                sx, sy = np.cumsum(SX, axis=0)[-1], np.cumsum(SY, axis=0)[-1]
+                sx, sy = index_sum(SX), index_sum(SY)
                 worst = max(
                     worst,
                     float(np.linalg.norm(sx / n_k - gx)),

@@ -176,6 +176,8 @@ def parse_config(text: str) -> RunConfig:
     out = _read_section(dict(parser["output"]) if "output" in parser else {}, "output", OUTPUT_SCHEMA)
     if not out["seeds"]:
         raise ConfigError("output.seeds must list at least one seed")
+    if out["heavy_cadence"] < 0:
+        raise ConfigError(f"output.heavy_cadence must be >= 0 (0 turns heavy metrics off), got {out['heavy_cadence']}")
 
     return RunConfig(ProblemConfig(name, params), hp, OutputConfig(**out))
 

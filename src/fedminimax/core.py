@@ -80,11 +80,12 @@ Vector = np.ndarray
 
 
 def index_sum(A: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum of A over axis (counted from the front), its slices added one by
-    one in index order, never pairwise. np.add.reduce adds whole rows in
-    that order when the axis is not the last and A is C-contiguous with a
-    trailing length of at least 2; otherwise (a (K, 1) column, say) it
-    would sum pairwise, and np.cumsum adds in order instead."""
+    """Sum of A over axis (a negative axis counts from the back), its slices
+    added one by one in index order, never pairwise. np.add.reduce adds
+    whole rows in that order when the axis is not the last and A is
+    C-contiguous with a trailing length of at least 2; otherwise (a (K, 1)
+    column, say) it would sum pairwise, and np.cumsum adds in order instead."""
+    axis %= A.ndim
     if axis < A.ndim - 1 and A.shape[-1] > 1 and A.flags.c_contiguous:
         return np.add.reduce(A, axis=axis)
     return np.cumsum(A, axis=axis)[(slice(None),) * axis + (-1,)]

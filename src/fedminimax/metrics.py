@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from .core import Counters, Vector, index_sum, row_dots
-from .problems import AucProblem, ProblemInstance, RobustProblem, saddle_point, worst_perturbation
+from .problems import AucProblem, ProblemInstance, RobustProblem, worst_perturbation
 
 
 @dataclass(slots=True)
@@ -278,7 +278,7 @@ class TraceRecorder:
         self.n = 0  # steps recorded
         self.columns = {f.name: np.empty(T, _DTYPES.get(f.type, float)) for f in _FIELDS}
         self.has = {_FIELDS[j].name: np.zeros(T, bool) for j in _OPTIONAL}
-        sp = saddle_point(problem)
+        sp = problem.saddle()
         self.x_star, self.y_star = (sp if sp is not None else (None, None))
         self.is_auc = isinstance(problem, AucProblem)
         # the column slices of a chunk's M: W, V, then the exact GY, GX and GX at (x_bar, y*)
@@ -359,16 +359,6 @@ class TraceRecorder:
                                        [h[:self.n] for h in self.has.values()])
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 # How a cell prints, by its column's declared type; a missing cell is empty.
 _CELL_WRITERS = {
     "int": str,
@@ -376,7 +366,8 @@ _CELL_WRITERS = {
     "float": lambda v: format(v, ".17g"),
     "float | None": lambda v: "" if v is None else format(v, ".17g"),
 }
-_CSV_WRITERS = [(j, _CELL_WRITERS[f.type]) for j, f in enumerate(_FIELDS) if f.name in CSV_COLUMNS]
+_WRITERS = {f.name: _CELL_WRITERS[f.type] for f in _FIELDS}
+_CSV_WRITERS = [(j, _WRITERS[f.name]) for j, f in enumerate(_FIELDS) if f.name in CSV_COLUMNS]
 
 
 def emit_csv(trace: RunTrace, path, config_hash: str | None = None) -> None:
@@ -423,7 +414,7 @@ def render_summary(trace: RunTrace) -> str:
     for key in ("t", "dist_x_sq", "dist_y_sq", "grad_norm_F", "objective", "auc"):
         val = getattr(last, key)
         if val is not None:
-            lines.append(f"final_{key}={_fmt(val)}")
+            lines.append(f"final_{key}={_WRITERS[key](val)}")
     lines.append(f"sfo_per_client={last.sfo}")
     lines.append(f"comm_rounds={last.comm}")
     lines.append(f"final_sampled_index={trace.final_sampled_index}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Vector
+from ..core import Vector, index_sum
 from ..federation import partition
 from .base import DatasetProblem, Unconstrained
 
@@ -131,8 +131,7 @@ class AucProblem(DatasetProblem):
             h = np.matmul(Xs, x[..., None, :self.dim, None])[..., 0]
             pos = labs > 0
             means[..., ks] = np.stack([np.where(pos, h, 0.0), np.where(pos, 0.0, h)]).mean(axis=-1)
-        # cumsum adds in client order; sum() would add pairwise.
-        m_pos, m_neg = np.cumsum(means, axis=-1)[..., -1] / self.K
+        m_pos, m_neg = index_sum(means, axis=-1) / self.K
         alpha = (pr * m_neg - (1 - pr) * m_pos) / (pr * (1 - pr))
         return alpha[..., None]
 
@@ -161,6 +160,3 @@ class AucProblem(DatasetProblem):
             H[:, -1, -1] += -2 * pr * (1 - pr)
             worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
         return worst
-
-
-make_auc = AucProblem

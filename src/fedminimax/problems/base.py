@@ -1,14 +1,15 @@
 """Common interface for K-client minimax problem instances.
 
 An instance exposes stacked stochastic and exact partial-gradient oracles,
-one row per (client, point), and their per-client one-row forms, for
+one row per (client, point), for
 
     min over x of max over y of (1/K) * sum_k f^k(x, y),
 
 plus whatever closed forms the family admits (saddle point, inner
 maximizer y*(x), value function gradient). Instances are immutable after
 construction and the oracles are pure functions, so concurrent reads are
-safe.
+safe. The module functions grad_stoch and grad_full are the checked
+one-row forms: each raises IndexError on an out-of-range client or item.
 
 Each family is a keyword-only dataclass: its fields are its generation
 parameters (the [problem] config keys, K for k), and __post_init__ draws
@@ -19,19 +20,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
-from ..core import Vector, row_dots, vec_mean
+from ..core import Vector, index_sum, row_dots, vec_mean
 from ..federation import PartitionPlan
-
-
-class SampleRef(NamedTuple):
-    """One realization of a client's data: (client index, item index)."""
-
-    client: int
-    item: int
 
 
 @dataclass(frozen=True)
@@ -60,10 +53,7 @@ class ProblemInstance(ABC):
     d: int
     p: int
     y_constraint: Unconstrained | EuclideanBall
-
-    @abstractmethod
-    def dataset_size(self, k: int) -> int:
-        """Number of stochastic realizations held by client k."""
+    sizes: np.ndarray  # (K,) stochastic realizations held by each client
 
     @abstractmethod
     def values(self, x: Vector, y: Vector) -> np.ndarray:
@@ -91,19 +81,13 @@ class ProblemInstance(ABC):
         """Partial gradients of sampled realizations, one per row: row i is
         item items[i] of client ks[i], at the point (X[i], Y[i])."""
 
-    def grad_stoch(self, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
-        """Partial gradients for one sampled realization of client k."""
-        GX, GY = self.grad_stoch_rows(np.array([k]), np.array([item]), x[None], y[None])
-        return GX[0], GY[0]
-
     def value(self, k: int, x: Vector, y: Vector) -> float:
         return float(self.values(x, y)[k])
 
     def global_value(self, x: Vector, y: Vector) -> float | np.ndarray:
         """The averaged objective at (x, y), a float; at S row-stacked
         points, the (S,) array of each point's value."""
-        # cumsum adds in client order; sum() would add pairwise.
-        v = np.cumsum(self.values(x, y), axis=-1)[..., -1] / self.K
+        v = index_sum(self.values(x, y), axis=-1) / self.K
         return float(v) if v.ndim == 0 else v
 
     def global_grad(self, x: Vector, y: Vector) -> tuple[Vector, Vector]:
@@ -116,6 +100,8 @@ class ProblemInstance(ABC):
     has_closed_form_inner_max = False
 
     def saddle(self) -> tuple[Vector, Vector] | None:
+        """Closed-form saddle point of the averaged objective, or None when
+        the family has no closed form (AUC, robust)."""
         return None
 
     def y_star(self, x: Vector) -> Vector:
@@ -157,7 +143,7 @@ class DatasetProblem(ProblemInstance):
         self.clients_y = [labels[idx] for idx in plan.assignment]
         pooled = np.concatenate(plan.assignment)
         self._pool_X, self._pool_y = X[pooled], labels[pooled]
-        sizes = np.array([len(idx) for idx in plan.assignment])
+        self.sizes = sizes = np.array([len(idx) for idx in plan.assignment])
         self._pool_start = np.cumsum(sizes) - sizes
         self._blocks = []
         for n in np.unique(sizes):
@@ -180,9 +166,6 @@ class DatasetProblem(ProblemInstance):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients of B clients with datasets Xs (B, n, dim) and
         labels labs (B, n), at points X (..., B, d) and Y (..., B, p)."""
-
-    def dataset_size(self, k: int) -> int:
-        return len(self.clients_y[k])
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
         out = np.empty(x.shape[:-1] + (self.K,))
@@ -210,38 +193,25 @@ class DatasetProblem(ProblemInstance):
         return self._grad_block(self._pool_X[rows][:, None, :], self._pool_y[rows][:, None], X, Y)
 
 
-def _check_indices(inst: ProblemInstance, k: int, xi: SampleRef | None = None) -> None:
+def _check_client(inst: ProblemInstance, k: int) -> None:
     if not 0 <= k < inst.K:
         raise IndexError(f"client index {k} out of range [0, {inst.K})")
-    if xi is not None:
-        if xi.client != k:
-            raise IndexError(f"sample belongs to client {xi.client}, not {k}")
-        if not 0 <= xi.item < inst.dataset_size(k):
-            raise IndexError(f"item index {xi.item} out of range for client {k}")
 
 
-def grad_stoch(inst: ProblemInstance, k: int, x: Vector, y: Vector, xi: SampleRef) -> tuple[Vector, Vector]:
-    """Sampled partial gradients; uniform sampling over the client's finite
-    dataset makes this estimator unbiased for grad_full."""
-    _check_indices(inst, k, xi)
-    return inst.grad_stoch(k, x, y, xi.item)
+def grad_stoch(inst: ProblemInstance, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
+    """Partial gradients of item `item` of client k; uniform sampling over
+    the client's finite dataset makes this estimator unbiased for grad_full."""
+    _check_client(inst, k)
+    if not 0 <= item < inst.sizes[k]:
+        raise IndexError(f"item index {item} out of range for client {k}")
+    GX, GY = inst.grad_stoch_rows(np.array([k]), np.array([item]), x[None], y[None])
+    return GX[0], GY[0]
 
 
 def grad_full(inst: ProblemInstance, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
     """Exact per-client partial gradients."""
-    _check_indices(inst, k)
+    _check_client(inst, k)
     return inst.grad_full(k, x, y)
-
-
-def saddle_point(inst: ProblemInstance) -> tuple[Vector, Vector] | None:
-    """Closed-form saddle point of the averaged objective, or None when the
-    family has no closed form (AUC, robust)."""
-    return inst.saddle()
-
-
-def project_y(inst: ProblemInstance, y: Vector) -> Vector:
-    """Identity when unconstrained, Euclidean ball projection otherwise."""
-    return inst.y_constraint.project(y)
 
 
 def grad_F(inst: ProblemInstance, x: Vector) -> Vector:

@@ -111,6 +111,3 @@ def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]
     plus = w * (radius / norm)
     minus = -plus
     return minus if loss(minus) > loss(plus) else plus
-
-
-make_robust = RobustProblem

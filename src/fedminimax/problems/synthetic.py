@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Vector, row_dots
+from ..core import Vector, index_sum, row_dots
 from .base import ProblemInstance, Unconstrained
 
 
@@ -32,7 +32,7 @@ def _center_rows(rows: np.ndarray) -> np.ndarray:
     minus its own mean is already zero."""
     out = rows - rows.mean(axis=0)
     if len(out) > 1:
-        out[-1] = -np.cumsum(out[:-1], axis=0)[-1]
+        out[-1] = -index_sum(out[:-1])
     return out
 
 
@@ -63,6 +63,7 @@ class SyntheticProblem(ProblemInstance):
         self.d = dim
         self.p = dim  # t_k * I maps the x-space onto the y-space
         self.y_constraint = Unconstrained()
+        self.sizes = np.full(K, n)
 
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         b_raw = rng.normal(0.0, self.s, size=(K, dim))
@@ -88,12 +89,9 @@ class SyntheticProblem(ProblemInstance):
             noise = np.zeros((K, 2, n, dim))
         self.noise_x, self.noise_y = noise[:, 0], noise[:, 1]
 
-        # Fixed-order means used by the closed forms (cumsum adds in client order).
-        self.b_bar = np.cumsum(self.b, axis=0)[-1] / K
-        self.t_bar = np.cumsum(self.t)[-1] / K
-
-    def dataset_size(self, k: int) -> int:
-        return self.n_per_client
+        # Fixed-order means used by the closed forms.
+        self.b_bar = index_sum(self.b) / K
+        self.t_bar = index_sum(self.t) / K
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
         # Per-row dots against y repeated per client: self.b @ y (gemv) sums
@@ -143,6 +141,3 @@ class SyntheticProblem(ProblemInstance):
     def sigma_bound(self) -> float:
         sq = (self.noise_x**2).sum(axis=2) + (self.noise_y**2).sum(axis=2)
         return math.sqrt(sq.mean(axis=1).max())
-
-
-make_synthetic = SyntheticProblem

@@ -239,14 +239,6 @@ def bound_constant_G(
     )
 
 
-def _probe_points(inst: ProblemInstance, n_points: int, seed: int, scale: float = 2.0):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for _ in range(n_points):
-        x = scale * rng.standard_normal(inst.d)
-        y = scale * rng.standard_normal(inst.p)
-        yield x, y
-
-
 def pl_slack(inst: ProblemInstance, x: Vector, y: Vector, mu: float | None = None) -> float:
     """Slack ||grad_y f(x, y)||^2 - 2 mu (max_y' f(x, y') - f(x, y)) at one point."""
     if not inst.has_closed_form_inner_max:
@@ -266,8 +258,9 @@ def probe_pl(inst: ProblemInstance, n_points: int, seed: int, mu: float | None =
     over sampled (x, y'). Requires a closed-form inner maximum. A result
     at or above a small negative numerical tolerance certifies the probe.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = math.inf
-    for x, y in _probe_points(inst, n_points, seed):
+    for x, y in zip(*_draw_probes(inst, n_points, rng, scale=2.0)):
         worst = min(worst, pl_slack(inst, x, y, mu))
     return worst
 
@@ -406,18 +399,16 @@ def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple
 
 def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
     # One stochastic call per probe on every client's items, in client order.
-    sizes = [inst.dataset_size(k) for k in range(inst.K)]
-    ks = np.repeat(np.arange(inst.K), sizes)
-    items = np.concatenate([np.arange(n_k) for n_k in sizes])
+    ks = np.repeat(np.arange(inst.K), inst.sizes)
+    items = np.concatenate([np.arange(n_k) for n_k in inst.sizes])
     worst = 0.0
     for x, y in zip(*_draw_probes(inst, max(1, n_samples // 10), rng, scale=2.0)):
         SX, SY = inst.grad_stoch_rows(ks, items, np.tile(x, (len(ks), 1)), np.tile(y, (len(ks), 1)))
         start = 0
-        for k, n_k in enumerate(sizes):
+        for k, n_k in enumerate(inst.sizes):
             gx, gy = grad_full(inst, k, x, y)
             sq = row_dots(SX[start:start + n_k] - gx) + row_dots(SY[start:start + n_k] - gy)
-            # cumsum adds in item order; sum() would add pairwise.
-            worst = max(worst, float(np.cumsum(sq)[-1]) / n_k)
+            worst = max(worst, float(index_sum(sq)) / n_k)
             start += n_k
     return math.sqrt(worst)
 

@@ -35,19 +35,19 @@ def numeric_inner_max(inst, x: np.ndarray) -> float:
 
 @pytest.fixture(scope="session")
 def synthetic():
-    return fm.make_synthetic(K=10, dim=20, s=1.0, tau=10.0, seed=42)
+    return fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=42)
 
 
 @pytest.fixture(scope="session")
 def synthetic_small():
-    return fm.make_synthetic(K=4, dim=6, s=1.0, tau=10.0, seed=7, n_per_client=25)
+    return fm.SyntheticProblem(K=4, dim=6, s=1.0, tau=10.0, seed=7, n_per_client=25)
 
 
 @pytest.fixture(scope="session")
 def auc_inst():
-    return fm.make_auc(K=6, dim=8, n_per_client=30, pos_ratio=0.05, seed=11)
+    return fm.AucProblem(K=6, dim=8, n_per_client=30, pos_ratio=0.05, seed=11)
 
 
 @pytest.fixture(scope="session")
 def robust_inst():
-    return fm.make_robust(K=6, dim=10, n_per_client=30, seed=11)
+    return fm.RobustProblem(K=6, dim=10, n_per_client=30, seed=11)

@@ -26,7 +26,7 @@ from fedminimax.algorithms import HyperParams, init_round
 from fedminimax.estimators import MODE_ADABELIEF, MODE_ADAM, AdaptiveAccumulator
 from fedminimax.metrics import emit_csv, robust_accuracy
 from fedminimax.presets import load_preset
-from fedminimax.problems import SampleRef, grad_full, grad_stoch, saddle_point
+from fedminimax.problems import grad_full, grad_stoch
 from fedminimax.theory import (
     estimate_constants,
     grad_check,
@@ -46,7 +46,7 @@ def report(criterion: int, ok: bool, detail: str):
 
 def _initial_distance(problem, hp):
     clients, _, _ = init_round(problem, hp)
-    xs, ys = saddle_point(problem)
+    xs, ys = problem.saddle()
     dx = clients.X[0] - xs
     dy = clients.Y[0] - ys
     return float(dx @ dx + dy @ dy)
@@ -99,7 +99,7 @@ def test_criterion_1_synthetic_convergence(synthetic_grid_runs):
 
 
 def test_criterion_2_reduction_equivalences(tmp_path):
-    inst = fm.make_synthetic(K=5, dim=8, s=1.0, tau=10.0, seed=4)
+    inst = fm.SyntheticProblem(K=5, dim=8, s=1.0, tau=10.0, seed=4)
 
     def csv_text(hp, name):
         trace = fm.run(inst, hp)
@@ -130,7 +130,7 @@ def test_criterion_3_ledger_exactness():
         T = int(rng.integers(1, 60))
         q = int(rng.integers(1, 12))
         K = int(rng.integers(1, 6))
-        inst = fm.make_synthetic(K=K, dim=3, s=1.0, tau=10.0, seed=int(rng.integers(10**6)),
+        inst = fm.SyntheticProblem(K=K, dim=3, s=1.0, tau=10.0, seed=int(rng.integers(10**6)),
                                  n_per_client=max(12, q + 1))
         hp = HyperParams(T=T, q=q, seed=int(rng.integers(10**6)), gamma=0.01, lam=0.01)
         last = fm.run(inst, hp).final()
@@ -149,7 +149,7 @@ def test_criterion_4_sync_consensus(synthetic_grid_runs):
             assert r.consensus_x == 0.0
             assert r.consensus_y == 0.0
             checked += 1
-    rob = fm.make_robust(K=4, dim=6, n_per_client=20, seed=5)
+    rob = fm.RobustProblem(K=4, dim=6, n_per_client=20, seed=5)
     for variant in fm.VARIANTS:
         hp = HyperParams(T=40, q=8, seed=3, variant=variant, gamma=0.02, lam=0.02,
                          rho=0.3 if variant.startswith("adafgda") else 0.01)
@@ -161,9 +161,9 @@ def test_criterion_4_sync_consensus(synthetic_grid_runs):
 
 
 def test_criterion_5_assumption_probes():
-    synth = fm.make_synthetic(K=10, dim=20, s=1.0, tau=10.0, seed=42)
-    auc = fm.make_auc(K=6, dim=8, n_per_client=30, pos_ratio=0.05, seed=11)
-    rob = fm.make_robust(K=6, dim=10, n_per_client=30, seed=11)
+    synth = fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=42)
+    auc = fm.AucProblem(K=6, dim=8, n_per_client=30, pos_ratio=0.05, seed=11)
+    rob = fm.RobustProblem(K=6, dim=10, n_per_client=30, seed=11)
 
     slack_s = probe_pl(synth, n_points=1000, seed=0)
     slack_a = probe_pl(auc, n_points=1000, seed=0)
@@ -186,10 +186,10 @@ def test_criterion_5_assumption_probes():
         y = rng.standard_normal(inst.p)
         for k in range(inst.K):
             gx, gy = grad_full(inst, k, x, y)
-            n = inst.dataset_size(k)
+            n = inst.sizes[k]
             accx, accy = np.zeros_like(gx), np.zeros_like(gy)
             for item in range(n):
-                sx, sy = grad_stoch(inst, k, x, y, SampleRef(k, item))
+                sx, sy = grad_stoch(inst, k, x, y, item)
                 accx += sx
                 accy += sy
             unb_ok &= float(np.linalg.norm(accx / n - gx)) < 1e-10
@@ -298,7 +298,7 @@ def test_criterion_10_estimator_quality():
     wins = 0
     details = []
     for seed in (1, 2, 3):
-        inst = fm.make_synthetic(K=10, dim=20, s=1.0, tau=10.0, seed=seed, noise_sigma=0.1)
+        inst = fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=seed, noise_sigma=0.1)
         base = HyperParams(T=1000, q=20, seed=seed, variant="fgda", gamma=0.05, lam=0.05)
         scheduled = fm.run(inst, base)
         plain = fm.run(inst, replace(base, alpha_const=1.0, beta_const=1.0))

@@ -17,7 +17,7 @@ from fedminimax.algorithms import (
     sync_step,
 )
 from fedminimax.core import vec_mean
-from fedminimax.problems import grad_full
+from fedminimax.problems import grad_full, grad_stoch
 
 
 def record_cells(trace):
@@ -80,7 +80,7 @@ class TestInitRound:
         assert counters.sfo_per_client == 2 * hp.q
 
     def test_zero_noise_single_sample_init_is_exact(self):
-        inst = fm.make_synthetic(K=3, dim=4, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
+        inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=5, q=1, seed=0)
         clients, _, _ = init_round(inst, hp)
         for k in range(inst.K):
@@ -96,7 +96,7 @@ class TestInitRound:
             assert np.array_equal(clients.Y[k], server.y_bar)
 
     def test_q_larger_than_dataset_rejected(self):
-        inst = fm.make_synthetic(K=2, dim=3, s=1.0, tau=10.0, seed=1, n_per_client=4)
+        inst = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1, n_per_client=4)
         with pytest.raises(ValueError):
             init_round(inst, HyperParams(T=10, q=5, seed=0))
 
@@ -128,7 +128,7 @@ class TestLocalStep:
         assert np.array_equal(after.Y, before.Y)
 
     def test_unit_constants_give_one_sgda_step(self):
-        inst = fm.make_synthetic(K=2, dim=3, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
+        inst = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=10, q=5, seed=0, eta_const=1.0, alpha_const=1.0, beta_const=1.0,
                          gamma=0.01, lam=0.01)
         clients, server, _ = init_round(inst, hp)
@@ -172,7 +172,7 @@ class TestSyncStep:
         assert counters.sfo_per_client == 2 * hp.q
 
     def test_single_client_sync_is_plain_descent_ascent(self):
-        inst = fm.make_synthetic(K=1, dim=3, s=1.0, tau=10.0, seed=2, noise_sigma=0.0)
+        inst = fm.SyntheticProblem(K=1, dim=3, s=1.0, tau=10.0, seed=2, noise_sigma=0.0)
         hp = HyperParams(T=10, q=1, seed=0, eta_const=1.0, gamma=0.05, lam=0.05)
         clients, server, counters = init_round(inst, hp)
         x0, y0 = clients.X[0].copy(), clients.Y[0].copy()
@@ -183,9 +183,9 @@ class TestSyncStep:
 
 
 ITEM_TABLE_CASES = {
-    "iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
-    "by_group": lambda: fm.make_auc(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
-    "dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+    "iid": lambda: fm.AucProblem(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
+    "by_group": lambda: fm.AucProblem(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
+    "dirichlet": lambda: fm.RobustProblem(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
 }
 
 
@@ -203,9 +203,8 @@ class TestItemTable:
             monkeypatch.setattr(algorithms, "_ITEM_CHUNK", chunk)
         inst = ITEM_TABLE_CASES[case]()
         hp = HyperParams(T=13, q=q, seed=4, variant=VARIANT_FGDA, gamma=0.01, lam=0.01)
-        sizes = [inst.dataset_size(k) for k in range(inst.K)]
         rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(hp.seed).spawn(inst.K)]
-        for rng, n_k in zip(rngs, sizes):
+        for rng, n_k in zip(rngs, inst.sizes):
             rng.choice(n_k, size=q, replace=False)
 
         clients, server, counters = init_round(inst, hp)
@@ -217,7 +216,7 @@ class TestItemTable:
                 sync_step(inst, hp, t, clients, server, counters)
                 assert np.array_equal(clients.items, table)  # a sync draws nothing
                 continue
-            expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, sizes)]
+            expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, inst.sizes)]
             assert clients.items[:, t // q, t % q - 1].tolist() == expected
             clients = local_step(inst, hp, t, clients, server.A, server.B)
             checked += 1
@@ -326,7 +325,7 @@ class TestRunInvariants:
         # step; the trace must be measuring exactly that quantity
         hp = HyperParams(T=14, q=5, seed=6)
         trace = fm.run(synthetic_small, hp)
-        xs, ys = fm.saddle_point(synthetic_small)
+        xs, ys = synthetic_small.saddle()
         clients, server, counters = init_round(synthetic_small, hp)
         for t in range(1, hp.T + 1):
             if t % hp.q == 0:
@@ -397,7 +396,7 @@ class TestIndependentReference:
         # Plain-numpy re-derivation of the whole loop (identity
         # preconditioners), sharing only the problem oracles and the
         # client-stream seeding contract with the engine.
-        inst = fm.make_synthetic(K=4, dim=5, s=1.0, tau=10.0, seed=13, n_per_client=30)
+        inst = fm.SyntheticProblem(K=4, dim=5, s=1.0, tau=10.0, seed=13, n_per_client=30)
         K, T, q = inst.K, 37, 6
         gamma = lam = 0.03
         n_par, m_par, c1, c2, seed = 1.0, 10.0, 1.0, 1.0, 21
@@ -408,10 +407,10 @@ class TestIndependentReference:
         y = [np.ones(inst.p) for _ in range(K)]
         w, v = [], []
         for k in range(K):
-            items = rngs[k].choice(inst.dataset_size(k), size=q, replace=False)
+            items = rngs[k].choice(inst.sizes[k], size=q, replace=False)
             gx_acc, gy_acc = np.zeros(inst.d), np.zeros(inst.p)
             for it in items:
-                a, b = inst.grad_stoch(k, x[k], y[k], int(it))
+                a, b = grad_stoch(inst, k, x[k], y[k], int(it))
                 gx_acc += a
                 gy_acc += b
             w.append(gx_acc / q)
@@ -438,9 +437,9 @@ class TestIndependentReference:
                 for k in range(K):
                     y_new = y[k] + eta * (lam * v[k])
                     x_new = x[k] - eta * (gamma * w[k])
-                    it = int(rngs[k].integers(inst.dataset_size(k)))
-                    gxn, gyn = inst.grad_stoch(k, x_new, y_new, it)
-                    gxo, gyo = inst.grad_stoch(k, x[k], y[k], it)
+                    it = int(rngs[k].integers(inst.sizes[k]))
+                    gxn, gyn = grad_stoch(inst, k, x_new, y_new, it)
+                    gxo, gyo = grad_stoch(inst, k, x[k], y[k], it)
                     v[k] = gyn + (1.0 - alpha) * (v[k] - gyo)
                     w[k] = gxn + (1.0 - beta) * (w[k] - gxo)
                     x[k], y[k] = x_new, y_new
@@ -459,7 +458,7 @@ class TestIndependentReference:
         # Same idea for the squared-gradient preconditioner mode: the
         # accumulator seeds from the averaged initial estimates, updates
         # only at sync indices, and the diagonals stay frozen in between.
-        inst = fm.make_synthetic(K=3, dim=4, s=1.0, tau=10.0, seed=29, n_per_client=30)
+        inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=29, n_per_client=30)
         K, T, q = inst.K, 25, 5
         gamma = lam = 0.05
         n_par, m_par, c1, c2, seed = 1.0, 10.0, 1.0, 1.0, 8
@@ -471,10 +470,10 @@ class TestIndependentReference:
         y = [np.ones(inst.p) for _ in range(K)]
         w, v = [], []
         for k in range(K):
-            items = rngs[k].choice(inst.dataset_size(k), size=q, replace=False)
+            items = rngs[k].choice(inst.sizes[k], size=q, replace=False)
             gx_acc, gy_acc = np.zeros(inst.d), np.zeros(inst.p)
             for it in items:
-                a, b = inst.grad_stoch(k, x[k], y[k], int(it))
+                a, b = grad_stoch(inst, k, x[k], y[k], int(it))
                 gx_acc += a
                 gy_acc += b
             w.append(gx_acc / q)
@@ -508,9 +507,9 @@ class TestIndependentReference:
                 for k in range(K):
                     y_new = y[k] + eta * (lam * (v[k] / B))
                     x_new = x[k] - eta * (gamma * (w[k] / A))
-                    it = int(rngs[k].integers(inst.dataset_size(k)))
-                    gxn, gyn = inst.grad_stoch(k, x_new, y_new, it)
-                    gxo, gyo = inst.grad_stoch(k, x[k], y[k], it)
+                    it = int(rngs[k].integers(inst.sizes[k]))
+                    gxn, gyn = grad_stoch(inst, k, x_new, y_new, it)
+                    gxo, gyo = grad_stoch(inst, k, x[k], y[k], it)
                     v[k] = gyn + (1.0 - alpha) * (v[k] - gyo)
                     w[k] = gxn + (1.0 - beta) * (w[k] - gxo)
                     x[k], y[k] = x_new, y_new
@@ -553,7 +552,7 @@ class TestReductions:
         assert record_cells(tr_tied) != record_cells(tr_fixed)
 
     def test_momentum_baseline_converges_on_synthetic(self):
-        inst = fm.make_synthetic(K=10, dim=20, s=1.0, tau=10.0, seed=1)
+        inst = fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=1)
         hp = HyperParams(T=1500, q=20, seed=1, variant=VARIANT_MOMENTUM_LOCAL_SGDA,
                          beta_m=0.5, gamma=0.02, lam=0.02)
         tr = fm.run(inst, hp)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -102,6 +103,11 @@ class TestParseConfig:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(MINIMAL + "[output]\nseeds =\n")
+
+    def test_negative_heavy_cadence_rejected(self):
+        with pytest.raises(ConfigError, match=r"output\.heavy_cadence must be >= 0 .*got -2"):
+            parse_config(MINIMAL + "[output]\nheavy_cadence = -2\n")
+        assert parse_config(MINIMAL + "[output]\nheavy_cadence = 0\n").output.heavy_cadence == 0
 
     def test_schema_rejects_a_field_type_without_a_tag(self):
         @dataclass
@@ -226,6 +232,14 @@ class TestCommands:
         stems = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
         assert stems == ["synthetic_fgda_seed1.csv", "synthetic_fgda_seed3.csv"]
 
+    def test_negative_heavy_cadence_is_an_error_exit(self, tmp_path, capsys):
+        argv = ["run", "--preset", "robust-q6", "--algorithm.t", "13", "--output.seeds", "1",
+                "--output.heavy_cadence", "-2", "--output.csv_dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.heavy_cadence must be >= 0") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_text("[problem]\nname = synthetic\nk = oops\n")
@@ -340,6 +354,52 @@ class TestCommands:
 
     def test_missing_config_is_an_error(self, capsys):
         assert main(["run"]) != 0
+
+
+# (exit code, sha256 of stdout, sha256 of stderr) of `fedmm ARGS` at an
+# 80-column terminal: the help text, and the constraint report and the
+# probes of every shipped preset, byte for byte.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+CLI_OUTPUT_PINS = {
+    "--help": (0, "1cc03bae71c68e510a210d0261ad3d81a893fd8db4438ce1ff2ca9dce1f33097", _EMPTY),
+    "validate --preset auc-imbalanced":
+        (1, "6901b71b350c9cbd4bd0a1edffa4784489b0897e360792faafd69d91be46b1f9", _EMPTY),
+    "validate --preset robust-q12": (1, "86cd2506e487823ccca5d9378b04903dc8388d82f8183dfdd27a936e4f62d7f8", _EMPTY),
+    "validate --preset robust-q6": (1, "43270ba7b0d73f4cbaf5ea1d3a42639b0bf50ea65b7ba294fb144ebe151c2ba8", _EMPTY),
+    "validate --preset synthetic-s1": (1, "53fbd699ea1ee4f8abcd818e445e53a9c7cb0cc71cf3b987f0f41425a8d2d12d", _EMPTY),
+    "validate --preset synthetic-s10": (1, "53a783e0ee1ca7eba07472b95890eee646f5812d6dd91c8687ebaf9ac7c376b7", _EMPTY),
+    "validate --preset synthetic-theorem":
+        (0, "59b4078e0044748594f2ae21943c4c901389a98f56d16bcd0ee8303671e205c2", _EMPTY),
+    "probe --preset auc-imbalanced --points 20":
+        (0, "fca110978658705306c7487defbc36d491408666945605865f8800d8bf168406", _EMPTY),
+    "probe --preset robust-q12 --points 20":
+        (0, "952d412447d8ea266489aeb2676d54a44c6e40adc07033b472be4191159d40d5",
+         "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
+    "probe --preset robust-q6 --points 20":
+        (0, "952d412447d8ea266489aeb2676d54a44c6e40adc07033b472be4191159d40d5",
+         "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
+    "probe --preset synthetic-s1 --points 20":
+        (0, "86ad028385580cda1ef413f06f6a8b305eecb2a132cb27880c252f307a21c12b", _EMPTY),
+    "probe --preset synthetic-s10 --points 20":
+        (0, "8779e80e4ad8b4d468646f29c1f1eedc717488007a10f01ee9cd3b639832077f", _EMPTY),
+    "probe --preset synthetic-theorem --points 20":
+        (0, "7e394a49d565af4150db7feda67b3d0b391d3b5a11091cf4fbb1a2e6a47c8fbc", _EMPTY),
+}
+
+
+def test_cli_output_roster_covers_every_preset():
+    for command in ("validate", "probe"):
+        pinned = {args.split()[2] for args in CLI_OUTPUT_PINS if args.startswith(command)}
+        assert pinned == set(preset_names())
+
+
+@pytest.mark.parametrize("args", sorted(CLI_OUTPUT_PINS))
+def test_cli_output_is_pinned(args):
+    src = str(Path(fedminimax.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fedminimax.cli", *args.split()], capture_output=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
+    digest = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest())
+    assert digest == CLI_OUTPUT_PINS[args], proc.stdout.decode() + proc.stderr.decode()
 
 
 def test_import_and_robust_run_load_no_scipy(tmp_path):

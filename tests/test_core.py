@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 
-from fedminimax import make_robust
+from fedminimax import RobustProblem
 from fedminimax.core import Counters, expit, index_sum, precondition, vec_mean
 from fedminimax.theory import _robust_hessian_norms
 
@@ -104,11 +104,13 @@ class TestIndexSum:
             ordered = np.take(np.add.accumulate(A, axis=axis), -1, axis=axis)
             assert np.array_equal(np.add.reduce(A, axis=axis).view(np.int64), ordered.view(np.int64))
             assert np.array_equal(index_sum(A, axis=axis).view(np.int64), ordered.view(np.int64))
+            assert np.array_equal(index_sum(A, axis=-2).view(np.int64), ordered.view(np.int64))
 
     @pytest.mark.parametrize("K", [1, 2, 3, 7, 10, 100])
     def test_a_column_or_a_strided_array_is_summed_in_index_order(self, K):
         # add.reduce would sum a (K, 1) column pairwise; index_sum falls
-        # back to cumsum there, on a 1-D array, and off C-contiguous memory
+        # back to cumsum there, on a 1-D array, off C-contiguous memory and
+        # along the last axis, also given as -1
         rng = np.random.default_rng(K)
         for A, axis in [
             (_mixed_scales(rng, (K, 1)), 0),
@@ -116,6 +118,8 @@ class TestIndexSum:
             (_mixed_scales(rng, K), 0),
             (_mixed_scales(rng, (12, K)).T, 0),
             (_mixed_scales(rng, (K, 24))[:, ::2], 0),
+            (_mixed_scales(rng, (2, 3, K)), -1),
+            (_mixed_scales(rng, (2, K, 1)), -2),
         ]:
             ordered = np.take(np.add.accumulate(A, axis=axis), -1, axis=axis)
             assert np.array_equal(index_sum(A, axis=axis).view(np.int64), ordered.view(np.int64))
@@ -216,7 +220,7 @@ class TestExpit:
 
     def test_robust_hessian_norms_accept_huge_margins(self):
         # w . x far past the overflow edge of math.exp on both signs
-        inst = make_robust(K=2, dim=4, n_per_client=6, seed=3)
+        inst = RobustProblem(K=2, dim=4, n_per_client=6, seed=3)
         w = np.full(inst.d, 1e4)
         for Xk, labk in zip(inst.clients_X, inst.clients_y):
             assert np.isfinite(_robust_hessian_norms(Xk, labk, w)).all()

@@ -99,7 +99,7 @@ class TestComplexityFormulas:
             T = int(rng.integers(2, 40))
             q = int(rng.integers(1, 8))
             K = int(rng.integers(1, 5))
-            inst = fm.make_synthetic(K=K, dim=3, s=1.0, tau=10.0, seed=int(rng.integers(1000)),
+            inst = fm.SyntheticProblem(K=K, dim=3, s=1.0, tau=10.0, seed=int(rng.integers(1000)),
                                      n_per_client=max(10, q + 1))
             hp = fm.HyperParams(T=T, q=q, seed=1, gamma=0.01, lam=0.01)
             tr = fm.run(inst, hp)
@@ -109,8 +109,8 @@ class TestComplexityFormulas:
 
 class TestHeterogeneityOrdering:
     def test_grouped_split_is_at_least_as_heterogeneous_as_iid(self):
-        grouped = fm.make_auc(K=5, dim=6, n_per_client=30, pos_ratio=0.2, seed=13, scheme="by_group")
-        mixed = fm.make_auc(K=5, dim=6, n_per_client=30, pos_ratio=0.2, seed=13, scheme="iid")
+        grouped = fm.AucProblem(K=5, dim=6, n_per_client=30, pos_ratio=0.2, seed=13, scheme="by_group")
+        mixed = fm.AucProblem(K=5, dim=6, n_per_client=30, pos_ratio=0.2, seed=13, scheme="iid")
         cg = estimate_constants(grouped, n_samples=20, seed=0)
         cm = estimate_constants(mixed, n_samples=20, seed=0)
         assert cg.delta_x >= cm.delta_x

@@ -36,7 +36,7 @@ def _ascent_reference(inst, x, n_steps=200, step_size=0.5):
     X = np.tile(x, (inst.K, 1))
     for _ in range(n_steps):
         _, GY = inst.grad_full_all(X, np.tile(y, (inst.K, 1)))
-        y = fm.project_y(inst, y + step_size * vec_mean(GY))
+        y = inst.y_constraint.project(y + step_size * vec_mean(GY))
     return y
 
 
@@ -80,7 +80,7 @@ def robust_q6(request):
 
 class TestGradNormF:
     def test_zero_at_saddle(self, synthetic_small):
-        xs, _ = fm.saddle_point(synthetic_small)
+        xs, _ = synthetic_small.saddle()
         assert grad_norm_F(synthetic_small, xs) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_vector_closed_form(self, synthetic_small):
@@ -178,7 +178,7 @@ class TestAucScore:
         assert auc_score(auc_inst, 100.0 * auc_inst.w_true) > 0.99
 
     def test_exactly_one_when_all_positives_rank_higher(self):
-        inst = fm.make_auc(K=2, dim=2, n_per_client=10, pos_ratio=0.3, seed=3, n_test=20)
+        inst = fm.AucProblem(K=2, dim=2, n_per_client=10, pos_ratio=0.3, seed=3, n_test=20)
         # hand-built held-out set: every positive strictly above every negative
         inst.test_y = np.array([1.0] * 6 + [-1.0] * 14)
         inst.test_X = np.zeros((20, 2))
@@ -189,7 +189,7 @@ class TestAucScore:
     def test_equals_pairwise_count_with_ties_bitwise(self):
         # every (positive, negative) pair: 1 when the positive scores
         # higher, one half on a tie; a NaN score gives NaN
-        inst = fm.make_auc(K=2, dim=1, n_per_client=10, pos_ratio=0.3, seed=3, n_test=40)
+        inst = fm.AucProblem(K=2, dim=1, n_per_client=10, pos_ratio=0.3, seed=3, n_test=40)
         rng = np.random.default_rng(2)
         pos = inst.test_y > 0
         for _ in range(50):
@@ -209,7 +209,7 @@ class TestAucScore:
         assert auc_score(auc_inst, np.zeros(auc_inst.dim)) == pytest.approx(0.5)
 
     def test_random_scorer_near_half_on_balanced_data(self):
-        inst = fm.make_auc(K=2, dim=8, n_per_client=60, pos_ratio=0.5, seed=5,
+        inst = fm.AucProblem(K=2, dim=8, n_per_client=60, pos_ratio=0.5, seed=5,
                            margin=0.0, center_spread=0.0, n_test=10_000)
         rng = np.random.default_rng(0)
         w = rng.standard_normal(inst.dim)
@@ -220,7 +220,7 @@ class TestAucScore:
         base = auc_score(auc_inst, w)
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(auc_inst.test_y))
-        shuffled = fm.make_auc(K=auc_inst.K, dim=auc_inst.dim, n_per_client=auc_inst.n_per_client,
+        shuffled = fm.AucProblem(K=auc_inst.K, dim=auc_inst.dim, n_per_client=auc_inst.n_per_client,
                                pos_ratio=auc_inst.pos_ratio, seed=auc_inst.seed)
         shuffled.test_X = auc_inst.test_X[perm]
         shuffled.test_y = auc_inst.test_y[perm]

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import fedminimax as fm
-from fedminimax.problems import PROBLEMS, EuclideanBall, SampleRef, grad_F, grad_full, grad_stoch, project_y, saddle_point
+from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
 from fedminimax.theory import (
     _estimate_robust_L_f,
     _estimate_sigma,
@@ -27,13 +27,13 @@ class TestSyntheticConstruction:
         assert np.all(acc == 0.0)
 
     def test_larger_s_means_larger_offsets(self):
-        a = fm.make_synthetic(K=10, dim=20, s=1.0, tau=10.0, seed=42)
-        b = fm.make_synthetic(K=10, dim=20, s=10.0, tau=10.0, seed=42)
+        a = fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=42)
+        b = fm.SyntheticProblem(K=10, dim=20, s=10.0, tau=10.0, seed=42)
         assert np.array_equal(a.t, b.t)  # same seed, same couplings
         assert np.linalg.norm(b.b) > np.linalg.norm(a.b)
 
     def test_single_client_has_no_heterogeneity(self):
-        inst = fm.make_synthetic(K=1, dim=5, s=1.0, tau=10.0, seed=0)
+        inst = fm.SyntheticProblem(K=1, dim=5, s=1.0, tau=10.0, seed=0)
         assert np.all(inst.b[0] == 0.0)
 
     def test_dims_are_tied(self, synthetic):
@@ -61,7 +61,7 @@ class TestSyntheticConstruction:
         for k in range(K):
             worst = max(worst, float(((tables[0, k] ** 2).sum(axis=1) + (tables[1, k] ** 2).sum(axis=1)).mean()))
 
-        inst = fm.make_synthetic(K=K, dim=dim, n_per_client=n, noise_sigma=noise_sigma, seed=5)
+        inst = fm.SyntheticProblem(K=K, dim=dim, n_per_client=n, noise_sigma=noise_sigma, seed=5)
         assert _same_bits(np.ascontiguousarray(inst.noise_x), tables[0])
         assert _same_bits(np.ascontiguousarray(inst.noise_y), tables[1])
         assert inst.sigma_bound.hex() == math.sqrt(worst).hex()
@@ -78,14 +78,14 @@ class TestSyntheticConstruction:
 # Generation parameters away from the defaults where a family allows it,
 # so a field missing from describe() would rebuild a different instance.
 DESCRIBED_CASES = {
-    "synthetic": lambda: fm.make_synthetic(K=4, dim=6, s=2.5, tau=7.0, seed=7, n_per_client=25, noise_sigma=0.3),
-    "synthetic-uncentered": lambda: fm.make_synthetic(K=5, dim=4, s=1.0, tau=10.0, seed=2, center_b=False),
-    "auc-by_group": lambda: fm.make_auc(K=5, dim=6, n_per_client=30, pos_ratio=0.1, seed=3, margin=1.5,
+    "synthetic": lambda: fm.SyntheticProblem(K=4, dim=6, s=2.5, tau=7.0, seed=7, n_per_client=25, noise_sigma=0.3),
+    "synthetic-uncentered": lambda: fm.SyntheticProblem(K=5, dim=4, s=1.0, tau=10.0, seed=2, center_b=False),
+    "auc-by_group": lambda: fm.AucProblem(K=5, dim=6, n_per_client=30, pos_ratio=0.1, seed=3, margin=1.5,
                                         center_spread=0.7, noise_std=0.4, n_test=50),
-    "auc-dirichlet": lambda: fm.make_auc(K=6, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
-    "robust-iid": lambda: fm.make_robust(K=6, dim=10, n_per_client=30, seed=11, margin=2.0, fragile_total=0.6,
+    "auc-dirichlet": lambda: fm.AucProblem(K=6, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
+    "robust-iid": lambda: fm.RobustProblem(K=6, dim=10, n_per_client=30, seed=11, margin=2.0, fragile_total=0.6,
                                          fragile_noise=0.2, n_test=60, ball_radius=0.5),
-    "robust-dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+    "robust-dirichlet": lambda: fm.RobustProblem(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
 }
 GENERATED_ARRAYS = {
     "synthetic": ("b", "t", "noise_x", "noise_y"),
@@ -129,10 +129,10 @@ class TestSyntheticGradients:
             assert np.allclose(gy, fd_grad(lambda z: inst.value(k, x, z), y), atol=1e-6)
 
     def test_zero_noise_oracle_is_exact(self):
-        inst = fm.make_synthetic(K=3, dim=4, s=1.0, tau=10.0, seed=5, noise_sigma=0.0)
+        inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=5, noise_sigma=0.0)
         x, y = np.ones(4), np.ones(4)
         for k in range(3):
-            sx, sy = grad_stoch(inst, k, x, y, SampleRef(k, 0))
+            sx, sy = grad_stoch(inst, k, x, y, 0)
             gx, gy = grad_full(inst, k, x, y)
             assert np.array_equal(sx, gx)
             assert np.array_equal(sy, gy)
@@ -146,16 +146,16 @@ class TestSyntheticGradients:
             gx, gy = grad_full(inst, k, x, y)
             accx = np.zeros_like(gx)
             accy = np.zeros_like(gy)
-            n = inst.dataset_size(k)
+            n = inst.sizes[k]
             for item in range(n):
-                sx, sy = grad_stoch(inst, k, x, y, SampleRef(k, item))
+                sx, sy = grad_stoch(inst, k, x, y, item)
                 accx += sx
                 accy += sy
             assert np.linalg.norm(accx / n - gx) < 1e-12
             assert np.linalg.norm(accy / n - gy) < 1e-12
 
     def test_identical_clients_match_global(self):
-        inst = fm.make_synthetic(K=1, dim=4, s=1.0, tau=10.0, seed=3)
+        inst = fm.SyntheticProblem(K=1, dim=4, s=1.0, tau=10.0, seed=3)
         x, y = np.ones(4), -np.ones(4)
         gx, gy = grad_full(inst, 0, x, y)
         ggx, ggy = inst.global_grad(x, y)
@@ -167,20 +167,22 @@ class TestSyntheticGradients:
         with pytest.raises(IndexError):
             grad_full(inst, inst.K, x, y)
         with pytest.raises(IndexError):
-            grad_stoch(inst, 0, x, y, SampleRef(1, 0))
+            grad_stoch(inst, inst.K, x, y, 0)
         with pytest.raises(IndexError):
-            grad_stoch(inst, 0, x, y, SampleRef(0, 10**6))
+            grad_stoch(inst, 0, x, y, 10**6)
+        with pytest.raises(IndexError):
+            grad_stoch(inst, 0, x, y, inst.sizes[0])
 
 
 class TestSyntheticSaddle:
     def test_saddle_is_origin(self, synthetic):
-        xs, ys = saddle_point(synthetic)
+        xs, ys = synthetic.saddle()
         assert np.all(xs == 0.0) and np.all(ys == 0.0)
 
     def test_saddle_by_brute_force(self):
         # Independent check: F(x) computed by numeric inner maximization,
         # then ||grad F|| minimized from scratch.
-        inst = fm.make_synthetic(K=3, dim=3, s=1.0, tau=10.0, seed=9)
+        inst = fm.SyntheticProblem(K=3, dim=3, s=1.0, tau=10.0, seed=9)
 
         def gradF_norm_sq(x):
             g = fd_grad(lambda z: numeric_inner_max(inst, z), x, h=1e-5)
@@ -193,18 +195,18 @@ class TestSyntheticSaddle:
                            options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 2000})
             if best is None or res.fun < best.fun:
                 best = res
-        xs, _ = saddle_point(inst)
+        xs, _ = inst.saddle()
         assert np.linalg.norm(best.x - xs) < 1e-3
 
     def test_uncentered_instance_stationarity(self):
-        inst = fm.make_synthetic(K=4, dim=5, s=1.0, tau=10.0, seed=2, center_b=False)
-        xs, ys = saddle_point(inst)
+        inst = fm.SyntheticProblem(K=4, dim=5, s=1.0, tau=10.0, seed=2, center_b=False)
+        xs, ys = inst.saddle()
         gx, gy = inst.global_grad(xs, ys)
         assert np.linalg.norm(gy) < 1e-10
         assert np.linalg.norm(gx) < 1e-10
 
     def test_global_gradient_vanishes_at_saddle(self, synthetic):
-        xs, ys = saddle_point(synthetic)
+        xs, ys = synthetic.saddle()
         gx, gy = synthetic.global_grad(xs, ys)
         assert np.linalg.norm(gx) < 1e-12 and np.linalg.norm(gy) < 1e-12
 
@@ -216,8 +218,8 @@ class TestSyntheticSaddle:
         assert np.linalg.norm(gy) < 1e-12
 
     def test_no_closed_form_families_return_none(self, auc_inst, robust_inst):
-        assert saddle_point(auc_inst) is None
-        assert saddle_point(robust_inst) is None
+        assert auc_inst.saddle() is None
+        assert robust_inst.saddle() is None
 
 
 class TestGlobalConsistency:
@@ -235,16 +237,16 @@ class TestGlobalConsistency:
 
 class TestAuc:
     def test_mu_values(self):
-        inst = fm.make_auc(K=2, dim=4, n_per_client=20, pos_ratio=0.05, seed=1)
+        inst = fm.AucProblem(K=2, dim=4, n_per_client=20, pos_ratio=0.05, seed=1)
         assert inst.mu == pytest.approx(0.095)
-        balanced = fm.make_auc(K=2, dim=4, n_per_client=20, pos_ratio=0.5, seed=1)
+        balanced = fm.AucProblem(K=2, dim=4, n_per_client=20, pos_ratio=0.5, seed=1)
         assert balanced.mu == pytest.approx(0.5)
 
     def test_pos_ratio_validation(self):
         with pytest.raises(ValueError):
-            fm.make_auc(K=2, dim=4, n_per_client=10, pos_ratio=1.0, seed=0)
+            fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=1.0, seed=0)
         with pytest.raises(ValueError):
-            fm.make_auc(K=2, dim=4, n_per_client=10, pos_ratio=0.0, seed=0)
+            fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=0.0, seed=0)
 
     def test_per_sample_gradient_closed_form(self, auc_inst):
         inst = auc_inst
@@ -255,7 +257,7 @@ class TestAuc:
         xi = inst.clients_X[k][item]
         lab = inst.clients_y[k][item]
         p = inst.pos_ratio
-        gx, gy = grad_stoch(inst, k, x, y, SampleRef(k, item))
+        gx, gy = grad_stoch(inst, k, x, y, item)
         if lab > 0:
             assert np.allclose(gx[: inst.dim], -2 * (1 - p) * xi)
             assert gy[0] == pytest.approx(0.0, abs=1e-15)
@@ -273,7 +275,7 @@ class TestAuc:
         def sample_value(xv, yv):
             return float(_plain_sample_values_auc(inst, k, xv, yv)[item])
 
-        gx, gy = grad_stoch(inst, k, x, y, SampleRef(k, item))
+        gx, gy = grad_stoch(inst, k, x, y, item)
         fx = fd_grad(lambda z: sample_value(z, y), x)
         fy = fd_grad(lambda z: sample_value(x, z), y)
         assert np.max(np.abs(fx - gx)) / max(1, np.max(np.abs(gx))) < 1e-5
@@ -301,7 +303,7 @@ class TestAuc:
     def test_single_client_inner_max_oracle(self):
         # one client, tiny dataset: the concave quadratic in the scalar
         # maximization variable has its closed-form peak
-        inst = fm.make_auc(K=1, dim=3, n_per_client=8, pos_ratio=0.25, seed=19)
+        inst = fm.AucProblem(K=1, dim=3, n_per_client=8, pos_ratio=0.25, seed=19)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(inst.d)
         alpha_star = inst.y_star(x)
@@ -318,10 +320,10 @@ class TestAuc:
         y = rng.standard_normal(1)
         for k in range(inst.K):
             gx, gy = grad_full(inst, k, x, y)
-            n = inst.dataset_size(k)
+            n = inst.sizes[k]
             accx, accy = np.zeros_like(gx), np.zeros_like(gy)
             for item in range(n):
-                sx, sy = grad_stoch(inst, k, x, y, SampleRef(k, item))
+                sx, sy = grad_stoch(inst, k, x, y, item)
                 accx += sx
                 accy += sy
             assert np.linalg.norm(accx / n - gx) < 1e-10
@@ -362,13 +364,13 @@ class TestRobust:
     def test_boundary_point_is_projection_fixed_point(self, robust_inst):
         y = np.zeros(robust_inst.p)
         y[0] = 1.0
-        assert np.array_equal(project_y(robust_inst, y), y)
+        assert np.array_equal(robust_inst.y_constraint.project(y), y)
 
 
 class TestProjection:
     def test_unconstrained_identity(self, synthetic_small):
         y = np.array([5.0, -3.0, 2.0, 0.0, 1.0, 9.0])
-        assert project_y(synthetic_small, y) is y
+        assert synthetic_small.y_constraint.project(y) is y
 
     def test_ball_scaling(self):
         ball = EuclideanBall(1.0)
@@ -395,8 +397,8 @@ class TestGradF:
         assert np.allclose(g, fd, atol=1e-4)
 
     def test_heterogeneity_grows_with_s(self):
-        a = fm.make_synthetic(K=8, dim=10, s=1.0, tau=10.0, seed=21)
-        b = fm.make_synthetic(K=8, dim=10, s=10.0, tau=10.0, seed=21)
+        a = fm.SyntheticProblem(K=8, dim=10, s=1.0, tau=10.0, seed=21)
+        b = fm.SyntheticProblem(K=8, dim=10, s=10.0, tau=10.0, seed=21)
         rng = np.random.default_rng(0)
         pts = [(rng.standard_normal(10), rng.standard_normal(10)) for _ in range(20)]
 
@@ -585,13 +587,13 @@ MEAN_KERNELS = {"auc": _mean_kernel_auc, "robust": _mean_kernel_robust}
 
 
 STACKED_CASES = {
-    "synthetic": lambda: fm.make_synthetic(K=7, dim=5, s=1.0, tau=10.0, seed=4),
-    "auc-iid": lambda: fm.make_auc(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
-    "auc-by_group": lambda: fm.make_auc(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
-    "auc-dirichlet": lambda: fm.make_auc(K=10, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
-    "robust-iid": lambda: fm.make_robust(K=6, dim=10, n_per_client=30, seed=11),
-    "robust-by_group": lambda: fm.make_robust(K=2, dim=6, n_per_client=25, seed=5, scheme="by_group"),
-    "robust-dirichlet": lambda: fm.make_robust(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
+    "synthetic": lambda: fm.SyntheticProblem(K=7, dim=5, s=1.0, tau=10.0, seed=4),
+    "auc-iid": lambda: fm.AucProblem(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
+    "auc-by_group": lambda: fm.AucProblem(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
+    "auc-dirichlet": lambda: fm.AucProblem(K=10, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
+    "robust-iid": lambda: fm.RobustProblem(K=6, dim=10, n_per_client=30, seed=11),
+    "robust-by_group": lambda: fm.RobustProblem(K=2, dim=6, n_per_client=25, seed=5, scheme="by_group"),
+    "robust-dirichlet": lambda: fm.RobustProblem(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
 }
 RAGGED_CASES = ("auc-by_group", "auc-dirichlet", "robust-by_group", "robust-dirichlet")
 PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
@@ -601,9 +603,17 @@ PLAIN_STOCH = {"synthetic": _plain_stoch_synthetic, "auc": _plain_stoch_auc, "ro
 
 class TestStackedOracle:
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_sizes_count_each_clients_items(self, case):
+        # iid, by_group and dirichlet splits: one label per item
+        inst = STACKED_CASES[case]()
+        counts = [inst.n_per_client] * inst.K if case == "synthetic" else [len(labs) for labs in inst.clients_y]
+        assert inst.sizes.shape == (inst.K,) and inst.sizes.tolist() == counts
+        assert inst.sizes.sum() == inst.K * inst.n_per_client
+
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_rows_equal_per_client_oracle_bitwise(self, case):
         inst = STACKED_CASES[case]()
-        sizes = {inst.dataset_size(k) for k in range(inst.K)}
+        sizes = set(inst.sizes.tolist())
         assert (len(sizes) > 1) == (case in RAGGED_CASES)
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -637,7 +647,7 @@ class TestStackedOracle:
     def test_auc_values_keep_the_scalar_alpha_square_bits(self):
         # alpha**2 on a Python float is libm pow; an array's **2 is x*x,
         # which differs on a few inputs in ten thousand
-        inst = fm.make_auc(K=2, dim=3, n_per_client=4, pos_ratio=0.25, seed=8)
+        inst = fm.AucProblem(K=2, dim=3, n_per_client=4, pos_ratio=0.25, seed=8)
         rng = np.random.default_rng(47)
         x = rng.standard_normal(inst.d)
         alphas = 2.0 * rng.standard_normal(5000)
@@ -649,7 +659,7 @@ class TestStackedOracle:
     @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
     def test_values_and_y_star_at_stacked_points_equal_one_call_per_point_bitwise(self, case):
         # the recorder evaluates a chunk's S points in one call each
-        make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
+        make = STACKED_CASES.get(case, lambda: fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1))
         inst = make()
         rng = np.random.default_rng(71)
         for scale in (1e-3, 1.0, 1e3):
@@ -774,7 +784,7 @@ class TestStackedOracle:
         rng = np.random.default_rng(29)
         for _ in range(10):
             ks = np.concatenate([np.arange(inst.K), rng.integers(inst.K, size=2 * inst.K)])
-            items = np.array([rng.integers(inst.dataset_size(k)) for k in ks])
+            items = np.array([rng.integers(inst.sizes[k]) for k in ks])
             X = 2.0 * rng.standard_normal((len(ks), inst.d))
             Y = 2.0 * rng.standard_normal((len(ks), inst.p))
             GX, GY = inst.grad_stoch_rows(ks, items, X, Y)
@@ -782,7 +792,7 @@ class TestStackedOracle:
             for i, (k, item) in enumerate(zip(ks, items)):
                 px, py = PLAIN_STOCH[inst.name](inst, k, X[i], Y[i], item)
                 assert np.array_equal(GX[i], px) and np.array_equal(GY[i], py)
-                sx, sy = grad_stoch(inst, k, X[i], Y[i], SampleRef(k, item))
+                sx, sy = grad_stoch(inst, k, X[i], Y[i], item)
                 assert np.array_equal(sx, px) and np.array_equal(sy, py)
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
@@ -793,7 +803,7 @@ class TestStackedOracle:
         rng = np.random.default_rng(31)
         ks = np.arange(inst.K)
         for _ in range(10):
-            items = np.array([rng.integers(inst.dataset_size(k)) for k in ks])
+            items = np.array([rng.integers(inst.sizes[k]) for k in ks])
             X = 2.0 * rng.standard_normal((2 * inst.K, inst.d))
             Y = 2.0 * rng.standard_normal((2 * inst.K, inst.p))
             GX, GY = inst.grad_stoch_rows(np.tile(ks, 2), np.tile(items, 2), X, Y)
@@ -807,7 +817,7 @@ class TestStackedOracle:
         # tiled in one call on a few K-row blocks each, the constants' probes
         # on 5K and 8K rows; row i belongs to client i mod K. A dataset family
         # broadcasts its data over however many blocks a call brings.
-        make = STACKED_CASES.get(case, lambda: fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1))
+        make = STACKED_CASES.get(case, lambda: fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1))
         inst = make()
         K = inst.K
         rng = np.random.default_rng(43)
@@ -834,10 +844,10 @@ class TestStackedOracle:
             for k in range(inst.K):
                 gx, gy = grad_full(inst, k, x, y)
                 acc = 0.0
-                for item in range(inst.dataset_size(k)):
+                for item in range(inst.sizes[k]):
                     sx, sy = PLAIN_STOCH[inst.name](inst, k, x, y, item)
                     acc += float((sx - gx) @ (sx - gx) + (sy - gy) @ (sy - gy))
-                worst = max(worst, acc / inst.dataset_size(k))
+                worst = max(worst, acc / inst.sizes[k])
         assert _estimate_sigma(inst, n_samples, np.random.default_rng(seed)) == math.sqrt(worst)
 
     def test_ball_projection_of_rows_equals_per_row_projection_bitwise(self):
@@ -868,7 +878,7 @@ class TestStackedOracle:
             assert np.array_equal(gx, acc_x / inst.K) and np.array_equal(gy, acc_y / inst.K)
 
     def test_estimate_constants_equals_pairwise_double_loop_bitwise(self):
-        inst = fm.make_synthetic(K=100, dim=20, s=1.0, tau=10.0, seed=1)
+        inst = fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1)
         n_samples, seed = 4, 9
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         dx = dy = 0.0

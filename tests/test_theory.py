@@ -175,6 +175,14 @@ class TestProbePl:
         with pytest.raises(ValueError):
             probe_pl(robust_inst, n_points=10, seed=0)
 
+    @pytest.mark.parametrize("fixture", ["synthetic_small", "auc_inst"])
+    def test_points_are_drawn_x_then_y_per_point_bitwise(self, fixture, request):
+        inst = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        slacks = [pl_slack(inst, 2.0 * rng.standard_normal(inst.d), 2.0 * rng.standard_normal(inst.p))
+                  for _ in range(20)]
+        assert probe_pl(inst, n_points=20, seed=3) == min(slacks)
+
 
 class TestProbeLipschitz:
     def test_synthetic_ratios_within_bounds(self, synthetic_small):
@@ -223,12 +231,12 @@ class TestEstimateConstants:
         assert c.L_f == synthetic_small.tau  # couplings below 0.1 never dominate
 
     def test_auc_mu_from_imbalance(self):
-        inst = fm.make_auc(K=3, dim=5, n_per_client=20, pos_ratio=0.05, seed=2)
+        inst = fm.AucProblem(K=3, dim=5, n_per_client=20, pos_ratio=0.05, seed=2)
         c = estimate_constants(inst, n_samples=10, seed=0)
         assert c.mu == pytest.approx(0.095)
 
     def test_noiseless_synthetic_sigma_vanishes(self):
-        inst = fm.make_synthetic(K=3, dim=4, s=1.0, tau=10.0, seed=3, noise_sigma=0.0)
+        inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=3, noise_sigma=0.0)
         c = estimate_constants(inst, n_samples=10, seed=0)
         assert c.sigma < 1e-12
 
@@ -418,7 +426,7 @@ class TestPairwiseDistanceScreen:
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_non_finite_probe_gradient_raises(self, poison):
         # the row loop let max() skip a NaN block, understating delta
-        inst = fm.make_synthetic(K=5, dim=3, seed=2)
+        inst = fm.SyntheticProblem(K=5, dim=3, seed=2)
         inst.b[3, 1] = poison
         with pytest.raises(ValueError, match="non-finite"):
             _estimate_heterogeneity(inst, 7, np.random.default_rng(7))
