@@ -32,7 +32,7 @@ sfo_per_client = 2q + 2(T - floor(T/q)) and comm_rounds = floor(T/q).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,17 +77,21 @@ def eta_schedule(n: float, K: int, m: float, t: int) -> float:
     """Decaying interpolation weight n * K^(1/3) / (m + t)^(1/3).
 
     Nonincreasing in t; stays at or below 1 for all t >= 0 whenever
-    m >= K * n^3.
+    m >= K * n^3. HyperParams checks n and m, and HyperParams.schedule
+    every weight a run uses.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     return n * K ** (1.0 / 3.0) / (m + t) ** (1.0 / 3.0)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A run's per-step scalars, each list indexed by t = 0..T: the
+    interpolation weight eta_t and the estimator momenta alpha_t (y side)
+    and beta_t (x side) that follow a step at eta_t."""
+
+    eta: list[float]
+    alpha: list[float]
+    beta: list[float]
 
 
 @dataclass
@@ -171,19 +175,42 @@ class HyperParams:
         _, beta = self.momentum(eta_t)
         return 1.0 - beta if beta < 1.0 else None
 
+    def schedule(self, K: int) -> Schedule:
+        """eta and momentum at every t = 0..T, computed once per run, with
+        their ranges checked once: each eta_t positive, each momentum in
+        (0, 1] (a product c * eta_t**2 can underflow to zero)."""
+        eta = [self.eta(K, t) for t in range(self.T + 1)]
+        alpha, beta = map(list, zip(*map(self.momentum, eta)))
+        if not all(e > 0.0 for e in eta):
+            raise ValueError("eta_t must be positive at every step")
+        if not all(0.0 < m <= 1.0 for m in alpha + beta):
+            raise ValueError("momentum must lie in (0, 1] at every step")
+        return Schedule(eta, alpha, beta)
+
 
 @dataclass
 class Clients:
-    """All K clients, one row each. items is the whole run's item table,
-    shape (K, rounds, q - 1): items[k, r, j] is client k's item at local
-    step r * q + j + 1, the j-th step of round r (the steps after sync r * q,
-    or after initialization for r = 0)."""
+    """All K clients, one row each, and what their local steps share.
+
+    items is the whole run's item table, shape (K, rounds, q - 1):
+    items[k, r, j] is client k's item at local step r * q + j + 1, the j-th
+    step of round r (the steps after sync r * q, or after initialization for
+    r = 0). sched is the run's schedule. X and Y are the first K rows of the
+    (2K, .) oracle rows rows_X and rows_Y, whose last K rows a local step
+    fills with the old points; rows_ks and rows_items (2, K) name each row's
+    client and item.
+    """
 
     X: np.ndarray
     Y: np.ndarray
     W: np.ndarray  # x-side gradient estimates
     V: np.ndarray  # y-side gradient estimates
     items: np.ndarray = field(repr=False)
+    sched: Schedule = field(repr=False)
+    rows_X: np.ndarray = field(repr=False)
+    rows_Y: np.ndarray = field(repr=False)
+    rows_ks: np.ndarray = field(repr=False)
+    rows_items: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -203,10 +230,11 @@ def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
 
 # Items per rng.integers call while drawing the item table.
 _ITEM_CHUNK = 2**16
-# Client rows (K per step) the recorder measures per call: the temporaries
-# of its stacked calls grow with them. At least two steps, since one step
-# per call spends more on copying it into the chunk than stacking saves.
-_RECORD_ROWS = 50
+# Client rows (K per step) the recorder measures per call. Its buffers grow
+# with them; the exact oracle bounds its own temporaries (problems.base). At
+# least two steps, since one step per call spends more on copying it into the
+# chunk than stacking saves.
+_RECORD_ROWS = 250
 
 
 def _draw_items(rngs: list[np.random.Generator], n: np.ndarray, q: int, rounds: int) -> np.ndarray:
@@ -240,8 +268,10 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     the averaged initial estimates with a zero accumulator (identity for
     the non-adaptive variants). Each client's generator then draws the item
     table of all ceil(T / q) rounds that hold local steps, and nothing else.
+    The run's schedule is computed here, once.
     """
     K = problem.K
+    sched = hp.schedule(K)
     rngs = _spawn_rngs(hp.seed, K)
     x1, y1 = initial_point(problem, hp)
 
@@ -250,8 +280,9 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
         k = int(np.argmax(n < hp.q))
         raise ValueError(f"q={hp.q} exceeds client {k} dataset size {n[k]}")
     items = np.stack([rng.choice(n_k, size=hp.q, replace=False) for rng, n_k in zip(rngs, n)])
-    X = np.tile(x1, (K, 1))
-    Y = np.tile(y1, (K, 1))
+    rows_X, rows_Y = np.empty((2 * K, problem.d)), np.empty((2 * K, problem.p))
+    X, Y = rows_X[:K], rows_Y[:K]
+    X[:], Y[:] = x1, y1
     W = np.zeros((K, problem.d))
     V = np.zeros((K, problem.p))
     ks = np.arange(K)
@@ -259,7 +290,10 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
         GX, GY = problem.grad_stoch_rows(ks, items[:, j], X, Y)
         W += GX
         V += GY
-    clients = Clients(X=X, Y=Y, W=W / hp.q, V=V / hp.q, items=_draw_items(rngs, n, hp.q, -(-hp.T // hp.q)))
+    clients = Clients(
+        X=X, Y=Y, W=W / hp.q, V=V / hp.q, items=_draw_items(rngs, n, hp.q, -(-hp.T // hp.q)), sched=sched,
+        rows_X=rows_X, rows_Y=rows_Y, rows_ks=np.tile(ks, 2), rows_items=np.empty((2, K), np.int64),
+    )
 
     counters = Counters()
     counters.add_sfo(2 * hp.q)
@@ -267,7 +301,7 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     acc = AdaptiveAccumulator(mode=_MATRIX_MODE[hp.variant], rho=hp.rho, varrho=hp.varrho)
     w_bar = vec_mean(clients.W)
     v_bar = vec_mean(clients.V)
-    A, B = acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(hp.eta(K, 0)))
+    A, B = acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(sched.eta[0]))
     server = ServerState(x_bar=x1, y_bar=y1, acc=acc, A=A, B=B)
     return clients, server, counters
 
@@ -279,39 +313,38 @@ def local_step(
     clients: Clients,
     A: Vector,
     B: Vector,
-) -> Clients:
-    """One purely local iteration of every client, one row each.
+) -> None:
+    """One purely local iteration of every client, one row each, mutating
+    the clients' X, Y, W and V in place.
 
     Order: preconditioned ascent proposal on y and descent proposal on x,
     interpolated by eta_t (y projected); then one fresh sample per client
     (items[:, t // q, t % q - 1]) refreshes both estimates, from one oracle
     call on 2K rows: the new points, then the old points.
     """
-    if t % hp.q == 0:
-        raise ValueError(f"t={t} is a sync index (q={hp.q})")
+    if t % hp.q == 0 or not 0 < t <= hp.T:
+        raise ValueError(f"t={t} is not a local step of a run of T={hp.T} steps that syncs every q={hp.q}")
     K = problem.K
-    eta_t = hp.eta(K, t)
-    alpha, beta = hp.momentum(eta_t)
+    sched = clients.sched
+    eta_t = sched.eta[t]
     X, Y, W, V = clients.X, clients.Y, clients.W, clients.V
+    items = clients.items[:, t // hp.q, t % hp.q - 1]
+    clients.rows_X[K:], clients.rows_Y[K:], clients.rows_items[:] = X, Y, items  # the old points
 
     Y_hat = Y + hp.lam * precondition(B, V)
-    Y_new = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
+    Y[:] = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
     X_hat = X - hp.gamma * precondition(A, W)
-    X_new = X + eta_t * (X_hat - X)
+    X[:] = X + eta_t * (X_hat - X)
 
-    ks = np.arange(K)
-    items = clients.items[:, t // hp.q, t % hp.q - 1]
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
-        GX_new, GY_new = problem.grad_stoch_rows(ks, items, X_new, Y_new)
-        W_new = hp.beta_m * W + GX_new
-        V_new = hp.beta_m * V + GY_new
+        GX, GY = problem.grad_stoch_rows(clients.rows_ks[:K], items, X, Y)
+        W[:] = hp.beta_m * W + GX
+        V[:] = hp.beta_m * V + GY
     else:
-        rows = [np.concatenate(pair) for pair in ((ks, ks), (items, items), (X_new, X), (Y_new, Y))]
-        GX, GY = problem.grad_stoch_rows(*rows)
-        V_new = storm_update(GY[:K], GY[K:], V, alpha)
-        W_new = storm_update(GX[:K], GX[K:], W, beta)
-
-    return replace(clients, X=X_new, Y=Y_new, W=W_new, V=V_new)
+        GX, GY = problem.grad_stoch_rows(clients.rows_ks, clients.rows_items.reshape(-1),
+                                         clients.rows_X, clients.rows_Y)
+        V[:] = storm_update(GY[:K], GY[K:], V, sched.alpha[t])
+        W[:] = storm_update(GX[:K], GX[K:], W, sched.beta[t])
 
 
 def sync_step(
@@ -332,13 +365,12 @@ def sync_step(
     """
     if t % hp.q != 0:
         raise ValueError(f"t={t} is not a sync index (q={hp.q})")
-    K = problem.K
     v_bar = vec_mean(clients.V)
     w_bar = vec_mean(clients.W)
     y_bar = vec_mean(clients.Y)
     x_bar = vec_mean(clients.X)
 
-    eta_t = hp.eta(K, t)
+    eta_t = clients.sched.eta[t]
     A, B = server.acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(eta_t))
 
     y_hat = y_bar + hp.lam * precondition(B, v_bar)
@@ -365,49 +397,42 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     rule); analyses here use the full trace, the sampled index is reported
     alongside.
 
-    Finiteness is checked once per step, on every client's iterates and
-    estimates after the local or sync step and before the step is kept for
-    the recorder: a diverging run raises FloatingPointError naming the
-    first step t at which any of X, Y, W or V holds a NaN or Inf. Overflow
-    warnings are silenced, since that check reports the divergence. The
-    recorder measures the kept steps a chunk of them at a time, and the rest
-    at the end.
+    The run keeps every step in a chunk, and the recorder measures the kept
+    steps a chunk of them at a time, and the rest at the end. Finiteness is
+    checked there, once per chunk, on every client's iterates and estimates
+    of every step before any is measured: a diverging run raises
+    FloatingPointError naming the first step t at which any of X, Y, W or V
+    holds a NaN or Inf. Overflow warnings are silenced, since that check
+    reports the divergence.
     """
     t_start = time.perf_counter()
     clients, server, counters = init_round(problem, hp)
-    recorder = TraceRecorder(problem, hp.q, hp.T, heavy_cadence=heavy_cadence)
-    chunk = TraceChunk(problem, max(2, _RECORD_ROWS // problem.K))
-
     # Child K of the seed: the one after the client generators of _spawn_rngs.
     out_rng = np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(problem.K,)))
     final_index = int(out_rng.integers(1, hp.T + 1))
+    recorder = TraceRecorder(problem, hp.q, hp.T, heavy_cadence=heavy_cadence, sampled_t=final_index)
+    chunk = TraceChunk(problem, max(2, _RECORD_ROWS // problem.K))
 
     for t in range(1, hp.T + 1):
         if t % hp.q == 0:
             sync_step(problem, hp, t, clients, server, counters)
-            x_bar, y_bar = server.x_bar, server.y_bar
-            is_sync = True
+            bars = server.x_bar, server.y_bar
         else:
-            clients = local_step(problem, hp, t, clients, server.A, server.B)
+            local_step(problem, hp, t, clients, server.A, server.B)
             counters.add_sfo(2)
-            x_bar = vec_mean(clients.X)
-            y_bar = vec_mean(clients.Y)
-            is_sync = False
-        if not all(np.isfinite(M).all() for M in (clients.X, clients.Y, clients.W, clients.V)):
-            raise FloatingPointError(f"non-finite iterate or estimate at t={t}")
-        if chunk.add(t, is_sync, clients, counters, x_bar, y_bar):
+            bars = None
+        if chunk.add(t, clients, counters, bars):
             recorder.record(chunk)
-        if t == final_index:
-            sampled_x, sampled_y = x_bar.copy(), y_bar.copy()
     recorder.record(chunk)
 
+    (final_x, final_y), (sampled_x, sampled_y) = recorder.last, recorder.sampled
     return RunTrace(
         records=recorder.table(),
         config_echo={"problem": problem.describe().replace("\n", ";"), **asdict(hp)},
         final_sampled_index=final_index,
         wall_time_s=time.perf_counter() - t_start,
-        final_x=x_bar.copy(),
-        final_y=y_bar.copy(),
+        final_x=final_x,
+        final_y=final_y,
         sampled_x=sampled_x,
         sampled_y=sampled_y,
     )

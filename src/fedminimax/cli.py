@@ -174,6 +174,8 @@ def cmd_probe(args, overrides) -> int:
     unknown = set(checks) - set(PROBE_CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}; available: {PROBE_CHECKS}")
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     seed = cfg.output.seeds[0]
     problem = cfg.build_problem(seed)
     any_fail = False

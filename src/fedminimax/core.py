@@ -25,9 +25,9 @@ row:
   np.linalg.norm(D[k]) (consensus, ball projection, heterogeneity);
 - np.cumsum(a)[-1] against a sequential sum in index order, and
   np.cumsum(A, axis=0)[-1] against adding the rows of A one by one in
-  index order (np.add.accumulate never reassociates), also along the K
-  axis of an (S, K, d) stack against each (K, d) slice's own cumsum, and
-  in place (out=A);
+  index order (np.add.accumulate, which np.cumsum calls, never
+  reassociates), also along the K axis of an (S, K, d) stack against each
+  (K, d) slice's own cumsum, and in place (out=A);
 - np.add.reduce(A, axis) against that cumsum's last slice, where the axis
   is not the last and A is C-contiguous with a trailing length of at
   least 2: numpy adds whole rows in index order and sums pairwise only
@@ -57,8 +57,8 @@ means (it adds the items in index order, not pairwise), and add.reduce,
 sum or mean along the fast axis, or across clients on a (K, 1) array,
 which sum pairwise; these stay forbidden for cross-client reductions.
 Cross-client means are therefore index_sum's: add.reduce where it adds
-rows in index order, the index-order cumsum elsewhere. vec_mean takes a
-stacked (K, d) array as well as a list of vectors.
+rows in index order, the index-order add.accumulate elsewhere. vec_mean
+takes a stacked (K, d) array as well as a list of vectors.
 Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
 **2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
 float; np.exp on a real array and libm exp (math.exp) differ on ~2% of
@@ -74,9 +74,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A Vector is a 1-D float64 ndarray. Finiteness is checked once per step, by
-# algorithms.run, not by the helpers below.
+# A Vector is a 1-D float64 ndarray. Finiteness is checked once per recorded
+# chunk of steps, by metrics.TraceRecorder.record, not by the helpers below.
 Vector = np.ndarray
+
+
+# The index of the last slice along each axis: _LAST[axis].
+_LAST = tuple((slice(None),) * axis + (-1,) for axis in range(64))
 
 
 def index_sum(A: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -84,11 +88,12 @@ def index_sum(A: np.ndarray, axis: int = 0) -> np.ndarray:
     added one by one in index order, never pairwise. np.add.reduce adds
     whole rows in that order when the axis is not the last and A is
     C-contiguous with a trailing length of at least 2; otherwise (a (K, 1)
-    column, say) it would sum pairwise, and np.cumsum adds in order instead."""
+    column, say) it would sum pairwise, and the running sum
+    np.add.accumulate (np.cumsum without its wrapper) adds in order instead."""
     axis %= A.ndim
     if axis < A.ndim - 1 and A.shape[-1] > 1 and A.flags.c_contiguous:
         return np.add.reduce(A, axis=axis)
-    return np.cumsum(A, axis=axis)[(slice(None),) * axis + (-1,)]
+    return np.add.accumulate(A, axis)[_LAST[axis]]
 
 
 def vec_mean(vs: list[Vector] | np.ndarray) -> Vector:

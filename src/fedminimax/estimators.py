@@ -29,9 +29,8 @@ MODES = (MODE_IDENTITY, MODE_ADAM, MODE_ADABELIEF)
 
 
 def storm_update(g_new: Vector, g_old: Vector, prev_est: Vector, momentum: float) -> Vector:
-    """One recursive variance-reduced estimator step."""
-    if not 0.0 < momentum <= 1.0:
-        raise ValueError(f"momentum must lie in (0, 1], got {momentum}")
+    """One recursive variance-reduced estimator step. The momentum lies in
+    (0, 1]: HyperParams.schedule checks every value a run uses, once."""
     return g_new + (1.0 - momentum) * (prev_est - g_old)
 
 
@@ -39,12 +38,9 @@ def momentum_schedule(c1: float, c2: float, eta_t: float) -> tuple[float, float]
     """Momentum pair (alpha, beta) = (c1 * eta^2, c2 * eta^2), clamped to 1.
 
     Validated configurations keep both products at or below 1; the clamp
-    only protects unvalidated ones.
+    only protects unvalidated ones. HyperParams checks c1 and c2, and
+    HyperParams.schedule every eta_t and pair a run uses.
     """
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("c1 and c2 must be positive")
-    if eta_t <= 0:
-        raise ValueError("eta_t must be positive")
     return min(1.0, c1 * eta_t**2), min(1.0, c2 * eta_t**2)
 
 
@@ -112,6 +108,9 @@ def adabelief_matrix_update(
         raise ValueError(f"accumulator mode is {MODE_IDENTITY!r}; it has no moments")
     r = acc.varrho if varrho is None else varrho
     a, b = acc._moments(len(w_bar), len(v_bar))
-    acc.a = r * a + (1.0 - r) * (w_bar - w_ref) ** 2
-    acc.b = r * b + (1.0 - r) * (v_bar - v_ref) ** 2
+    # In place, bitwise r * a + (1 - r) * (w_bar - w_ref)**2.
+    a *= r
+    a += (1.0 - r) * (w_bar - w_ref) ** 2
+    b *= r
+    b += (1.0 - r) * (v_bar - v_ref) ** 2
     return _emit(acc)

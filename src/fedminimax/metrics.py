@@ -6,10 +6,11 @@ stochastic samples; distance-to-saddle and value-function gradients are
 oracle quantities by nature. The run keeps its steps in a TraceChunk, and
 the recorder measures a whole chunk at a time in stacked calls (one exact
 oracle call on all its K-row blocks, one index-order sum over the clients
-for every cross-client mean), bitwise what one step at a time gives. It
-appends each metric as a column; run packs the columns into a TraceTable,
-which reads the records back, and the CSV is written from that table's
-columns.
+for every cross-client mean, the averaged iterates of the local steps
+included), bitwise what one step at a time gives. It first checks that
+every step of the chunk is finite. It appends each metric as a column; run
+packs the columns into a TraceTable, which reads the records back, and the
+CSV is written from that table's columns.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class TraceRecord:
     auc: float | None
     sfo: int
     comm: int
-    # Kept in memory for the sync invariants; not part of the CSV schema.
+    # Kept in memory for the sync invariants, on sync records only; not part
+    # of the CSV schema.
     consensus_y: float | None = None
 
 
@@ -235,14 +237,16 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
 
 class TraceChunk:
     """The steps of a run not yet recorded, at most capacity of them: each
-    step's t, is_sync and counters, and copies of its client rows and
-    averages (sync_step overwrites the clients' rows in place), in buffers
-    allocated once and laid out for the recorder's stacked calls:
+    step's t, is_sync and counters, and copies of its client rows (the steps
+    update the clients' rows in place), in buffers allocated once and laid
+    out for the recorder's stacked calls:
 
     - X, Y: the exact oracle's input rows, each step's K client rows, then
       room for a K-row block of (x_bar, y*) per step;
     - M: per step and client, W and V, then room for the exact gradients
-      whose cross-client means the recorder takes with them.
+      whose cross-client means the recorder takes with them;
+    - x_bar, y_bar: per step, the server's averages at a sync step; the
+      recorder fills in those of the local steps.
     """
 
     def __init__(self, problem: ProblemInstance, capacity: int):
@@ -256,25 +260,32 @@ class TraceChunk:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def add(self, t: int, is_sync: bool, clients, counters: Counters, x_bar: Vector, y_bar: Vector) -> bool:
-        """Keep step t; True once the chunk is full."""
+    def add(self, t: int, clients, counters: Counters, bars: tuple[Vector, Vector] | None = None) -> bool:
+        """Keep step t: a sync step with the server's (x_bar, y_bar) as bars,
+        a local step without. True once the chunk is full."""
         i, (K, d) = len(self.steps), clients.W.shape
-        self.steps.append((t, is_sync, counters.sfo_per_client, counters.comm_rounds))
+        self.steps.append((t, bars is not None, counters.sfo_per_client, counters.comm_rounds))
         self.X[i * K:(i + 1) * K], self.Y[i * K:(i + 1) * K] = clients.X, clients.Y
         self.M[i, :, :d], self.M[i, :, d:d + clients.V.shape[1]] = clients.W, clients.V
-        self.x_bar[i], self.y_bar[i] = x_bar, y_bar
+        if bars is not None:
+            self.x_bar[i], self.y_bar[i] = bars
         return i + 1 == self.capacity
 
 
 class TraceRecorder:
     """Single-writer, append-only trace collection for one run of T steps:
     each record call measures a chunk of steps and writes their cells into
-    one (T,) buffer per field, and one presence mask per optional field."""
+    one (T,) buffer per field, and one presence mask per optional field.
+    It keeps copies of the averaged iterates (x_bar, y_bar) of the last
+    step recorded, as last, and of step sampled_t, as sampled."""
 
-    def __init__(self, problem: ProblemInstance, q: int, T: int, heavy_cadence: int = 1):
+    def __init__(self, problem: ProblemInstance, q: int, T: int, heavy_cadence: int = 1,
+                 sampled_t: int | None = None):
         self.problem = problem
         self.q = q
         self.heavy_cadence = heavy_cadence
+        self.sampled_t = sampled_t
+        self.last = self.sampled = (None, None)
         self.n = 0  # steps recorded
         self.columns = {f.name: np.empty(T, _DTYPES.get(f.type, float)) for f in _FIELDS}
         self.has = {_FIELDS[j].name: np.zeros(T, bool) for j in _OPTIONAL}
@@ -287,28 +298,47 @@ class TraceRecorder:
         self._stacked = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
     def record(self, chunk: TraceChunk) -> None:
-        """Measure every step of the chunk, then empty it. Each metric is
-        computed for all the steps at once, every bit as one step at a time:
+        """Check and measure every step of the chunk, then empty it.
 
+        A non-finite entry in any step's X, Y, W or V raises
+        FloatingPointError naming the first such step, before anything is
+        measured. Each metric is computed for all the steps at once, every
+        bit as one step at a time:
+
+        - one index-order sum (core.index_sum: an add.reduce adding whole
+          rows, or a running sum for a (., 1) column) over the K axis of an
+          (S, K, .) stack for every cross-client mean: first the local
+          steps' x_bar and y_bar (vec_mean's bits), which go into the chunk;
         - one exact-oracle call on the steps' K-row blocks, then (x_bar, y*)
           repeated K times for each step whose grad_norm_F is due, as
           global_grad tiles it;
-        - one index-order sum (core.index_sum, an add.reduce adding whole
-          rows) over the K axis of an (S, K, .) stack for every
-          cross-client mean;
         - row_dots for every norm, distance and consensus value;
         - y_star and global_value at the S stacked points."""
         S = len(chunk)
         if not S:
             return
         problem, K, d, p = self.problem, self.problem.K, self.problem.d, self.problem.p
-        a, b = self.n, self.n + S
-        cols, has = self.columns, self.has
+        a, b, SK = self.n, self.n + S, S * K
         t, is_sync, sfo, comm = zip(*chunk.steps)
+        X, Y = chunk.X[:SK].reshape(S, K, d), chunk.Y[:SK].reshape(S, K, p)
+        M = chunk.M[:S]
+        states = X, Y, M[..., :d + p]  # W and V side by side
+        if not all(np.isfinite(A).all() for A in states):
+            finite = np.logical_and.reduce([np.isfinite(A).all(axis=(1, 2)) for A in states])
+            raise FloatingPointError(f"non-finite iterate or estimate at t={t[int(np.argmin(finite))]}")
+        x_bar, y_bar = chunk.x_bar[:S], chunk.y_bar[:S]
+        local = np.logical_not(is_sync)[:, None]
+        np.copyto(x_bar, index_sum(X, axis=1) / K, where=local)
+        np.copyto(y_bar, index_sum(Y, axis=1) / K, where=local)
+        self.last = x_bar[-1].copy(), y_bar[-1].copy()
+        if self.sampled_t in t:
+            i = t.index(self.sampled_t)
+            self.sampled = x_bar[i].copy(), y_bar[i].copy()
+
+        cols, has = self.columns, self.has
         cols["t"][a:b], cols["is_sync"][a:b], cols["sfo"][a:b], cols["comm"][a:b] = t, is_sync, sfo, comm
         cadence = self.heavy_cadence
         heavy = [s and cadence > 0 and (step // self.q) % cadence == 0 for step, s in zip(t, is_sync)]
-        x_bar, y_bar = chunk.x_bar[:S], chunk.y_bar[:S]
 
         # grad_norm_F is due at every step of a closed-form family, else at heavy ones
         if problem.has_closed_form_inner_max:
@@ -321,11 +351,10 @@ class TraceRecorder:
             x_due = x_bar[due]
             y_due = np.array([ascend_y(problem, x) for x in x_due]).reshape(-1, p)
             has["grad_norm_F"][a:b] = heavy
-        SK, n = S * K, (S + len(x_due)) * K
+        n = (S + len(x_due)) * K
         chunk.X[SK:n].reshape(-1, K, d)[:] = x_due[:, None]
         chunk.Y[SK:n].reshape(-1, K, p)[:] = y_due[:, None]
         GX, GY = problem.grad_full_all(chunk.X[:n], chunk.Y[:n])
-        M = chunk.M[:S]
         w_cur, v_cur, gy, gx, gx_star = self._stacked
         M[..., gy] = GY[:SK].reshape(S, K, p)
         M[..., gx] = GX[:SK].reshape(S, K, d)
@@ -337,10 +366,10 @@ class TraceRecorder:
         cols["est_err_x"][a:b] = np.sqrt(row_dots(m[:, w_cur] - m[:, gx]))
         cols["est_err_y"][a:b] = np.sqrt(row_dots(m[:, v_cur] - m[:, gy]))
 
-        X, Y = chunk.X[:SK].reshape(S, K, d), chunk.Y[:SK].reshape(S, K, p)
         cols["consensus_x"][a:b] = np.sqrt(np.maximum.reduce(row_dots(X - x_bar[:, None]), axis=1))
-        cols["consensus_y"][a:b] = np.sqrt(np.maximum.reduce(row_dots(Y - y_bar[:, None]), axis=1))
-        has["consensus_y"][a:b] = True
+        sync = np.flatnonzero(is_sync)
+        cols["consensus_y"][a:b][sync] = np.sqrt(np.maximum.reduce(row_dots(Y[sync] - y_bar[sync, None]), axis=1))
+        has["consensus_y"][a:b] = is_sync
         cols["objective"][a:b] = problem.global_value(x_bar, y_bar)
         if self.x_star is not None:
             cols["dist_x_sq"][a:b] = row_dots(x_bar - self.x_star)

@@ -27,6 +27,12 @@ from ..core import Vector, index_sum, row_dots, vec_mean
 from ..federation import PartitionPlan
 
 
+# The largest (point blocks x clients x items x features) product that one
+# call of a dataset family's gradient kernel makes in grad_full_all; the
+# recorder's chunk of steps leaves its memory bound to this.
+_ORACLE_ELEMENTS = 20_000
+
+
 @dataclass(frozen=True)
 class Unconstrained:
     def project(self, y: Vector) -> Vector:
@@ -168,7 +174,9 @@ class DatasetProblem(ProblemInstance):
         labels labs (B, n), at points X (..., B, d) and Y (..., B, p)."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        out = np.empty(x.shape[:-1] + (self.K,))
+        # x and y broadcast against each other: theory's PL probe passes one
+        # shared x (d,) with S stacked y's (S, p) to the robust family.
+        out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (self.K,))
         for ks, Xs, labs in self._blocks:
             out[..., ks] = self._value_block(Xs, labs, x, y)
         return out
@@ -179,11 +187,18 @@ class DatasetProblem(ProblemInstance):
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The n K-row blocks as (n, K, .): each size block's data is
-        # broadcast over the n blocks, not tiled.
+        # broadcast over the n blocks, not tiled. A kernel call's temporaries
+        # hold (blocks, K_b, n_b, dim) elements, so each size block takes the
+        # point blocks in pieces of at most _ORACLE_ELEMENTS of them (at
+        # least one block a piece); a K-row block's bits do not depend on
+        # the blocks evaluated with it (see core).
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
         GX, GY = np.empty_like(X3), np.empty_like(Y3)
         for ks, Xs, labs in self._blocks:
-            GX[:, ks], GY[:, ks] = self._grad_block(Xs, labs, X3[:, ks], Y3[:, ks])
+            step = max(1, _ORACLE_ELEMENTS // Xs.size)
+            for i in range(0, len(X3), step):
+                piece = slice(i, i + step)
+                GX[piece, ks], GY[piece, ks] = self._grad_block(Xs, labs, X3[piece, ks], Y3[piece, ks])
         return GX.reshape(X.shape), GY.reshape(Y.shape)
 
     def grad_stoch_rows(

@@ -91,12 +91,14 @@ class RobustProblem(DatasetProblem):
 
     def grad_y_all(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The y-gradients of grad_full_all(X, Y), bitwise, without the
-        x-gradients' (..., n, dim) product and reduction."""
+        x-gradients' (..., n, dim) product and reduction. X may also be one
+        K-row block that every K-row block of Y shares: its products with
+        the clients' data are then made once, not once per block."""
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
-        GY = np.empty_like(Y3)
+        GY = np.empty(np.broadcast_shapes(X3.shape[:-1], Y3.shape[:-1]) + (self.p,))
         for ks, Xs, labs in self._blocks:
             GY[:, ks] = self._slopes_and_grad_y(Xs, labs, X3[:, ks], Y3[:, ks])[1]
-        return GY.reshape(Y.shape)
+        return GY.reshape(-1, self.p)
 
 
 def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:

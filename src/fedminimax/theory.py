@@ -480,17 +480,19 @@ def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
     # Sampled surrogate for a gradient-growth constant. The robust family's
     # inner problem is convex, not concave, so no true constant exists; this
     # is a nominal estimate for record-keeping, floored away from zero.
-    # Each probe draws x and then its 8 y's; one global_value call at the 8
-    # stacked points gives their values, and one y-only exact call on 8K
+    # Each probe draws x and then its 8 y's; one global_value call at x and
+    # the 8 stacked y's gives their values, and one y-only exact call on 8K
     # rows the y-half of every y's global_grad (each K-row block's mean).
+    # Both take the shared x unstacked, so each makes the products of x
+    # with the clients' data once, not once per y (bitwise the same, core).
     K, p = inst.K, inst.p
     Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
     best = math.inf
     for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
         ys = inst.y_constraint.project(ys)
-        vals = inst.global_value(np.tile(x, (8, 1)), ys)
+        vals = inst.global_value(x, ys)
         gaps = vals.max() - vals
-        GY = inst.grad_y_all(np.tile(x, (8 * K, 1)), np.repeat(ys, K, axis=0))
+        GY = inst.grad_y_all(np.tile(x, (K, 1)), np.repeat(ys, K, axis=0))
         gy = index_sum(GY.reshape(8, K, p), axis=1) / K
         due = gaps > 1e-12
         if due.any():

@@ -1,9 +1,13 @@
-import numpy as np
-import pytest
+import warnings
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 import fedminimax as fm
-from fedminimax import algorithms
+from fedminimax import algorithms, metrics
+from fedminimax.config import apply_overrides
+from fedminimax.presets import load_preset
 from fedminimax.algorithms import (
     VARIANT_ADAFGDA_ADABELIEF,
     VARIANT_ADAFGDA_ADAM,
@@ -46,11 +50,15 @@ class TestEtaSchedule:
     def test_vanishes_in_the_limit(self):
         assert eta_schedule(1.0, 4, 2.0, 10**12) < 1e-3
 
-    def test_validation(self):
+    def test_validation(self, synthetic_small):
+        # checked at the boundaries, not per call: n where the hyperparameters
+        # are built, t where a local step reads the run's schedule
         with pytest.raises(ValueError):
-            eta_schedule(0.0, 1, 2.0, 0)
+            HyperParams(eta_n=0.0)
+        hp = HyperParams(T=10, q=5, seed=0)
+        clients, server, _ = init_round(synthetic_small, hp)
         with pytest.raises(ValueError):
-            eta_schedule(1.0, 1, 2.0, -1)
+            local_step(synthetic_small, hp, -1, clients, server.A, server.B)
 
 
 class TestHyperParams:
@@ -71,6 +79,21 @@ class TestHyperParams:
 
     def test_unit_varrho_allowed_for_frozen_accumulators(self):
         HyperParams(varrho=1.0)
+
+    @pytest.mark.parametrize("variant", algorithms.VARIANTS)
+    def test_schedule_is_eta_and_momentum_at_every_step(self, variant):
+        hp = HyperParams(T=30, q=7, variant=variant, c1=3.0, c2=0.5, tie_varrho_to_momentum=True)
+        sched = hp.schedule(10)
+        assert len(sched.eta) == len(sched.alpha) == len(sched.beta) == hp.T + 1
+        for t in range(hp.T + 1):
+            assert sched.eta[t] == hp.eta(10, t)
+            assert (sched.alpha[t], sched.beta[t]) == hp.momentum(sched.eta[t])
+
+    def test_schedule_rejects_values_that_underflow_to_zero(self):
+        with pytest.raises(ValueError, match="eta_t"):
+            HyperParams(eta_n=1e-300, eta_m=1e300).schedule(1)
+        with pytest.raises(ValueError, match="momentum"):
+            HyperParams(c1=1e-300, eta_const=1e-100).schedule(1)
 
 
 class TestInitRound:
@@ -121,9 +144,9 @@ class TestLocalStep:
 
     def test_zero_step_sizes_only_refresh_estimators(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0, gamma=0.0, lam=0.0)
-        clients, server, _ = init_round(synthetic_small, hp)
-        before = clients
-        after = local_step(synthetic_small, hp, 1, before, server.A, server.B)
+        after, server, _ = init_round(synthetic_small, hp)
+        before = replace(after, X=after.X.copy(), Y=after.Y.copy())
+        local_step(synthetic_small, hp, 1, after, server.A, server.B)
         assert np.array_equal(after.X, before.X)
         assert np.array_equal(after.Y, before.Y)
 
@@ -133,21 +156,47 @@ class TestLocalStep:
                          gamma=0.01, lam=0.01)
         clients, server, _ = init_round(inst, hp)
         x0, y0, w0, v0 = clients.X[0].copy(), clients.Y[0].copy(), clients.W[0].copy(), clients.V[0].copy()
-        after = local_step(inst, hp, 1, clients, server.A, server.B)
+        local_step(inst, hp, 1, clients, server.A, server.B)
+        after = clients
         assert np.allclose(after.Y[0], y0 + hp.lam * v0)
         assert np.allclose(after.X[0], x0 - hp.gamma * w0)
         gx, gy = grad_full(inst, 0, after.X[0], after.Y[0])
         assert np.array_equal(after.V[0], gy)  # noiseless: estimate equals the fresh gradient
         assert np.array_equal(after.W[0], gx)
 
+    @pytest.mark.parametrize("variant", [VARIANT_ADAFGDA_ADAM, VARIANT_MOMENTUM_LOCAL_SGDA])
+    def test_in_place_steps_leave_the_chunk_copies_of_earlier_steps(self, variant):
+        # the chunk keeps copies of every step's rows for the recorder; the
+        # next steps update the same client arrays in place
+        inst = fm.AucProblem(K=4, dim=5, n_per_client=20, pos_ratio=0.2, seed=3)
+        hp = HyperParams(T=12, q=5, seed=1, variant=variant, gamma=0.05, lam=0.05)
+        clients, server, counters = init_round(inst, hp)
+        arrays = [clients.X, clients.Y, clients.W, clients.V]
+        chunk = metrics.TraceChunk(inst, 12)
+        kept = []
+        for t in range(1, hp.T + 1):
+            if t % hp.q == 0:
+                sync_step(inst, hp, t, clients, server, counters)
+                chunk.add(t, clients, counters, (server.x_bar, server.y_bar))
+            else:
+                local_step(inst, hp, t, clients, server.A, server.B)
+                chunk.add(t, clients, counters)
+            kept.append([M.copy() for M in (clients.X, clients.Y, clients.W, clients.V)])
+        assert all(M is A for M, A in zip([clients.X, clients.Y, clients.W, clients.V], arrays))
+        K, d, p = inst.K, inst.d, inst.p
+        for i, (X, Y, W, V) in enumerate(kept):
+            assert np.array_equal(chunk.X[i * K:(i + 1) * K], X) and np.array_equal(chunk.Y[i * K:(i + 1) * K], Y)
+            assert np.array_equal(chunk.M[i, :, :d], W) and np.array_equal(chunk.M[i, :, d:d + p], V)
+        assert not np.array_equal(kept[0][0], clients.X)
+
     def test_deterministic_replay(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=3)
         c1, s1, _ = init_round(synthetic_small, hp)
         c2, s2, _ = init_round(synthetic_small, hp)
-        a1 = local_step(synthetic_small, hp, 1, c1, s1.A, s1.B)
-        a2 = local_step(synthetic_small, hp, 1, c2, s2.A, s2.B)
+        local_step(synthetic_small, hp, 1, c1, s1.A, s1.B)
+        local_step(synthetic_small, hp, 1, c2, s2.A, s2.B)
         for attr in ("X", "Y", "W", "V"):
-            assert np.array_equal(getattr(a1, attr), getattr(a2, attr))
+            assert np.array_equal(getattr(c1, attr), getattr(c2, attr))
 
 
 class TestSyncStep:
@@ -160,7 +209,7 @@ class TestSyncStep:
     def test_broadcast_postcondition(self, synthetic_small):
         hp = HyperParams(T=10, q=2, seed=0)
         clients, server, counters = init_round(synthetic_small, hp)
-        clients = local_step(synthetic_small, hp, 1, clients, server.A, server.B)
+        local_step(synthetic_small, hp, 1, clients, server.A, server.B)
         sync_step(synthetic_small, hp, 2, clients, server, counters)
         for k in range(synthetic_small.K):
             assert np.array_equal(clients.X[k], server.x_bar)
@@ -218,7 +267,7 @@ class TestItemTable:
                 continue
             expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, inst.sizes)]
             assert clients.items[:, t // q, t % q - 1].tolist() == expected
-            clients = local_step(inst, hp, t, clients, server.A, server.B)
+            local_step(inst, hp, t, clients, server.A, server.B)
             checked += 1
         assert checked == hp.T - hp.T // q
 
@@ -282,11 +331,14 @@ class TestRunInvariants:
             assert comm == sorted(comm)
 
     def test_consensus_zero_at_sync_records(self, tiny_traces):
+        # consensus_y is kept for this invariant alone, on sync records only
         for trace in tiny_traces.values():
             for r in trace.records:
                 if r.is_sync:
                     assert r.consensus_x == 0.0
                     assert r.consensus_y == 0.0
+                else:
+                    assert r.consensus_y is None
 
     def test_ledger_formulas(self, tiny_traces):
         for trace in tiny_traces.values():
@@ -303,7 +355,7 @@ class TestRunInvariants:
                 assert np.all(server.A == 1.0)
                 assert np.all(server.B == 1.0)
             else:
-                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server.A, server.B)
 
     def test_matrix_freeze_between_syncs(self, synthetic_small):
         hp = HyperParams(T=12, q=4, seed=5, variant=VARIANT_ADAFGDA_ADAM)
@@ -313,7 +365,7 @@ class TestRunInvariants:
             if t % hp.q == 0:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
             else:
-                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server.A, server.B)
             seen.append((t, server.A.copy()))
         # A changes only at t = 4, 8, 12
         for (t, diag), (t2, diag2) in zip(seen, seen[1:]):
@@ -332,7 +384,7 @@ class TestRunInvariants:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
                 x_bar, y_bar = server.x_bar, server.y_bar
             else:
-                clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server.A, server.B)
                 x_bar = vec_mean(clients.X)
                 y_bar = vec_mean(clients.Y)
             rec = trace.records[t - 1]
@@ -380,7 +432,7 @@ class TestFiniteness:
         self._nan_x_gradient_at_step(monkeypatch, synthetic_small, hp, s)
         clients, server, _ = init_round(synthetic_small, hp)
         for t in range(1, s + 1):
-            clients = local_step(synthetic_small, hp, t, clients, server.A, server.B)
+            local_step(synthetic_small, hp, t, clients, server.A, server.B)
         # at step s only the x-side estimate is non-finite; the iterates follow at s + 1
         assert np.isfinite(clients.X).all() and np.isfinite(clients.Y).all()
         assert np.isfinite(clients.V).all() and not np.isfinite(clients.W).any()
@@ -389,6 +441,42 @@ class TestFiniteness:
         self._nan_x_gradient_at_step(monkeypatch, synthetic_small, hp, s)
         with pytest.raises(FloatingPointError, match=rf"^non-finite iterate or estimate at t={s}$"):
             fm.run(synthetic_small, hp)
+
+
+def _poison_w_after_step(monkeypatch, s):
+    """Put a NaN into one entry of W right after step s, local or sync."""
+    for name in ("local_step", "sync_step"):
+        real = getattr(algorithms, name)
+
+        def step(problem, hp, t, clients, *rest, real=real):
+            real(problem, hp, t, clients, *rest)
+            if t == s:
+                clients.W[1, 0] = np.nan
+
+        monkeypatch.setattr(algorithms, name, step)
+
+
+def _finiteness_case(case):
+    """A run and the steps in each of its recorder's chunks."""
+    if case == "auc-imbalanced":  # K = 10, a sync every 20 steps; chunks 1-25, 26-50, 51-60
+        cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "60"})
+        return cfg.build_problem(1), cfg.hp_for_seed(1), 25
+    problem = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1)  # chunks 1-125, 126-200
+    return problem, HyperParams(T=200, q=10, seed=2, variant=VARIANT_ADAFGDA_ADABELIEF, gamma=0.02, lam=0.02), 125
+
+
+class TestChunkFiniteness:
+    # The recorder checks a chunk's steps before measuring any of them.
+    @pytest.mark.parametrize("case,s", [*(("auc-imbalanced", s) for s in (7, 20, 21, 25, 26, 60)),
+                                        *(("synthetic-k2", s) for s in (1, 110, 125, 126, 199))])
+    def test_non_finite_w_raises_at_its_own_step_without_warnings(self, monkeypatch, case, s):
+        problem, hp, per_chunk = _finiteness_case(case)
+        assert algorithms._RECORD_ROWS // problem.K == per_chunk
+        _poison_w_after_step(monkeypatch, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=rf"^non-finite iterate or estimate at t={s}$"):
+                fm.run(problem, hp)
 
 
 class TestIndependentReference:

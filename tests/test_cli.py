@@ -313,6 +313,16 @@ class TestCommands:
         assert "pl: worst_slack=" in out
         assert "gradcheck:" in out
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_probe_without_points_is_a_config_error(self, points, capsys):
+        # zero probes would certify every assumption; a negative count would
+        # reach numpy as a negative dimension
+        code = main(["probe", "--preset", "synthetic-s1", "--checks", "pl,lipschitz", "--points", points])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: --points must be >= 1, got {points}\n"
+        assert captured.out == ""
+
     def test_probe_skips_unsupported_with_warning(self, capsys):
         code = main(["probe", "--preset", "robust-q6", "--checks", "pl,gradcheck", "--points", "20"])
         captured = capsys.readouterr()

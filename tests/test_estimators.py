@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedminimax.algorithms import HyperParams
 from fedminimax.estimators import (
     MODE_ADABELIEF,
     MODE_ADAM,
@@ -34,10 +35,12 @@ class TestStormUpdate:
         assert out[0] == pytest.approx(3.0)
 
     def test_momentum_range_enforced(self):
+        # once per run, on every momentum of its schedule: c1 * eta**2
+        # underflows to 0 here, and a constant above 1 is refused when built
+        with pytest.raises(ValueError, match="momentum"):
+            HyperParams(c1=1e-300, eta_const=1e-100).schedule(1)
         with pytest.raises(ValueError):
-            storm_update(vec(1.0), vec(1.0), vec(1.0), momentum=0.0)
-        with pytest.raises(ValueError):
-            storm_update(vec(1.0), vec(1.0), vec(1.0), momentum=1.5)
+            HyperParams(alpha_const=1.5)
 
     def test_telescoping_with_unit_momentum(self):
         # with momentum 1 at every step the estimate is always the most
@@ -60,10 +63,12 @@ class TestMomentumSchedule:
         assert alpha == 1.0 and beta == 1.0
 
     def test_validation(self):
+        # c1 and c2 are checked where the hyperparameters are built, eta_t
+        # once per run on its whole schedule (here it underflows to 0)
         with pytest.raises(ValueError):
-            momentum_schedule(-1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            momentum_schedule(1.0, 1.0, 0.0)
+            HyperParams(c1=-1.0)
+        with pytest.raises(ValueError, match="eta_t"):
+            HyperParams(eta_n=1e-300, eta_m=1e300).schedule(1)
 
 
 def _plain_adam_rule(acc, w_bar, v_bar):

@@ -351,16 +351,18 @@ class TestSummary:
 def _recorded_run(monkeypatch, preset: str, overrides: dict):
     """Run a preset and return its trace together with what the recorder
     saw, one (t, x_bar) per step in the order it measured them, and the
-    recorder itself, whose column buffers hold what it computed."""
+    recorder itself, whose column buffers hold what it computed. The chunk
+    holds the local steps' x_bar once the real record has filled it in."""
     cfg = apply_overrides(load_preset(preset), overrides)
     problem = cfg.build_problem(1)
     seen, recorders = [], []
     real_record = metrics.TraceRecorder.record
 
     def record(self, chunk):
-        seen.extend((t, x_bar.copy()) for (t, *_), x_bar in zip(chunk.steps, chunk.x_bar))
+        steps = list(chunk.steps)
         recorders.append(self)
         real_record(self, chunk)
+        seen.extend((t, x_bar.copy()) for (t, *_), x_bar in zip(steps, chunk.x_bar))
 
     monkeypatch.setattr(metrics.TraceRecorder, "record", record)
     trace = algorithms.run(problem, cfg.hp_for_seed(1), heavy_cadence=cfg.output.heavy_cadence)
@@ -432,14 +434,14 @@ class TestChunkedRecorder:
         assert [repr(r) for r in algorithms.run(problem, hp, heavy_cadence=cadence).records] == reference
 
     def test_record_measures_full_chunks_then_the_rest(self, monkeypatch):
-        # auc-imbalanced has K = 10: five steps per chunk, a T = 43 run ends on three
+        # auc-imbalanced has K = 10: 25 steps per chunk, a T = 43 run ends on 18
         sizes = []
         real_record = metrics.TraceRecorder.record
         monkeypatch.setattr(metrics.TraceRecorder, "record",
                             lambda self, chunk: sizes.append(len(chunk)) or real_record(self, chunk))
         problem, hp, cadence = _chunk_case("auc-imbalanced", "adafgda_adam")
         algorithms.run(problem, hp, heavy_cadence=cadence)
-        assert sizes == [5] * 8 + [3]
+        assert sizes == [25, 18]
 
     def test_heavy_cadence_zero_records_no_robust_grad_norm_F(self):
         problem, hp, _ = _chunk_case("robust-q6", "fgda")

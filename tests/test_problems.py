@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import fedminimax as fm
+from fedminimax.problems import base
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
 from fedminimax.theory import (
     _estimate_robust_L_f,
@@ -831,6 +832,49 @@ class TestStackedOracle:
                 rows = slice(b * K, (b + 1) * K)
                 gx, gy = inst.grad_full_all(X[rows], Y[rows])
                 assert np.array_equal(GX[rows], gx) and np.array_equal(GY[rows], gy)
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    def test_exact_oracle_in_pieces_equals_one_unsplit_call_bitwise(self, case, monkeypatch):
+        # grad_full_all bounds its kernel's temporaries by taking the point
+        # blocks of each size block in pieces; on ragged splits each size
+        # block cuts its own pieces
+        inst = STACKED_CASES[case]()
+        K = inst.K
+        rng = np.random.default_rng(53)
+        X = 2.0 * rng.standard_normal((9 * K, inst.d))
+        Y = 2.0 * rng.standard_normal((9 * K, inst.p))
+        calls = []
+        real_kernel = inst._grad_block
+        monkeypatch.setattr(inst, "_grad_block", lambda *args: calls.append(len(args[2])) or real_kernel(*args))
+        monkeypatch.setattr(base, "_ORACLE_ELEMENTS", 10**12)
+        GX, GY = inst.grad_full_all(X, Y)
+        assert calls == [9] * len(inst._blocks)
+        # one point block a piece, then four a piece of the largest size
+        # block (4, 4, 1) and more of any smaller one
+        largest = max(Xs.size for _, Xs, _ in inst._blocks)
+        for budget in (1, 4 * largest):
+            calls.clear()
+            monkeypatch.setattr(base, "_ORACLE_ELEMENTS", budget)
+            gx, gy = inst.grad_full_all(X, Y)
+            if budget == 1:
+                assert calls == [1] * 9 * len(inst._blocks)
+            else:
+                assert 4 in calls and len(calls) > len(inst._blocks)
+            assert np.array_equal(gx, GX) and np.array_equal(gy, GY)
+
+    def test_shared_x_block_gives_the_tiled_values_and_y_gradients_bitwise(self):
+        # theory's PL probe passes its one x unstacked against 8 y's
+        for case in ("robust-iid", "robust-dirichlet"):
+            inst = STACKED_CASES[case]()
+            K = inst.K
+            rng = np.random.default_rng(59)
+            for _ in range(5):
+                x = 2.0 * rng.standard_normal(inst.d)
+                ys = inst.y_constraint.project(2.0 * rng.standard_normal((8, inst.p)))
+                assert np.array_equal(inst.global_value(x, ys), inst.global_value(np.tile(x, (8, 1)), ys))
+                Ys = np.repeat(ys, K, axis=0)
+                shared = inst.grad_y_all(np.tile(x, (K, 1)), Ys)
+                assert np.array_equal(shared, inst.grad_y_all(np.tile(x, (8 * K, 1)), Ys))
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_sigma_estimate_equals_per_item_loop_bitwise(self, case):
