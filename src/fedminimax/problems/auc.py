@@ -99,29 +99,49 @@ class AucProblem(DatasetProblem):
         )
         return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
 
+    def _item_terms(
+        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """Per-item gradient terms (..., B, n) of _grad_block's datasets at its
+        points: the w coefficient and the a, b and alpha terms of each item."""
+        dim, pr = self.dim, self.pos_ratio
+        h = np.matmul(Xs, X[..., :dim, None])[..., 0]
+        pos = labs > 0
+        ha, hb, c = h - X[..., dim:dim + 1], h - X[..., dim + 1:], 2 * (1 + Y)
+        return (
+            np.where(pos, 2 * (1 - pr) * ha - c * (1 - pr), 2 * pr * hb + c * pr),
+            np.where(pos, -2 * (1 - pr) * ha, 0.0),
+            np.where(pos, 0.0, -2 * pr * hb),
+            np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
+        )
+
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        dim, n = self.dim, labs.shape[-1]
-        a, b, alpha = X[..., dim:dim + 1], X[..., dim + 1:], Y
-        h = np.matmul(Xs, X[..., :dim, None])[..., 0]
-        pos = labs > 0
-        pr = self.pos_ratio
-
-        coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
-                        2 * pr * (h - b) + 2 * (1 + alpha) * pr)
+        dim, pr, (B, n) = self.dim, self.pos_ratio, labs.shape
+        X3, Y3 = X.reshape(-1, B, self.d), Y.reshape(-1, B, 1)
+        coef, *scalars = self._item_terms(Xs, labs, X3, Y3)
         # Means as a sum and one division (what mean does, without its
-        # wrapper): over the items for gw, and along the last axis of one
-        # (3, ..., B, n) stack for the scalar columns, each row its own
-        # pairwise sum.
-        gw = np.add.reduce(coef[..., None] * Xs, axis=-2) / n
-        ga, gb, gh = np.add.reduce(np.stack([
-            np.where(pos, -2 * (1 - pr) * (h - a), 0.0),
-            np.where(pos, 0.0, -2 * pr * (h - b)),
-            np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
-        ]), axis=-1) / n
-        galpha = gh - 2 * pr * (1 - pr) * alpha[..., 0]
-        return np.concatenate([gw, ga[..., None], gb[..., None]], axis=-1), galpha[..., None]
+        # wrapper): along the last axis of one (P, B, 3, n) stack for the
+        # scalar columns, each row its own pairwise sum, and over the items
+        # for gw, item-major but at dim = 1, where the (P, B, n, 1) product
+        # sums pairwise. The scalar terms go before the product is made.
+        sums = np.add.reduce(np.stack(scalars, axis=-2), axis=-1)
+        del scalars
+        if dim > 1:
+            gw = np.add.reduce(coef.T[..., None] * self._item_major(Xs), axis=0).transpose(1, 0, 2)
+        else:
+            gw = np.add.reduce(coef * Xs[..., 0], axis=-1)[..., None]
+        GX = np.concatenate([gw, sums[..., :2]], axis=-1) / n
+        galpha = sums[..., 2] / n - 2 * pr * (1 - pr) * Y3[..., 0]
+        return GX.reshape(X.shape), galpha.reshape(Y.shape)
+
+    def _grad_rows(
+        self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        pr = self.pos_ratio
+        coef, ga, gb, gh = self._item_terms(x_items[:, None, :], labels, X, Y)
+        return np.concatenate([coef * x_items, ga, gb], axis=1) + 0.0, (gh + 0.0) - 2 * pr * (1 - pr) * Y
 
     def y_star(self, x: Vector) -> Vector:
         """Closed-form inner maximizer alpha*(w) of the averaged objective."""

@@ -46,7 +46,7 @@ class EuclideanBall:
     def project(self, y: Vector | np.ndarray) -> Vector | np.ndarray:
         """Nearest point of the ball to y, or to each row of a stacked (K, p) y."""
         norm = np.sqrt(row_dots(y))[..., None]
-        if np.all(norm <= self.radius):
+        if (norm <= self.radius).all():
             return y
         return y * (self.radius / np.maximum(norm, self.radius))
 
@@ -133,11 +133,12 @@ class DatasetProblem(ProblemInstance):
     (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
     single block. Subclasses give the objective and the exact gradient
     once each, as kernels over one block, and every oracle uses them; the
-    stochastic oracle applies the gradient kernel to one-item datasets
-    taken from all items pooled in client order. The kernels take points
-    with any leading axes, over which the block's data is broadcast, not
-    copied: matmul still makes one gemv per matrix, and the elementwise
-    terms and the reductions over the items keep their bits.
+    stochastic oracle takes its items from all items pooled in client order
+    and applies a row kernel, the gradient kernel on one-item datasets. The
+    kernels take points with any leading axes, over which the block's data
+    is broadcast, not copied: matmul still makes one gemv per matrix, and
+    the elementwise terms and the reductions over the items keep their
+    bits (the gradient kernels sum over the items item-major, _item_major).
     """
 
     clients_X: list[np.ndarray]
@@ -148,7 +149,7 @@ class DatasetProblem(ProblemInstance):
         self.clients_X = [X[idx] for idx in plan.assignment]
         self.clients_y = [labels[idx] for idx in plan.assignment]
         pooled = np.concatenate(plan.assignment)
-        self._pool_X, self._pool_y = X[pooled], labels[pooled]
+        self._pool_X, self._pool_y = X[pooled], labels[pooled, None]
         self.sizes = sizes = np.array([len(idx) for idx in plan.assignment])
         self._pool_start = np.cumsum(sizes) - sizes
         self._blocks = []
@@ -159,6 +160,12 @@ class DatasetProblem(ProblemInstance):
                 np.stack([self.clients_X[k] for k in ks]),
                 np.stack([self.clients_y[k] for k in ks]),
             ))
+
+    @staticmethod
+    def _item_major(Xs: np.ndarray) -> np.ndarray:
+        """An item-major contiguous (n, B, 1, dim) copy of datasets Xs (B, n,
+        dim), for sums over the items of (n, B, P, dim) products (see core)."""
+        return np.ascontiguousarray(Xs.transpose(1, 0, 2))[:, :, None, :]
 
     @abstractmethod
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
@@ -172,6 +179,14 @@ class DatasetProblem(ProblemInstance):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients of B clients with datasets Xs (B, n, dim) and
         labels labs (B, n), at points X (..., B, d) and Y (..., B, p)."""
+
+    @abstractmethod
+    def _grad_rows(
+        self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """_grad_block on R one-item datasets x_items (R, dim), labels (R, 1),
+        at points X (R, d) and Y (R, p), bitwise: a sum over one item is its
+        term plus 0.0 (see core), and dividing by n = 1 is exact."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
         # x and y broadcast against each other: theory's PL probe passes one
@@ -205,7 +220,7 @@ class DatasetProblem(ProblemInstance):
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         rows = self._pool_start[ks] + items
-        return self._grad_block(self._pool_X[rows][:, None, :], self._pool_y[rows][:, None], X, Y)
+        return self._grad_rows(self._pool_X.take(rows, axis=0), self._pool_y.take(rows, axis=0), X, Y)
 
 
 def _check_client(inst: ProblemInstance, k: int) -> None:

@@ -76,10 +76,22 @@ class RobustProblem(DatasetProblem):
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        s, GY = self._slopes_and_grad_y(Xs, labs, X, Y)
-        # Means over the items as a sum and one division, as mean does.
-        GX = np.add.reduce(s[..., None] * (Xs + Y[..., None, :]), axis=-2) / labs.shape[-1]
-        return GX, GY
+        B, n = labs.shape
+        X3, Y3 = X.reshape(-1, B, self.d), Y.reshape(-1, B, self.p)
+        s, GY = self._slopes_and_grad_y(Xs, labs, X3, Y3)
+        # Means over the items as a sum and one division, as mean does; the
+        # sum item-major, its terms s_i * (x_i + y) made in one temporary, s
+        # first (of two NaNs, a product keeps the first one's sign).
+        terms = np.add(self._item_major(Xs), Y3.transpose(1, 0, 2))
+        np.multiply(s.T[..., None], terms, out=terms)
+        GX = np.add.reduce(terms, axis=0).transpose(1, 0, 2) / n
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
+
+    def _grad_rows(
+        self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        s, GY = self._slopes_and_grad_y(x_items[:, None, :], labels, X, Y)
+        return s * (x_items + Y) + 0.0, GY
 
     def _slopes_and_grad_y(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray

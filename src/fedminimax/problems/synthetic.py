@@ -88,6 +88,7 @@ class SyntheticProblem(ProblemInstance):
         else:
             noise = np.zeros((K, 2, n, dim))
         self.noise_x, self.noise_y = noise[:, 0], noise[:, 1]
+        self._noise_rows = noise.reshape(-1, dim)  # client k's item i: x row 2nk + i, y row 2nk + n + i
 
         # Fixed-order means used by the closed forms.
         self.b_bar = index_sum(self.b) / K
@@ -114,10 +115,13 @@ class SyntheticProblem(ProblemInstance):
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        t = self.t[ks, None]
+        t = self.t.take(ks)[:, None]
         GX = self.tau * X - t * Y
-        GY = -Y + self.b[ks] - t * X
-        return GX + self.noise_x[ks, items], GY + self.noise_y[ks, items]
+        GY = -Y + self.b.take(ks, axis=0) - t * X
+        rows = ks * (2 * self.n_per_client) + items
+        GX += self._noise_rows.take(rows, axis=0)
+        GY += self._noise_rows.take(rows + self.n_per_client, axis=0)
+        return GX, GY
 
     def y_star(self, x: Vector) -> Vector:
         return self.b_bar - self.t_bar * x

@@ -567,11 +567,28 @@ class TestTraceTable:
         assert retained <= 36 * 1024, retained
 
     def test_one_run_peaks_under_768_kb(self):
-        # The recorder's stacked calls hold about 90 KB of temporaries per
-        # step in a chunk on auc-imbalanced, where a chunk is five steps: a
-        # peak of about 650 KB (460 KB measuring one step at a time). Eight
-        # steps per chunk would reach about 880 KB.
+        # The recorder's stacked calls at a chunk's 25 steps make the largest
+        # temporaries of an auc-imbalanced run: about 400 KB in each of
+        # y_star and global_value, about 390 KB in grad_full_all, whose
+        # kernel takes the point blocks in budgeted pieces; the run peaks at
+        # about 740 KB.
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fm.run(problem, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 768 * 1024, peak
+
+    def test_one_robust_run_peaks_under_768_kb(self):
+        # robust-q6's largest temporaries are grad_full_all's: its kernel
+        # forms the items' terms s_i * (x_i + y) in one budget-sized array,
+        # about 390 KB a call with the rest of the call; the run peaks at
+        # about 630 KB (755 KB with a second array for x_i + y).
+        cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.t": "120"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         gc.collect()
         tracemalloc.start()

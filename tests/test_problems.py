@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import fedminimax as fm
+from fedminimax.core import row_dots
 from fedminimax.problems import base
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
 from fedminimax.theory import (
@@ -704,6 +705,49 @@ class TestStackedOracle:
                 for i in range(3):
                     want_x, want_y = plain(inst, Xs, labs, X[i], Y[i])
                     assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
+
+    @pytest.mark.parametrize("scheme", ["by_group", "iid"])
+    def test_auc_gradient_kernel_at_dim_1_equals_its_mean_form_bitwise(self, scheme):
+        # at dim = 1 the (P, B, n, 1) product's sum over the items is
+        # pairwise, not in item order, so the item-major form does not apply
+        inst = fm.AucProblem(K=5, dim=1, n_per_client=33, pos_ratio=0.3, seed=5, scheme=scheme)
+        rng = np.random.default_rng(83)
+        for scale in (1e-3, 1.0, 1e3):
+            for _, Xs, labs in inst._blocks:
+                X = scale * rng.standard_normal((4, len(Xs), inst.d))
+                Y = scale * rng.standard_normal((4, len(Xs), inst.p))
+                GX, GY = inst._grad_block(Xs, labs, X, Y)
+                for i in range(4):
+                    want_x, want_y = _mean_kernel_auc(inst, Xs, labs, X[i], Y[i])
+                    assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
+
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    def test_row_kernel_equals_the_gradient_kernel_on_one_item_blocks_bitwise(self, case):
+        # grad_stoch_rows' row kernel skips the sums over one item, which add
+        # the item to 0.0 and so turn -0.0 into +0.0: at points made of
+        # signed zeros, at scales where the robust margins pass 709 (expit's
+        # rescaled branch), and with inf and NaN entries
+        inst = STACKED_CASES[case]()
+        rng = np.random.default_rng(79)
+        pool_X, pool_y = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300])
+        past_709 = 0
+        for scale in (0.0, 1e-3, 1.0, 1e3, 1e6):
+            for special in (False, True):
+                rows = rng.integers(len(pool_y), size=60)
+                x_items, labels = pool_X[rows], pool_y[rows][:, None]
+                X = scale * rng.standard_normal((60, inst.d))
+                Y = scale * rng.standard_normal((60, inst.p))
+                if special:
+                    for A in (X, Y):
+                        hit = rng.random(A.shape) < 0.1
+                        A[hit] = rng.choice(specials, size=int(hit.sum()))
+                with np.errstate(all="ignore"):
+                    past_709 += int((np.abs(row_dots(x_items, X[:, :inst.dim])) > 709).sum())
+                    got = inst._grad_rows(x_items, labels, X, Y)
+                    want = inst._grad_block(x_items[:, None, :], labels, X, Y)
+                assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert past_709 > 0
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_robust_y_only_oracle_equals_the_exact_oracles_y_half_bitwise(self, case):
