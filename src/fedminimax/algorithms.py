@@ -3,13 +3,15 @@ server states.
 
 One run alternates synchronization steps (every q-th iteration: the server
 averages iterates and gradient estimates, regenerates the diagonal
-preconditioners, takes one preconditioned interpolated step and broadcasts
-everything back) with purely local steps (each client moves with its own
-estimates, then refreshes them with one fresh sample using the recursive
-variance-reduced rule). Client state is stacked, one row per client.
-Initialization draws every item a client samples in the whole run, as one
-(rounds, q - 1) slice of the item table per client, after its q
-initialization items; syncs draw nothing.
+preconditioners and writes the averages into every client row) with purely
+local steps (each client refreshes its estimates with one fresh sample
+using the recursive variance-reduced rule). Both apply one preconditioned
+interpolated step to the client rows, so after a sync every row holds the
+server's iterate and row 0 is the run's average. Client state is stacked,
+one row per client, and is the run's only iterate state. Initialization
+draws every item a client samples in the whole run, as one (rounds, q - 1)
+slice of the item table per client, after its q initialization items;
+syncs draw nothing.
 
 Variants share this skeleton:
 
@@ -25,8 +27,9 @@ consensus metrics exactly zero on sync records.
 
 Complexity ledger: one local step draws one sample and consumes both of
 its partial gradients, counted as 2 stochastic-gradient evaluations per
-client; initialization consumes 2q; sync steps sample nothing. Hence
-sfo_per_client = 2q + 2(T - floor(T/q)) and comm_rounds = floor(T/q).
+client; initialization consumes 2q; sync steps sample nothing. Each step
+books its own share. Hence sfo_per_client = 2q + 2(T - floor(T/q)) and
+comm_rounds = floor(T/q).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .estimators import (
     momentum_schedule,
     storm_update,
 )
-from .metrics import RunTrace, TraceChunk, TraceRecorder
+from .metrics import RunTrace, TraceRecorder
 from .problems import ProblemInstance
 
 VARIANT_FGDA = "fgda"
@@ -86,12 +89,15 @@ def eta_schedule(n: float, K: int, m: float, t: int) -> float:
 @dataclass(frozen=True)
 class Schedule:
     """A run's per-step scalars, each list indexed by t = 0..T: the
-    interpolation weight eta_t and the estimator momenta alpha_t (y side)
-    and beta_t (x side) that follow a step at eta_t."""
+    interpolation weight eta_t, the estimator momenta alpha_t (y side) and
+    beta_t (x side) that follow a step at eta_t, and the accumulator decay
+    varrho_t of a sync at t: 1 - beta_t where tie_varrho_to_momentum holds
+    and beta_t < 1, else None (the configured varrho)."""
 
     eta: list[float]
     alpha: list[float]
     beta: list[float]
+    varrho: list[float | None]
 
 
 @dataclass
@@ -168,24 +174,18 @@ class HyperParams:
             beta = self.beta_const
         return alpha, beta
 
-    def sync_varrho(self, eta_t: float) -> float | None:
-        """Per-generation accumulator decay; None means the configured value."""
-        if not self.tie_varrho_to_momentum:
-            return None
-        _, beta = self.momentum(eta_t)
-        return 1.0 - beta if beta < 1.0 else None
-
     def schedule(self, K: int) -> Schedule:
-        """eta and momentum at every t = 0..T, computed once per run, with
-        their ranges checked once: each eta_t positive, each momentum in
-        (0, 1] (a product c * eta_t**2 can underflow to zero)."""
+        """eta, momentum and sync varrho at every t = 0..T, computed once per
+        run, with their ranges checked once: each eta_t positive, each
+        momentum in (0, 1] (a product c * eta_t**2 can underflow to zero)."""
         eta = [self.eta(K, t) for t in range(self.T + 1)]
         alpha, beta = map(list, zip(*map(self.momentum, eta)))
         if not all(e > 0.0 for e in eta):
             raise ValueError("eta_t must be positive at every step")
         if not all(0.0 < m <= 1.0 for m in alpha + beta):
             raise ValueError("momentum must lie in (0, 1] at every step")
-        return Schedule(eta, alpha, beta)
+        tied = self.tie_varrho_to_momentum
+        return Schedule(eta, alpha, beta, [1.0 - b if tied and b < 1.0 else None for b in beta])
 
 
 @dataclass
@@ -215,8 +215,6 @@ class Clients:
 
 @dataclass
 class ServerState:
-    x_bar: Vector
-    y_bar: Vector
     acc: AdaptiveAccumulator
     A: Vector  # positive diagonal of the x-side preconditioner
     B: Vector  # positive diagonal of the y-side preconditioner
@@ -230,11 +228,6 @@ def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
 
 # Items per rng.integers call while drawing the item table.
 _ITEM_CHUNK = 2**16
-# Client rows (K per step) the recorder measures per call. Its buffers grow
-# with them; the exact oracle bounds its own temporaries (problems.base). At
-# least two steps, since one step per call spends more on copying it into the
-# chunk than stacking saves.
-_RECORD_ROWS = 250
 
 
 def _draw_items(rngs: list[np.random.Generator], n: np.ndarray, q: int, rounds: int) -> np.ndarray:
@@ -299,11 +292,19 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     counters.add_sfo(2 * hp.q)
 
     acc = AdaptiveAccumulator(mode=_MATRIX_MODE[hp.variant], rho=hp.rho, varrho=hp.varrho)
-    w_bar = vec_mean(clients.W)
-    v_bar = vec_mean(clients.V)
-    A, B = acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(sched.eta[0]))
-    server = ServerState(x_bar=x1, y_bar=y1, acc=acc, A=A, B=B)
-    return clients, server, counters
+    A, B = acc.generate(vec_mean(clients.W), vec_mean(clients.V), varrho=sched.varrho[0])
+    return clients, ServerState(acc=acc, A=A, B=B), counters
+
+
+def _step(problem: ProblemInstance, hp: HyperParams, eta_t: float, clients: Clients, server: ServerState) -> None:
+    """The preconditioned interpolated step of every row, in place: an
+    ascent proposal on y and a descent proposal on x, each interpolated by
+    eta_t (y projected)."""
+    X, Y = clients.X, clients.Y
+    Y_hat = Y + hp.lam * precondition(server.B, clients.V)
+    Y[:] = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
+    X_hat = X - hp.gamma * precondition(server.A, clients.W)
+    X[:] = X + eta_t * (X_hat - X)
 
 
 def local_step(
@@ -311,30 +312,24 @@ def local_step(
     hp: HyperParams,
     t: int,
     clients: Clients,
-    A: Vector,
-    B: Vector,
+    server: ServerState,
+    counters: Counters,
 ) -> None:
     """One purely local iteration of every client, one row each, mutating
-    the clients' X, Y, W and V in place.
+    the clients' X, Y, W and V in place and booking its 2 SFO.
 
-    Order: preconditioned ascent proposal on y and descent proposal on x,
-    interpolated by eta_t (y projected); then one fresh sample per client
-    (items[:, t // q, t % q - 1]) refreshes both estimates, from one oracle
-    call on 2K rows: the new points, then the old points.
+    The step (_step) at the server's matrices, then one fresh sample per
+    client (items[:, t // q, t % q - 1]) refreshes both estimates, from one
+    oracle call on 2K rows: the new points, then the old points.
     """
     if t % hp.q == 0 or not 0 < t <= hp.T:
         raise ValueError(f"t={t} is not a local step of a run of T={hp.T} steps that syncs every q={hp.q}")
     K = problem.K
     sched = clients.sched
-    eta_t = sched.eta[t]
     X, Y, W, V = clients.X, clients.Y, clients.W, clients.V
     items = clients.items[:, t // hp.q, t % hp.q - 1]
     clients.rows_X[K:], clients.rows_Y[K:], clients.rows_items[:] = X, Y, items  # the old points
-
-    Y_hat = Y + hp.lam * precondition(B, V)
-    Y[:] = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
-    X_hat = X - hp.gamma * precondition(A, W)
-    X[:] = X + eta_t * (X_hat - X)
+    _step(problem, hp, sched.eta[t], clients, server)
 
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
         GX, GY = problem.grad_stoch_rows(clients.rows_ks[:K], items, X, Y)
@@ -345,6 +340,7 @@ def local_step(
                                          clients.rows_X, clients.rows_Y)
         V[:] = storm_update(GY[:K], GY[K:], V, sched.alpha[t])
         W[:] = storm_update(GX[:K], GX[K:], W, sched.beta[t])
+    counters.add_sfo(2)
 
 
 def sync_step(
@@ -358,10 +354,10 @@ def sync_step(
     """One synchronization round, mutating clients, server and counters.
 
     Averages (v, w, y, x) in fixed client order, regenerates the matrices,
-    takes the server's preconditioned interpolated step, and broadcasts the
-    new iterates together with the averaged estimates into every row, so
-    all clients agree bitwise afterwards. It draws nothing: the next round's
-    items are already in the item table that initialization drew.
+    writes the averages into every row and takes the step (_step) there, so
+    all clients agree bitwise afterwards and each row is the server's new
+    iterate. It draws nothing: the next round's items are already in the
+    item table that initialization drew.
     """
     if t % hp.q != 0:
         raise ValueError(f"t={t} is not a sync index (q={hp.q})")
@@ -369,23 +365,9 @@ def sync_step(
     w_bar = vec_mean(clients.W)
     y_bar = vec_mean(clients.Y)
     x_bar = vec_mean(clients.X)
-
-    eta_t = clients.sched.eta[t]
-    A, B = server.acc.generate(w_bar, v_bar, varrho=hp.sync_varrho(eta_t))
-
-    y_hat = y_bar + hp.lam * precondition(B, v_bar)
-    y_next = problem.y_constraint.project(y_bar + eta_t * (y_hat - y_bar))
-    x_hat = x_bar - hp.gamma * precondition(A, w_bar)
-    x_next = x_bar + eta_t * (x_hat - x_bar)
-
-    clients.X[:] = x_next
-    clients.Y[:] = y_next
-    clients.W[:] = w_bar
-    clients.V[:] = v_bar
-    server.x_bar = x_next
-    server.y_bar = y_next
-    server.A = A
-    server.B = B
+    server.A, server.B = server.acc.generate(w_bar, v_bar, varrho=clients.sched.varrho[t])
+    clients.X[:], clients.Y[:], clients.W[:], clients.V[:] = x_bar, y_bar, w_bar, v_bar
+    _step(problem, hp, clients.sched.eta[t], clients, server)
     counters.add_comm()
 
 
@@ -397,8 +379,8 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     rule); analyses here use the full trace, the sampled index is reported
     alongside.
 
-    The run keeps every step in a chunk, and the recorder measures the kept
-    steps a chunk of them at a time, and the rest at the end. Finiteness is
+    The recorder keeps a copy of every step and measures the kept steps a
+    chunk of them at a time, and the rest at the end. Finiteness is
     checked there, once per chunk, on every client's iterates and estimates
     of every step before any is measured: a diverging run raises
     FloatingPointError naming the first step t at which any of X, Y, W or V
@@ -411,19 +393,10 @@ def run(problem: ProblemInstance, hp: HyperParams, heavy_cadence: int = 1) -> Ru
     out_rng = np.random.default_rng(np.random.SeedSequence(hp.seed, spawn_key=(problem.K,)))
     final_index = int(out_rng.integers(1, hp.T + 1))
     recorder = TraceRecorder(problem, hp.q, hp.T, heavy_cadence=heavy_cadence, sampled_t=final_index)
-    chunk = TraceChunk(problem, max(2, _RECORD_ROWS // problem.K))
-
     for t in range(1, hp.T + 1):
-        if t % hp.q == 0:
-            sync_step(problem, hp, t, clients, server, counters)
-            bars = server.x_bar, server.y_bar
-        else:
-            local_step(problem, hp, t, clients, server.A, server.B)
-            counters.add_sfo(2)
-            bars = None
-        if chunk.add(t, clients, counters, bars):
-            recorder.record(chunk)
-    recorder.record(chunk)
+        (sync_step if t % hp.q == 0 else local_step)(problem, hp, t, clients, server, counters)
+        recorder.add(t, clients, counters)
+    recorder.record()
 
     (final_x, final_y), (sampled_x, sampled_y) = recorder.last, recorder.sampled
     return RunTrace(

@@ -159,15 +159,14 @@ class Counters:
 
     sfo_per_client counts stochastic-gradient evaluations on one client
     (all clients consume the same amount); comm_rounds counts
-    server-averaging rounds.
+    server-averaging rounds. Every increment is a nonnegative literal of
+    algorithms, so add_sfo does not check it.
     """
 
     sfo_per_client: int = 0
     comm_rounds: int = 0
 
     def add_sfo(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("sfo increment must be nonnegative")
         self.sfo_per_client += n
 
     def add_comm(self) -> None:

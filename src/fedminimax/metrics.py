@@ -3,14 +3,15 @@
 Metrics are computed with full simulator access (exact gradients,
 closed-form saddle points) even though the algorithms only ever see
 stochastic samples; distance-to-saddle and value-function gradients are
-oracle quantities by nature. The run keeps its steps in a TraceChunk, and
-the recorder measures a whole chunk at a time in stacked calls (one exact
-oracle call on all its K-row blocks, one index-order sum over the clients
-for every cross-client mean, the averaged iterates of the local steps
-included), bitwise what one step at a time gives. It first checks that
-every step of the chunk is finite. It appends each metric as a column; run
-packs the columns into a TraceTable, which reads the records back, and the
-CSV is written from that table's columns.
+oracle quantities by nature. The recorder keeps a copy of each step's
+client rows and measures a whole chunk of steps at a time in stacked calls
+(one exact oracle call on all its K-row blocks, one index-order sum over
+the clients for every cross-client mean, the averaged iterates of the local
+steps included; a sync step's average is its row 0, since the sync writes
+it into every row), bitwise what one step at a time gives. It first checks
+that every step of the chunk is finite. It appends each metric as a column;
+run packs the columns into a TraceTable, which reads the records back, and
+the CSV is written from that table's columns.
 """
 
 from __future__ import annotations
@@ -235,49 +236,31 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
     return float((np.sign(z) == lab).mean())
 
 
-class TraceChunk:
-    """The steps of a run not yet recorded, at most capacity of them: each
-    step's t, is_sync and counters, and copies of its client rows (the steps
-    update the clients' rows in place), in buffers allocated once and laid
-    out for the recorder's stacked calls:
+# Client rows (K per step) the recorder measures per call. Its buffers grow
+# with them; the exact oracle bounds its own temporaries (problems.base). At
+# least two steps, since one step per call spends more on copying it into the
+# buffers than stacking saves.
+_RECORD_ROWS = 250
+
+
+class TraceRecorder:
+    """Single-writer, append-only trace collection for one run of T steps
+    that syncs every q steps: add keeps a copy of a step, and each record
+    call measures the steps kept and writes their cells into one (T,)
+    buffer per field, and one presence mask per optional field. It keeps
+    copies of the averaged iterates (x_bar, y_bar) of the last step
+    recorded, as last, and of step sampled_t, as sampled.
+
+    The steps not yet recorded, at most capacity of them, are each step's
+    t and counters and copies of its client rows (the steps update the
+    clients' rows in place), in buffers allocated once and laid out for
+    the stacked calls:
 
     - X, Y: the exact oracle's input rows, each step's K client rows, then
       room for a K-row block of (x_bar, y*) per step;
     - M: per step and client, W and V, then room for the exact gradients
-      whose cross-client means the recorder takes with them;
-    - x_bar, y_bar: per step, the server's averages at a sync step; the
-      recorder fills in those of the local steps.
+      whose cross-client means record takes with them.
     """
-
-    def __init__(self, problem: ProblemInstance, capacity: int):
-        K, d, p = problem.K, problem.d, problem.p
-        self.capacity = capacity
-        self.steps: list[tuple[int, bool, int, int]] = []  # (t, is_sync, sfo, comm)
-        self.X, self.Y = np.empty((2 * capacity * K, d)), np.empty((2 * capacity * K, p))
-        self.M = np.zeros((capacity, K, 3 * d + 2 * p))
-        self.x_bar, self.y_bar = np.empty((capacity, d)), np.empty((capacity, p))
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def add(self, t: int, clients, counters: Counters, bars: tuple[Vector, Vector] | None = None) -> bool:
-        """Keep step t: a sync step with the server's (x_bar, y_bar) as bars,
-        a local step without. True once the chunk is full."""
-        i, (K, d) = len(self.steps), clients.W.shape
-        self.steps.append((t, bars is not None, counters.sfo_per_client, counters.comm_rounds))
-        self.X[i * K:(i + 1) * K], self.Y[i * K:(i + 1) * K] = clients.X, clients.Y
-        self.M[i, :, :d], self.M[i, :, d:d + clients.V.shape[1]] = clients.W, clients.V
-        if bars is not None:
-            self.x_bar[i], self.y_bar[i] = bars
-        return i + 1 == self.capacity
-
-
-class TraceRecorder:
-    """Single-writer, append-only trace collection for one run of T steps:
-    each record call measures a chunk of steps and writes their cells into
-    one (T,) buffer per field, and one presence mask per optional field.
-    It keeps copies of the averaged iterates (x_bar, y_bar) of the last
-    step recorded, as last, and of step sampled_t, as sampled."""
 
     def __init__(self, problem: ProblemInstance, q: int, T: int, heavy_cadence: int = 1,
                  sampled_t: int | None = None):
@@ -292,13 +275,26 @@ class TraceRecorder:
         sp = problem.saddle()
         self.x_star, self.y_star = (sp if sp is not None else (None, None))
         self.is_auc = isinstance(problem, AucProblem)
-        # the column slices of a chunk's M: W, V, then the exact GY, GX and GX at (x_bar, y*)
-        d, p = problem.d, problem.p
+        K, d, p = problem.K, problem.d, problem.p
+        self.capacity = max(2, _RECORD_ROWS // K)
+        self.steps: list[tuple[int, int, int]] = []  # (t, sfo, comm)
+        self.X, self.Y = np.empty((2 * self.capacity * K, d)), np.empty((2 * self.capacity * K, p))
+        self.M = np.zeros((self.capacity, K, 3 * d + 2 * p))
+        # the column slices of M: W, V, then the exact GY, GX and GX at (x_bar, y*)
         cuts = list(itertools.accumulate([0, d, p, p, d, d]))
         self._stacked = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    def record(self, chunk: TraceChunk) -> None:
-        """Check and measure every step of the chunk, then empty it.
+    def add(self, t: int, clients, counters: Counters) -> None:
+        """Keep step t; record the steps kept once the buffers are full."""
+        i, (K, d) = len(self.steps), clients.W.shape
+        self.steps.append((t, counters.sfo_per_client, counters.comm_rounds))
+        self.X[i * K:(i + 1) * K], self.Y[i * K:(i + 1) * K] = clients.X, clients.Y
+        self.M[i, :, :d], self.M[i, :, d:d + clients.V.shape[1]] = clients.W, clients.V
+        if i + 1 == self.capacity:
+            self.record()
+
+    def record(self) -> None:
+        """Check and measure every step kept, then empty the buffers.
 
         A non-finite entry in any step's X, Y, W or V raises
         FloatingPointError naming the first such step, before anything is
@@ -308,28 +304,29 @@ class TraceRecorder:
         - one index-order sum (core.index_sum: an add.reduce adding whole
           rows, or a running sum for a (., 1) column) over the K axis of an
           (S, K, .) stack for every cross-client mean: first the local
-          steps' x_bar and y_bar (vec_mean's bits), which go into the chunk;
+          steps' x_bar and y_bar (vec_mean's bits); a sync step's are its
+          row 0 (t % q == 0);
         - one exact-oracle call on the steps' K-row blocks, then (x_bar, y*)
           repeated K times for each step whose grad_norm_F is due, as
           global_grad tiles it;
         - row_dots for every norm, distance and consensus value;
         - y_star and global_value at the S stacked points."""
-        S = len(chunk)
+        S = len(self.steps)
         if not S:
             return
         problem, K, d, p = self.problem, self.problem.K, self.problem.d, self.problem.p
         a, b, SK = self.n, self.n + S, S * K
-        t, is_sync, sfo, comm = zip(*chunk.steps)
-        X, Y = chunk.X[:SK].reshape(S, K, d), chunk.Y[:SK].reshape(S, K, p)
-        M = chunk.M[:S]
+        t, sfo, comm = zip(*self.steps)
+        is_sync = [step % self.q == 0 for step in t]
+        X, Y = self.X[:SK].reshape(S, K, d), self.Y[:SK].reshape(S, K, p)
+        M = self.M[:S]
         states = X, Y, M[..., :d + p]  # W and V side by side
         if not all(np.isfinite(A).all() for A in states):
             finite = np.logical_and.reduce([np.isfinite(A).all(axis=(1, 2)) for A in states])
             raise FloatingPointError(f"non-finite iterate or estimate at t={t[int(np.argmin(finite))]}")
-        x_bar, y_bar = chunk.x_bar[:S], chunk.y_bar[:S]
-        local = np.logical_not(is_sync)[:, None]
-        np.copyto(x_bar, index_sum(X, axis=1) / K, where=local)
-        np.copyto(y_bar, index_sum(Y, axis=1) / K, where=local)
+        sync = np.flatnonzero(is_sync)
+        x_bar, y_bar = index_sum(X, axis=1) / K, index_sum(Y, axis=1) / K
+        x_bar[sync], y_bar[sync] = X[sync, 0], Y[sync, 0]
         self.last = x_bar[-1].copy(), y_bar[-1].copy()
         if self.sampled_t in t:
             i = t.index(self.sampled_t)
@@ -352,9 +349,9 @@ class TraceRecorder:
             y_due = np.array([ascend_y(problem, x) for x in x_due]).reshape(-1, p)
             has["grad_norm_F"][a:b] = heavy
         n = (S + len(x_due)) * K
-        chunk.X[SK:n].reshape(-1, K, d)[:] = x_due[:, None]
-        chunk.Y[SK:n].reshape(-1, K, p)[:] = y_due[:, None]
-        GX, GY = problem.grad_full_all(chunk.X[:n], chunk.Y[:n])
+        self.X[SK:n].reshape(-1, K, d)[:] = x_due[:, None]
+        self.Y[SK:n].reshape(-1, K, p)[:] = y_due[:, None]
+        GX, GY = problem.grad_full_all(self.X[:n], self.Y[:n])
         w_cur, v_cur, gy, gx, gx_star = self._stacked
         M[..., gy] = GY[:SK].reshape(S, K, p)
         M[..., gx] = GX[:SK].reshape(S, K, d)
@@ -367,7 +364,6 @@ class TraceRecorder:
         cols["est_err_y"][a:b] = np.sqrt(row_dots(m[:, v_cur] - m[:, gy]))
 
         cols["consensus_x"][a:b] = np.sqrt(np.maximum.reduce(row_dots(X - x_bar[:, None]), axis=1))
-        sync = np.flatnonzero(is_sync)
         cols["consensus_y"][a:b][sync] = np.sqrt(np.maximum.reduce(row_dots(Y[sync] - y_bar[sync, None]), axis=1))
         has["consensus_y"][a:b] = is_sync
         cols["objective"][a:b] = problem.global_value(x_bar, y_bar)
@@ -380,7 +376,7 @@ class TraceRecorder:
                 cols["auc"][a + i] = auc_score(problem, x_bar[i])
             has["auc"][a:b] = heavy
         self.n = b
-        chunk.steps.clear()
+        self.steps.clear()
 
     def table(self) -> TraceTable:
         """Every step recorded so far, packed."""

@@ -1,4 +1,5 @@
 import warnings
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import fedminimax as fm
 from fedminimax import algorithms, metrics
 from fedminimax.config import apply_overrides
-from fedminimax.presets import load_preset
+from fedminimax.presets import load_preset, preset_names
 from fedminimax.algorithms import (
     VARIANT_ADAFGDA_ADABELIEF,
     VARIANT_ADAFGDA_ADAM,
@@ -20,7 +21,7 @@ from fedminimax.algorithms import (
     local_step,
     sync_step,
 )
-from fedminimax.core import vec_mean
+from fedminimax.core import precondition, vec_mean
 from fedminimax.problems import grad_full, grad_stoch
 
 
@@ -56,9 +57,9 @@ class TestEtaSchedule:
         with pytest.raises(ValueError):
             HyperParams(eta_n=0.0)
         hp = HyperParams(T=10, q=5, seed=0)
-        clients, server, _ = init_round(synthetic_small, hp)
+        clients, server, counters = init_round(synthetic_small, hp)
         with pytest.raises(ValueError):
-            local_step(synthetic_small, hp, -1, clients, server.A, server.B)
+            local_step(synthetic_small, hp, -1, clients, server, counters)
 
 
 class TestHyperParams:
@@ -89,6 +90,25 @@ class TestHyperParams:
             assert sched.eta[t] == hp.eta(10, t)
             assert (sched.alpha[t], sched.beta[t]) == hp.momentum(sched.eta[t])
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("variant", algorithms.VARIANTS)
+    def test_schedule_varrho_is_the_sync_decay_at_every_step(self, variant, tied):
+        # the per-sync rule the schedule replaces: 1 - beta of the momentum
+        # at eta_t where the decay is tied to it and beta < 1, else None
+        def sync_varrho(hp, eta_t):
+            if not hp.tie_varrho_to_momentum:
+                return None
+            _, beta = hp.momentum(eta_t)
+            return 1.0 - beta if beta < 1.0 else None
+
+        for extra in ({"c2": 0.5}, {"c2": 3.0}, {"beta_const": 0.25}, {"beta_const": 1.0}):
+            hp = HyperParams(T=40, q=7, variant=variant, tie_varrho_to_momentum=tied, **extra)
+            sched = hp.schedule(10)
+            assert len(sched.varrho) == hp.T + 1
+            assert sched.varrho == [sync_varrho(hp, eta) for eta in sched.eta], extra
+            if not tied:
+                assert sched.varrho == [None] * (hp.T + 1)
+
     def test_schedule_rejects_values_that_underflow_to_zero(self):
         with pytest.raises(ValueError, match="eta_t"):
             HyperParams(eta_n=1e-300, eta_m=1e300).schedule(1)
@@ -113,10 +133,10 @@ class TestInitRound:
 
     def test_all_clients_share_start(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0)
-        clients, server, _ = init_round(synthetic_small, hp)
+        clients, _, _ = init_round(synthetic_small, hp)
         for k in range(synthetic_small.K):
-            assert np.array_equal(clients.X[k], server.x_bar)
-            assert np.array_equal(clients.Y[k], server.y_bar)
+            assert np.array_equal(clients.X[k], clients.X[0])
+            assert np.array_equal(clients.Y[k], clients.Y[0])
 
     def test_q_larger_than_dataset_rejected(self):
         inst = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1, n_per_client=4)
@@ -138,15 +158,15 @@ class TestInitRound:
 class TestLocalStep:
     def test_rejects_sync_index(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0)
-        clients, server, _ = init_round(synthetic_small, hp)
+        clients, server, counters = init_round(synthetic_small, hp)
         with pytest.raises(ValueError):
-            local_step(synthetic_small, hp, 5, clients, server.A, server.B)
+            local_step(synthetic_small, hp, 5, clients, server, counters)
 
     def test_zero_step_sizes_only_refresh_estimators(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0, gamma=0.0, lam=0.0)
-        after, server, _ = init_round(synthetic_small, hp)
+        after, server, counters = init_round(synthetic_small, hp)
         before = replace(after, X=after.X.copy(), Y=after.Y.copy())
-        local_step(synthetic_small, hp, 1, after, server.A, server.B)
+        local_step(synthetic_small, hp, 1, after, server, counters)
         assert np.array_equal(after.X, before.X)
         assert np.array_equal(after.Y, before.Y)
 
@@ -154,9 +174,9 @@ class TestLocalStep:
         inst = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=10, q=5, seed=0, eta_const=1.0, alpha_const=1.0, beta_const=1.0,
                          gamma=0.01, lam=0.01)
-        clients, server, _ = init_round(inst, hp)
+        clients, server, counters = init_round(inst, hp)
         x0, y0, w0, v0 = clients.X[0].copy(), clients.Y[0].copy(), clients.W[0].copy(), clients.V[0].copy()
-        local_step(inst, hp, 1, clients, server.A, server.B)
+        local_step(inst, hp, 1, clients, server, counters)
         after = clients
         assert np.allclose(after.Y[0], y0 + hp.lam * v0)
         assert np.allclose(after.X[0], x0 - hp.gamma * w0)
@@ -166,35 +186,33 @@ class TestLocalStep:
 
     @pytest.mark.parametrize("variant", [VARIANT_ADAFGDA_ADAM, VARIANT_MOMENTUM_LOCAL_SGDA])
     def test_in_place_steps_leave_the_chunk_copies_of_earlier_steps(self, variant):
-        # the chunk keeps copies of every step's rows for the recorder; the
-        # next steps update the same client arrays in place
+        # the recorder keeps copies of every step's rows until it records
+        # them; the next steps update the same client arrays in place
         inst = fm.AucProblem(K=4, dim=5, n_per_client=20, pos_ratio=0.2, seed=3)
         hp = HyperParams(T=12, q=5, seed=1, variant=variant, gamma=0.05, lam=0.05)
         clients, server, counters = init_round(inst, hp)
         arrays = [clients.X, clients.Y, clients.W, clients.V]
-        chunk = metrics.TraceChunk(inst, 12)
+        recorder = metrics.TraceRecorder(inst, hp.q, hp.T)
+        assert recorder.capacity >= hp.T  # nothing recorded yet
         kept = []
         for t in range(1, hp.T + 1):
-            if t % hp.q == 0:
-                sync_step(inst, hp, t, clients, server, counters)
-                chunk.add(t, clients, counters, (server.x_bar, server.y_bar))
-            else:
-                local_step(inst, hp, t, clients, server.A, server.B)
-                chunk.add(t, clients, counters)
+            (sync_step if t % hp.q == 0 else local_step)(inst, hp, t, clients, server, counters)
+            recorder.add(t, clients, counters)
             kept.append([M.copy() for M in (clients.X, clients.Y, clients.W, clients.V)])
         assert all(M is A for M, A in zip([clients.X, clients.Y, clients.W, clients.V], arrays))
         K, d, p = inst.K, inst.d, inst.p
         for i, (X, Y, W, V) in enumerate(kept):
-            assert np.array_equal(chunk.X[i * K:(i + 1) * K], X) and np.array_equal(chunk.Y[i * K:(i + 1) * K], Y)
-            assert np.array_equal(chunk.M[i, :, :d], W) and np.array_equal(chunk.M[i, :, d:d + p], V)
+            assert np.array_equal(recorder.X[i * K:(i + 1) * K], X)
+            assert np.array_equal(recorder.Y[i * K:(i + 1) * K], Y)
+            assert np.array_equal(recorder.M[i, :, :d], W) and np.array_equal(recorder.M[i, :, d:d + p], V)
         assert not np.array_equal(kept[0][0], clients.X)
 
     def test_deterministic_replay(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=3)
-        c1, s1, _ = init_round(synthetic_small, hp)
-        c2, s2, _ = init_round(synthetic_small, hp)
-        local_step(synthetic_small, hp, 1, c1, s1.A, s1.B)
-        local_step(synthetic_small, hp, 1, c2, s2.A, s2.B)
+        c1, s1, n1 = init_round(synthetic_small, hp)
+        c2, s2, n2 = init_round(synthetic_small, hp)
+        local_step(synthetic_small, hp, 1, c1, s1, n1)
+        local_step(synthetic_small, hp, 1, c2, s2, n2)
         for attr in ("X", "Y", "W", "V"):
             assert np.array_equal(getattr(c1, attr), getattr(c2, attr))
 
@@ -209,16 +227,16 @@ class TestSyncStep:
     def test_broadcast_postcondition(self, synthetic_small):
         hp = HyperParams(T=10, q=2, seed=0)
         clients, server, counters = init_round(synthetic_small, hp)
-        local_step(synthetic_small, hp, 1, clients, server.A, server.B)
+        local_step(synthetic_small, hp, 1, clients, server, counters)
         sync_step(synthetic_small, hp, 2, clients, server, counters)
         for k in range(synthetic_small.K):
-            assert np.array_equal(clients.X[k], server.x_bar)
-            assert np.array_equal(clients.Y[k], server.y_bar)
+            assert np.array_equal(clients.X[k], clients.X[0])
+            assert np.array_equal(clients.Y[k], clients.Y[0])
             assert np.array_equal(clients.W[k], clients.W[0])
             assert np.array_equal(clients.V[k], clients.V[0])
         assert counters.comm_rounds == 1
-        # sampling ledger belongs to the run loop; sync itself evaluates nothing
-        assert counters.sfo_per_client == 2 * hp.q
+        # the local step books its sample; sync itself evaluates nothing
+        assert counters.sfo_per_client == 2 * hp.q + 2
 
     def test_single_client_sync_is_plain_descent_ascent(self):
         inst = fm.SyntheticProblem(K=1, dim=3, s=1.0, tau=10.0, seed=2, noise_sigma=0.0)
@@ -227,8 +245,62 @@ class TestSyncStep:
         x0, y0 = clients.X[0].copy(), clients.Y[0].copy()
         w0, v0 = clients.W[0].copy(), clients.V[0].copy()
         sync_step(inst, hp, 1, clients, server, counters)
-        assert np.allclose(server.x_bar, x0 - hp.gamma * w0)
-        assert np.allclose(server.y_bar, y0 + hp.lam * v0)
+        assert np.allclose(clients.X[0], x0 - hp.gamma * w0)
+        assert np.allclose(clients.Y[0], y0 + hp.lam * v0)
+
+
+def _vector_sync(hp, t, clients, acc):
+    """A sync step in the vector form: the server averages the rows,
+    regenerates the matrices from acc and steps from the averages; returns
+    (x, y, w, v, A, B), the rows every client gets, but with y not yet
+    projected."""
+    v_bar = vec_mean(clients.V)
+    w_bar = vec_mean(clients.W)
+    y_bar = vec_mean(clients.Y)
+    x_bar = vec_mean(clients.X)
+    eta_t = clients.sched.eta[t]
+    A, B = acc.generate(w_bar, v_bar, varrho=clients.sched.varrho[t])
+    y_hat = y_bar + hp.lam * precondition(B, v_bar)
+    y_next = y_bar + eta_t * (y_hat - y_bar)
+    x_hat = x_bar - hp.gamma * precondition(A, w_bar)
+    x_next = x_bar + eta_t * (x_hat - x_bar)
+    return x_next, y_next, w_bar, v_bar, A, B
+
+
+SYNC_CASES = [
+    *[(p, v, {}) for p in preset_names() for v in algorithms.VARIANTS],
+    ("robust-q6", VARIANT_FGDA, {"algorithm.y_init_scale": "5"}),
+    ("robust-q6", VARIANT_ADAFGDA_ADAM, {"algorithm.y_init_scale": "5"}),
+]
+
+
+class TestSyncRows:
+    @pytest.mark.parametrize("preset,variant,overrides", SYNC_CASES)
+    def test_sync_rows_equal_the_vector_form_bitwise(self, preset, variant, overrides):
+        # sync_step writes the averages into every row and steps there; each
+        # row must hold the bits of the step taken once on the averages
+        cfg = apply_overrides(load_preset(preset), {"algorithm.variant": variant, **overrides})
+        cfg = apply_overrides(cfg, {"algorithm.t": str(3 * cfg.algorithm.q)})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        clients, server, counters = init_round(problem, hp)
+        projected = 0
+        for t in range(1, hp.T + 1):
+            if t % hp.q:
+                local_step(problem, hp, t, clients, server, counters)
+                continue
+            acc = deepcopy(server.acc)
+            x, y_free, w, v, A, B = _vector_sync(hp, t, clients, acc)
+            y = problem.y_constraint.project(y_free)
+            projected += not np.array_equal(y, y_free)
+            sync_step(problem, hp, t, clients, server, counters)
+            for k in range(problem.K):
+                for got, want in ((clients.X, x), (clients.Y, y), (clients.W, w), (clients.V, v)):
+                    assert got[k].tobytes() == want.tobytes(), (t, k)
+            assert server.A.tobytes() == A.tobytes() and server.B.tobytes() == B.tobytes()
+            assert acc.a is None or (acc.a.tobytes() == server.acc.a.tobytes()
+                                     and acc.b.tobytes() == server.acc.b.tobytes())
+        if overrides:
+            assert projected == 3  # the ball projection moved y at every sync
 
 
 ITEM_TABLE_CASES = {
@@ -267,7 +339,7 @@ class TestItemTable:
                 continue
             expected = [int(rng.integers(n_k)) for rng, n_k in zip(rngs, inst.sizes)]
             assert clients.items[:, t // q, t % q - 1].tolist() == expected
-            local_step(inst, hp, t, clients, server.A, server.B)
+            local_step(inst, hp, t, clients, server, counters)
             checked += 1
         assert checked == hp.T - hp.T // q
 
@@ -355,7 +427,7 @@ class TestRunInvariants:
                 assert np.all(server.A == 1.0)
                 assert np.all(server.B == 1.0)
             else:
-                local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server, counters)
 
     def test_matrix_freeze_between_syncs(self, synthetic_small):
         hp = HyperParams(T=12, q=4, seed=5, variant=VARIANT_ADAFGDA_ADAM)
@@ -365,7 +437,7 @@ class TestRunInvariants:
             if t % hp.q == 0:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
             else:
-                local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server, counters)
             seen.append((t, server.A.copy()))
         # A changes only at t = 4, 8, 12
         for (t, diag), (t2, diag2) in zip(seen, seen[1:]):
@@ -382,9 +454,9 @@ class TestRunInvariants:
         for t in range(1, hp.T + 1):
             if t % hp.q == 0:
                 sync_step(synthetic_small, hp, t, clients, server, counters)
-                x_bar, y_bar = server.x_bar, server.y_bar
+                x_bar, y_bar = clients.X[0], clients.Y[0]
             else:
-                local_step(synthetic_small, hp, t, clients, server.A, server.B)
+                local_step(synthetic_small, hp, t, clients, server, counters)
                 x_bar = vec_mean(clients.X)
                 y_bar = vec_mean(clients.Y)
             rec = trace.records[t - 1]
@@ -430,9 +502,9 @@ class TestFiniteness:
         hp = HyperParams(T=20, q=5, seed=3, variant=VARIANT_FGDA)
         s = 3
         self._nan_x_gradient_at_step(monkeypatch, synthetic_small, hp, s)
-        clients, server, _ = init_round(synthetic_small, hp)
+        clients, server, counters = init_round(synthetic_small, hp)
         for t in range(1, s + 1):
-            local_step(synthetic_small, hp, t, clients, server.A, server.B)
+            local_step(synthetic_small, hp, t, clients, server, counters)
         # at step s only the x-side estimate is non-finite; the iterates follow at s + 1
         assert np.isfinite(clients.X).all() and np.isfinite(clients.Y).all()
         assert np.isfinite(clients.V).all() and not np.isfinite(clients.W).any()
@@ -471,7 +543,7 @@ class TestChunkFiniteness:
                                         *(("synthetic-k2", s) for s in (1, 110, 125, 126, 199))])
     def test_non_finite_w_raises_at_its_own_step_without_warnings(self, monkeypatch, case, s):
         problem, hp, per_chunk = _finiteness_case(case)
-        assert algorithms._RECORD_ROWS // problem.K == per_chunk
+        assert metrics._RECORD_ROWS // problem.K == per_chunk
         _poison_w_after_step(monkeypatch, s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -634,7 +706,7 @@ class TestReductions:
         hp = HyperParams(T=30, q=5, seed=2, variant=VARIANT_ADAFGDA_ADAM,
                          tie_varrho_to_momentum=True, c2=0.5)
         eta5 = hp.eta(synthetic_small.K, 5)
-        assert hp.sync_varrho(eta5) == pytest.approx(1.0 - 0.5 * eta5**2)
+        assert hp.schedule(synthetic_small.K).varrho[5] == pytest.approx(1.0 - 0.5 * eta5**2)
         tr_tied = fm.run(synthetic_small, hp)
         tr_fixed = fm.run(synthetic_small, replace(hp, tie_varrho_to_momentum=False))
         assert record_cells(tr_tied) != record_cells(tr_fixed)

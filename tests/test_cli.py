@@ -278,10 +278,10 @@ class TestCommands:
         cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.y_init_scale": "5"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         x1, y1 = initial_point(problem, hp)
-        _, server, _ = init_round(problem, hp)
+        clients, _, _ = init_round(problem, hp)
         assert problem.y_constraint.radius < 5 * np.sqrt(problem.p)
         assert np.linalg.norm(y1) == pytest.approx(problem.y_constraint.radius)
-        assert np.array_equal(x1, server.x_bar) and np.array_equal(y1, server.y_bar)
+        assert np.array_equal(x1, clients.X[0]) and np.array_equal(y1, clients.Y[0])
         # validate takes the point it bounds from initial_point (only the
         # synthetic family has a saddle, so only it reports a bound).
         seen = []

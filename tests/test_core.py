@@ -234,5 +234,3 @@ class TestCounters:
         c.add_comm()
         assert c.sfo_per_client == 6
         assert c.comm_rounds == 1
-        with pytest.raises(ValueError):
-            c.add_sfo(-1)

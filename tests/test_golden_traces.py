@@ -9,8 +9,9 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
   CSV body only.
 - Two configs whose clients hold datasets of different sizes.
 - The three benchmark workload configs at seed 1, emitted the way
-  `fedmm run` emits them (config-hash line included); these match the
-  digests printed by `perfbench/run.py`. They are also computed in two
+  `fedmm run` emits them (config-hash line included), and emitted by
+  `fedmm run` itself; these match the digests printed by
+  `perfbench/run.py`. They are also computed in two
   fresh processes, with OpenBLAS held to one thread and to two, along with
   the K = 100 heterogeneity probe pinned in test_theory.
 """
@@ -28,7 +29,7 @@ import pytest
 
 import fedminimax
 
-from fedminimax import algorithms, metrics
+from fedminimax import algorithms, cli, metrics
 from fedminimax.config import apply_overrides, render_config
 from fedminimax.presets import load_preset, preset_names
 
@@ -146,9 +147,17 @@ def test_ragged_partition_digest(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_benchmark_workload_digest(name, tmp_path):
+def test_benchmark_workload_digest(name, tmp_path, monkeypatch):
     preset, overrides, digest = WORKLOADS[name]
     assert _csv_digest(preset, overrides, tmp_path, with_hash=True) == digest
+    # `fedmm run` itself, in a fresh working directory and with the preset's
+    # own [output] section (an --output.* override would change the config
+    # hash), writes the same seed-1 CSV
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--preset", preset, *(arg for key, value in overrides.items() for arg in (f"--{key}", value))]
+    assert cli.main(argv) == 0
+    [csv] = (tmp_path / load_preset(preset).output.csv_dir).glob("*_seed1.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
 _WORKLOAD_DIGESTS = """

@@ -351,18 +351,20 @@ class TestSummary:
 def _recorded_run(monkeypatch, preset: str, overrides: dict):
     """Run a preset and return its trace together with what the recorder
     saw, one (t, x_bar) per step in the order it measured them, and the
-    recorder itself, whose column buffers hold what it computed. The chunk
-    holds the local steps' x_bar once the real record has filled it in."""
+    recorder itself, whose column buffers hold what it computed. x_bar is
+    the step's row 0 at a sync (every row holds the average there) and the
+    mean of its kept client rows at a local step."""
     cfg = apply_overrides(load_preset(preset), overrides)
     problem = cfg.build_problem(1)
     seen, recorders = [], []
     real_record = metrics.TraceRecorder.record
 
-    def record(self, chunk):
-        steps = list(chunk.steps)
+    def record(self):
+        K = problem.K
+        seen.extend((t, self.X[i * K].copy() if t % self.q == 0 else vec_mean(self.X[i * K:(i + 1) * K]))
+                    for i, (t, *_) in enumerate(self.steps))
         recorders.append(self)
-        real_record(self, chunk)
-        seen.extend((t, x_bar.copy()) for (t, *_), x_bar in zip(steps, chunk.x_bar))
+        real_record(self)
 
     monkeypatch.setattr(metrics.TraceRecorder, "record", record)
     trace = algorithms.run(problem, cfg.hp_for_seed(1), heavy_cadence=cfg.output.heavy_cadence)
@@ -394,9 +396,9 @@ class TestRecordedGradNormF:
 
 
 def _one_step_chunks(monkeypatch):
-    """Make every chunk full after one step, so each record call measures one step."""
-    real_add = metrics.TraceChunk.add
-    monkeypatch.setattr(metrics.TraceChunk, "add", lambda self, *args: real_add(self, *args) or True)
+    """Record after every step, so each record call measures one step."""
+    real_add = metrics.TraceRecorder.add
+    monkeypatch.setattr(metrics.TraceRecorder, "add", lambda self, *args: real_add(self, *args) or self.record())
 
 
 def _chunk_case(preset: str, variant: str, overrides: dict | None = None):
@@ -430,7 +432,7 @@ class TestChunkedRecorder:
     def test_any_chunk_budget_gives_the_same_trace(self, monkeypatch, rows):
         problem, hp, cadence = _chunk_case("robust-q6", "fgda")
         reference = [repr(r) for r in algorithms.run(problem, hp, heavy_cadence=cadence).records]
-        monkeypatch.setattr(algorithms, "_RECORD_ROWS", rows)
+        monkeypatch.setattr(metrics, "_RECORD_ROWS", rows)
         assert [repr(r) for r in algorithms.run(problem, hp, heavy_cadence=cadence).records] == reference
 
     def test_record_measures_full_chunks_then_the_rest(self, monkeypatch):
@@ -438,7 +440,7 @@ class TestChunkedRecorder:
         sizes = []
         real_record = metrics.TraceRecorder.record
         monkeypatch.setattr(metrics.TraceRecorder, "record",
-                            lambda self, chunk: sizes.append(len(chunk)) or real_record(self, chunk))
+                            lambda self: sizes.append(len(self.steps)) or real_record(self))
         problem, hp, cadence = _chunk_case("auc-imbalanced", "adafgda_adam")
         algorithms.run(problem, hp, heavy_cadence=cadence)
         assert sizes == [25, 18]
