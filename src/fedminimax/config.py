@@ -14,7 +14,6 @@ ALGORITHM_SCHEMA, OUTPUT_SCHEMA and PROBLEM_SCHEMAS are built from them.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields, replace
 
 from .algorithms import VARIANTS, HyperParams
@@ -152,10 +151,16 @@ def parse_config(text: str) -> RunConfig:
     unknown = set(parser.sections()) - known
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
-    if "problem" not in parser:
-        raise ConfigError("missing [problem] section")
+    return _read_config({section: dict(parser[section]) for section in parser.sections()})
 
-    prob_raw = dict(parser["problem"])
+
+def _read_config(raw: dict[str, dict[str, str]]) -> RunConfig:
+    """The typed RunConfig of the raw `key = value` strings of each section,
+    keys lower-cased and values stripped, as the parser reads them; raw is
+    consumed."""
+    if "problem" not in raw:
+        raise ConfigError("missing [problem] section")
+    prob_raw = raw["problem"]
     name = prob_raw.pop("name", None)
     if name is None:
         raise ConfigError("[problem] must set name")
@@ -165,7 +170,7 @@ def parse_config(text: str) -> RunConfig:
     if "scheme" in params and params["scheme"] not in SCHEMES:
         raise ConfigError(f"problem.scheme must be one of {SCHEMES}")
 
-    algo = _read_section(dict(parser["algorithm"]) if "algorithm" in parser else {}, "algorithm", ALGORITHM_SCHEMA)
+    algo = _read_section(raw.get("algorithm", {}), "algorithm", ALGORITHM_SCHEMA)
     if algo["variant"] not in VARIANTS:
         raise ConfigError(f"algorithm.variant must be one of {VARIANTS}")
     try:
@@ -173,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out = _read_section(dict(parser["output"]) if "output" in parser else {}, "output", OUTPUT_SCHEMA)
+    out = _read_section(raw.get("output", {}), "output", OUTPUT_SCHEMA)
     if not out["seeds"]:
         raise ConfigError("output.seeds must list at least one seed")
     if out["heavy_cadence"] < 0:
@@ -182,42 +187,42 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(ProblemConfig(name, params), hp, OutputConfig(**out))
 
 
-def render_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(render(cfg)) == cfg."""
-    buf = io.StringIO()
-    buf.write("[problem]\n")
-    buf.write(f"name = {cfg.problem.name}\n")
-    for key in PROBLEM_SCHEMAS[cfg.problem.name]:
-        buf.write(f"{key} = {_render_value(cfg.problem.params[key])}\n")
+def _rendered(cfg: RunConfig) -> dict[str, dict[str, str]]:
+    """Every key of cfg and its rendered value, per section in order."""
+    name, params = cfg.problem.name, cfg.problem.params
+    sections = {"problem": {"name": name, **{key: _render_value(params[key]) for key in PROBLEM_SCHEMAS[name]}}}
     for section, schema, values in (
         ("algorithm", ALGORITHM_SCHEMA, cfg.algorithm),
         ("output", OUTPUT_SCHEMA, cfg.output),
     ):
-        buf.write(f"\n[{section}]\n")
-        for key in schema:
-            buf.write(f"{key} = {_render_value(getattr(values, _KEY_TO_FIELD.get(key, key)))}\n")
-    return buf.getvalue()
+        sections[section] = {key: _render_value(getattr(values, _KEY_TO_FIELD.get(key, key))) for key in schema}
+    return sections
+
+
+def render_config(cfg: RunConfig) -> str:
+    """Canonical text form; parse(render(cfg)) == cfg."""
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in kv.items())
+        for section, kv in _rendered(cfg).items()
+    )
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply dotted-path overrides like {"algorithm.gamma": "0.05"}."""
-    text_sections = {"problem": {}, "algorithm": {}, "output": {}}
-    for path, raw in overrides.items():
+    """Apply dotted-path overrides like {"algorithm.gamma": "0.05"}: each
+    replaces its key's rendered value, key lower-cased and value stripped as
+    the parser reads them, and the result is read as parse_config reads a
+    text, without rendering one."""
+    raw = _rendered(cfg)
+    paths = []
+    for path, value in overrides.items():
         if "." not in path:
             raise ConfigError(f"override {path!r} must look like section.key")
         section, key = path.split(".", 1)
-        if section not in text_sections:
+        if section not in raw:
             raise ConfigError(f"unknown override section {section!r}")
-        text_sections[section][key] = raw
-
-    # Reuse the strict parser by rendering and patching the text form.
-    parser = configparser.ConfigParser(strict=True, interpolation=None, delimiters=("=",))
-    parser.read_string(render_config(cfg))
-    for section, kv in text_sections.items():
-        for key, raw in kv.items():
-            if section == "problem" and key == "name":
-                raise ConfigError("problem.name cannot be overridden")
-            parser.set(section, key, raw)
-    buf = io.StringIO()
-    parser.write(buf)
-    return parse_config(buf.getvalue())
+        paths.append((section, key, value))
+    if any(section == "problem" and key == "name" for section, key, _ in paths):
+        raise ConfigError("problem.name cannot be overridden")
+    for section, key, value in paths:
+        raw[section][key.lower()] = value.strip()
+    return _read_config(raw)

@@ -33,9 +33,11 @@ row:
   least 2: numpy adds whole rows in index order and sums pairwise only
   along the fast axis (index_sum: vec_mean, the recorder's (S, K, .)
   stack, theory's gradient-growth probe);
-- the real part of np.exp on a complex array at imaginary 0 against libm
-  exp (math.exp), up to 709: glibc's cexp is exp(x) * 1 there, and it
-  rescales above 709 (expit);
+- np.exp of a reversed (negative-stride) 1-D view against libm exp
+  (math.exp, inf past its overflow edge) at every float, NaN, infinities
+  and signed zeros included: numpy's SIMD loop takes only positive strides,
+  and its strided loop calls libm item by item (expit; pinned by
+  tests/test_core.py TestExpit);
 - a family's values and y_star at S row-stacked points, (S, d) and
   (S, p), against one call per point; the AUC objective squares each
   alpha as a Python float;
@@ -70,10 +72,10 @@ vector and scalar loops keep different operands' NaN, so it depends on the
 length of the rows added (the item-major sums' rows grow with P).
 Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
 **2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
-float; np.exp on a real array and libm exp (math.exp) differ on ~2% of
-sigmoid inputs, so the logistic sigmoid is expit below, which takes libm
-exp from the complex np.exp (math.exp past 709 and at NaN) and is bitwise
-equal to scipy.special.expit.
+float; np.exp on a contiguous array (its SIMD loop) and libm exp
+(math.exp) differ on ~2% of sigmoid inputs, so the logistic sigmoid is
+expit below, which takes libm exp from np.exp on a reversed view and is
+bitwise equal to scipy.special.expit.
 """
 
 from __future__ import annotations
@@ -119,29 +121,24 @@ def row_dots(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(A[..., None, :], (A if B is None else B)[..., :, None])[..., 0, 0]
 
 
-# The largest argument math.exp takes; it raises OverflowError above it.
-_EXP_MAX = 709.782712893384
-
-
 def expit(z: np.ndarray) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-z)) of each item, with libm exp.
 
     Bitwise equal to scipy.special.expit, infinities and NaN included,
-    without importing scipy (about 24 MB resident). libm's exp is the real
-    part of glibc's cexp at imaginary 0, exp(u) * 1, for u = -z up to 709;
-    above that cexp rescales, so those items and NaN go through math.exp.
+    without importing scipy (about 24 MB resident). np.exp of a reversed
+    (negative-stride) view skips numpy's SIMD loop and calls libm exp item
+    by item. Only an argument above 709 can overflow, and np.errstate costs
+    several microseconds, so it is entered only then.
     """
     z = np.asarray(z, dtype=float)
     u = -z.reshape(-1)
-    c = u.astype(complex)
-    tame = np.maximum.reduce(u, initial=-math.inf) <= 709.0  # False on NaN
-    if not tame:
-        rest = ~(u <= 709.0)
-        c[rest] = 0.0  # so that cexp cannot overflow
-    e = np.exp(c, out=c).real
-    if not tame:
-        e[rest] = [math.inf if v > _EXP_MAX else math.exp(v) for v in u[rest].tolist()]
-    return (1.0 / (1.0 + e)).reshape(z.shape)
+    if np.maximum.reduce(u, initial=-math.inf) <= 709.0:  # False on NaN
+        e = np.exp(u[::-1])[::-1]
+    else:
+        with np.errstate(over="ignore"):
+            e = np.exp(u[::-1])[::-1]
+    np.add(e, 1.0, out=u)  # u's buffer is free now: two temporaries in all
+    return np.divide(1.0, u, out=u).reshape(z.shape)
 
 
 def precondition(a: Vector, g: Vector | np.ndarray) -> Vector | np.ndarray:

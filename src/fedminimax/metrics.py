@@ -177,11 +177,22 @@ class RunTrace:
         return self.records[-1]
 
 
-def ascend_y(inst: RobustProblem, x: Vector) -> Vector:
+def ascend_y(inst: RobustProblem, x: Vector | np.ndarray) -> Vector | np.ndarray:
     """Exact inner maximizer of the robust family at x: the endpoint
-    +-r x/||x|| with the larger global_value, + on a tie and zeros at
-    x = 0 (see problems.robust)."""
-    return worst_perturbation(x, inst.y_constraint.radius, lambda y: inst.global_value(x, y))
+    +-r x/||x|| with the larger global_value, + on a tie (or a NaN value)
+    and zeros at x = 0 (problems.robust.worst_perturbation's rule). At S
+    stacked rows x (S, d), the (S, p) rows of each row's maximizer, bitwise,
+    from one global_value call at the 2S endpoints; ||x|| is
+    sqrt(row_dots(x)), bitwise np.linalg.norm (see core)."""
+    X = np.atleast_2d(x)
+    norm = np.sqrt(row_dots(X))[:, None]
+    zero = norm == 0.0
+    plus = X * (inst.y_constraint.radius / np.where(zero, 1.0, norm))
+    ends = np.stack([plus, -plus], axis=1)  # (S, 2, p), sharing each row's x
+    vals = inst.global_value(X[:, None], ends)
+    y = np.where(vals[:, 1:] > vals[:, :1], ends[:, 1], plus)
+    y[zero[:, 0]] = 0.0
+    return y if x.ndim == 2 else y[0]
 
 
 def grad_norm_F(inst: ProblemInstance, x_bar: Vector) -> float:
@@ -346,7 +357,7 @@ class TraceRecorder:
         else:
             due = np.flatnonzero(heavy)
             x_due = x_bar[due]
-            y_due = np.array([ascend_y(problem, x) for x in x_due]).reshape(-1, p)
+            y_due = ascend_y(problem, x_due) if len(due) else np.empty((0, p))
             has["grad_norm_F"][a:b] = heavy
         n = (S + len(x_due)) * K
         self.X[SK:n].reshape(-1, K, d)[:] = x_due[:, None]

@@ -189,8 +189,9 @@ class DatasetProblem(ProblemInstance):
         term plus 0.0 (see core), and dividing by n = 1 is exact."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        # x and y broadcast against each other: theory's PL probe passes one
-        # shared x (d,) with S stacked y's (S, p) to the robust family.
+        # x and y broadcast against each other over their leading axes: the
+        # robust family's PL probe passes x's (P, 1, d) against y's (P, 8, p),
+        # and ascend_y x's (S, 1, d) against their endpoints (S, 2, p).
         out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (self.K,))
         for ks, Xs, labs in self._blocks:
             out[..., ks] = self._value_block(Xs, labs, x, y)

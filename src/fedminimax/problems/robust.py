@@ -98,19 +98,27 @@ class RobustProblem(DatasetProblem):
     ) -> tuple[np.ndarray, np.ndarray]:
         """d loss / d z of each item, and the y-gradients, of _grad_block."""
         z = np.matmul(Xs, X[..., :, None])[..., 0] + np.matmul(X[..., None, :], Y[..., :, None])[..., 0]
-        s = -labs * expit(-labs * z)
+        # In place, as are the slopes: a label is never NaN, so a product's
+        # bits do not depend on the order of its operands.
+        z *= -labs
+        s = expit(z)
+        s *= -labs
         return s, (np.add.reduce(s, axis=-1) / labs.shape[-1])[..., None] * X
 
     def grad_y_all(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The y-gradients of grad_full_all(X, Y), bitwise, without the
-        x-gradients' (..., n, dim) product and reduction. X may also be one
-        K-row block that every K-row block of Y shares: its products with
-        the clients' data are then made once, not once per block."""
-        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
-        GY = np.empty(np.broadcast_shapes(X3.shape[:-1], Y3.shape[:-1]) + (self.p,))
+        x-gradients' (..., n, dim) product and reduction. X (..., m K, d)
+        and Y (..., n K, p) may have leading axes, and their K-row blocks
+        broadcast against each other over those axes and the block axis, as
+        (..., m, K, .) against (..., n, K, .): a block of X that several
+        blocks of Y share (theory's PL probe: one x, 8 y's) has its products
+        with the clients' data made once, not once per block of Y."""
+        K = self.K
+        X4, Y4 = X.reshape(*X.shape[:-2], -1, K, self.d), Y.reshape(*Y.shape[:-2], -1, K, self.p)
+        GY = np.empty(np.broadcast_shapes(X4.shape[:-1], Y4.shape[:-1]) + (self.p,))
         for ks, Xs, labs in self._blocks:
-            GY[:, ks] = self._slopes_and_grad_y(Xs, labs, X3[:, ks], Y3[:, ks])[1]
-        return GY.reshape(-1, self.p)
+            GY[..., ks, :] = self._slopes_and_grad_y(Xs, labs, X4[..., ks, :], Y4[..., ks, :])[1]
+        return GY.reshape(*GY.shape[:-3], -1, self.p)
 
 
 def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:

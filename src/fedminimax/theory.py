@@ -29,6 +29,7 @@ import numpy as np
 from .algorithms import HyperParams
 from .core import Vector, expit, index_sum, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
+from .problems.base import _ORACLE_ELEMENTS
 
 CONSTRAINT_NAMES = (
     "m_min_two",
@@ -329,8 +330,9 @@ def _draw_probes(inst: ProblemInstance, n_points: int, rng, scale: float) -> tup
     return Z[:, :inst.d], Z[:, inst.d:]
 
 
-# Probe points per exact-oracle call of the heterogeneity probe (5K rows).
-_PROBE_CHUNK = 5
+# Exact-oracle rows per call of the heterogeneity probe: 50 probe points a
+# call at K = 10, 5 at K = 100.
+_PROBE_ROWS = 500
 
 
 def _max_pairwise_distance(G: np.ndarray) -> float:
@@ -384,11 +386,16 @@ def _max_pairwise_distance(G: np.ndarray) -> float:
 
 
 def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple[float, float]:
+    """Largest distance between two clients' exact x- and y-gradients over
+    n_samples probe points, evaluated max(1, _PROBE_ROWS // K) points per
+    grad_full_all call; the maximum is exact, so the chunks do not change
+    its bits (_max_pairwise_distance)."""
     K = inst.K
     X, Y = _draw_probes(inst, n_samples, rng, scale=2.0)
     dx = dy = 0.0
-    for i in range(0, n_samples, _PROBE_CHUNK):
-        x, y = X[i:i + _PROBE_CHUNK], Y[i:i + _PROBE_CHUNK]
+    step = max(1, _PROBE_ROWS // K)
+    for i in range(0, n_samples, step):
+        x, y = X[i:i + step], Y[i:i + step]
         GX, GY = inst.grad_full_all(np.repeat(x, K, axis=0), np.repeat(y, K, axis=0))
         if not (np.isfinite(GX).all() and np.isfinite(GY).all()):
             raise ValueError(f"{inst.name}: non-finite exact gradient at a heterogeneity probe point")
@@ -477,24 +484,32 @@ def _estimate_robust_L_f(inst: RobustProblem, n_samples: int, rng) -> float:
 
 
 def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
-    # Sampled surrogate for a gradient-growth constant. The robust family's
-    # inner problem is convex, not concave, so no true constant exists; this
-    # is a nominal estimate for record-keeping, floored away from zero.
-    # Each probe draws x and then its 8 y's; one global_value call at x and
-    # the 8 stacked y's gives their values, and one y-only exact call on 8K
-    # rows the y-half of every y's global_grad (each K-row block's mean).
-    # Both take the shared x unstacked, so each makes the products of x
-    # with the clients' data once, not once per y (bitwise the same, core).
-    K, p = inst.K, inst.p
-    Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
+    """Sampled surrogate for a gradient-growth constant: the least
+    ||grad_y f(x, y)||^2 / (2 gap) over probes of one x and 8 y's each, the
+    gap being the y's value below the best of the 8. The robust family's
+    inner problem is convex, not concave, so no true constant exists; this
+    is a nominal estimate for record-keeping, floored away from zero.
+
+    P probes a call, as many as keep the (P, 8, K, n) slopes within
+    _ORACLE_ELEMENTS: one global_value call at the P x's (P, 1, d) against
+    their y's (P, 8, p), and one y-only exact call of each probe's K-row x
+    block against its 8 K-row y blocks, so the products of each x with the
+    clients' data are made once, not once per y. Every value, gradient and
+    ratio has the bits of one probe at a time (see core)."""
+    K, d, p = inst.K, inst.d, inst.p
+    Z = rng.standard_normal((max(2, n_samples // 5), d + 8 * p))
+    step = max(1, _ORACLE_ELEMENTS // (8 * int(inst.sizes.sum())))
     best = math.inf
-    for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
-        ys = inst.y_constraint.project(ys)
-        vals = inst.global_value(x, ys)
-        gaps = vals.max() - vals
-        GY = inst.grad_y_all(np.tile(x, (K, 1)), np.repeat(ys, K, axis=0))
-        gy = index_sum(GY.reshape(8, K, p), axis=1) / K
+    for i in range(0, len(Z), step):
+        x, ys = Z[i:i + step, :d], inst.y_constraint.project(Z[i:i + step, d:].reshape(-1, 8, p))
+        P = len(x)
+        vals = inst.global_value(x[:, None], ys)
+        gaps = vals.max(axis=1, keepdims=True) - vals
+        X = np.repeat(x[:, None], K, axis=1)
+        Y = np.repeat(ys[:, :, None], K, axis=2).reshape(P, 8 * K, p)
+        gy = index_sum(inst.grad_y_all(X, Y).reshape(P, 8, K, p), axis=2) / K
         due = gaps > 1e-12
-        if due.any():
-            best = min(best, float((row_dots(gy[due]) / (2.0 * gaps[due])).min()))
+        ratios = np.full(gaps.shape, math.inf)
+        ratios[due] = row_dots(gy[due]) / (2.0 * gaps[due])
+        best = min(best, *ratios.min(axis=1).tolist())  # probe by probe: Python's min passes over a NaN
     return max(1e-6, 0.0 if math.isinf(best) else best)

@@ -1,4 +1,6 @@
+import configparser
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -116,6 +118,99 @@ class TestParseConfig:
 
         with pytest.raises(KeyError):
             _schema(Odd)
+
+
+def _apply_overrides_by_text(cfg, overrides):
+    """apply_overrides as it was: render cfg, patch the text through a
+    ConfigParser, write it out and parse it again (the reference)."""
+    text_sections = {"problem": {}, "algorithm": {}, "output": {}}
+    for path, raw in overrides.items():
+        if "." not in path:
+            raise ConfigError(f"override {path!r} must look like section.key")
+        section, key = path.split(".", 1)
+        if section not in text_sections:
+            raise ConfigError(f"unknown override section {section!r}")
+        text_sections[section][key] = raw
+    parser = configparser.ConfigParser(strict=True, interpolation=None, delimiters=("=",))
+    parser.read_string(render_config(cfg))
+    for section, kv in text_sections.items():
+        for key, raw in kv.items():
+            if section == "problem" and key == "name":
+                raise ConfigError("problem.name cannot be overridden")
+            parser.set(section, key, raw)
+    buf = io.StringIO()
+    parser.write(buf)
+    return parse_config(buf.getvalue())
+
+
+def _override_table():
+    from test_golden_traces import WORKLOADS
+
+    table = [(preset, overrides) for preset, overrides, _ in WORKLOADS.values()]
+    table += [
+        ("synthetic-s1", {}),
+        ("robust-q6", {"Algorithm.gamma": "0.05"}),  # sections are case-sensitive
+        ("robust-q6", {"algorithm.GAMMA": "0.05", "Problem.k": "3"}),
+        ("robust-q6", {"algorithm.Gamma": "0.05", "algorithm.T": "7", "output.Seeds": "4, 5"}),
+        ("auc-imbalanced", {"algorithm.gamma": "  0.05 ", "problem.scheme": " iid", "output.csv_dir": " a b "}),
+        ("auc-imbalanced", {"algorithm.tie_varrho_to_momentum": " TRUE "}),
+        ("synthetic-s1", {"output.SEEDS": "2"}),
+        ("synthetic-s1", {"algorithm.gamma": "0.05", "algorithm.Gamma": "0.07"}),  # the last one wins
+        ("synthetic-s1", {"nosection": "1"}),
+        ("synthetic-s1", {"model.k": "4"}),
+        ("synthetic-s1", {"algorithm.nope": "1"}),
+        ("synthetic-s1", {"problem.nope": "1", "algorithm.nope": "1"}),
+        ("synthetic-s1", {"algorithm.t": "5", "problem.name": "robust"}),
+        ("robust-q6", {"problem.name": "robust"}),
+        ("robust-q6", {"problem.Name": " robust "}),  # the parser lower-cases the key after the name check
+        ("robust-q6", {"problem.k": "1.5"}),
+        ("robust-q6", {"algorithm.gamma": "fast"}),
+        ("robust-q6", {"algorithm.eta_const": "none", "problem.seed": "None"}),
+        ("robust-q6", {"algorithm.tie_varrho_to_momentum": "maybe"}),
+        ("robust-q6", {"algorithm.variant": "sgd"}),
+        ("robust-q6", {"algorithm.gamma": "-1"}),
+        ("robust-q6", {"problem.scheme": "ring"}),
+        ("robust-q6", {"output.seeds": ""}),
+        ("robust-q6", {"output.seeds": " , "}),
+        ("robust-q6", {"output.heavy_cadence": "-1"}),
+        ("robust-q6", {"output.heavy_cadence": "0", "output.seeds": "3,1"}),
+    ]
+    return table
+
+
+class TestOverridesInOneParse:
+    @pytest.mark.parametrize("preset,overrides", _override_table())
+    def test_same_config_text_and_error_as_the_text_round_trip(self, preset, overrides):
+        base = load_preset(preset)
+        try:
+            want = _apply_overrides_by_text(base, overrides)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                apply_overrides(base, overrides)
+            assert str(got.value) == str(exc)
+            return
+        got = apply_overrides(base, overrides)
+        assert got == want
+        assert render_config(got) == render_config(want)
+
+    def test_the_table_reaches_every_outcome(self):
+        outcomes = set()
+        for preset, overrides in _override_table():
+            try:
+                _apply_overrides_by_text(load_preset(preset), overrides)
+                outcomes.add("ok")
+            except ConfigError as exc:
+                outcomes.add(str(exc).split(" ")[0])
+        assert {"ok", "override", "unknown", "problem.name", "key", "algorithm.variant", "output.seeds",
+                "output.heavy_cadence", "problem.scheme"} <= outcomes
+
+    def test_preset_loading_still_goes_through_parse_config(self, monkeypatch):
+        from fedminimax import presets
+
+        calls = []
+        monkeypatch.setattr(presets, "parse_config", lambda text: calls.append(text) or parse_config(text))
+        load_preset("robust-q6")
+        assert len(calls) == 1
 
 
 class TestPresets:

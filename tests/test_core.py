@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,7 +187,7 @@ class TestExpit:
         assert expit(-EXP_MAX) > 0.0 and expit(-np.nextafter(EXP_MAX, np.inf)) == 0.0
 
     def test_edges_bitwise_equal_to_scipy_expit(self):
-        # exp(-z) comes from cexp up to -z = 709 and from math.exp past it
+        # around 709, the overflow edge of exp(-z) and its underflow to 0
         around = lambda v: [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
         edges = [*around(709.0), *around(EXP_MAX), *around(708.0), *around(745.0)]
         rng = np.random.default_rng(1)
@@ -211,6 +214,29 @@ class TestExpit:
         out = expit(z)
         assert out.shape == shape
         assert np.array_equal(np.asarray(out).view(np.int64), np.asarray(scipy_expit(z)).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(n,) for n in range(1, 18)] + [(20, 1), (5, 10, 40), (8, 10, 40)])
+    def test_bitwise_equal_to_libm_exp_and_silent(self, shape):
+        # The robust kernels' shapes and every short length (numpy's SIMD
+        # loops treat a ragged tail apart); each size sees every special
+        # value at some position.
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, EXP_MAX, -EXP_MAX,
+                    np.nextafter(EXP_MAX, np.inf), -np.nextafter(EXP_MAX, np.inf), 745.2, -745.2, 746.0, -746.0,
+                    1e300, -1e300, 5e-324, -5e-324]
+        rng = np.random.default_rng(list(shape))
+        n = math.prod(shape)
+        for start in range(0, len(specials), 1 if n < len(specials) else len(specials)):
+            z = 40.0 * rng.standard_normal(n)
+            k = min(n, len(specials) - start)
+            z[rng.permutation(n)[:k]] = specials[start:start + k]
+            z = z.reshape(shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = expit(z)
+            e = np.array([math.inf if -v > EXP_MAX else math.exp(-v) for v in z.reshape(-1).tolist()])
+            want = (1.0 / (1.0 + e)).reshape(shape)
+            assert out.shape == shape
+            assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
     def test_keeps_the_shape(self):
         z = np.arange(-3.0, 3.0).reshape(2, 3)

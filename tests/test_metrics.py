@@ -151,6 +151,42 @@ class TestRobustEndpointRule:
         gx, _ = robust_q6.global_grad(np.zeros(robust_q6.d), np.zeros(robust_q6.p))
         assert grad_norm_F(robust_q6, np.zeros(robust_q6.d)) == float(np.linalg.norm(gx))
 
+    def test_stacked_rows_equal_the_per_row_rule_bitwise(self, robust_q6):
+        inst, p = robust_q6, robust_q6.p
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((200, inst.d)) * 10.0 ** rng.integers(-3, 3, (200, 1))
+        X[2] = 0.0
+        X[3] = -0.0  # signed zeros are x = 0 too
+        X[4, 1] = np.nan
+        X[5] = 1e-30 * rng.standard_normal(inst.d)  # both endpoints' values round to log 2
+        plus = X[5] * (inst.y_constraint.radius / np.linalg.norm(X[5]))
+        assert inst.global_value(X[5], plus) == inst.global_value(X[5], -plus)  # an exact tie
+        with np.errstate(invalid="ignore"):  # logaddexp of the NaN row
+            per_row = np.array([
+                worst_perturbation(x, inst.y_constraint.radius, lambda y, x=x: inst.global_value(x, y)) for x in X
+            ])
+            stacked = {S: ascend_y(inst, X[:S]) for S in (0, 1, 3, len(X))}
+            single = [ascend_y(inst, x) for x in X]
+        assert np.isnan(per_row[4]).all() and not per_row[2].any() and not np.signbit(per_row[3]).any()
+        signs = np.sign(row_dots(np.nan_to_num(per_row), X))
+        assert {-1.0, 1.0} <= set(signs.tolist())  # both endpoints are chosen somewhere
+        for S, got in stacked.items():
+            assert got.shape == (S, p) and np.array_equal(got.view(np.int64), per_row[:S].view(np.int64))
+        for got, want in zip(single, per_row):  # the 1-D call, unchanged
+            assert got.shape == (p,) and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_recorder_calls_ascend_y_once_per_chunk_with_heavy_steps(self, monkeypatch):
+        cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.t": "120"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        rows = []
+        original = metrics.ascend_y
+        monkeypatch.setattr(metrics, "ascend_y", lambda inst, x: rows.append(len(x)) or original(inst, x))
+        trace = fm.run(problem, hp)
+        heavy = sum(r.grad_norm_F is not None for r in trace.records)
+        steps = metrics._RECORD_ROWS // problem.K
+        chunks = [range(a, min(a + steps, hp.T + 1)) for a in range(0, hp.T + 1, steps)]
+        assert len(rows) == sum(any(t % hp.q == 0 for t in c) for c in chunks) and sum(rows) == heavy
+
     def test_tie_goes_to_the_plus_endpoint(self):
         w = np.array([3.0, -4.0])
         rho = worst_perturbation(w, 2.0, lambda rho: float(w @ rho) ** 2)

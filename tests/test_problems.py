@@ -919,6 +919,14 @@ class TestStackedOracle:
                 Ys = np.repeat(ys, K, axis=0)
                 shared = inst.grad_y_all(np.tile(x, (K, 1)), Ys)
                 assert np.array_equal(shared, inst.grad_y_all(np.tile(x, (8 * K, 1)), Ys))
+                # a shared x per leading block: P probes' x blocks (P, K, d) against their y's (P, 8K, p)
+                xs = 2.0 * rng.standard_normal((3, inst.d))
+                Ys3 = np.stack([Ys, Ys[::-1], -Ys])
+                stacked = inst.grad_y_all(np.repeat(xs[:, None], K, axis=1), Ys3)
+                assert stacked.shape == Ys3.shape
+                for x_i, Y_i, got in zip(xs, Ys3, stacked):
+                    want = inst.grad_y_all(np.tile(x_i, (8 * K, 1)), Y_i)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_sigma_estimate_equals_per_item_loop_bitwise(self, case):

@@ -8,10 +8,13 @@ import fedminimax as fm
 from fedminimax.algorithms import HyperParams
 from fedminimax.config import apply_overrides
 from fedminimax.presets import load_preset, preset_names
+from fedminimax import theory
+from fedminimax.core import index_sum, row_dots
 from fedminimax.theory import (
     CONSTRAINT_NAMES,
     ConstantSet,
     _estimate_heterogeneity,
+    _estimate_pl_ratio,
     _max_pairwise_distance,
     estimate_constants,
     grad_check,
@@ -432,3 +435,78 @@ class TestPairwiseDistanceScreen:
             _estimate_heterogeneity(inst, 7, np.random.default_rng(7))
         with pytest.raises(ValueError, match="non-finite"):
             estimate_constants(inst, n_samples=7, seed=1)
+
+
+def _pl_ratio_one_probe_at_a_time(inst, n_samples, rng):
+    """theory._estimate_pl_ratio with one probe per call: one global_value
+    call at x against its 8 y's, one grad_y_all call of x tiled once
+    against the 8 K-row y blocks (the reference)."""
+    K, p = inst.K, inst.p
+    Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
+    best = math.inf
+    for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
+        ys = inst.y_constraint.project(ys)
+        vals = inst.global_value(x, ys)
+        gaps = vals.max() - vals
+        GY = inst.grad_y_all(np.tile(x, (K, 1)), np.repeat(ys, K, axis=0))
+        gy = index_sum(GY.reshape(8, K, p), axis=1) / K
+        due = gaps > 1e-12
+        if due.any():
+            best = min(best, float((row_dots(gy[due]) / (2.0 * gaps[due])).min()))
+    return max(1e-6, 0.0 if math.isinf(best) else best)
+
+
+def _heterogeneity_one_probe_at_a_time(inst, n_samples, rng):
+    """theory._estimate_heterogeneity with one probe per exact call and
+    every pair's np.linalg.norm (the reference)."""
+    K = inst.K
+    Z = 2.0 * rng.standard_normal((n_samples, inst.d + inst.p))
+    dx = dy = 0.0
+    for x, y in zip(Z[:, :inst.d], Z[:, inst.d:]):
+        GX, GY = inst.grad_full_all(np.tile(x, (K, 1)), np.tile(y, (K, 1)))
+        dx = max(dx, _reference_max_distance(GX[None]))
+        dy = max(dy, _reference_max_distance(GY[None]))
+    return dx, dy
+
+
+@pytest.fixture(scope="module", params=[(p, s) for p in ("robust-q6", "robust-q12") for s in (1, 7)],
+                ids=lambda ps: f"{ps[0]}-seed{ps[1]}")
+def robust_preset_problem(request):
+    preset, seed = request.param
+    return load_preset(preset).build_problem(seed), seed
+
+
+class TestStackedProbes:
+    N_SAMPLES = 50
+
+    @pytest.mark.parametrize("chunk", [1, 3, "all", "default"])
+    def test_pl_ratio_equals_the_per_probe_loop_bitwise(self, robust_preset_problem, chunk, monkeypatch):
+        inst, seed = robust_preset_problem
+        n_probes = max(2, self.N_SAMPLES // 5)
+        slopes = 8 * int(inst.sizes.sum())  # (8, K, n) slope elements per probe
+        if chunk != "default":
+            monkeypatch.setattr(theory, "_ORACLE_ELEMENTS", slopes * (n_probes if chunk == "all" else chunk))
+        per_call = theory._ORACLE_ELEMENTS // slopes
+        assert chunk == "default" or per_call == (n_probes if chunk == "all" else chunk)
+        calls = []
+        monkeypatch.setattr(inst, "grad_y_all", lambda X, Y, f=inst.grad_y_all: calls.append(len(X)) or f(X, Y))
+        got = _estimate_pl_ratio(inst, self.N_SAMPLES, np.random.default_rng(seed))
+        monkeypatch.undo()
+        want = _pl_ratio_one_probe_at_a_time(inst, self.N_SAMPLES, np.random.default_rng(seed))
+        assert got.hex() == want.hex() and got > 1e-6
+        assert calls == [min(per_call, n_probes - i) for i in range(0, n_probes, per_call)]
+
+    @pytest.mark.parametrize("chunk", [1, 3, "all", "default"])
+    def test_heterogeneity_equals_the_per_probe_loop_bitwise(self, robust_preset_problem, chunk, monkeypatch):
+        inst, seed = robust_preset_problem
+        n, K = self.N_SAMPLES, inst.K
+        if chunk != "default":
+            monkeypatch.setattr(theory, "_PROBE_ROWS", K * (n if chunk == "all" else chunk))
+        per_call = theory._PROBE_ROWS // K
+        calls = []
+        monkeypatch.setattr(inst, "grad_full_all", lambda X, Y, f=inst.grad_full_all: calls.append(len(X)) or f(X, Y))
+        got = _estimate_heterogeneity(inst, n, np.random.default_rng(seed))
+        monkeypatch.undo()
+        want = _heterogeneity_one_probe_at_a_time(inst, n, np.random.default_rng(seed))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert calls == [K * min(per_call, n - i) for i in range(0, n, per_call)]
