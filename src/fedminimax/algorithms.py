@@ -213,13 +213,6 @@ class Clients:
     rows_items: np.ndarray = field(repr=False)
 
 
-@dataclass
-class ServerState:
-    acc: AdaptiveAccumulator
-    A: Vector  # positive diagonal of the x-side preconditioner
-    B: Vector  # positive diagonal of the y-side preconditioner
-
-
 def _spawn_rngs(seed: int, K: int) -> list[np.random.Generator]:
     """Client k samples from child k of the seed; child K draws the output
     index (see run)."""
@@ -251,7 +244,7 @@ def initial_point(problem: ProblemInstance, hp: HyperParams) -> tuple[Vector, Ve
     return x1, problem.y_constraint.project(np.full(problem.p, y_scale, dtype=np.float64))
 
 
-def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, ServerState, Counters]:
+def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, AdaptiveAccumulator, Counters]:
     """Set up common iterates, initial full-batch-of-q estimates and the
     first preconditioners.
 
@@ -291,12 +284,14 @@ def init_round(problem: ProblemInstance, hp: HyperParams) -> tuple[Clients, Serv
     counters = Counters()
     counters.add_sfo(2 * hp.q)
 
-    acc = AdaptiveAccumulator(mode=_MATRIX_MODE[hp.variant], rho=hp.rho, varrho=hp.varrho)
-    A, B = acc.generate(vec_mean(clients.W), vec_mean(clients.V), varrho=sched.varrho[0])
-    return clients, ServerState(acc=acc, A=A, B=B), counters
+    server = AdaptiveAccumulator(mode=_MATRIX_MODE[hp.variant], rho=hp.rho, varrho=hp.varrho)
+    server.generate(vec_mean(clients.W), vec_mean(clients.V), varrho=sched.varrho[0])
+    return clients, server, counters
 
 
-def _step(problem: ProblemInstance, hp: HyperParams, eta_t: float, clients: Clients, server: ServerState) -> None:
+def _step(
+    problem: ProblemInstance, hp: HyperParams, eta_t: float, clients: Clients, server: AdaptiveAccumulator,
+) -> None:
     """The preconditioned interpolated step of every row, in place: an
     ascent proposal on y and a descent proposal on x, each interpolated by
     eta_t (y projected)."""
@@ -312,7 +307,7 @@ def local_step(
     hp: HyperParams,
     t: int,
     clients: Clients,
-    server: ServerState,
+    server: AdaptiveAccumulator,
     counters: Counters,
 ) -> None:
     """One purely local iteration of every client, one row each, mutating
@@ -348,7 +343,7 @@ def sync_step(
     hp: HyperParams,
     t: int,
     clients: Clients,
-    server: ServerState,
+    server: AdaptiveAccumulator,
     counters: Counters,
 ) -> None:
     """One synchronization round, mutating clients, server and counters.
@@ -365,7 +360,7 @@ def sync_step(
     w_bar = vec_mean(clients.W)
     y_bar = vec_mean(clients.Y)
     x_bar = vec_mean(clients.X)
-    server.A, server.B = server.acc.generate(w_bar, v_bar, varrho=clients.sched.varrho[t])
+    server.generate(w_bar, v_bar, varrho=clients.sched.varrho[t])
     clients.X[:], clients.Y[:], clients.W[:], clients.V[:] = x_bar, y_bar, w_bar, v_bar
     _step(problem, hp, clients.sched.eta[t], clients, server)
     counters.add_comm()

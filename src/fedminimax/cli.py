@@ -11,8 +11,9 @@ overridden with dotted flags, e.g. `--algorithm.gamma 0.05`.
 Constraint violations at run time are warnings, not errors: experiment
 rates are grid-searched and need not satisfy the worst-case constants.
 
-Exit codes: 0 success, 1 validation or probe failure, 2 bad configuration,
-3 some seed of `run` or some variant of `bench` diverged (the others still run).
+Exit codes: 0 success, 1 validation or probe failure, 2 bad configuration or
+unusable path, 3 some seed of `run` or some variant of `bench` diverged (the
+others still run).
 """
 
 from __future__ import annotations
@@ -243,14 +244,16 @@ def cmd_probe(args, overrides) -> int:
 def cmd_bench(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError("--variants names no variant")
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ConfigError(f"unknown variants {sorted(unknown)}")
     seed = cfg.output.seeds[0]
+    problem = cfg.build_problem(seed)
     rows = []
     diverged = False
     for variant in variants:
-        problem = cfg.build_problem(seed)
         hp = replace(cfg.hp_for_seed(seed), variant=variant)
         try:
             trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
@@ -314,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         rest, overrides = _split_overrides(list(argv))
         args = parser.parse_args(rest)
         return args.func(args, overrides)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -220,9 +220,9 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
         section, key = path.split(".", 1)
         if section not in raw:
             raise ConfigError(f"unknown override section {section!r}")
-        paths.append((section, key, value))
+        paths.append((section, key.lower(), value))
     if any(section == "problem" and key == "name" for section, key, _ in paths):
         raise ConfigError("problem.name cannot be overridden")
     for section, key, value in paths:
-        raw[section][key.lower()] = value.strip()
+        raw[section][key] = value.strip()
     return _read_config(raw)

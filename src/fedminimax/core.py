@@ -144,8 +144,8 @@ def expit(z: np.ndarray) -> np.ndarray:
 def precondition(a: Vector, g: Vector | np.ndarray) -> Vector | np.ndarray:
     """Apply the inverse of the diagonal matrix diag(a) to g or to each row of g.
 
-    The entries of a are positive by construction (estimators._emit asserts
-    their floor rho).
+    The entries of a are positive by construction (AdaptiveAccumulator.generate
+    asserts their floor rho).
     """
     return g / a
 

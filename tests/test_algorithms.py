@@ -288,7 +288,7 @@ class TestSyncRows:
             if t % hp.q:
                 local_step(problem, hp, t, clients, server, counters)
                 continue
-            acc = deepcopy(server.acc)
+            acc = deepcopy(server)
             x, y_free, w, v, A, B = _vector_sync(hp, t, clients, acc)
             y = problem.y_constraint.project(y_free)
             projected += not np.array_equal(y, y_free)
@@ -297,8 +297,7 @@ class TestSyncRows:
                 for got, want in ((clients.X, x), (clients.Y, y), (clients.W, w), (clients.V, v)):
                     assert got[k].tobytes() == want.tobytes(), (t, k)
             assert server.A.tobytes() == A.tobytes() and server.B.tobytes() == B.tobytes()
-            assert acc.a is None or (acc.a.tobytes() == server.acc.a.tobytes()
-                                     and acc.b.tobytes() == server.acc.b.tobytes())
+            assert acc.m is None or acc.m.tobytes() == server.m.tobytes()
         if overrides:
             assert projected == 3  # the ball projection moved y at every sync
 

@@ -15,13 +15,14 @@ import numpy as np
 
 import fedminimax
 from fedminimax import cli
-from fedminimax.algorithms import init_round, initial_point
+from fedminimax.algorithms import VARIANTS, init_round, initial_point
 from fedminimax.cli import main
 from fedminimax.config import (
     ALGORITHM_SCHEMA,
     OUTPUT_SCHEMA,
     PROBLEM_SCHEMAS,
     ConfigError,
+    RunConfig,
     _render_value,
     _schema,
     apply_overrides,
@@ -135,7 +136,7 @@ def _apply_overrides_by_text(cfg, overrides):
     parser.read_string(render_config(cfg))
     for section, kv in text_sections.items():
         for key, raw in kv.items():
-            if section == "problem" and key == "name":
+            if section == "problem" and key.lower() == "name":
                 raise ConfigError("problem.name cannot be overridden")
             parser.set(section, key, raw)
     buf = io.StringIO()
@@ -162,7 +163,8 @@ def _override_table():
         ("synthetic-s1", {"problem.nope": "1", "algorithm.nope": "1"}),
         ("synthetic-s1", {"algorithm.t": "5", "problem.name": "robust"}),
         ("robust-q6", {"problem.name": "robust"}),
-        ("robust-q6", {"problem.Name": " robust "}),  # the parser lower-cases the key after the name check
+        ("robust-q6", {"problem.Name": " robust "}),  # keys are lower-cased before the name check
+        ("auc-imbalanced", {"problem.NAME": "robust"}),
         ("robust-q6", {"problem.k": "1.5"}),
         ("robust-q6", {"algorithm.gamma": "fast"}),
         ("robust-q6", {"algorithm.eta_const": "none", "problem.seed": "None"}),
@@ -335,6 +337,25 @@ class TestCommands:
         assert err.startswith("error: output.heavy_cadence must be >= 0") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset", ["auc-imbalanced", "robust-q6"])
+    def test_problem_name_override_is_refused_in_any_case(self, preset, tmp_path, capsys):
+        argv = ["run", "--preset", preset, "--problem.Name", "robust", "--output.csv_dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: problem.name cannot be overridden\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_csv_dir_on_a_file_is_an_error_exit(self, under, tmp_path, capsys):
+        # the directory is an existing file (FileExistsError) or lies under
+        # one (NotADirectoryError)
+        (tmp_path / "taken").write_text("x")
+        argv = ["run", "--preset", "robust-q6", "--algorithm.t", "13", "--output.seeds", "1",
+                "--output.csv_dir", str(tmp_path / "taken" / under)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "x"
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_text("[problem]\nname = synthetic\nk = oops\n")
@@ -449,6 +470,30 @@ class TestCommands:
         assert "Traceback" not in captured.err
         rows = [ln.split()[0] for ln in captured.out.splitlines()[1:]]
         assert rows == ["adafgda_adam"]
+
+    # sha256 of `fedmm bench` stdout, taken when every variant still built
+    # its own problem instance
+    BENCH_STDOUT_PINS = {
+        ("--algorithm.t", "41"): "4318704ae92d8b5adffa038accb6f5eb36d28a22ec9ac35f01f885dc46aa2cd3",
+        ("--algorithm.t", "40", "--variants", ",".join(VARIANTS)):
+            "efc314b8ac1c5cab3fe7d4d221ed12388ca9878b03da918e981fd43ac0a73294",
+    }
+
+    @pytest.mark.parametrize("args", sorted(BENCH_STDOUT_PINS))
+    def test_bench_builds_one_instance_and_keeps_its_table(self, args, capsys, monkeypatch):
+        built = []
+        real_build = RunConfig.build_problem
+        monkeypatch.setattr(RunConfig, "build_problem", lambda cfg, seed: built.append(seed) or real_build(cfg, seed))
+        assert main(["bench", "--preset", "auc-imbalanced", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BENCH_STDOUT_PINS[args]
+        assert built == [1]
+
+    @pytest.mark.parametrize("variants", ["", " , "])
+    def test_bench_without_variants_is_a_config_error(self, variants, capsys):
+        assert main(["bench", "--preset", "auc-imbalanced", "--variants", variants]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --variants names no variant\n" and captured.out == ""
 
     def test_bench_default_roster_on_imbalanced_preset(self, capsys):
         code = main(["bench", "--preset", "auc-imbalanced", "--algorithm.t", "60"])
