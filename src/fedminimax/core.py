@@ -42,11 +42,9 @@ row:
   (S, p), against one call per point; the AUC objective squares each
   alpha as a Python float;
 - matmul with one operand broadcast over leading axes (a dataset block's
-  (K, n, dim) against (S, K, dim, 1) points) against one call per slice:
-  it still makes one gemv per matrix;
-- add.reduce(A, axis) / n against A.mean(axis), and one reduction of a
-  stacked (..., 3, n) array over its last axis against each (..., n)
-  array's own (each row keeps its pairwise sum);
+  (K, n, dim), or the AUC clients' (K, m, m) Hessians, against (S, K, ., 1)
+  points) against one call per slice: it still makes one gemv per matrix;
+- add.reduce(A, axis) / n against A.mean(axis);
 - np.add.reduce(T, axis=0) of an item-major (n, B, P, dim) product against
   the (P, B, n, dim) product summed over axis -2, for dim >= 2: both add
   whole rows in item order (at dim = 1 the latter sums pairwise);
@@ -60,10 +58,9 @@ Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1),
 A @ v (one gemv) against the row dots A[k] @ v, the Gram form
 N_a + N_b - 2 G_a.G_b of a squared distance against row_dots(G_a - G_b)
 (theory uses it only to screen pairs, within a proven slack, before the
-row dots), a (B, n, 3) stack's mean over axis 1 against three (B, n)
-means (it adds the items in index order, not pairwise), and add.reduce,
-sum or mean along the fast axis, or across clients on a (K, 1) array,
-which sum pairwise; these stay forbidden for cross-client reductions.
+row dots), and add.reduce, sum or mean along the fast axis, or across
+clients on a (K, 1) array, which sum pairwise; these stay forbidden for
+cross-client reductions.
 Cross-client means are therefore index_sum's: add.reduce where it adds
 rows in index order, the index-order add.accumulate elsewhere. vec_mean
 takes a stacked (K, d) array as well as a list of vectors.

@@ -10,6 +10,13 @@ The -p(1-p)alpha^2 term makes every per-sample objective, hence every
 client objective and the average, 2p(1-p)-strongly concave in alpha, and
 the inner maximizer alpha*(w) is available in closed form.
 
+Each objective is quadratic in z = (w, a, b, alpha), so client k's exact
+gradient is H_k z + g_k: its Hessian, made once from its n_k items' class
+moments (n+, n-, sums s+, s-, second moments M+, M-), times z plus its
+gradient at 0, g_k = (u_k, 0, 0, 0). With c+ = 2(1-p)/n_k, c- = 2p/n_k and
+u_k = c- s- - c+ s+, H_k has rows [c+ M+ + c- M-, -c+ s+, -c- s-, u_k],
+[-c+ s+', c+ n+, 0, 0], [-c- s-', 0, c- n-, 0] and [u_k', 0, 0, -2p(1-p)].
+
 The generated dataset is linearly separable along a hidden direction with
 unit Gaussian noise. Items are grouped into 2K feature clusters whose
 centers are orthogonal to the separating direction; the default by_group
@@ -62,6 +69,24 @@ class AucProblem(DatasetProblem):
         plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
         self._set_clients(X, labels, plan)
         self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
+        self._set_hessians()
+
+    def _set_hessians(self) -> None:
+        """Each client's H_k and g_k (module docstring), stacked over K, from
+        its class moments weighted by c+ on a positive item, c- on a negative."""
+        pr, dim, d = self.pos_ratio, self.dim, self.d
+        H, g = np.zeros((self.K, d + 1, d + 1)), np.zeros((self.K, d + 1))
+        for ks, Xs, labs in self._blocks:
+            pos, n = labs > 0, labs.shape[1]
+            c_pos, c_neg = np.where(pos, 2 * (1 - pr) / n, 0.0), np.where(pos, 0.0, 2 * pr / n)
+            s_pos, s_neg = np.matmul(c_pos[:, None], Xs)[:, 0], np.matmul(c_neg[:, None], Xs)[:, 0]
+            H[ks, :dim, :dim] = np.matmul(Xs.transpose(0, 2, 1), (c_pos + c_neg)[..., None] * Xs)
+            H[ks, :dim, dim] = H[ks, dim, :dim] = -s_pos
+            H[ks, :dim, dim + 1] = H[ks, dim + 1, :dim] = -s_neg
+            H[ks, :dim, d] = H[ks, d, :dim] = g[ks, :dim] = s_neg - s_pos
+            H[ks, dim, dim], H[ks, dim + 1, dim + 1] = c_pos.sum(axis=1), c_neg.sum(axis=1)
+        H[:, d, d] = -2 * pr * (1 - pr)
+        self._hessians, self._grads_at_0 = H, g
 
     def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n_groups = 2 * self.K
@@ -102,8 +127,9 @@ class AucProblem(DatasetProblem):
     def _item_terms(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, ...]:
-        """Per-item gradient terms (..., B, n) of _grad_block's datasets at its
-        points: the w coefficient and the a, b and alpha terms of each item."""
+        """Per-item gradient terms (R, 1) of the one-item datasets Xs (R, 1,
+        dim) with labels labs (R, 1), at points X (R, d) and Y (R, 1): the w
+        coefficient and the a, b and alpha terms of each item."""
         dim, pr = self.dim, self.pos_ratio
         h = np.matmul(Xs, X[..., :dim, None])[..., 0]
         pos = labs > 0
@@ -115,45 +141,34 @@ class AucProblem(DatasetProblem):
             np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
         )
 
-    def _grad_block(
-        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        dim, pr, (B, n) = self.dim, self.pos_ratio, labs.shape
-        X3, Y3 = X.reshape(-1, B, self.d), Y.reshape(-1, B, 1)
-        coef, *scalars = self._item_terms(Xs, labs, X3, Y3)
-        # Means as a sum and one division (what mean does, without its
-        # wrapper): along the last axis of one (P, B, 3, n) stack for the
-        # scalar columns, each row its own pairwise sum, and over the items
-        # for gw, item-major but at dim = 1, where the (P, B, n, 1) product
-        # sums pairwise. The scalar terms go before the product is made.
-        sums = np.add.reduce(np.stack(scalars, axis=-2), axis=-1)
-        del scalars
-        if dim > 1:
-            gw = np.add.reduce(coef.T[..., None] * self._item_major(Xs), axis=0).transpose(1, 0, 2)
-        else:
-            gw = np.add.reduce(coef * Xs[..., 0], axis=-1)[..., None]
-        GX = np.concatenate([gw, sums[..., :2]], axis=-1) / n
-        galpha = sums[..., 2] / n - 2 * pr * (1 - pr) * Y3[..., 0]
-        return GX.reshape(X.shape), galpha.reshape(Y.shape)
-
     def _grad_rows(
         self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        # + 0.0 turns -0.0 into +0.0: bits that the golden traces pin
         pr = self.pos_ratio
         coef, ga, gb, gh = self._item_terms(x_items[:, None, :], labels, X, Y)
         return np.concatenate([coef * x_items, ga, gb], axis=1) + 0.0, (gh + 0.0) - 2 * pr * (1 - pr) * Y
 
+    def _affine_grads(self, ks: slice, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H_k z + g_k of the clients ks at points X (..., B, d), Y (..., B, 1):
+        one gemv per point, so a row's bits do not depend on the rows with it."""
+        G = np.matmul(self._hessians[ks], np.concatenate([X, Y], axis=-1)[..., None])[..., 0]
+        G += self._grads_at_0[ks]
+        return np.ascontiguousarray(G[..., :self.d]), np.ascontiguousarray(G[..., self.d:])
+
+    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
+        GX, GY = self._affine_grads(slice(k, k + 1), x[None], y[None])
+        return GX[0], GY[0]
+
+    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        GX, GY = self._affine_grads(slice(None), X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, 1))
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
+
     def y_star(self, x: Vector) -> Vector:
-        """Closed-form inner maximizer alpha*(w) of the averaged objective."""
-        pr = self.pos_ratio
-        means = np.empty((2, *x.shape[:-1], self.K))  # per-client means of h over positives, negatives
-        for ks, Xs, labs in self._blocks:
-            h = np.matmul(Xs, x[..., None, :self.dim, None])[..., 0]
-            pos = labs > 0
-            means[..., ks] = np.stack([np.where(pos, h, 0.0), np.where(pos, 0.0, h)]).mean(axis=-1)
-        m_pos, m_neg = index_sum(means, axis=-1) / self.K
-        alpha = (pr * m_neg - (1 - pr) * m_pos) / (pr * (1 - pr))
-        return alpha[..., None]
+        """Closed-form inner maximizer alpha*(w) of the averaged objective: the
+        zero of the clients' mean alpha-gradient, mean_k(u_k . w) - 2p(1-p) alpha."""
+        u_dot_w = np.matmul(self._grads_at_0[:, :self.dim], x[..., :self.dim, None])[..., 0]
+        return (index_sum(u_dot_w, axis=-1) / self.K / self.mu)[..., None]
 
     @property
     def mu(self) -> float:

@@ -28,8 +28,8 @@ from ..federation import PartitionPlan
 
 
 # The largest (point blocks x clients x items x features) product that one
-# call of a dataset family's gradient kernel makes in grad_full_all; the
-# recorder's chunk of steps leaves its memory bound to this.
+# call of the robust family's gradient kernel, or of theory's PL probe,
+# makes; the recorder's chunk of steps leaves their memory bound to this.
 _ORACLE_ELEMENTS = 20_000
 
 
@@ -131,14 +131,11 @@ class DatasetProblem(ProblemInstance):
 
     Clients with equal dataset sizes form one block, stored stacked as
     (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
-    single block. Subclasses give the objective and the exact gradient
-    once each, as kernels over one block, and every oracle uses them; the
-    stochastic oracle takes its items from all items pooled in client order
-    and applies a row kernel, the gradient kernel on one-item datasets. The
-    kernels take points with any leading axes, over which the block's data
-    is broadcast, not copied: matmul still makes one gemv per matrix, and
-    the elementwise terms and the reductions over the items keep their
-    bits (the gradient kernels sum over the items item-major, _item_major).
+    single block. Subclasses give the objective as a kernel over one block,
+    broadcast over the points' leading axes, and the stochastic oracle's
+    row kernel, applied to items of all items pooled in client order. The
+    exact oracle is each family's own (robust: a block kernel over the
+    items; AUC: affine in the point, with coefficients made once).
     """
 
     clients_X: list[np.ndarray]
@@ -161,12 +158,6 @@ class DatasetProblem(ProblemInstance):
                 np.stack([self.clients_y[k] for k in ks]),
             ))
 
-    @staticmethod
-    def _item_major(Xs: np.ndarray) -> np.ndarray:
-        """An item-major contiguous (n, B, 1, dim) copy of datasets Xs (B, n,
-        dim), for sums over the items of (n, B, P, dim) products (see core)."""
-        return np.ascontiguousarray(Xs.transpose(1, 0, 2))[:, :, None, :]
-
     @abstractmethod
     def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
         """Objectives (..., B) of B clients with datasets Xs (B, n, dim) and
@@ -174,19 +165,11 @@ class DatasetProblem(ProblemInstance):
         client shares."""
 
     @abstractmethod
-    def _grad_block(
-        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact gradients of B clients with datasets Xs (B, n, dim) and
-        labels labs (B, n), at points X (..., B, d) and Y (..., B, p)."""
-
-    @abstractmethod
     def _grad_rows(
         self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """_grad_block on R one-item datasets x_items (R, dim), labels (R, 1),
-        at points X (R, d) and Y (R, p), bitwise: a sum over one item is its
-        term plus 0.0 (see core), and dividing by n = 1 is exact."""
+        """Partial gradients of R items x_items (R, dim) with labels (R, 1),
+        one row each, at points X (R, d) and Y (R, p)."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
         # x and y broadcast against each other over their leading axes: the
@@ -196,26 +179,6 @@ class DatasetProblem(ProblemInstance):
         for ks, Xs, labs in self._blocks:
             out[..., ks] = self._value_block(Xs, labs, x, y)
         return out
-
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        GX, GY = self._grad_block(self.clients_X[k][None], self.clients_y[k][None], x[None], y[None])
-        return GX[0], GY[0]
-
-    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The n K-row blocks as (n, K, .): each size block's data is
-        # broadcast over the n blocks, not tiled. A kernel call's temporaries
-        # hold (blocks, K_b, n_b, dim) elements, so each size block takes the
-        # point blocks in pieces of at most _ORACLE_ELEMENTS of them (at
-        # least one block a piece); a K-row block's bits do not depend on
-        # the blocks evaluated with it (see core).
-        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
-        GX, GY = np.empty_like(X3), np.empty_like(Y3)
-        for ks, Xs, labs in self._blocks:
-            step = max(1, _ORACLE_ELEMENTS // Xs.size)
-            for i in range(0, len(X3), step):
-                piece = slice(i, i + step)
-                GX[piece, ks], GY[piece, ks] = self._grad_block(Xs, labs, X3[piece, ks], Y3[piece, ks])
-        return GX.reshape(X.shape), GY.reshape(Y.shape)
 
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core import Vector, expit, row_dots
 from ..federation import partition
+from . import base
 from .base import DatasetProblem, EuclideanBall
 
 
@@ -73,16 +74,38 @@ class RobustProblem(DatasetProblem):
         z = np.matmul(Xs, x[..., None, :, None])[..., 0] + row_dots(x, y)[..., None, None]
         return np.logaddexp(0.0, -labs * z).mean(axis=-1)
 
+    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
+        GX, GY = self._grad_block(self.clients_X[k][None], self.clients_y[k][None], x[None], y[None])
+        return GX[0], GY[0]
+
+    def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The n K-row blocks as (n, K, .), each size block's data broadcast
+        # over them, taken in pieces whose kernel temporaries hold at most
+        # base._ORACLE_ELEMENTS (blocks x K_b x n_b x dim) elements, at least
+        # one block a piece; a block's bits do not depend on the others (core).
+        X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
+        GX, GY = np.empty_like(X3), np.empty_like(Y3)
+        for ks, Xs, labs in self._blocks:
+            step = max(1, base._ORACLE_ELEMENTS // Xs.size)
+            for i in range(0, len(X3), step):
+                piece = slice(i, i + step)
+                GX[piece, ks], GY[piece, ks] = self._grad_block(Xs, labs, X3[piece, ks], Y3[piece, ks])
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
+
     def _grad_block(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact gradients of B clients with datasets Xs (B, n, dim) and
+        labels labs (B, n), at points X (..., B, d) and Y (..., B, p);
+        _grad_rows is this kernel on one-item datasets, bitwise (see core)."""
         B, n = labs.shape
         X3, Y3 = X.reshape(-1, B, self.d), Y.reshape(-1, B, self.p)
         s, GY = self._slopes_and_grad_y(Xs, labs, X3, Y3)
         # Means over the items as a sum and one division, as mean does; the
-        # sum item-major, its terms s_i * (x_i + y) made in one temporary, s
-        # first (of two NaNs, a product keeps the first one's sign).
-        terms = np.add(self._item_major(Xs), Y3.transpose(1, 0, 2))
+        # sum over an item-major (n, B, P, dim) product (see core), its terms
+        # s_i * (x_i + y) made in one temporary, s first (of two NaNs, a
+        # product keeps the first one's sign).
+        terms = np.add(np.ascontiguousarray(Xs.transpose(1, 0, 2))[:, :, None, :], Y3.transpose(1, 0, 2))
         np.multiply(s.T[..., None], terms, out=terms)
         GX = np.add.reduce(terms, axis=0).transpose(1, 0, 2) / n
         return GX.reshape(X.shape), GY.reshape(Y.shape)

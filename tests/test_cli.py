@@ -521,7 +521,7 @@ CLI_OUTPUT_PINS = {
     "validate --preset synthetic-theorem":
         (0, "59b4078e0044748594f2ae21943c4c901389a98f56d16bcd0ee8303671e205c2", _EMPTY),
     "probe --preset auc-imbalanced --points 20":
-        (0, "fca110978658705306c7487defbc36d491408666945605865f8800d8bf168406", _EMPTY),
+        (0, "874179fd7eead21048303174ba559837548e9e0b1af820e04228d9db65ee04f5", _EMPTY),
     "probe --preset robust-q12 --points 20":
         (0, "952d412447d8ea266489aeb2676d54a44c6e40adc07033b472be4191159d40d5",
          "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),

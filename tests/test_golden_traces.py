@@ -14,6 +14,11 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
   `perfbench/run.py`. They are also computed in two
   fresh processes, with OpenBLAS held to one thread and to two, along with
   the K = 100 heterogeneity probe pinned in test_theory.
+- The AUC traces above, and the auc-imbalanced workload at seed 7, without
+  the columns computed from the exact oracle, and that workload's final
+  point: pinned before the AUC exact oracle moved to class moments, which
+  re-pinned every AUC digest here, so they show that only those columns
+  moved.
 """
 
 from __future__ import annotations
@@ -36,14 +41,33 @@ from fedminimax.presets import load_preset, preset_names
 from test_theory import HETEROGENEITY_PINS
 
 
-def _csv_digest(preset: str, overrides: dict, tmp_path, with_hash: bool = False) -> str:
+def _emit(preset: str, overrides: dict, tmp_path, with_hash: bool = False, seed: int = 1):
+    """The CSV bytes of one seed's run, and its trace."""
     cfg = apply_overrides(load_preset(preset), overrides)
-    problem = cfg.build_problem(1)
-    trace = algorithms.run(problem, cfg.hp_for_seed(1), heavy_cadence=cfg.output.heavy_cadence)
+    problem = cfg.build_problem(seed)
+    trace = algorithms.run(problem, cfg.hp_for_seed(seed), heavy_cadence=cfg.output.heavy_cadence)
     path = tmp_path / "trace.csv"
     chash = metrics.config_hash(render_config(cfg)) if with_hash else None
     metrics.emit_csv(trace, path, config_hash=chash)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.read_bytes(), trace
+
+
+def _csv_digest(preset: str, overrides: dict, tmp_path, with_hash: bool = False) -> str:
+    return _sha(_emit(preset, overrides, tmp_path, with_hash)[0])
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _without_oracle_columns(csv: bytes) -> bytes:
+    """The CSV without AUC_ORACLE_COLUMNS; comment lines are kept."""
+    lines = csv.decode().splitlines()
+    header = lines[0].split(",")
+    keep = [j for j, name in enumerate(header) if name not in AUC_ORACLE_COLUMNS]
+    assert len(keep) == len(header) - len(AUC_ORACLE_COLUMNS)
+    rows = [ln if ln.startswith("#") else ",".join(ln.split(",")[j] for j in keep) for ln in lines]
+    return ("\n".join(rows) + "\n").encode()
 
 
 def _short(preset: str, variant: str) -> dict:
@@ -52,11 +76,11 @@ def _short(preset: str, variant: str) -> dict:
 
 
 PRESET_VARIANT = {
-    ("auc-imbalanced", "fgda"): "7feaafa5cd580e03809c1e15d13b115fe1c2daac51134e3db65177b6a87fbe12",
-    ("auc-imbalanced", "adafgda_adam"): "389b48c86005a6e3ab2b1d9c3b74d771eb3f079381dad1236c60e3eb639040b8",
-    ("auc-imbalanced", "adafgda_adabelief"): "9a0cd669f3f94607cad3d6734b10f9cd8ec58178ab9d5809df2fb20accadef9e",
-    ("auc-imbalanced", "local_sgda"): "4516eda45c2b3ab4e6f6f75d884e213eb35bf6bc4293c69123d491d1a6e7ba15",
-    ("auc-imbalanced", "momentum_local_sgda"): "e40eb9f89519f671a782d7fa924715f666e8c65a4afa3e1f0ef77d70d54c0eb4",
+    ("auc-imbalanced", "fgda"): "361c0c46bc24303fae1261cbf9a51f0bc1e3952e50de9b0fd89bcbd3f58e0b95",
+    ("auc-imbalanced", "adafgda_adam"): "c9e99588597677a914c6a955577f4a9ce18868f7ae8b68eb9f667ae394059ff7",
+    ("auc-imbalanced", "adafgda_adabelief"): "f36ac8a08496ee8215ce0f831a279b64d181115dfc0dfccb0fb78e0c2eae4f43",
+    ("auc-imbalanced", "local_sgda"): "e7af0fd50543632bbaf651ff8089e9207145f729873a536e89df87c7fcc1c57c",
+    ("auc-imbalanced", "momentum_local_sgda"): "627becc3c744391c92ea76742ceae98a81ba1b88d11b7455aa08c3d8299afd9c",
     ("robust-q12", "fgda"): "6ecedd77e6c9b2069649bb25ff994733e758751e4d5a2be1a3400d35606d0c13",
     ("robust-q12", "adafgda_adam"): "27f9f4f449a996971a34493c55ed474b2c98bf26f8409c3cb31d07ed3d26e623",
     ("robust-q12", "adafgda_adabelief"): "3f314c79c135134c60e51a93d1fec97e0b1e0aed45014059b2d935452545f18e",
@@ -86,7 +110,7 @@ PRESET_VARIANT = {
 
 # each preset at its shipped variant and full T
 PRESET_FULL_T = {
-    "auc-imbalanced": "2454d2946e7115e8d492ff5458082b8661bd30933a7871ce638a2c554547cc97",
+    "auc-imbalanced": "06166027573b0be09972f3d5b656b3e54642c4dfaeda478339baa4076a7f6505",
     "robust-q12": "1432e32f7778607262449329ca783f0ed646fe911c5f020d2ed2ad39f468638a",
     "robust-q6": "304535f104553f5b5b233fe7e87087b079cd847e4de870aec7d289cef6f7adaf",
     "synthetic-s1": "0317327cbf4e2431305f9e75df89638ae4fae9aeffcef2071b537a64b13d7eea",
@@ -102,7 +126,7 @@ RAGGED = {
     ),
     "auc-imbalanced-k7": (
         "auc-imbalanced", {"problem.k": "7", "algorithm.t": "41"},
-        "e78c2458bda6cb14ad9b5263cd4f98587135777f659ad7c733cfd2d737297dfb",
+        "375b6e82799d5a69bce6aa883120fb07b9d4f87a98d80f1d4897361f58d0ac79",
     ),
 }
 
@@ -116,13 +140,56 @@ WORKLOADS = {
     ),
     "auc-imbalanced": (
         "auc-imbalanced", {"algorithm.t": "400"},
-        "3ce56fb709715e66f8eda97fc5b0c219c6585262df3ebb47fb3d3217d9638035",
+        "db6d142439f52169c17ebad0d240c9a7d9a9b8e083e77c3e79dab2d10ce9c713",
     ),
     "robust-q6": (
         "robust-q6", {"algorithm.t": "120"},
         "a0c68282ada4ab68825e80be1afc0417e842bc73da434d15760a249dfafee029",
     ),
 }
+
+
+# The AUC traces without the columns computed from the exact oracle
+# (grad_full_all and y_star): est_err_x, est_err_y and grad_norm_F. These
+# digests, of the CSVs above and of the auc-imbalanced workload config at
+# seeds 1 and 7, and the float.hex of that workload's final point, were
+# computed from the per-item exact oracle, before the AUC family took its
+# exact gradients from class moments: the iterates and every other column
+# keep their bits whatever the exact oracle's rounding.
+AUC_ORACLE_COLUMNS = ("est_err_x", "est_err_y", "grad_norm_F")
+AUC_NON_ORACLE = {
+    ("auc-imbalanced", "fgda"): "68bea1d27be3328f40a87f8ed153e47284ae9b1c81bb963a9c97767c90724d53",
+    ("auc-imbalanced", "adafgda_adam"): "3705264ffa2773a091064d084e85ab89bbeecd9d23ba87f5615cb8afa0d7d8a4",
+    ("auc-imbalanced", "adafgda_adabelief"): "1ab0c95055fe7532953259c554286c3cecab458f5ec256fab546a6ae0b41d58c",
+    ("auc-imbalanced", "local_sgda"): "4d871f20474c850e7d582ffa407b86399bb18fda80c97234e0114c1905d07637",
+    ("auc-imbalanced", "momentum_local_sgda"): "ee8ef659d8c6a203286763001055b24692c3d238186f7d03df93f791d128f954",
+    "auc-imbalanced": "cd2f9748c8578967cc28e1b4ab09cd36c74ae020ed69e0239df495c69ca2d5cb",  # full T
+    "auc-imbalanced-k7": "aca5c785df26963b777488146f0ae7600d395b360fcc54da0208eb11d2123784",
+    ("workload", 1): "d0aed7c50db1a307476dcd02bfbf9d72c91935c4e219a8b08abd23ff3e51c4d4",
+    ("workload", 7): "88c58dee12475777ddb44e1b976f34f55d9d670b9abd6933075948e993a864fa",
+}
+AUC_WORKLOAD_FINAL = {
+    1: (("0x1.dfd6db8ab1623p-4", "0x1.bfc151bbdfdefp-3", "0x1.035393686fe25p-2", "-0x1.d42ff6a9853bep-4",
+         "0x1.8309bab7a4684p-3", "0x1.d2ba316e42dccp-3", "0x1.9e51cecc287c4p-4", "0x1.03ecf40bf47cdp-2",
+         "0x1.7f0ba596cc815p-3", "0x1.5f4ba063b7b21p-3", "0x1.35391773c46e7p-2", "-0x1.22eba6d949f5fp-1"),
+        ("-0x1.ad0e15320e8d3p-1",)),
+    7: (("0x1.4db1ef43c779dp-3", "0x1.6d12632ae914ep-3", "0x1.39eacfe0471dcp-5", "-0x1.066e87218c7adp-4",
+         "-0x1.273314751ab9ep-5", "-0x1.819e04c0327bbp-5", "0x1.ad5e34efdb884p-7", "0x1.4718cf308ddcbp-2",
+         "-0x1.08bb1cc166ad3p-4", "-0x1.29a9907588577p-5", "0x1.3a6624f2e298cp-1", "-0x1.59848092be383p-2"),
+        ("-0x1.986d900c1eab0p-1",)),
+}
+
+
+def _check_auc_non_oracle(key, csv: bytes) -> None:
+    """Checked before the whole digest, so a moved exact oracle alone fails
+    on the whole digest, and a moved iterate here."""
+    if key in AUC_NON_ORACLE:
+        assert _sha(_without_oracle_columns(csv)) == AUC_NON_ORACLE[key]
+
+
+def _check_auc_workload_final(seed: int, trace) -> None:
+    got = tuple(v.hex() for v in trace.final_x), tuple(v.hex() for v in trace.final_y)
+    assert got == AUC_WORKLOAD_FINAL[seed]
 
 
 def test_roster_is_complete():
@@ -132,24 +199,47 @@ def test_roster_is_complete():
 
 @pytest.mark.parametrize("preset,variant", sorted(PRESET_VARIANT))
 def test_preset_variant_digest(preset, variant, tmp_path):
-    assert _csv_digest(preset, _short(preset, variant), tmp_path) == PRESET_VARIANT[(preset, variant)]
+    csv, _ = _emit(preset, _short(preset, variant), tmp_path)
+    _check_auc_non_oracle((preset, variant), csv)
+    assert _sha(csv) == PRESET_VARIANT[(preset, variant)]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_FULL_T))
 def test_preset_full_t_digest(preset, tmp_path):
-    assert _csv_digest(preset, {}, tmp_path) == PRESET_FULL_T[preset]
+    csv, _ = _emit(preset, {}, tmp_path)
+    _check_auc_non_oracle(preset, csv)
+    assert _sha(csv) == PRESET_FULL_T[preset]
 
 
 @pytest.mark.parametrize("name", sorted(RAGGED))
 def test_ragged_partition_digest(name, tmp_path):
     preset, overrides, digest = RAGGED[name]
-    assert _csv_digest(preset, overrides, tmp_path) == digest
+    csv, _ = _emit(preset, overrides, tmp_path)
+    _check_auc_non_oracle(name, csv)
+    assert _sha(csv) == digest
+
+
+def test_auc_pins_cover_the_auc_traces():
+    auc = [key for key in PRESET_VARIANT if key[0] == "auc-imbalanced"]
+    assert set(AUC_NON_ORACLE) == {*auc, "auc-imbalanced", "auc-imbalanced-k7", ("workload", 1), ("workload", 7)}
+    assert set(AUC_WORKLOAD_FINAL) == {1, 7}
+
+
+def test_auc_workload_at_seed_7_keeps_its_non_oracle_columns_and_final_point(tmp_path):
+    preset, overrides, _ = WORKLOADS["auc-imbalanced"]
+    csv, trace = _emit(preset, overrides, tmp_path, with_hash=True, seed=7)
+    _check_auc_non_oracle(("workload", 7), csv)
+    _check_auc_workload_final(7, trace)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_workload_digest(name, tmp_path, monkeypatch):
     preset, overrides, digest = WORKLOADS[name]
-    assert _csv_digest(preset, overrides, tmp_path, with_hash=True) == digest
+    csv, trace = _emit(preset, overrides, tmp_path, with_hash=True)
+    if name == "auc-imbalanced":
+        _check_auc_non_oracle(("workload", 1), csv)
+        _check_auc_workload_final(1, trace)
+    assert _sha(csv) == digest
     # `fedmm run` itself, in a fresh working directory and with the preset's
     # own [output] section (an --output.* override would change the config
     # hash), writes the same seed-1 CSV

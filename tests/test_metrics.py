@@ -606,10 +606,9 @@ class TestTraceTable:
 
     def test_one_run_peaks_under_768_kb(self):
         # The recorder's stacked calls at a chunk's 25 steps make the largest
-        # temporaries of an auc-imbalanced run: about 400 KB in each of
-        # y_star and global_value, about 390 KB in grad_full_all, whose
-        # kernel takes the point blocks in budgeted pieces; the run peaks at
-        # about 740 KB.
+        # temporaries of an auc-imbalanced run: about 395 KB in global_value,
+        # which sets the peak of about 742 KB; grad_full_all, from the
+        # clients' Hessians, holds about 100 KB and y_star about 5 KB.
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         gc.collect()

@@ -7,7 +7,9 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 import fedminimax as fm
+from fedminimax.config import apply_overrides
 from fedminimax.core import row_dots
+from fedminimax.presets import load_preset
 from fedminimax.problems import base
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
 from fedminimax.theory import (
@@ -237,6 +239,24 @@ class TestGlobalConsistency:
             assert np.allclose(gy, fd_grad(lambda z: inst.global_value(x, z), y), atol=1e-5)
 
 
+def _auc_preset_instance(seed, scheme):
+    """The auc-imbalanced preset's instance at a seed and split, with the
+    final point of the workload run at that seed (by_group only)."""
+    from test_golden_traces import AUC_WORKLOAD_FINAL  # it imports this module, through test_theory
+
+    cfg = apply_overrides(load_preset("auc-imbalanced"), {"problem.scheme": scheme})
+    return cfg.build_problem(seed), AUC_WORKLOAD_FINAL[seed] if scheme == "by_group" else None
+
+
+AUC_ACCURACY_CASES = {
+    **{f"auc-imbalanced seed={seed} {scheme}": (lambda seed=seed, scheme=scheme: _auc_preset_instance(seed, scheme))
+       for seed in (1, 7) for scheme in ("by_group", "dirichlet")},
+    **{f"dim=1 {scheme}": (lambda scheme=scheme: (fm.AucProblem(K=5, dim=1, n_per_client=33, pos_ratio=0.3, seed=5,
+                                                                 scheme=scheme), None))
+       for scheme in ("by_group", "iid")},
+}
+
+
 class TestAuc:
     def test_mu_values(self):
         inst = fm.AucProblem(K=2, dim=4, n_per_client=20, pos_ratio=0.05, seed=1)
@@ -330,6 +350,21 @@ class TestAuc:
                 accy += sy
             assert np.linalg.norm(accx / n - gx) < 1e-10
             assert np.linalg.norm(accy / n - gy) < 1e-10
+
+    @pytest.mark.parametrize("case", sorted(AUC_ACCURACY_CASES))
+    def test_exact_oracle_is_accurate_against_a_long_double_per_item_reference(self, case):
+        # every client row at random points of four scales, each client its
+        # own point, and at a run's final point (the auc-imbalanced workload
+        # config's at that seed) and that point scaled; a row's error is
+        # divided by max(1, |g_ref|, |x|, |y|), each the largest entry
+        inst, final = AUC_ACCURACY_CASES[case]()
+        rng = np.random.default_rng(89)
+        points = [(scale * rng.standard_normal((5 * inst.K, inst.d)), scale * rng.standard_normal((5 * inst.K, 1)))
+                  for scale in (1e-3, 1.0, 1e3, 1e6)]
+        if final is not None:
+            x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
+            points += [(np.tile(c * x, (inst.K, 1)), np.tile(c * y, (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
+        assert _auc_oracle_error(inst, points) < 1e-13
 
 
 class TestRobust:
@@ -431,16 +466,50 @@ def _plain_grad_robust(inst, k, x, y):
 
 
 def _plain_grad_auc(inst, k, x, y):
-    """Client k's exact gradient written as a plain one-client formula."""
-    w, a, b, alpha = x[: inst.dim], float(x[inst.dim]), float(x[inst.dim + 1]), float(y[0])
-    X, pos, pr = inst.clients_X[k], inst.clients_y[k] > 0, inst.pos_ratio
-    h = X @ w
+    """Client k's exact gradient written as a plain one-client formula: its
+    Hessian times (x, y) plus its gradient at 0 (the module docstring's H_k
+    and g_k), from its class moments weighted by c+ and c-."""
+    dim, pr, X, pos = inst.dim, inst.pos_ratio, inst.clients_X[k], inst.clients_y[k] > 0
+    c_pos, c_neg = np.where(pos, 2 * (1 - pr) / len(X), 0.0), np.where(pos, 0.0, 2 * pr / len(X))
+    s_pos, s_neg = c_pos @ X, c_neg @ X
+    u = s_neg - s_pos
+    H = np.zeros((dim + 3, dim + 3))
+    H[:dim, :dim] = X.T @ ((c_pos + c_neg)[:, None] * X)
+    H[:dim, dim] = H[dim, :dim] = -s_pos
+    H[:dim, dim + 1] = H[dim + 1, :dim] = -s_neg
+    H[:dim, -1] = H[-1, :dim] = u
+    H[dim, dim], H[dim + 1, dim + 1], H[-1, -1] = c_pos.sum(), c_neg.sum(), -2 * pr * (1 - pr)
+    g = H @ np.concatenate([x, y]) + np.concatenate([u, np.zeros(3)])
+    return g[:-1], g[-1:]
+
+
+def _long_double_grad_auc(inst, k, x, y):
+    """Client k's exact gradient in np.longdouble, item by item: the per-item
+    gradients of the module docstring's objective, then their mean."""
+    ld = np.longdouble
+    X, pos, pr = inst.clients_X[k].astype(ld), inst.clients_y[k] > 0, ld(inst.pos_ratio)
+    w, a, b, alpha = x[: inst.dim].astype(ld), ld(x[inst.dim]), ld(x[inst.dim + 1]), ld(y[0])
+    h = np.array([sum((xi * w).tolist(), ld(0)) for xi in X])
     coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
                     2 * pr * (h - b) + 2 * (1 + alpha) * pr)
-    ga = float(np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean())
-    gb = float(np.where(pos, 0.0, -2 * pr * (h - b)).mean())
-    galpha = float(np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean()) - 2 * pr * (1 - pr) * alpha
-    return np.concatenate([(coef[:, None] * X).mean(axis=0), [ga, gb]]), np.array([galpha])
+    terms = np.column_stack([coef[:, None] * X, np.where(pos, -2 * (1 - pr) * (h - a), 0),
+                             np.where(pos, 0, -2 * pr * (h - b)),
+                             np.where(pos, -2 * (1 - pr) * h, 2 * pr * h) - 2 * pr * (1 - pr) * alpha])
+    return terms.sum(axis=0) / len(X)
+
+
+def _auc_oracle_error(inst, points):
+    """The largest error of grad_full_all's client rows at the stacked
+    points against _long_double_grad_auc, each row's divided by
+    max(1, |g_ref|, |x|, |y|) (largest entries)."""
+    worst = 0.0
+    for X, Y in points:
+        GX, GY = inst.grad_full_all(X, Y)
+        for i, (x, y) in enumerate(zip(X, Y)):
+            ref = _long_double_grad_auc(inst, i % inst.K, x, y)
+            err = np.abs(np.concatenate([GX[i], GY[i]]).astype(np.longdouble) - ref).max()
+            worst = max(worst, float(err / max(1.0, float(np.abs(ref).max()), np.abs(x).max(), abs(y[0]))))
+    return worst
 
 
 def _plain_value_synthetic(inst, k, x, y):
@@ -559,23 +628,6 @@ def _plain_stoch_auc(inst, k, x, y, item):
     return np.concatenate([gw, [ga, gb]]), np.array([galpha])
 
 
-def _mean_kernel_auc(inst, Xs, labs, X, Y):
-    """AucProblem._grad_block as it was written with ndarray.mean(axis=1)
-    and one reduction per scalar column."""
-    dim = inst.dim
-    W, a, b, alpha = X[:, :dim], X[:, dim:dim + 1], X[:, dim + 1:], Y
-    h = np.matmul(Xs, W[:, :, None])[:, :, 0]
-    pos = labs > 0
-    pr = inst.pos_ratio
-    coef = np.where(pos, 2 * (1 - pr) * (h - a) - 2 * (1 + alpha) * (1 - pr),
-                    2 * pr * (h - b) + 2 * (1 + alpha) * pr)
-    gw = (coef[:, :, None] * Xs).mean(axis=1)
-    ga = np.where(pos, -2 * (1 - pr) * (h - a), 0.0).mean(axis=1)
-    gb = np.where(pos, 0.0, -2 * pr * (h - b)).mean(axis=1)
-    galpha = np.where(pos, -2 * (1 - pr) * h, 2 * pr * h).mean(axis=1) - 2 * pr * (1 - pr) * alpha[:, 0]
-    return np.column_stack([gw, ga, gb]), galpha[:, None]
-
-
 def _mean_kernel_robust(inst, Xs, labs, X, Y):
     """RobustProblem._grad_block as it was written with ndarray.mean(axis=1)."""
     z = np.matmul(Xs, X[:, :, None])[:, :, 0] + np.matmul(X[:, None, :], Y[:, :, None])[:, :, 0]
@@ -583,9 +635,6 @@ def _mean_kernel_robust(inst, Xs, labs, X, Y):
     GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
     GY = s.mean(axis=1)[:, None] * X
     return GX, GY
-
-
-MEAN_KERNELS = {"auc": _mean_kernel_auc, "robust": _mean_kernel_robust}
 
 
 STACKED_CASES = {
@@ -680,15 +729,13 @@ class TestStackedOracle:
                     for s in range(S):
                         assert _same_bits(Y_star[s], inst.y_star(X[s]))
 
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_gradient_kernel_equals_its_mean_form_bitwise(self, case):
-        # np.add.reduce(..., axis) / n is what mean computes, and the AUC
-        # scalar columns reduced as one (3, ..., B, n) stack keep each row's
-        # own pairwise sum; at 200 random points per scale: one-item blocks
-        # (a local step's), each size block's whole datasets, and those under
-        # a leading axis (the exact oracle on stacked K-row blocks)
+        # np.add.reduce(..., axis) / n is what mean computes; at 200 random
+        # points per scale: one-item blocks (a local step's), each size
+        # block's whole datasets, and those under a leading axis (the exact
+        # oracle on stacked K-row blocks)
         inst = STACKED_CASES[case]()
-        plain = MEAN_KERNELS[inst.name]
         rng = np.random.default_rng(67)
         pool_X, pool_y = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
         for scale in (1e-3, 1.0, 1e3):
@@ -696,32 +743,17 @@ class TestStackedOracle:
             Xs, labs = pool_X[rows][:, None, :], pool_y[rows][:, None]
             X = scale * rng.standard_normal((200, inst.d))
             Y = scale * rng.standard_normal((200, inst.p))
-            for got, want in zip(inst._grad_block(Xs, labs, X, Y), plain(inst, Xs, labs, X, Y)):
+            for got, want in zip(inst._grad_block(Xs, labs, X, Y), _mean_kernel_robust(inst, Xs, labs, X, Y)):
                 assert _same_bits(got, want)
             for _, Xs, labs in inst._blocks:
                 X = scale * rng.standard_normal((3, len(Xs), inst.d))
                 Y = scale * rng.standard_normal((3, len(Xs), inst.p))
                 GX, GY = inst._grad_block(Xs, labs, X, Y)
                 for i in range(3):
-                    want_x, want_y = plain(inst, Xs, labs, X[i], Y[i])
+                    want_x, want_y = _mean_kernel_robust(inst, Xs, labs, X[i], Y[i])
                     assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
 
-    @pytest.mark.parametrize("scheme", ["by_group", "iid"])
-    def test_auc_gradient_kernel_at_dim_1_equals_its_mean_form_bitwise(self, scheme):
-        # at dim = 1 the (P, B, n, 1) product's sum over the items is
-        # pairwise, not in item order, so the item-major form does not apply
-        inst = fm.AucProblem(K=5, dim=1, n_per_client=33, pos_ratio=0.3, seed=5, scheme=scheme)
-        rng = np.random.default_rng(83)
-        for scale in (1e-3, 1.0, 1e3):
-            for _, Xs, labs in inst._blocks:
-                X = scale * rng.standard_normal((4, len(Xs), inst.d))
-                Y = scale * rng.standard_normal((4, len(Xs), inst.p))
-                GX, GY = inst._grad_block(Xs, labs, X, Y)
-                for i in range(4):
-                    want_x, want_y = _mean_kernel_auc(inst, Xs, labs, X[i], Y[i])
-                    assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
-
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_row_kernel_equals_the_gradient_kernel_on_one_item_blocks_bitwise(self, case):
         # grad_stoch_rows' row kernel skips the sums over one item, which add
         # the item to 0.0 and so turn -0.0 into +0.0: at points made of
@@ -877,7 +909,7 @@ class TestStackedOracle:
                 gx, gy = inst.grad_full_all(X[rows], Y[rows])
                 assert np.array_equal(GX[rows], gx) and np.array_equal(GY[rows], gy)
 
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if not c.startswith("synthetic")))
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_exact_oracle_in_pieces_equals_one_unsplit_call_bitwise(self, case, monkeypatch):
         # grad_full_all bounds its kernel's temporaries by taking the point
         # blocks of each size block in pieces; on ragged splits each size
