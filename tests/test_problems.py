@@ -366,6 +366,24 @@ class TestAuc:
             points += [(np.tile(c * x, (inst.K, 1)), np.tile(c * y, (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
         assert _auc_oracle_error(inst, points) < 1e-13
 
+    @pytest.mark.parametrize("case", sorted(AUC_ACCURACY_CASES))
+    def test_y_star_is_accurate_against_a_long_double_per_item_reference(self, case):
+        # eight random points of each of four scales stacked in one call, and
+        # a run's final point at four scales in another; a point's error is
+        # divided by max(1, |alpha_ref|, |x|), the largest entry of x
+        inst, final = AUC_ACCURACY_CASES[case]()
+        rng = np.random.default_rng(97)
+        points = [scale * rng.standard_normal((8, inst.d)) for scale in (1e-3, 1.0, 1e3, 1e6)]
+        if final is not None:
+            x = np.array([float.fromhex(v) for v in final[0]])
+            points.append(np.stack([c * x for c in (1.0, 1e-3, 1e3, 1e6)]))
+        worst = 0.0
+        for X in points:
+            for x, alpha in zip(X, inst.y_star(X)):
+                ref = _long_double_y_star_auc(inst, x)
+                worst = max(worst, float(abs(alpha[0] - ref) / max(1.0, float(abs(ref)), np.abs(x).max())))
+        assert worst < 1e-13
+
 
 class TestRobust:
     def test_zero_perturbation_reduces_to_plain_logistic(self, robust_inst):
@@ -496,6 +514,17 @@ def _long_double_grad_auc(inst, k, x, y):
                              np.where(pos, 0, -2 * pr * (h - b)),
                              np.where(pos, -2 * (1 - pr) * h, 2 * pr * h) - 2 * pr * (1 - pr) * alpha])
     return terms.sum(axis=0) / len(X)
+
+
+def _long_double_y_star_auc(inst, x):
+    """The inner maximizer alpha*(w) in np.longdouble, item by item: the mean
+    over clients of each client's mean per-item alpha term, over 2p(1-p)."""
+    ld = np.longdouble
+    pr, w, total = ld(inst.pos_ratio), x[: inst.dim].astype(ld), ld(0)
+    for X, labs in zip(inst.clients_X, inst.clients_y):
+        h = np.array([sum((xi * w).tolist(), ld(0)) for xi in X.astype(ld)])
+        total += np.where(labs > 0, -2 * (1 - pr) * h, 2 * pr * h).sum() / len(X)
+    return total / inst.K / (2 * pr * (1 - pr))
 
 
 def _auc_oracle_error(inst, points):
