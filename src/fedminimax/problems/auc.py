@@ -17,6 +17,9 @@ gradient at 0, g_k = (u_k, 0, 0, 0). With c+ = 2(1-p)/n_k, c- = 2p/n_k and
 u_k = c- s- - c+ s+, H_k has rows [c+ M+ + c- M-, -c+ s+, -c- s-, u_k],
 [-c+ s+', c+ n+, 0, 0], [-c- s-', 0, c- n-, 0] and [u_k', 0, 0, -2p(1-p)].
 
+The stochastic rows, the objective and L_f take no branch on a label: they
+read each item's constants from a table made once (_item_table).
+
 The generated dataset is linearly separable along a hidden direction with
 unit Gaussian noise. Items are grouped into 2K feature clusters whose
 centers are orthogonal to the separating direction; the default by_group
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Vector, index_sum
+from ..core import Vector, index_sum, row_dots
 from ..federation import partition
 from .base import DatasetProblem, Unconstrained
 
@@ -56,6 +59,8 @@ class AucProblem(DatasetProblem):
             raise ValueError("K, dim and n_per_client must be >= 1")
         if not 0.0 < self.pos_ratio < 1.0:
             raise ValueError(f"pos_ratio must lie in (0, 1), got {self.pos_ratio}")
+        if max(1, round(self.pos_ratio * self.n_test)) >= self.n_test:  # _draw's positives
+            raise ValueError(f"n_test={self.n_test} leaves the held-out set without both classes")
         self.d = self.dim + 2  # (w, a, b)
         self.p = 1  # alpha
         self.y_constraint = Unconstrained()
@@ -76,8 +81,8 @@ class AucProblem(DatasetProblem):
         its class moments weighted by c+ on a positive item, c- on a negative."""
         pr, dim, d = self.pos_ratio, self.dim, self.d
         H, g = np.zeros((self.K, d + 1, d + 1)), np.zeros((self.K, d + 1))
-        for ks, Xs, labs in self._blocks:
-            pos, n = labs > 0, labs.shape[1]
+        for ks, Xs, table in self._blocks:
+            pos, n = table[5] == dim, table.shape[-1]
             c_pos, c_neg = np.where(pos, 2 * (1 - pr) / n, 0.0), np.where(pos, 0.0, 2 * pr / n)
             s_pos, s_neg = np.matmul(c_pos[:, None], Xs)[:, 0], np.matmul(c_neg[:, None], Xs)[:, 0]
             H[ks, :dim, :dim] = np.matmul(Xs.transpose(0, 2, 1), (c_pos + c_neg)[..., None] * Xs)
@@ -110,44 +115,47 @@ class AucProblem(DatasetProblem):
         )
         return X, labels, groups
 
-    def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+    def _item_table(self, labels: np.ndarray) -> np.ndarray:
+        """Each item's branch constants (6, *labels.shape), from its class's
+        q = 1-p (positive) or p (negative): q, 2q, -+q, -2q, -+2q, and the
+        column of its e = a or b (dim or dim+1), signs - for a positive."""
+        pos = labels > 0
+        q, sign = np.where(pos, 1 - self.pos_ratio, self.pos_ratio), np.where(pos, -1.0, 1.0)
+        return np.stack([q, 2 * q, sign * q, -2 * q, sign * (2 * q), np.where(pos, self.dim, self.dim + 1)])
+
+    def _value_block(self, Xs: np.ndarray, table: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+        # q (h - e)^2 + ((2(1+alpha)) (-+q)) h - p(1-p) alpha^2: f's products
+        # in their order (a - c m as a + c (-m)), in three temporaries.
         dim, pr = self.dim, self.pos_ratio
-        a, b, alpha = x[..., dim, None, None], x[..., dim + 1, None, None], y[..., 0, None, None]
+        q, _, c_q, _, _, col = table
+        alpha = y[..., 0, None, None]
         # alpha**2 on Python floats: libm pow, which an array's **2 (x*x)
         # does not reproduce bit for bit.
         alpha_sq = np.array([v**2 for v in alpha.ravel().tolist()]).reshape(alpha.shape)
         h = np.matmul(Xs, x[..., None, :dim, None])[..., 0]
-        vals = np.where(
-            labs > 0,
-            (1 - pr) * (h - a) ** 2 - 2 * (1 + alpha) * (1 - pr) * h,
-            pr * (h - b) ** 2 + 2 * (1 + alpha) * pr * h,
-        )
-        return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
-
-    def _item_terms(
-        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """Per-item gradient terms (R, 1) of the one-item datasets Xs (R, 1,
-        dim) with labels labs (R, 1), at points X (R, d) and Y (R, 1): the w
-        coefficient and the a, b and alpha terms of each item."""
-        dim, pr = self.dim, self.pos_ratio
-        h = np.matmul(Xs, X[..., :dim, None])[..., 0]
-        pos = labs > 0
-        ha, hb, c = h - X[..., dim:dim + 1], h - X[..., dim + 1:], 2 * (1 + Y)
-        return (
-            np.where(pos, 2 * (1 - pr) * ha - c * (1 - pr), 2 * pr * hb + c * pr),
-            np.where(pos, -2 * (1 - pr) * ha, 0.0),
-            np.where(pos, 0.0, -2 * pr * hb),
-            np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
-        )
+        vals = np.multiply(2 * (1 + alpha), c_q, out=np.empty(np.broadcast_shapes(h.shape, alpha.shape)))
+        np.multiply(vals, h, out=vals)
+        sq = np.subtract(h, x[..., col.astype(np.intp)], out=h)
+        np.add(np.multiply(q, np.square(sq, out=sq), out=sq), vals, out=vals)
+        vals -= pr * (1 - pr) * alpha_sq
+        return vals.mean(axis=-1)
 
     def _grad_rows(
-        self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
+        self, x_items: np.ndarray, table: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        # + 0.0 turns -0.0 into +0.0: bits that the golden traces pin
-        pr = self.pos_ratio
-        coef, ga, gb, gh = self._item_terms(x_items[:, None, :], labels, X, Y)
-        return np.concatenate([coef * x_items, ga, gb], axis=1) + 0.0, (gh + 0.0) - 2 * pr * (1 - pr) * Y
+        # With t = h - e: the w coefficient 2q t + c (-+q), c = 2(1+alpha),
+        # -2q t in e's column and (-+2q) h for alpha. + 0.0 turns -0.0 into
+        # +0.0: bits that the golden traces pin.
+        dim, pr = self.dim, self.pos_ratio
+        _, two_q, c_q, c_e, c_alpha, col = table
+        h = np.matmul(x_items[:, None, :], X[:, :dim, None])[:, 0, 0]
+        rows, col = np.arange(len(X)), col.astype(np.intp)
+        t = h - X[rows, col]
+        GX = np.zeros(X.shape)
+        np.multiply((two_q * t + (2 * (1 + Y[:, 0])) * c_q)[:, None], x_items, out=GX[:, :dim])
+        GX[rows, col] = c_e * t
+        GX += 0.0
+        return GX, ((c_alpha * h + 0.0) - 2 * pr * (1 - pr) * Y[:, 0])[:, None]
 
     def _affine_grads(self, ks: slice, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H_k z + g_k of the clients ks at points X (..., B, d), Y (..., B, 1):
@@ -176,22 +184,19 @@ class AucProblem(DatasetProblem):
 
     @property
     def lipschitz_L_f(self) -> float:
-        """Max spectral norm of the (constant) per-sample Hessians, one
-        batched eigvalsh over each client's (n_k, d+1, d+1) Hessian stack."""
-        pr, dim, nv = self.pos_ratio, self.dim, self.d + self.p
-        worst = 0.0
-        for Xk, labk in zip(self.clients_X, self.clients_y):
-            pos = labk > 0
-            # u = (x_i, -1, 0) for a positive item, (x_i, 0, -1) for a negative one.
-            U = np.zeros((len(Xk), nv))
-            U[:, :dim] = Xk
-            U[pos, dim] = -1.0
-            U[~pos, dim + 1] = -1.0
-            cross = np.where(pos, -2 * (1 - pr), 2 * pr)[:, None] * Xk
-            H = np.zeros((len(Xk), nv, nv))
-            H += np.where(pos, 2 * (1 - pr), 2 * pr)[:, None, None] * (U[:, :, None] * U[:, None, :])
-            H[:, :dim, -1] += cross
-            H[:, -1, :dim] += cross
-            H[:, -1, -1] += -2 * pr * (1 - pr)
-            worst = max(worst, float(np.abs(np.linalg.eigvalsh(H)).max()))
-        return worst
+        """Max spectral norm of the (constant) per-item Hessians, from one
+        batched eigvalsh over a 3 x 3 block per item.
+
+        Item i's Hessian is c u u' + s (v e' + e v') - 2p(1-p) e e', with
+        v = (x_i, 0, 0, 0), u = v - e_ab, e_ab the axis of its a or b and e
+        that of alpha, c = 2q and s = -+2q (its table's rows 1 and 4). It
+        vanishes off span{v, e_ab, e}; in the orthonormal frame v/r, e_ab, e,
+        r = |x_i|, it is [[c r^2, -c r, s r], [-c r, c, 0], [s r, 0, -2p(1-p)]],
+        whose eigenvalues are the Hessian's nonzero ones (at r = 0 too).
+        """
+        _, c, _, _, s, _ = self._pool_table
+        r = np.sqrt(r_sq := row_dots(self._pool_X))
+        blocks = np.zeros((len(r), 3, 3))  # eigvalsh reads the lower triangle
+        blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = c * r_sq, -c * r, c
+        blocks[:, 2, 0], blocks[:, 2, 2] = s * r, -self.mu
+        return float(np.abs(np.linalg.eigvalsh(blocks)).max())

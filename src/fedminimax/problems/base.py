@@ -130,12 +130,13 @@ class DatasetProblem(ProblemInstance):
     (clients_X[k] of shape (n_k, dim), clients_y[k] of shape (n_k,)).
 
     Clients with equal dataset sizes form one block, stored stacked as
-    (K_b, n_b, dim) features and (K_b, n_b) labels; an i.i.d. split is a
-    single block. Subclasses give the objective as a kernel over one block,
-    broadcast over the points' leading axes, and the stochastic oracle's
-    row kernel, applied to items of all items pooled in client order. The
-    exact oracle is each family's own (robust: a block kernel over the
-    items; AUC: affine in the point, with coefficients made once).
+    (K_b, n_b, dim) features and their items' (..., K_b, n_b) constants
+    (_item_table, made once: the labels, or AUC's branch coefficients); an
+    i.i.d. split is a single block. Subclasses give the objective as a
+    kernel over one block, broadcast over the points' leading axes, and the
+    stochastic oracle's row kernel, applied to items of all items pooled in
+    client order. The exact oracle is each family's own (robust: a block
+    kernel over the items; AUC: affine in the point, coefficients made once).
     """
 
     clients_X: list[np.ndarray]
@@ -146,7 +147,7 @@ class DatasetProblem(ProblemInstance):
         self.clients_X = [X[idx] for idx in plan.assignment]
         self.clients_y = [labels[idx] for idx in plan.assignment]
         pooled = np.concatenate(plan.assignment)
-        self._pool_X, self._pool_y = X[pooled], labels[pooled, None]
+        self._pool_X, self._pool_table = X[pooled], self._item_table(labels[pooled])
         self.sizes = sizes = np.array([len(idx) for idx in plan.assignment])
         self._pool_start = np.cumsum(sizes) - sizes
         self._blocks = []
@@ -155,36 +156,40 @@ class DatasetProblem(ProblemInstance):
             self._blocks.append((
                 ks,
                 np.stack([self.clients_X[k] for k in ks]),
-                np.stack([self.clients_y[k] for k in ks]),
+                self._item_table(np.stack([self.clients_y[k] for k in ks])),
             ))
 
+    def _item_table(self, labels: np.ndarray) -> np.ndarray:
+        """Items' constants (..., *labels.shape), by default their labels."""
+        return labels
+
     @abstractmethod
-    def _value_block(self, Xs: np.ndarray, labs: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
+    def _value_block(self, Xs: np.ndarray, table: np.ndarray, x: Vector, y: Vector) -> np.ndarray:
         """Objectives (..., B) of B clients with datasets Xs (B, n, dim) and
-        labels labs (B, n), at points x (..., d) and y (..., p) that every
-        client shares."""
+        item table (..., B, n), at points x (..., d) and y (..., p) that
+        every client shares."""
 
     @abstractmethod
     def _grad_rows(
-        self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
+        self, x_items: np.ndarray, table: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Partial gradients of R items x_items (R, dim) with labels (R, 1),
-        one row each, at points X (R, d) and Y (R, p)."""
+        """Partial gradients of R items x_items (R, dim) with item table
+        (..., R), one row each, at points X (R, d) and Y (R, p)."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
         # x and y broadcast against each other over their leading axes: the
         # robust family's PL probe passes x's (P, 1, d) against y's (P, 8, p),
         # and ascend_y x's (S, 1, d) against their endpoints (S, 2, p).
         out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (self.K,))
-        for ks, Xs, labs in self._blocks:
-            out[..., ks] = self._value_block(Xs, labs, x, y)
+        for ks, Xs, table in self._blocks:
+            out[..., ks] = self._value_block(Xs, table, x, y)
         return out
 
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         rows = self._pool_start[ks] + items
-        return self._grad_rows(self._pool_X.take(rows, axis=0), self._pool_y.take(rows, axis=0), X, Y)
+        return self._grad_rows(self._pool_X.take(rows, axis=0), self._pool_table.take(rows, axis=-1), X, Y)
 
 
 def _check_client(inst: ProblemInstance, k: int) -> None:

@@ -46,8 +46,8 @@ class RobustProblem(DatasetProblem):
     seed: int
 
     def __post_init__(self) -> None:
-        if self.K < 1 or self.dim < 2 or self.n_per_client < 1:
-            raise ValueError("require K >= 1, dim >= 2, n_per_client >= 1")
+        if self.K < 1 or self.dim < 2 or self.n_per_client < 1 or self.n_test < 0:
+            raise ValueError("require K >= 1, dim >= 2, n_per_client >= 1, n_test >= 0")
         self.d = self.dim
         self.p = self.dim  # rho lives in feature space
         self.y_constraint = EuclideanBall(self.ball_radius)
@@ -113,7 +113,7 @@ class RobustProblem(DatasetProblem):
     def _grad_rows(
         self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        s, GY = self._slopes_and_grad_y(x_items[:, None, :], labels, X, Y)
+        s, GY = self._slopes_and_grad_y(x_items[:, None, :], labels[:, None], X, Y)
         return s * (x_items + Y) + 0.0, GY
 
     def _slopes_and_grad_y(

@@ -606,8 +606,8 @@ class TestTraceTable:
 
     def test_one_run_peaks_under_768_kb(self):
         # The recorder's stacked calls at a chunk's 25 steps make the largest
-        # temporaries of an auc-imbalanced run: about 395 KB in global_value,
-        # which sets the peak of about 742 KB; grad_full_all, from the
+        # temporaries of an auc-imbalanced run: about 303 KB in global_value,
+        # which sets the peak of about 648 KB; grad_full_all, from the
         # clients' Hessians, holds about 100 KB and y_star about 5 KB.
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
@@ -619,6 +619,23 @@ class TestTraceTable:
         finally:
             tracemalloc.stop()
         assert peak <= 768 * 1024, peak
+
+    def test_auc_objective_at_a_chunk_peaks_under_320_kb(self):
+        # global_value at the recorder's 25 stacked points: three (25, K_b,
+        # n_b) temporaries and numpy's 64 KB buffers of broadcast operands,
+        # about 303 KB; both branches of every item under np.where took 396 KB
+        cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "400"})
+        problem = cfg.build_problem(1)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((25, problem.d)), rng.standard_normal((25, problem.p))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            problem.global_value(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 320 * 1024, peak
 
     def test_one_robust_run_peaks_under_768_kb(self):
         # robust-q6's largest temporaries are grad_full_all's: its kernel

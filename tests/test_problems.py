@@ -270,6 +270,14 @@ class TestAuc:
         with pytest.raises(ValueError):
             fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=0.0, seed=0)
 
+    def test_held_out_set_needs_both_classes(self):
+        for n_test, pos_ratio in ((-1, 0.05), (0, 0.05), (1, 0.05), (1, 0.5), (10, 0.96)):
+            with pytest.raises(ValueError, match=f"n_test={n_test} "):
+                fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=pos_ratio, n_test=n_test, seed=0)
+        for n_test, pos_ratio in ((2, 0.05), (2, 0.7), (10, 0.94)):
+            inst = fm.AucProblem(K=10, dim=4, n_per_client=10, pos_ratio=pos_ratio, n_test=n_test, seed=0)
+            assert set(inst.test_y.tolist()) == {-1.0, 1.0}
+
     def test_per_sample_gradient_closed_form(self, auc_inst):
         inst = auc_inst
         # one labeled sample at w=0, a=b=0, alpha=0
@@ -386,6 +394,11 @@ class TestAuc:
 
 
 class TestRobust:
+    def test_held_out_size_is_at_least_zero(self):
+        with pytest.raises(ValueError, match="n_test >= 0"):
+            fm.RobustProblem(K=2, dim=4, n_per_client=10, n_test=-1, seed=0)
+        assert fm.RobustProblem(K=2, dim=4, n_per_client=10, n_test=0, seed=0).test_y.shape == (0,)
+
     def test_zero_perturbation_reduces_to_plain_logistic(self, robust_inst):
         inst = robust_inst
         rng = np.random.default_rng(8)
@@ -666,6 +679,81 @@ def _mean_kernel_robust(inst, Xs, labs, X, Y):
     return GX, GY
 
 
+def _where_item_terms(inst, Xs, labs, X, Y):
+    """Per-item AUC gradient terms (R, 1), the w coefficient and the a, b
+    and alpha terms, from both branches of every item, then np.where on
+    its label."""
+    dim, pr = inst.dim, inst.pos_ratio
+    h = np.matmul(Xs, X[..., :dim, None])[..., 0]
+    pos = labs > 0
+    ha, hb, c = h - X[..., dim:dim + 1], h - X[..., dim + 1:], 2 * (1 + Y)
+    return (
+        np.where(pos, 2 * (1 - pr) * ha - c * (1 - pr), 2 * pr * hb + c * pr),
+        np.where(pos, -2 * (1 - pr) * ha, 0.0),
+        np.where(pos, 0.0, -2 * pr * hb),
+        np.where(pos, -2 * (1 - pr) * h, 2 * pr * h),
+    )
+
+
+def _where_grad_rows(inst, x_items, labels, X, Y):
+    """The reference for AucProblem._grad_rows: the branch terms, on labels (R, 1)."""
+    pr = inst.pos_ratio
+    coef, ga, gb, gh = _where_item_terms(inst, x_items[:, None, :], labels, X, Y)
+    return np.concatenate([coef * x_items, ga, gb], axis=1) + 0.0, (gh + 0.0) - 2 * pr * (1 - pr) * Y
+
+
+def _where_value_block(inst, Xs, labs, x, y):
+    """The reference for AucProblem._value_block: both branches of every
+    item, then np.where on its label in labs (B, n)."""
+    dim, pr = inst.dim, inst.pos_ratio
+    a, b, alpha = x[..., dim, None, None], x[..., dim + 1, None, None], y[..., 0, None, None]
+    alpha_sq = np.array([v**2 for v in alpha.ravel().tolist()]).reshape(alpha.shape)
+    h = np.matmul(Xs, x[..., None, :dim, None])[..., 0]
+    vals = np.where(
+        labs > 0,
+        (1 - pr) * (h - a) ** 2 - 2 * (1 + alpha) * (1 - pr) * h,
+        pr * (h - b) ** 2 + 2 * (1 + alpha) * pr * h,
+    )
+    return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
+
+
+def _same_bits_or_both_nan(a, b):
+    """Equal bits where either is a number; any NaN against any NaN.
+
+    Of two NaN operands, numpy's add and multiply pass the first in some
+    SIMD lanes and the second in others (on an AVX-512 build of numpy 2.4,
+    12 -NaN + 12 +NaN give eight -NaN, then four +NaN), so a - c m and the
+    branch-free a + c (-m) may pass different NaNs when both terms are NaN."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and bool(((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))).all())
+
+
+# Signed zeros, infinities, NaNs of both signs and 1e300; alpha takes no
+# +-1e300, whose square as a Python float raises OverflowError (both forms).
+_EDGE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300])
+
+
+def _auc_edge_points(inst, rng, n, sides, alpha_big=True):
+    """n points X (n, d), Y (n, 1) at a random scale, about 15% of the
+    entries of each side named in sides ("x", "y") set to edge entries."""
+    X = 10.0 ** rng.integers(-3, 7) * rng.standard_normal((n, inst.d))
+    Y = 10.0 ** rng.integers(-3, 4) * rng.standard_normal((n, 1))
+    for side, A in (("x", X), ("y", Y)):
+        if side in sides:
+            entries = _EDGE_ENTRIES if side == "x" or alpha_big else _EDGE_ENTRIES[:6]
+            hit = rng.random(A.shape) < 0.15
+            A[hit] = rng.choice(entries, size=int(hit.sum()))
+    return X, Y
+
+
+def _auc_with_zero_items(inst, every):
+    """inst with every item, or only its first (client 0's first, which
+    starts the pool), at x_i = 0."""
+    for A in (*inst.clients_X, inst._pool_X) if every else (inst.clients_X[0][:1], inst._pool_X[:1]):
+        A[:] = 0.0
+    return inst
+
+
 STACKED_CASES = {
     "synthetic": lambda: fm.SyntheticProblem(K=7, dim=5, s=1.0, tau=10.0, seed=4),
     "auc-iid": lambda: fm.AucProblem(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
@@ -676,6 +764,10 @@ STACKED_CASES = {
     "robust-dirichlet": lambda: fm.RobustProblem(K=8, dim=10, n_per_client=30, seed=1, scheme="dirichlet"),
 }
 RAGGED_CASES = ("auc-by_group", "auc-dirichlet", "robust-by_group", "robust-dirichlet")
+AUC_KERNEL_CASES = {
+    **{case: STACKED_CASES[case] for case in ("auc-iid", "auc-by_group", "auc-dirichlet")},
+    "auc-dim=1": lambda: fm.AucProblem(K=5, dim=1, n_per_client=33, pos_ratio=0.3, seed=5),
+}
 PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
 PLAIN_VALUE = {"synthetic": _plain_value_synthetic, "auc": _plain_value_auc, "robust": _plain_value_robust}
 PLAIN_STOCH = {"synthetic": _plain_stoch_synthetic, "auc": _plain_stoch_auc, "robust": _plain_stoch_robust}
@@ -805,7 +897,7 @@ class TestStackedOracle:
                         A[hit] = rng.choice(specials, size=int(hit.sum()))
                 with np.errstate(all="ignore"):
                     past_709 += int((np.abs(row_dots(x_items, X[:, :inst.dim])) > 709).sum())
-                    got = inst._grad_rows(x_items, labels, X, Y)
+                    got = inst._grad_rows(x_items, labels[:, 0], X, Y)
                     want = inst._grad_block(x_items[:, None, :], labels, X, Y)
                 assert all(_same_bits(g, w) for g, w in zip(got, want))
         assert past_709 > 0
@@ -825,10 +917,64 @@ class TestStackedOracle:
                 X = scale * rng.standard_normal((n * inst.K, inst.d))
                 assert _same_bits(inst.grad_y_all(X, Y), inst.grad_full_all(X, Y)[1])
 
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("auc")))
-    def test_auc_lipschitz_equals_per_item_hessian_loop_bitwise(self, case):
-        inst = STACKED_CASES[case]()
-        assert inst.lipschitz_L_f == _plain_auc_L_f(inst)
+    @pytest.mark.parametrize("zeros", ["none", "first", "every"])
+    @pytest.mark.parametrize("case", sorted(AUC_KERNEL_CASES))
+    def test_auc_lipschitz_is_within_1e_13_of_the_per_item_hessian_loop(self, case, zeros):
+        # the 3 x 3 blocks' eigvalsh is not the (d+1)-square Hessians': equal
+        # within a few ulp; with x_i = 0 an item's block is diag(0, c, -mu)
+        inst = AUC_KERNEL_CASES[case]()
+        if zeros != "none":
+            _auc_with_zero_items(inst, every=zeros == "every")
+        assert inst.lipschitz_L_f == pytest.approx(_plain_auc_L_f(inst), rel=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(AUC_KERNEL_CASES))
+    def test_auc_row_kernel_equals_its_where_form_bitwise(self, case):
+        # edge entries in x, in y or in both, a tenth of the items at
+        # x_i = 0 (0 * inf is NaN), 60 rows (a SIMD tail): every bit while
+        # the non-finite entries are on one side; on both, two NaN terms can
+        # meet, and which passes is numpy's (_same_bits_or_both_nan)
+        inst = AUC_KERNEL_CASES[case]()
+        rng = np.random.default_rng(101)
+        pool_y = np.concatenate(inst.clients_y)
+        for sides in ("", "x", "y", "xy"):
+            same = _same_bits_or_both_nan if sides == "xy" else _same_bits
+            for _ in range(20):
+                ks = rng.integers(inst.K, size=60)
+                items = rng.integers(inst.sizes[ks])
+                rows = np.cumsum(inst.sizes)[ks] - inst.sizes[ks] + items
+                x_items = np.stack([inst.clients_X[k][i] for k, i in zip(ks, items)])
+                X, Y = _auc_edge_points(inst, rng, 60, sides)
+                with np.errstate(all="ignore"):
+                    got = inst.grad_stoch_rows(ks, items, X, Y)
+                    want = _where_grad_rows(inst, x_items, pool_y[rows][:, None], X, Y)
+                    assert all(same(g, w) for g, w in zip(got, want))
+                    x_items[rng.random(60) < 0.1] = 0.0
+                    got = inst._grad_rows(x_items, inst._pool_table[:, rows], X, Y)
+                    want = _where_grad_rows(inst, x_items, pool_y[rows][:, None], X, Y)
+                    assert all(same(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("case", sorted(AUC_KERNEL_CASES))
+    def test_auc_objective_kernel_equals_its_where_form_bitwise(self, case):
+        # every size block at S = 0, 1 and 25 stacked points (25: the
+        # recorder's chunk), at one unstacked point and at x (S, 1, d)
+        # against y (S, 2, 1), then with one item at x_i = 0; edge entries
+        # as in the row kernel's test
+        inst = AUC_KERNEL_CASES[case]()
+        rng = np.random.default_rng(103)
+        for sides in ("", "x", "y", "xy"):
+            same = _same_bits_or_both_nan if sides == "xy" else _same_bits
+            for S in (0, 1, 25):
+                x, y = _auc_edge_points(inst, rng, S, sides, alpha_big=False)
+                points = [(x, y), (x[:, None], np.stack([y, -y], axis=1))] + ([(x[0], y[0])] if S else [])
+                for xs, ys in points:
+                    with np.errstate(all="ignore"):
+                        vals = inst.values(xs, ys)
+                        for ks, Xs, table in inst._blocks:
+                            labs = np.stack([inst.clients_y[k] for k in ks])
+                            assert same(vals[..., ks], _where_value_block(inst, Xs, labs, xs, ys))
+                            Xs = Xs.copy()
+                            Xs[0, 0] = 0.0
+                            assert same(inst._value_block(Xs, table, xs, ys), _where_value_block(inst, Xs, labs, xs, ys))
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_robust_lipschitz_estimate_matches_per_item_hessian_loop(self, case):
