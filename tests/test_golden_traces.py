@@ -14,11 +14,12 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
   `perfbench/run.py`. They are also computed in two
   fresh processes, with OpenBLAS held to one thread and to two, along with
   the K = 100 heterogeneity probe pinned in test_theory.
-- The AUC traces above, and the auc-imbalanced workload at seed 7, without
-  the columns computed from the exact oracle, and that workload's final
-  point: pinned before the AUC exact oracle moved to class moments, which
-  re-pinned every AUC digest here, so they show that only those columns
-  moved.
+- The AUC and robust traces above, and each family's workload at seed 7,
+  without the columns computed from its exact oracle, and that workload's
+  final point: pinned before the family's exact oracle changed its
+  rounding (AUC: class moments; robust: one gemv per point), which
+  re-pinned every digest of the family here, so they show that only those
+  columns moved.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _without_oracle_columns(csv: bytes) -> bytes:
-    """The CSV without AUC_ORACLE_COLUMNS; comment lines are kept."""
+def _without_oracle_columns(family: str, csv: bytes) -> bytes:
+    """The CSV without the family's ORACLE_COLUMNS; comment lines are kept."""
+    dropped = ORACLE_COLUMNS[family]
     lines = csv.decode().splitlines()
     header = lines[0].split(",")
-    keep = [j for j, name in enumerate(header) if name not in AUC_ORACLE_COLUMNS]
-    assert len(keep) == len(header) - len(AUC_ORACLE_COLUMNS)
+    keep = [j for j, name in enumerate(header) if name not in dropped]
+    assert len(keep) == len(header) - len(dropped)
     rows = [ln if ln.startswith("#") else ",".join(ln.split(",")[j] for j in keep) for ln in lines]
     return ("\n".join(rows) + "\n").encode()
 
@@ -149,14 +151,16 @@ WORKLOADS = {
 }
 
 
-# The AUC traces without the columns computed from the exact oracle
-# (grad_full_all and y_star): est_err_x, est_err_y and grad_norm_F. These
-# digests, of the CSVs above and of the auc-imbalanced workload config at
-# seeds 1 and 7, and the float.hex of that workload's final point, were
-# computed from the per-item exact oracle, before the AUC family took its
-# exact gradients from class moments: the iterates and every other column
-# keep their bits whatever the exact oracle's rounding.
-AUC_ORACLE_COLUMNS = ("est_err_x", "est_err_y", "grad_norm_F")
+# Each family's traces without the columns computed from its exact oracle
+# (grad_full_all and, for AUC, y_star). These digests, of the CSVs above and
+# of the family's workload config at seeds 1 and 7, and the float.hex of that
+# workload's final point, were computed before the family's exact oracle
+# changed its rounding: AUC's per-item oracle before class moments, robust's
+# item-major product before one gemv per point. The iterates and every other
+# column keep their bits whatever the exact oracle's rounding. The robust
+# recorder takes est_err_y from the exact y-gradients, which the mean slope
+# times x gives in both forms, so that column stays.
+ORACLE_COLUMNS = {"auc": ("est_err_x", "est_err_y", "grad_norm_F"), "robust": ("est_err_x", "grad_norm_F")}
 AUC_NON_ORACLE = {
     ("auc-imbalanced", "fgda"): "68bea1d27be3328f40a87f8ed153e47284ae9b1c81bb963a9c97767c90724d53",
     ("auc-imbalanced", "adafgda_adam"): "3705264ffa2773a091064d084e85ab89bbeecd9d23ba87f5615cb8afa0d7d8a4",
@@ -180,16 +184,55 @@ AUC_WORKLOAD_FINAL = {
 }
 
 
-def _check_auc_non_oracle(key, csv: bytes) -> None:
+ROBUST_NON_ORACLE = {
+    ("robust-q12", "fgda"): "57e23f03f09b465060f7fb2a591db3a40e72e5e912309c6d43034601084468e8",
+    ("robust-q12", "adafgda_adam"): "86328d118313b77c7ec1fdcba998c7485b34120305198270a7001ef3f8b94126",
+    ("robust-q12", "adafgda_adabelief"): "732fdffc6854e4a9712167ee64a4df5d24b3c37a9cf495f4260166222950e0ea",
+    ("robust-q12", "local_sgda"): "54e16847fac2ae2349490cf3d2ef4f22e4b2d70e03f3fcc611691d8fc8b4b32d",
+    ("robust-q12", "momentum_local_sgda"): "f66af51d05c8f0267f345f06e78b2e84458baded6f723f52ce2a7e82b823aeea",
+    ("robust-q6", "fgda"): "19a7b35395b3101917a34d58f7a029bd8dc8056ba7813dff66a8d9b2f4976f71",
+    ("robust-q6", "adafgda_adam"): "c47e602787a550c922b7273af752b9bbbe6ed25151dd83a1c828a670bf76ad26",
+    ("robust-q6", "adafgda_adabelief"): "14ad481065a4c0334bb17f9bb7e158d5688d50ab0c6375ca7f371db3a2e92fad",
+    ("robust-q6", "local_sgda"): "bb2e72c9bc8afe297151c74a5338276de91f94481f2bbe9bf6a8b7771915d5e0",
+    ("robust-q6", "momentum_local_sgda"): "4a38675fc8cdeadb835ea9da4ba392cde0e819fd4a31c207b796586cef9a8fc7",
+    "robust-q12": "2a392210daab9e3f1c265a70150deaf1365258446d0aeaf647ef295514e56aaa",  # full T
+    "robust-q6": "b6e19afa8ff58bd7c449ac06585cc1ce1eb44d24fa673206c4364c1a6a47e140",  # full T
+    "robust-q6-dirichlet": "01c8213aadaff744cd80062dc583c3069381cdd76a4f7e91c1005866a1de4e4b",
+    ("workload", 1): "5b50092a804da3832c80985e1ff76d54fab010c094d5d18322615e5fadf9d008",
+    ("workload", 7): "4911af1da76393c873566145d6d8b4ba313e133e8c66ce2b4d4da0c4fdb35307",
+}
+ROBUST_WORKLOAD_FINAL = {
+    1: (("0x1.32aadce574625p+0", "0x1.65ebb0d8957ebp+0", "0x1.a9dfefa92ecc7p-1", "0x1.af8acb0977549p-1",
+         "0x1.aaf2d0f987789p-1", "0x1.b22a20a5cc0c0p-1", "0x1.b172051f6b69ep-1", "0x1.b204a51816a00p-1",
+         "0x1.abc8024e1edbep-1", "0x1.b2e85d28359eap-1"),
+        ("0x1.86c0b60a9e85ap-2", "0x1.b558b2fe614e9p-2", "0x1.2694bed600c42p-2", "0x1.28b8c24748d15p-2",
+         "0x1.2719c941c0fcfp-2", "0x1.2ad2a5cf383ecp-2", "0x1.2a385335fffdap-2", "0x1.294d4dda40f14p-2",
+         "0x1.271a07797d4e2p-2", "0x1.2a56e1dc32cbdp-2")),
+    7: (("0x1.6e7ef4225b9e1p+0", "0x1.41561c7d79e13p+0", "0x1.ad6512fa1cc3ap-1", "0x1.9fae294605dc6p-1",
+         "0x1.af74b24fe46a3p-1", "0x1.bac1e274a064ap-1", "0x1.b092f8718dc8cp-1", "0x1.a48c5f63f0adap-1",
+         "0x1.b443fa7438922p-1", "0x1.abfb8630e9f42p-1"),
+        ("0x1.bb062f02e49c6p-2", "0x1.8cb2452bf1365p-2", "0x1.261fca203b40dp-2", "0x1.1f7c3d46ccc20p-2",
+         "0x1.2680b31d21900p-2", "0x1.2e4848c69a91bp-2", "0x1.2978d102eb0f6p-2", "0x1.226e35c8f911cp-2",
+         "0x1.293d6738d46f2p-2", "0x1.2614976228046p-2")),
+}
+NON_ORACLE = {"auc": AUC_NON_ORACLE, "robust": ROBUST_NON_ORACLE}
+WORKLOAD_FINAL = {"auc": AUC_WORKLOAD_FINAL, "robust": ROBUST_WORKLOAD_FINAL}
+
+
+def _family(preset: str) -> str:
+    return preset.split("-")[0]
+
+
+def _check_non_oracle(family: str, key, csv: bytes) -> None:
     """Checked before the whole digest, so a moved exact oracle alone fails
     on the whole digest, and a moved iterate here."""
-    if key in AUC_NON_ORACLE:
-        assert _sha(_without_oracle_columns(csv)) == AUC_NON_ORACLE[key]
+    if key in NON_ORACLE.get(family, {}):
+        assert _sha(_without_oracle_columns(family, csv)) == NON_ORACLE[family][key]
 
 
-def _check_auc_workload_final(seed: int, trace) -> None:
+def _check_workload_final(family: str, seed: int, trace) -> None:
     got = tuple(v.hex() for v in trace.final_x), tuple(v.hex() for v in trace.final_y)
-    assert got == AUC_WORKLOAD_FINAL[seed]
+    assert got == WORKLOAD_FINAL[family][seed]
 
 
 def test_roster_is_complete():
@@ -200,14 +243,14 @@ def test_roster_is_complete():
 @pytest.mark.parametrize("preset,variant", sorted(PRESET_VARIANT))
 def test_preset_variant_digest(preset, variant, tmp_path):
     csv, _ = _emit(preset, _short(preset, variant), tmp_path)
-    _check_auc_non_oracle((preset, variant), csv)
+    _check_non_oracle(_family(preset), (preset, variant), csv)
     assert _sha(csv) == PRESET_VARIANT[(preset, variant)]
 
 
 @pytest.mark.parametrize("preset", sorted(PRESET_FULL_T))
 def test_preset_full_t_digest(preset, tmp_path):
     csv, _ = _emit(preset, {}, tmp_path)
-    _check_auc_non_oracle(preset, csv)
+    _check_non_oracle(_family(preset), preset, csv)
     assert _sha(csv) == PRESET_FULL_T[preset]
 
 
@@ -215,7 +258,7 @@ def test_preset_full_t_digest(preset, tmp_path):
 def test_ragged_partition_digest(name, tmp_path):
     preset, overrides, digest = RAGGED[name]
     csv, _ = _emit(preset, overrides, tmp_path)
-    _check_auc_non_oracle(name, csv)
+    _check_non_oracle(_family(preset), name, csv)
     assert _sha(csv) == digest
 
 
@@ -225,20 +268,38 @@ def test_auc_pins_cover_the_auc_traces():
     assert set(AUC_WORKLOAD_FINAL) == {1, 7}
 
 
-def test_auc_workload_at_seed_7_keeps_its_non_oracle_columns_and_final_point(tmp_path):
-    preset, overrides, _ = WORKLOADS["auc-imbalanced"]
+def test_robust_pins_cover_the_robust_traces():
+    robust = [key for key in PRESET_VARIANT if _family(key[0]) == "robust"]
+    full_t = [preset for preset in PRESET_FULL_T if _family(preset) == "robust"]
+    assert len(robust) == 10 and len(full_t) == 2
+    assert set(ROBUST_NON_ORACLE) == {*robust, *full_t, "robust-q6-dirichlet", ("workload", 1), ("workload", 7)}
+    assert set(ROBUST_WORKLOAD_FINAL) == {1, 7}
+    assert set(NON_ORACLE) == set(WORKLOAD_FINAL) == set(ORACLE_COLUMNS) == {"auc", "robust"}
+
+
+def _check_workload_at_seed_7(name: str, tmp_path) -> None:
+    preset, overrides, _ = WORKLOADS[name]
     csv, trace = _emit(preset, overrides, tmp_path, with_hash=True, seed=7)
-    _check_auc_non_oracle(("workload", 7), csv)
-    _check_auc_workload_final(7, trace)
+    _check_non_oracle(_family(preset), ("workload", 7), csv)
+    _check_workload_final(_family(preset), 7, trace)
+
+
+def test_auc_workload_at_seed_7_keeps_its_non_oracle_columns_and_final_point(tmp_path):
+    _check_workload_at_seed_7("auc-imbalanced", tmp_path)
+
+
+def test_robust_workload_at_seed_7_keeps_its_non_oracle_columns_and_final_point(tmp_path):
+    _check_workload_at_seed_7("robust-q6", tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_workload_digest(name, tmp_path, monkeypatch):
     preset, overrides, digest = WORKLOADS[name]
     csv, trace = _emit(preset, overrides, tmp_path, with_hash=True)
-    if name == "auc-imbalanced":
-        _check_auc_non_oracle(("workload", 1), csv)
-        _check_auc_workload_final(1, trace)
+    family = _family(preset)
+    if family in WORKLOAD_FINAL:
+        _check_non_oracle(family, ("workload", 1), csv)
+        _check_workload_final(family, 1, trace)
     assert _sha(csv) == digest
     # `fedmm run` itself, in a fresh working directory and with the preset's
     # own [output] section (an --output.* override would change the config
