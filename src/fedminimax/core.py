@@ -45,12 +45,11 @@ row:
   (K, n, dim), or the AUC clients' (K, m, m) Hessians, against (S, K, ., 1)
   points) against one call per slice: it still makes one gemv per matrix;
 - add.reduce(A, axis) / n against A.mean(axis);
-- np.add.reduce(T, axis=0) of an item-major (n, B, P, dim) product against
-  the (P, B, n, dim) product summed over axis -2, for dim >= 2: both add
-  whole rows in item order (at dim = 1 the latter sums pairwise);
+- np.matmul(S[..., None, :], Xs) of slopes S (..., B, n) and a dataset
+  block Xs (B, n, dim) against each client's s @ X: one gemv per point and
+  client (the robust exact x-gradient's X' s);
 - add.reduce over an axis of length 1 against 0.0 + A, which is A but for
-  -0.0, made +0.0 (a gradient kernel on one-item datasets against its row
-  kernel), and A / 1 against A;
+  -0.0, made +0.0, and A / 1 against A;
 - np.linalg.eigvalsh of a stacked (n, m, m) array against eigvalsh of
   each matrix, and U[:, :, None] * U[:, None, :] against np.outer(u, u).
 
@@ -66,7 +65,7 @@ rows in index order, the index-order add.accumulate elsewhere. vec_mean
 takes a stacked (K, d) array as well as a list of vectors.
 Nor is the sign of a NaN where NaNs of both signs meet in a sum: numpy's
 vector and scalar loops keep different operands' NaN, so it depends on the
-length of the rows added (the item-major sums' rows grow with P).
+length of the rows added.
 Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
 **2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
 float; np.exp on a contiguous array (its SIMD loop) and libm exp

@@ -248,9 +248,9 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
 
 
 # Client rows (K per step) the recorder measures per call. Its buffers grow
-# with them; the exact oracle bounds its own temporaries (problems.base). At
-# least two steps, since one step per call spends more on copying it into the
-# buffers than stacking saves.
+# with them; the robust exact oracle's slopes stay within base._ORACLE_ELEMENTS
+# (robust-q6's 29 blocks a call in one piece). At least two steps, since one
+# step per call spends more on copying it into the buffers than stacking saves.
 _RECORD_ROWS = 250
 
 
@@ -281,6 +281,7 @@ class TraceRecorder:
         self.sampled_t = sampled_t
         self.last = self.sampled = (None, None)
         self.n = 0  # steps recorded
+        self.overflow_t: int | None = None
         self.columns = {f.name: np.empty(T, _DTYPES.get(f.type, float)) for f in _FIELDS}
         self.has = {_FIELDS[j].name: np.zeros(T, bool) for j in _OPTIONAL}
         sp = problem.saddle()
@@ -309,7 +310,8 @@ class TraceRecorder:
 
         A non-finite entry in any step's X, Y, W or V raises
         FloatingPointError naming the first such step, before anything is
-        measured. Each metric is computed for all the steps at once, every
+        measured; overflow_t keeps the first step with a non-finite
+        objective. Each metric is computed for all the steps at once, every
         bit as one step at a time:
 
         - one index-order sum (core.index_sum: an add.reduce adding whole
@@ -338,6 +340,9 @@ class TraceRecorder:
         sync = np.flatnonzero(is_sync)
         x_bar, y_bar = index_sum(X, axis=1) / K, index_sum(Y, axis=1) / K
         x_bar[sync], y_bar[sync] = X[sync, 0], Y[sync, 0]
+        objective = problem.global_value(x_bar, y_bar)
+        if self.overflow_t is None and not np.isfinite(objective).all():
+            self.overflow_t = t[int(np.argmin(np.isfinite(objective)))]
         self.last = x_bar[-1].copy(), y_bar[-1].copy()
         if self.sampled_t in t:
             i = t.index(self.sampled_t)
@@ -377,7 +382,7 @@ class TraceRecorder:
         cols["consensus_x"][a:b] = np.sqrt(np.maximum.reduce(row_dots(X - x_bar[:, None]), axis=1))
         cols["consensus_y"][a:b][sync] = np.sqrt(np.maximum.reduce(row_dots(Y[sync] - y_bar[sync, None]), axis=1))
         has["consensus_y"][a:b] = is_sync
-        cols["objective"][a:b] = problem.global_value(x_bar, y_bar)
+        cols["objective"][a:b] = objective
         if self.x_star is not None:
             cols["dist_x_sq"][a:b] = row_dots(x_bar - self.x_star)
             cols["dist_y_sq"][a:b] = row_dots(y_bar - self.y_star)

@@ -61,6 +61,8 @@ class AucProblem(DatasetProblem):
             raise ValueError(f"pos_ratio must lie in (0, 1), got {self.pos_ratio}")
         if max(1, round(self.pos_ratio * self.n_test)) >= self.n_test:  # _draw's positives
             raise ValueError(f"n_test={self.n_test} leaves the held-out set without both classes")
+        if round(2 * self.K * self.pos_ratio) >= 2 * self.K:  # _draw's positive clusters
+            raise ValueError(f"pos_ratio={self.pos_ratio} leaves none of the 2K={2 * self.K} clusters negative")
         self.d = self.dim + 2  # (w, a, b)
         self.p = 1  # alpha
         self.y_constraint = Unconstrained()
@@ -129,9 +131,9 @@ class AucProblem(DatasetProblem):
         dim, pr = self.dim, self.pos_ratio
         q, _, c_q, _, _, col = table
         alpha = y[..., 0, None, None]
-        # alpha**2 on Python floats: libm pow, which an array's **2 (x*x)
-        # does not reproduce bit for bit.
-        alpha_sq = np.array([v**2 for v in alpha.ravel().tolist()]).reshape(alpha.shape)
+        # alpha**2 on float64 scalars: libm pow (inf where the square
+        # overflows), which an array's **2 (x*x) does not reproduce bit for bit.
+        alpha_sq = np.array([v**2 for v in alpha.ravel()]).reshape(alpha.shape)
         h = np.matmul(Xs, x[..., None, :dim, None])[..., 0]
         vals = np.multiply(2 * (1 + alpha), c_q, out=np.empty(np.broadcast_shapes(h.shape, alpha.shape)))
         np.multiply(vals, h, out=vals)
@@ -200,3 +202,4 @@ class AucProblem(DatasetProblem):
         blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = c * r_sq, -c * r, c
         blocks[:, 2, 0], blocks[:, 2, 2] = s * r, -self.mu
         return float(np.abs(np.linalg.eigvalsh(blocks)).max())
+

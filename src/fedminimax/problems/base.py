@@ -27,10 +27,9 @@ from ..core import Vector, index_sum, row_dots, vec_mean
 from ..federation import PartitionPlan
 
 
-# The largest (point blocks x clients x items x features) product that one
-# call of the robust family's gradient kernel, or of theory's PL probe,
-# makes; the recorder's chunk of steps leaves their memory bound to this.
-_ORACLE_ELEMENTS = 20_000
+# The most (points x clients x items) slopes, the largest temporaries, that
+# one call of the robust gradient kernel or of theory's PL probe makes.
+_ORACLE_ELEMENTS = 12_000
 
 
 @dataclass(frozen=True)

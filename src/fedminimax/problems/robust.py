@@ -79,68 +79,59 @@ class RobustProblem(DatasetProblem):
         return GX[0], GY[0]
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The n K-row blocks as (n, K, .), each size block's data broadcast
-        # over them, taken in pieces whose kernel temporaries hold at most
-        # base._ORACLE_ELEMENTS (blocks x K_b x n_b x dim) elements, at least
-        # one block a piece; a block's bits do not depend on the others (core).
+        # The n K-row blocks as (n, K, .), each size block's data broadcast over
+        # them in pieces of at most base._ORACLE_ELEMENTS (blocks, K_b, n_b)
+        # slopes, one block at least; a block's bits do not depend on the others.
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
         GX, GY = np.empty_like(X3), np.empty_like(Y3)
         for ks, Xs, labs in self._blocks:
-            step = max(1, base._ORACLE_ELEMENTS // Xs.size)
+            step = max(1, base._ORACLE_ELEMENTS // labs.size)
             for i in range(0, len(X3), step):
                 piece = slice(i, i + step)
                 GX[piece, ks], GY[piece, ks] = self._grad_block(Xs, labs, X3[piece, ks], Y3[piece, ks])
         return GX.reshape(X.shape), GY.reshape(Y.shape)
 
-    def _grad_block(
-        self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _grad_block(self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, ...]:
         """Exact gradients of B clients with datasets Xs (B, n, dim) and
-        labels labs (B, n), at points X (..., B, d) and Y (..., B, p);
-        _grad_rows is this kernel on one-item datasets, bitwise (see core)."""
-        B, n = labs.shape
-        X3, Y3 = X.reshape(-1, B, self.d), Y.reshape(-1, B, self.p)
-        s, GY = self._slopes_and_grad_y(Xs, labs, X3, Y3)
-        # Means over the items as a sum and one division, as mean does; the
-        # sum over an item-major (n, B, P, dim) product (see core), its terms
-        # s_i * (x_i + y) made in one temporary, s first (of two NaNs, a
-        # product keeps the first one's sign).
-        terms = np.add(np.ascontiguousarray(Xs.transpose(1, 0, 2))[:, :, None, :], Y3.transpose(1, 0, 2))
-        np.multiply(s.T[..., None], terms, out=terms)
-        GX = np.add.reduce(terms, axis=0).transpose(1, 0, 2) / n
-        return GX.reshape(X.shape), GY.reshape(Y.shape)
+        labels labs (B, n), at points X (..., B, d) and Y (..., B, p): the
+        x-gradient mean_i s_i (x_i + y) as (s' Xs) / n + m y, with m the
+        mean slope, s' Xs one gemv per point and client (see core)."""
+        s, m, GY = self._slopes_and_grad_y(Xs, labs, X, Y)
+        return np.matmul(s[..., None, :], Xs)[..., 0, :] / labs.shape[-1] + m * Y, GY
 
     def _grad_rows(
         self, x_items: np.ndarray, labels: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        s, GY = self._slopes_and_grad_y(x_items[:, None, :], labels[:, None], X, Y)
+        s, _, GY = self._slopes_and_grad_y(x_items[:, None, :], labels[:, None], X, Y)
         return s * (x_items + Y) + 0.0, GY
 
     def _slopes_and_grad_y(
         self, Xs: np.ndarray, labs: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """d loss / d z of each item, and the y-gradients, of _grad_block."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d loss / d z of each item, their mean m (..., B, 1), and the
+        y-gradients m x, of _grad_block."""
         z = np.matmul(Xs, X[..., :, None])[..., 0] + np.matmul(X[..., None, :], Y[..., :, None])[..., 0]
         # In place, as are the slopes: a label is never NaN, so a product's
         # bits do not depend on the order of its operands.
         z *= -labs
         s = expit(z)
         s *= -labs
-        return s, (np.add.reduce(s, axis=-1) / labs.shape[-1])[..., None] * X
+        m = (np.add.reduce(s, axis=-1) / labs.shape[-1])[..., None]
+        return s, m, m * X
 
     def grad_y_all(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The y-gradients of grad_full_all(X, Y), bitwise, without the
-        x-gradients' (..., n, dim) product and reduction. X (..., m K, d)
-        and Y (..., n K, p) may have leading axes, and their K-row blocks
-        broadcast against each other over those axes and the block axis, as
-        (..., m, K, .) against (..., n, K, .): a block of X that several
-        blocks of Y share (theory's PL probe: one x, 8 y's) has its products
-        with the clients' data made once, not once per block of Y."""
+        x-gradients' gemvs. X (..., m K, d) and Y (..., n K, p) may have
+        leading axes, and their K-row blocks broadcast against each other
+        over those axes and the block axis, as (..., m, K, .) against
+        (..., n, K, .): a block of X that several blocks of Y share (theory's
+        PL probe: one x, 8 y's) has its products with the clients' data made
+        once, not once per block of Y."""
         K = self.K
         X4, Y4 = X.reshape(*X.shape[:-2], -1, K, self.d), Y.reshape(*Y.shape[:-2], -1, K, self.p)
         GY = np.empty(np.broadcast_shapes(X4.shape[:-1], Y4.shape[:-1]) + (self.p,))
         for ks, Xs, labs in self._blocks:
-            GY[..., ks, :] = self._slopes_and_grad_y(Xs, labs, X4[..., ks, :], Y4[..., ks, :])[1]
+            GY[..., ks, :] = self._slopes_and_grad_y(Xs, labs, X4[..., ks, :], Y4[..., ks, :])[2]
         return GY.reshape(*GY.shape[:-3], -1, self.p)
 
 

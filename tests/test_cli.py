@@ -308,6 +308,20 @@ class TestCommands:
             assert re.search(rf"^seed {seed}: diverged: non-finite iterate or estimate at t=\d+$", err, re.M)
         assert "Traceback" not in err
 
+    def test_auc_run_whose_objective_overflows_exits_3(self, tmp_path, capsys):
+        # alpha grows past sqrt(max float) while every iterate stays finite:
+        # its libm square overflows, so the objective is non-finite
+        argv = ["run", "--preset", "auc-imbalanced", "--algorithm.variant", "fgda", "--algorithm.lambda", "100",
+                "--algorithm.t", "400", "--output.seeds", "1", "--output.csv_dir", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert re.search(r"^seed 1: diverged: non-finite objective at t=\d+$", err, re.M)
+        assert "Traceback" not in err and "OverflowError" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_diverging_seed_does_not_stop_the_others(self, tmp_path, capsys, monkeypatch):
         import fedminimax.cli as cli
 
@@ -352,6 +366,20 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_test" in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_auc_pos_ratio_without_a_negative_cluster_is_an_error_exit(self, command, tmp_path, capsys):
+        # round(2K pos_ratio) = 4 of the 4 clusters positive: refused at
+        # construction, not an IndexError or numpy's divide-by-zero warning
+        argv = [command, "--preset", "auc-imbalanced", "--problem.k", "2", "--problem.pos_ratio", "0.9",
+                "--algorithm.q", "5", "--algorithm.t", "10", "--output.csv_dir", str(tmp_path / "out")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: pos_ratio=0.9 ") and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("preset", ["auc-imbalanced", "robust-q6"])
@@ -528,6 +556,9 @@ class TestCommands:
 # probes of every shipped preset, byte for byte. The auc-imbalanced report
 # was re-pinned when its L_f moved by 4.5e-16 relative (one 3 x 3 block per
 # item); its terms moved in their last digits, its verdict and exit did not.
+# The robust probes were re-pinned when the robust exact x-gradient moved to
+# one gemv per point: unbiased's worst_gap went from 3.451e-16 to 6.783e-16,
+# still ok against 1e-10, and the exit stayed 0.
 _EMPTY = hashlib.sha256(b"").hexdigest()
 CLI_OUTPUT_PINS = {
     "--help": (0, "1cc03bae71c68e510a210d0261ad3d81a893fd8db4438ce1ff2ca9dce1f33097", _EMPTY),
@@ -542,10 +573,10 @@ CLI_OUTPUT_PINS = {
     "probe --preset auc-imbalanced --points 20":
         (0, "874179fd7eead21048303174ba559837548e9e0b1af820e04228d9db65ee04f5", _EMPTY),
     "probe --preset robust-q12 --points 20":
-        (0, "952d412447d8ea266489aeb2676d54a44c6e40adc07033b472be4191159d40d5",
+        (0, "08fa0dc04714d63e7dafe65b823bcc6191315c3898a7bf71b1954756d5b5d7a9",
          "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
     "probe --preset robust-q6 --points 20":
-        (0, "952d412447d8ea266489aeb2676d54a44c6e40adc07033b472be4191159d40d5",
+        (0, "08fa0dc04714d63e7dafe65b823bcc6191315c3898a7bf71b1954756d5b5d7a9",
          "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
     "probe --preset synthetic-s1 --points 20":
         (0, "86ad028385580cda1ef413f06f6a8b305eecb2a132cb27880c252f307a21c12b", _EMPTY),

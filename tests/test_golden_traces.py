@@ -83,16 +83,16 @@ PRESET_VARIANT = {
     ("auc-imbalanced", "adafgda_adabelief"): "f36ac8a08496ee8215ce0f831a279b64d181115dfc0dfccb0fb78e0c2eae4f43",
     ("auc-imbalanced", "local_sgda"): "e7af0fd50543632bbaf651ff8089e9207145f729873a536e89df87c7fcc1c57c",
     ("auc-imbalanced", "momentum_local_sgda"): "627becc3c744391c92ea76742ceae98a81ba1b88d11b7455aa08c3d8299afd9c",
-    ("robust-q12", "fgda"): "6ecedd77e6c9b2069649bb25ff994733e758751e4d5a2be1a3400d35606d0c13",
-    ("robust-q12", "adafgda_adam"): "27f9f4f449a996971a34493c55ed474b2c98bf26f8409c3cb31d07ed3d26e623",
-    ("robust-q12", "adafgda_adabelief"): "3f314c79c135134c60e51a93d1fec97e0b1e0aed45014059b2d935452545f18e",
-    ("robust-q12", "local_sgda"): "e8da93dbe28a23fd29c8139d329c52fb1fa25fec43572bb3f69c65b13e1b9e3a",
-    ("robust-q12", "momentum_local_sgda"): "82863778c305d13676641c73418f0a6cc238d2d2b562f29c32b50a7616c35e53",
-    ("robust-q6", "fgda"): "cee871c8149756830fb8f62d8ca1a5efd915e1717a5204e1197abc01942e076f",
-    ("robust-q6", "adafgda_adam"): "5aa1135728f77c89b60d8f39eda055962126c0a0e6b8f95d3528dff128fc5d67",
-    ("robust-q6", "adafgda_adabelief"): "ab62da684d6de4d2b909354886de43d5591af5568bbbdc5865e8b957b28429ad",
-    ("robust-q6", "local_sgda"): "65c8febf3a812b301fb1af73653efb74b240342b8f09b3aaa0db130bd7485561",
-    ("robust-q6", "momentum_local_sgda"): "19fe5b4377e82c8bf0d694b8635e6bc957d3fdf620decf8377f6380c36d6f92d",
+    ("robust-q12", "fgda"): "356075b1b4d5ee71a0ecc243a31e260fce6d2e0b1eacce92e413c849fb358824",
+    ("robust-q12", "adafgda_adam"): "6e36bd38b5366eae89599dee27ae3fcad3b01a02145f54a288443b9aefc082b9",
+    ("robust-q12", "adafgda_adabelief"): "cabf30a398e136ce3f3db2d843a9a893d4cd3f6dcacf6e5f6841bcaefd467a82",
+    ("robust-q12", "local_sgda"): "b4c4ab7bafd047a78fe8ac12f42f1b6838c4ec20ae410c291539ce6597696739",
+    ("robust-q12", "momentum_local_sgda"): "30310a72fb04d32d6ca35abf4bf5c4169261464bb607870aa34f6bd3144e5dd1",
+    ("robust-q6", "fgda"): "4ddb809750d414d61f1702961a04737851b3b5cf5b0c953b29472e8284f8a055",
+    ("robust-q6", "adafgda_adam"): "69f0de83be81b23f375ee9dfa5269fb999eec1fb19a405a30035c7a903e35443",
+    ("robust-q6", "adafgda_adabelief"): "cb863d1d6407530375c5d2e2f806ea70736d6ab548703cff69582e6482ea9c17",
+    ("robust-q6", "local_sgda"): "e142f4fc81c46cbc6aad45d8413f64b7b3013ec8ed582176114f6bd879c3d14c",
+    ("robust-q6", "momentum_local_sgda"): "1ea205014e20557fbe504a798d53ab370e75c95103516d6f4719c74b95c6c36d",
     ("synthetic-s1", "fgda"): "3f0eae4e4fb72eca6acf77d40ed09cb92161f9ee36a4331395831213f5049b87",
     ("synthetic-s1", "adafgda_adam"): "415aa9eb708d2f7c8b760a81f31ab65d5051677615fec3f55604c469c9cbd527",
     ("synthetic-s1", "adafgda_adabelief"): "f1f19da486c49a80084bf4a1d1fed9f71dca6ee55ba13d591a0fc9c4ebd8fce4",
@@ -113,8 +113,8 @@ PRESET_VARIANT = {
 # each preset at its shipped variant and full T
 PRESET_FULL_T = {
     "auc-imbalanced": "06166027573b0be09972f3d5b656b3e54642c4dfaeda478339baa4076a7f6505",
-    "robust-q12": "1432e32f7778607262449329ca783f0ed646fe911c5f020d2ed2ad39f468638a",
-    "robust-q6": "304535f104553f5b5b233fe7e87087b079cd847e4de870aec7d289cef6f7adaf",
+    "robust-q12": "138d66f1307d84d508a7c1baaf516272c7890c2d1070384d3533fe73cc04b075",
+    "robust-q6": "78351111834eb143edf8482542b7ea818aa085d55bd98dca26557ae6620ba3ca",
     "synthetic-s1": "0317327cbf4e2431305f9e75df89638ae4fae9aeffcef2071b537a64b13d7eea",
     "synthetic-s10": "cfb9a66c260b0865cc43ba94be84a8434b90667c16824aa558a9661c329e68bd",
     "synthetic-theorem": "bc507ac180680b48bfc5f57a7d8354c0030a96d727c56359acc379c6649e400e",
@@ -124,7 +124,7 @@ PRESET_FULL_T = {
 RAGGED = {
     "robust-q6-dirichlet": (
         "robust-q6", {"problem.scheme": "dirichlet", "algorithm.t": "13"},
-        "bd8d23805a5990ab2d5581464c70e4d13366b80bfd922b397f612f7ec5a716ca",
+        "f8d978d97f9808efbf38affb64eff41722470e6c8dfbb30b8c994ab260965138",
     ),
     "auc-imbalanced-k7": (
         "auc-imbalanced", {"problem.k": "7", "algorithm.t": "41"},
@@ -146,7 +146,7 @@ WORKLOADS = {
     ),
     "robust-q6": (
         "robust-q6", {"algorithm.t": "120"},
-        "a0c68282ada4ab68825e80be1afc0417e842bc73da434d15760a249dfafee029",
+        "1bf5a4ccac5ab966567accec6972ee98c47a0083e8dea98ac739da3a1902994e",
     ),
 }
 

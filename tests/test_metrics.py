@@ -637,11 +637,28 @@ class TestTraceTable:
             tracemalloc.stop()
         assert peak <= 320 * 1024, peak
 
+    def test_robust_exact_oracle_on_50_blocks_peaks_under_421_kb(self):
+        # the heterogeneity probe's call at K = 10: 50 K-row blocks, taken in
+        # pieces of at most base._ORACLE_ELEMENTS slopes; about 408 KB (626
+        # KB in one piece; the item-major (n, B, P, dim) product took 421 KB)
+        problem = load_preset("robust-q6").build_problem(1)
+        rng = np.random.default_rng(0)
+        X = 2.0 * rng.standard_normal((50 * problem.K, problem.d))
+        Y = 2.0 * rng.standard_normal((50 * problem.K, problem.p))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            problem.grad_full_all(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 421 * 1024, peak
+
     def test_one_robust_run_peaks_under_768_kb(self):
-        # robust-q6's largest temporaries are grad_full_all's: its kernel
-        # forms the items' terms s_i * (x_i + y) in one budget-sized array,
-        # about 390 KB a call with the rest of the call; the run peaks at
-        # about 630 KB (755 KB with a second array for x_i + y).
+        # robust-q6's largest temporaries are grad_full_all's: its kernel's
+        # margins and the sigmoid's two arrays, (blocks, K_b, n_b) slopes
+        # each; the run peaks at about 607 KB (631 KB when the kernel formed
+        # the items' terms s_i * (x_i + y) in one (n, B, P, dim) array).
         cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.t": "120"})
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         gc.collect()

@@ -257,6 +257,25 @@ AUC_ACCURACY_CASES = {
 }
 
 
+def _robust_preset_instance(preset, seed, scheme):
+    """The preset's instance at a seed and split, with the final point of
+    the robust-q6 workload run at that seed (robust-q6, iid only)."""
+    from test_golden_traces import ROBUST_WORKLOAD_FINAL  # it imports this module, through test_theory
+
+    cfg = apply_overrides(load_preset(preset), {"problem.scheme": scheme})
+    final = ROBUST_WORKLOAD_FINAL[seed] if (preset, scheme) == ("robust-q6", "iid") else None
+    return cfg.build_problem(seed), final
+
+
+ROBUST_ACCURACY_CASES = {
+    **{f"robust-q6 seed={seed} {scheme}": (lambda seed=seed, scheme=scheme:
+                                           _robust_preset_instance("robust-q6", seed, scheme))
+       for seed in (1, 7) for scheme in ("iid", "dirichlet")},
+    "robust-q12 seed=1 iid": lambda: _robust_preset_instance("robust-q12", 1, "iid"),
+    "dim=2 dirichlet": lambda: (fm.RobustProblem(K=5, dim=2, n_per_client=33, seed=5, scheme="dirichlet"), None),
+}
+
+
 class TestAuc:
     def test_mu_values(self):
         inst = fm.AucProblem(K=2, dim=4, n_per_client=20, pos_ratio=0.05, seed=1)
@@ -269,6 +288,15 @@ class TestAuc:
             fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=1.0, seed=0)
         with pytest.raises(ValueError):
             fm.AucProblem(K=2, dim=4, n_per_client=10, pos_ratio=0.0, seed=0)
+
+    def test_pos_ratio_leaves_a_negative_cluster(self):
+        # _draw gives round(2K pos_ratio) of its 2K clusters to the positives
+        for K, pos_ratio in ((2, 0.9), (2, 0.94), (1, 0.75), (10, 0.98)):
+            with pytest.raises(ValueError, match=f"pos_ratio={pos_ratio} "):
+                fm.AucProblem(K=K, dim=4, n_per_client=10, pos_ratio=pos_ratio, seed=0)
+        for K, pos_ratio in ((2, 0.8), (1, 0.7), (10, 0.97)):
+            inst = fm.AucProblem(K=K, dim=4, n_per_client=10, pos_ratio=pos_ratio, seed=0)
+            assert (np.concatenate(inst.clients_y) < 0).any()
 
     def test_held_out_set_needs_both_classes(self):
         for n_test, pos_ratio in ((-1, 0.05), (0, 0.05), (1, 0.05), (1, 0.5), (10, 0.96)):
@@ -372,7 +400,7 @@ class TestAuc:
         if final is not None:
             x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
             points += [(np.tile(c * x, (inst.K, 1)), np.tile(c * y, (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
-        assert _auc_oracle_error(inst, points) < 1e-13
+        assert _oracle_error(inst, points) < 1e-13
 
     @pytest.mark.parametrize("case", sorted(AUC_ACCURACY_CASES))
     def test_y_star_is_accurate_against_a_long_double_per_item_reference(self, case):
@@ -434,6 +462,24 @@ class TestRobust:
         y[0] = 1.0
         assert np.array_equal(robust_inst.y_constraint.project(y), y)
 
+    @pytest.mark.parametrize("case", sorted(ROBUST_ACCURACY_CASES))
+    def test_exact_oracle_is_accurate_against_a_long_double_per_item_reference(self, case):
+        # every client row at random points of four scales, each client its
+        # own point, y projected onto the ball, and at a run's final point
+        # (the robust-q6 workload config's at that seed) and that point
+        # scaled; a row's error is divided by max(1, |g_ref|, |x|, |y|), each
+        # the largest entry
+        inst, final = ROBUST_ACCURACY_CASES[case]()
+        project = inst.y_constraint.project
+        rng = np.random.default_rng(83)
+        points = [(scale * rng.standard_normal((5 * inst.K, inst.d)),
+                   project(scale * rng.standard_normal((5 * inst.K, inst.p))))
+                  for scale in (1e-3, 1.0, 1e3, 1e6)]
+        if final is not None:
+            x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
+            points += [(np.tile(c * x, (inst.K, 1)), np.tile(project(c * y), (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
+        assert _oracle_error(inst, points) < 1e-13
+
 
 class TestProjection:
     def test_unconstrained_identity(self, synthetic_small):
@@ -489,11 +535,25 @@ class TestGradF:
 
 
 def _plain_grad_robust(inst, k, x, y):
-    """Client k's exact gradient written as a plain one-client formula."""
+    """Client k's exact gradient written as a plain one-client formula: the
+    x-gradient mean_i s_i (x_i + y) as (s @ X) / n + m y, m the mean slope."""
     X, lab = inst.clients_X[k], inst.clients_y[k]
     z = X @ x + float(x @ y)
     s = -lab * expit(-lab * z)
-    return (s[:, None] * (X + y)).mean(axis=0), float(s.mean()) * x
+    m = float(s.mean())
+    return s @ X / len(X) + m * y, m * x
+
+
+def _long_double_grad_robust(inst, k, x, y):
+    """Client k's exact gradient in np.longdouble, item by item: the mean of
+    the per-item gradients s_i (x_i + y) and s_i x."""
+    ld = np.longdouble
+    X, lab = inst.clients_X[k].astype(ld), inst.clients_y[k].astype(ld)
+    x, y = x.astype(ld), y.astype(ld)
+    z = np.array([sum((xi * x).tolist(), ld(0)) for xi in X]) + sum((x * y).tolist(), ld(0))
+    with np.errstate(over="ignore"):
+        s = -lab / (1 + np.exp(lab * z))
+    return np.concatenate([(s[:, None] * (X + y)).sum(axis=0), s.sum() * x]) / len(X)
 
 
 def _plain_grad_auc(inst, k, x, y):
@@ -540,17 +600,18 @@ def _long_double_y_star_auc(inst, x):
     return total / inst.K / (2 * pr * (1 - pr))
 
 
-def _auc_oracle_error(inst, points):
+def _oracle_error(inst, points):
     """The largest error of grad_full_all's client rows at the stacked
-    points against _long_double_grad_auc, each row's divided by
-    max(1, |g_ref|, |x|, |y|) (largest entries)."""
+    points against the family's long-double per-item gradient, each row's
+    divided by max(1, |g_ref|, |x|, |y|) (largest entries)."""
+    reference = {"auc": _long_double_grad_auc, "robust": _long_double_grad_robust}[inst.name]
     worst = 0.0
     for X, Y in points:
         GX, GY = inst.grad_full_all(X, Y)
         for i, (x, y) in enumerate(zip(X, Y)):
-            ref = _long_double_grad_auc(inst, i % inst.K, x, y)
+            ref = reference(inst, i % inst.K, x, y)
             err = np.abs(np.concatenate([GX[i], GY[i]]).astype(np.longdouble) - ref).max()
-            worst = max(worst, float(err / max(1.0, float(np.abs(ref).max()), np.abs(x).max(), abs(y[0]))))
+            worst = max(worst, float(err / max(1.0, float(np.abs(ref).max()), np.abs(x).max(), np.abs(y).max())))
     return worst
 
 
@@ -668,15 +729,6 @@ def _plain_stoch_auc(inst, k, x, y, item):
         gb = -2 * pr * (h - b)
         galpha = 2 * pr * h - 2 * pr * (1 - pr) * alpha
     return np.concatenate([gw, [ga, gb]]), np.array([galpha])
-
-
-def _mean_kernel_robust(inst, Xs, labs, X, Y):
-    """RobustProblem._grad_block as it was written with ndarray.mean(axis=1)."""
-    z = np.matmul(Xs, X[:, :, None])[:, :, 0] + np.matmul(X[:, None, :], Y[:, :, None])[:, :, 0]
-    s = -labs * fm.core.expit(-labs * z)
-    GX = (s[:, :, None] * (Xs + Y[:, None, :])).mean(axis=1)
-    GY = s.mean(axis=1)[:, None] * X
-    return GX, GY
 
 
 def _where_item_terms(inst, Xs, labs, X, Y):
@@ -828,6 +880,20 @@ class TestStackedOracle:
             y = np.array([alpha])
             assert inst.values(x, y)[0] == value == _plain_value_auc(inst, 0, x, y)
 
+    def test_auc_values_at_an_overflowing_alpha_square_are_minus_inf(self):
+        # Python's float power raises OverflowError past sqrt(max float); the
+        # objective takes +inf for the square there, and libm's bits below
+        inst = fm.AucProblem(K=2, dim=3, n_per_client=4, pos_ratio=0.25, seed=8)
+        x = np.zeros(inst.d)
+        edge = math.sqrt(np.finfo(float).max)
+        for alpha in (1e300, -1e300, np.nextafter(edge, math.inf) * 2, -edge * 4):
+            with np.errstate(over="ignore"):  # as algorithms.run silences it
+                assert (inst.values(x, np.array([alpha])) == -math.inf).all()
+        for alpha in (np.nextafter(edge, 0.0), -np.nextafter(edge, 0.0)):
+            y = np.array([alpha])
+            want = [_plain_value_auc(inst, k, x, y) for k in range(inst.K)]
+            assert inst.values(x, y).tolist() == want and all(map(math.isfinite, want))
+
     @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
     def test_values_and_y_star_at_stacked_points_equal_one_call_per_point_bitwise(self, case):
         # the recorder evaluates a chunk's S points in one call each
@@ -849,58 +915,6 @@ class TestStackedOracle:
                     assert Y_star.shape == (S, inst.p)
                     for s in range(S):
                         assert _same_bits(Y_star[s], inst.y_star(X[s]))
-
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
-    def test_gradient_kernel_equals_its_mean_form_bitwise(self, case):
-        # np.add.reduce(..., axis) / n is what mean computes; at 200 random
-        # points per scale: one-item blocks (a local step's), each size
-        # block's whole datasets, and those under a leading axis (the exact
-        # oracle on stacked K-row blocks)
-        inst = STACKED_CASES[case]()
-        rng = np.random.default_rng(67)
-        pool_X, pool_y = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
-        for scale in (1e-3, 1.0, 1e3):
-            rows = rng.integers(len(pool_y), size=200)
-            Xs, labs = pool_X[rows][:, None, :], pool_y[rows][:, None]
-            X = scale * rng.standard_normal((200, inst.d))
-            Y = scale * rng.standard_normal((200, inst.p))
-            for got, want in zip(inst._grad_block(Xs, labs, X, Y), _mean_kernel_robust(inst, Xs, labs, X, Y)):
-                assert _same_bits(got, want)
-            for _, Xs, labs in inst._blocks:
-                X = scale * rng.standard_normal((3, len(Xs), inst.d))
-                Y = scale * rng.standard_normal((3, len(Xs), inst.p))
-                GX, GY = inst._grad_block(Xs, labs, X, Y)
-                for i in range(3):
-                    want_x, want_y = _mean_kernel_robust(inst, Xs, labs, X[i], Y[i])
-                    assert _same_bits(GX[i], want_x) and _same_bits(GY[i], want_y)
-
-    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
-    def test_row_kernel_equals_the_gradient_kernel_on_one_item_blocks_bitwise(self, case):
-        # grad_stoch_rows' row kernel skips the sums over one item, which add
-        # the item to 0.0 and so turn -0.0 into +0.0: at points made of
-        # signed zeros, at scales where the robust margins pass 709 (expit's
-        # rescaled branch), and with inf and NaN entries
-        inst = STACKED_CASES[case]()
-        rng = np.random.default_rng(79)
-        pool_X, pool_y = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
-        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300])
-        past_709 = 0
-        for scale in (0.0, 1e-3, 1.0, 1e3, 1e6):
-            for special in (False, True):
-                rows = rng.integers(len(pool_y), size=60)
-                x_items, labels = pool_X[rows], pool_y[rows][:, None]
-                X = scale * rng.standard_normal((60, inst.d))
-                Y = scale * rng.standard_normal((60, inst.p))
-                if special:
-                    for A in (X, Y):
-                        hit = rng.random(A.shape) < 0.1
-                        A[hit] = rng.choice(specials, size=int(hit.sum()))
-                with np.errstate(all="ignore"):
-                    past_709 += int((np.abs(row_dots(x_items, X[:, :inst.dim])) > 709).sum())
-                    got = inst._grad_rows(x_items, labels[:, 0], X, Y)
-                    want = inst._grad_block(x_items[:, None, :], labels, X, Y)
-                assert all(_same_bits(g, w) for g, w in zip(got, want))
-        assert past_709 > 0
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_robust_y_only_oracle_equals_the_exact_oracles_y_half_bitwise(self, case):
@@ -1101,8 +1115,9 @@ class TestStackedOracle:
         GX, GY = inst.grad_full_all(X, Y)
         assert calls == [9] * len(inst._blocks)
         # one point block a piece, then four a piece of the largest size
-        # block (4, 4, 1) and more of any smaller one
-        largest = max(Xs.size for _, Xs, _ in inst._blocks)
+        # block (4, 4, 1) and more of any smaller one; the budget counts
+        # (blocks, K_b, n_b) slopes
+        largest = max(labs.size for _, _, labs in inst._blocks)
         for budget in (1, 4 * largest):
             calls.clear()
             monkeypatch.setattr(base, "_ORACLE_ELEMENTS", budget)

@@ -264,15 +264,16 @@ PIN_CONFIGS = {
 # computed with the one-probe-at-a-time loops that the stacked probes
 # replaced; the AUC rows' delta_x, delta_y and sigma re-pinned (by at most
 # 3e-16 relative) when the AUC exact oracle moved to class moments, and
-# their L_f (by at most 4.6e-16) when it moved to one 3 x 3 block per item.
-# The robust L_f is None: its closed form is checked against eigvalsh below.
+# their L_f (by at most 4.6e-16) when it moved to one 3 x 3 block per item;
+# the robust rows' delta_x (by at most 2.3e-16) when the robust exact
+# x-gradient moved to one gemv per point. The robust L_f is None: its closed form is checked against eigvalsh below.
 CONSTANT_PINS = {
     ("auc-imbalanced", 1): ("0x1.d9118e19c9f25p+3", "0x1.943cb57397fd2p+2", "0x1.39e9506643c7cp+4", "0x1.851eb851eb852p-4", "0x1.f6a333fcf0960p+3"),
     ("auc-imbalanced", 7): ("0x1.661826a9007bbp+4", "0x1.d02830634d019p+2", "0x1.57c3b706a9fe3p+4", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba6p+4"),
-    ("robust-q12", 1): ("0x1.28411e4378ae8p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
-    ("robust-q12", 7): ("0x1.673a93569ee3ap+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
-    ("robust-q6", 1): ("0x1.28411e4378ae8p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
-    ("robust-q6", 7): ("0x1.673a93569ee3ap+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
+    ("robust-q12", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
+    ("robust-q12", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
+    ("robust-q6", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
+    ("robust-q6", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
     ("synthetic-s1", 1): ("0x1.13877754cdd97p+0", "0x1.176e8c61d77c6p+3", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("synthetic-s1", 7): ("0x1.43af28ba29753p+0", "0x1.d948ed114f342p+2", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("synthetic-s10", 1): ("0x1.13877754cdd97p+0", "0x1.5bdba6468d95fp+6", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
@@ -283,12 +284,14 @@ CONSTANT_PINS = {
     ("synthetic-s1 k=100", 7): ("0x1.5b3fe9d87154bp+0", "0x1.47d77d58cd4e0p+3", "0x1.4b0ad48a85cb2p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("auc-imbalanced scheme=dirichlet", 1): ("0x1.5e6afee584707p+2", "0x1.572367860cd7ep+1", "0x1.7c8a4c1ba9ee6p+3", "0x1.851eb851eb852p-4", "0x1.f6a333fcf0960p+3"),
     ("auc-imbalanced scheme=dirichlet", 7): ("0x1.dcd3115ba736cp+2", "0x1.2cfebfa4ae3f4p+1", "0x1.cd16bf47fa9e3p+3", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba6p+4"),
-    ("robust-q6 scheme=dirichlet", 1): ("0x1.22520f972c0e7p+3", "0x1.121c7c599d1ffp+3", "0x1.65f56d1764e20p+2", "0x1.11c3f26cbf921p-17", None),
-    ("robust-q6 scheme=dirichlet", 7): ("0x1.2866137070a66p+3", "0x1.275723735c9dfp+3", "0x1.6b59e9ca8a48fp+2", "0x1.ac9ae72786496p-17", None),
+    ("robust-q6 scheme=dirichlet", 1): ("0x1.22520f972c0e6p+3", "0x1.121c7c599d1ffp+3", "0x1.65f56d1764e20p+2", "0x1.11c3f26cbf921p-17", None),
+    ("robust-q6 scheme=dirichlet", 7): ("0x1.2866137070a65p+3", "0x1.275723735c9dfp+3", "0x1.6b59e9ca8a48fp+2", "0x1.ac9ae72786496p-17", None),
 }
 
 # float.hex of (delta_x, delta_y) from 1 and 7 heterogeneity probes, neither a
-# whole number of probe chunks, at seed 1 with rng default_rng(n_samples).
+# whole number of probe chunks, at seed 1 with rng default_rng(n_samples);
+# (robust-q6 scheme=dirichlet, 7)'s delta_x re-pinned (2.3e-16 relative)
+# with the robust exact oracle's gemvs.
 HETEROGENEITY_PINS = {
     ("auc-imbalanced", 1): ("0x1.0894c74e561b4p+3", "0x1.d86c9041f3d8cp+1"),
     ("auc-imbalanced", 7): ("0x1.8934580f4944fp+2", "0x1.016df1bb8ae9dp+2"),
@@ -307,7 +310,7 @@ HETEROGENEITY_PINS = {
     ("auc-imbalanced scheme=dirichlet", 1): ("0x1.7a12252b08cf8p+1", "0x1.7141dcdad145ap+0"),
     ("auc-imbalanced scheme=dirichlet", 7): ("0x1.34e9deb351beep+1", "0x1.7ccdcfd0dfab8p+0"),
     ("robust-q6 scheme=dirichlet", 1): ("0x1.b363c6a6827e8p-1", "0x1.4c534c54f4cc6p+0"),
-    ("robust-q6 scheme=dirichlet", 7): ("0x1.6820c71ceaebdp+2", "0x1.d5d6d092cd9c1p+2"),
+    ("robust-q6 scheme=dirichlet", 7): ("0x1.6820c71ceaebfp+2", "0x1.d5d6d092cd9c1p+2"),
 }
 
 
