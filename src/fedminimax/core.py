@@ -40,7 +40,7 @@ row:
   tests/test_core.py TestExpit);
 - a family's values and y_star at S row-stacked points, (S, d) and
   (S, p), against one call per point; the AUC objective squares each
-  alpha as a Python float;
+  alpha as a float64 scalar;
 - matmul with one operand broadcast over leading axes (a dataset block's
   (K, n, dim), or the AUC clients' (K, m, m) Hessians, against (S, K, ., 1)
   points) against one call per slice: it still makes one gemv per matrix;
@@ -66,9 +66,9 @@ takes a stacked (K, d) array as well as a list of vectors.
 Nor is the sign of a NaN where NaNs of both signs meet in a sum: numpy's
 vector and scalar loops keep different operands' NaN, so it depends on the
 length of the rows added.
-Nor are two scalar forms: a Python float's a**2 (libm pow) and an array's
-**2 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
-float; np.exp on a contiguous array (its SIMD loop) and libm exp
+Nor are two scalar forms: a scalar's a**2 (libm pow) and an array's **2
+(x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
+scalar; np.exp on a contiguous array (its SIMD loop) and libm exp
 (math.exp) differ on ~2% of sigmoid inputs, so the logistic sigmoid is
 expit below, which takes libm exp from np.exp on a reversed view and is
 bitwise equal to scipy.special.expit.

@@ -202,4 +202,3 @@ class AucProblem(DatasetProblem):
         blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = c * r_sq, -c * r, c
         blocks[:, 2, 0], blocks[:, 2, 2] = s * r, -self.mu
         return float(np.abs(np.linalg.eigvalsh(blocks)).max())
-
