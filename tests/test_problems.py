@@ -389,18 +389,9 @@ class TestAuc:
 
     @pytest.mark.parametrize("case", sorted(AUC_ACCURACY_CASES))
     def test_exact_oracle_is_accurate_against_a_long_double_per_item_reference(self, case):
-        # every client row at random points of four scales, each client its
-        # own point, and at a run's final point (the auc-imbalanced workload
-        # config's at that seed) and that point scaled; a row's error is
-        # divided by max(1, |g_ref|, |x|, |y|), each the largest entry
+        # at a run's final point, that of the auc-imbalanced workload config
         inst, final = AUC_ACCURACY_CASES[case]()
-        rng = np.random.default_rng(89)
-        points = [(scale * rng.standard_normal((5 * inst.K, inst.d)), scale * rng.standard_normal((5 * inst.K, 1)))
-                  for scale in (1e-3, 1.0, 1e3, 1e6)]
-        if final is not None:
-            x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
-            points += [(np.tile(c * x, (inst.K, 1)), np.tile(c * y, (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
-        assert _oracle_error(inst, points) < 1e-13
+        assert _oracle_error(inst, _accuracy_points(inst, final, np.random.default_rng(89))) < 1e-13
 
     @pytest.mark.parametrize("case", sorted(AUC_ACCURACY_CASES))
     def test_y_star_is_accurate_against_a_long_double_per_item_reference(self, case):
@@ -464,21 +455,9 @@ class TestRobust:
 
     @pytest.mark.parametrize("case", sorted(ROBUST_ACCURACY_CASES))
     def test_exact_oracle_is_accurate_against_a_long_double_per_item_reference(self, case):
-        # every client row at random points of four scales, each client its
-        # own point, y projected onto the ball, and at a run's final point
-        # (the robust-q6 workload config's at that seed) and that point
-        # scaled; a row's error is divided by max(1, |g_ref|, |x|, |y|), each
-        # the largest entry
+        # at a run's final point, that of the robust-q6 workload config
         inst, final = ROBUST_ACCURACY_CASES[case]()
-        project = inst.y_constraint.project
-        rng = np.random.default_rng(83)
-        points = [(scale * rng.standard_normal((5 * inst.K, inst.d)),
-                   project(scale * rng.standard_normal((5 * inst.K, inst.p))))
-                  for scale in (1e-3, 1.0, 1e3, 1e6)]
-        if final is not None:
-            x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
-            points += [(np.tile(c * x, (inst.K, 1)), np.tile(project(c * y), (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
-        assert _oracle_error(inst, points) < 1e-13
+        assert _oracle_error(inst, _accuracy_points(inst, final, np.random.default_rng(83))) < 1e-13
 
 
 class TestProjection:
@@ -598,6 +577,20 @@ def _long_double_y_star_auc(inst, x):
         h = np.array([sum((xi * w).tolist(), ld(0)) for xi in X.astype(ld)])
         total += np.where(labs > 0, -2 * (1 - pr) * h, 2 * pr * h).sum() / len(X)
     return total / inst.K / (2 * pr * (1 - pr))
+
+
+def _accuracy_points(inst, final, rng):
+    """Stacked (X, Y) client rows for _oracle_error: random points of four
+    scales, each client its own point, and the run's final point (float.hex
+    pairs, or None) at four scales, tiled; each y projected onto the
+    family's constraint."""
+    project = inst.y_constraint.project
+    points = [(scale * rng.standard_normal((5 * inst.K, inst.d)),
+               project(scale * rng.standard_normal((5 * inst.K, inst.p)))) for scale in (1e-3, 1.0, 1e3, 1e6)]
+    if final is not None:
+        x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
+        points += [(np.tile(c * x, (inst.K, 1)), np.tile(project(c * y), (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
+    return points
 
 
 def _oracle_error(inst, points):
