@@ -294,12 +294,21 @@ def _step(
 ) -> None:
     """The preconditioned interpolated step of every row, in place: an
     ascent proposal on y and a descent proposal on x, each interpolated by
-    eta_t (y projected)."""
-    X, Y = clients.X, clients.Y
-    Y_hat = Y + hp.lam * precondition(server.B, clients.V)
-    Y[:] = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
-    X_hat = X - hp.gamma * precondition(server.A, clients.W)
-    X[:] = X + eta_t * (X_hat - X)
+    eta_t (y projected). Each side is Z + eta_t * (Z_hat - Z) in one
+    scratch array (bitwise, see core); identity matrices skip the
+    division, since G / 1 is G bitwise."""
+    for Z, G, a, c, propose in ((clients.Y, clients.V, server.B, hp.lam, np.add),
+                                (clients.X, clients.W, server.A, hp.gamma, np.subtract)):
+        if server.mode == MODE_IDENTITY:
+            U = c * G
+        else:
+            U = precondition(a, G)
+            U *= c
+        propose(Z, U, out=U)  # Z_hat
+        U -= Z
+        U *= eta_t
+        Z += U
+    clients.Y[:] = problem.y_constraint.project(clients.Y)
 
 
 def local_step(
@@ -328,13 +337,15 @@ def local_step(
 
     if hp.variant == VARIANT_MOMENTUM_LOCAL_SGDA:
         GX, GY = problem.grad_stoch_rows(clients.rows_ks[:K], items, X, Y)
-        W[:] = hp.beta_m * W + GX
-        V[:] = hp.beta_m * V + GY
+        W *= hp.beta_m
+        W += GX
+        V *= hp.beta_m
+        V += GY
     else:
         GX, GY = problem.grad_stoch_rows(clients.rows_ks, clients.rows_items.reshape(-1),
                                          clients.rows_X, clients.rows_Y)
-        V[:] = storm_update(GY[:K], GY[K:], V, sched.alpha[t])
-        W[:] = storm_update(GX[:K], GX[K:], W, sched.beta[t])
+        storm_update(GY[:K], GY[K:], V, sched.alpha[t])
+        storm_update(GX[:K], GX[K:], W, sched.beta[t])
     counters.add_sfo(2)
 
 

@@ -122,12 +122,12 @@ def _validate(problem, hp, c: theory.ConstantSet) -> theory.ConstraintReport:
 def cmd_run(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     out_dir = Path(cfg.output.csv_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg_text = render_config(cfg)
     chash = metrics.config_hash(cfg_text)
     diverged = False
     for seed in cfg.output.seeds:
         problem = cfg.build_problem(seed)
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before a problem is built: it may be refused
         hp = cfg.hp_for_seed(seed)
         report = _validate(problem, hp, _constants_for(problem, hp))
         if not report.all_satisfied:

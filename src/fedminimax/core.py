@@ -10,6 +10,10 @@ row:
 - elementwise arithmetic on (K, d) rows (the client step), a stacked
   oracle on the rows of two calls concatenated (new and old points), and
   the exact oracle on n stacked K-row blocks against one call per block;
+- elementwise arithmetic in place (out=, +=) against a temporary per
+  operation, and a + b, a * b against b + a, b * a but for which of two
+  NaNs comes through (see below): the client step, the estimate
+  refreshes and the synthetic oracles;
 - vec_mean of (K, d_i) blocks side by side, (K, 1) ones included, against
   each block's own vec_mean (each column is added on its own, in index
   order);
@@ -63,9 +67,9 @@ cross-client reductions.
 Cross-client means are therefore index_sum's: add.reduce where it adds
 rows in index order, the index-order add.accumulate elsewhere. vec_mean
 takes a stacked (K, d) array as well as a list of vectors.
-Nor is the sign of a NaN where NaNs of both signs meet in a sum: numpy's
-vector and scalar loops keep different operands' NaN, so it depends on the
-length of the rows added.
+Nor is the sign of a NaN where NaNs of both signs meet in a sum or a
+product: numpy's vector and scalar loops keep different operands' NaN, so
+it depends on the length of the rows added and on the operands' order.
 Nor are two scalar forms: a scalar's a**2 (libm pow) and an array's **2
 (x*x) differ on ~0.07% of inputs, so the AUC objective keeps alpha a
 scalar; np.exp on a contiguous array (its SIMD loop) and libm exp

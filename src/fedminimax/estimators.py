@@ -26,10 +26,14 @@ MODE_ADABELIEF = "adabelief"
 MODES = (MODE_IDENTITY, MODE_ADAM, MODE_ADABELIEF)
 
 
-def storm_update(g_new: Vector, g_old: Vector, prev_est: Vector, momentum: float) -> Vector:
-    """One recursive variance-reduced estimator step. The momentum lies in
-    (0, 1]: HyperParams.schedule checks every value a run uses, once."""
-    return g_new + (1.0 - momentum) * (prev_est - g_old)
+def storm_update(g_new: Vector, g_old: Vector, est: Vector, momentum: float) -> Vector:
+    """One recursive variance-reduced estimator step, in place on est (see
+    core), which it returns. The momentum lies in (0, 1]:
+    HyperParams.schedule checks every value a run uses, once."""
+    est -= g_old
+    est *= 1.0 - momentum
+    est += g_new
+    return est
 
 
 def momentum_schedule(c1: float, c2: float, eta_t: float) -> tuple[float, float]:

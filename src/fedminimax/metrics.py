@@ -249,8 +249,8 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
 
 # Client rows (K per step) the recorder measures per call. Its buffers grow
 # with them; the robust exact oracle's slopes stay within base._ORACLE_ELEMENTS
-# (robust-q6's 29 blocks a call in one piece). At least two steps, since one
-# step per call spends more on copying it into the buffers than stacking saves.
+# (robust-q6's 29 blocks a call in one piece). At least three steps: a call's
+# fixed ~80 numpy calls were half of a K = 100 run at two; five raise its peak 1.4x.
 _RECORD_ROWS = 250
 
 
@@ -262,10 +262,10 @@ class TraceRecorder:
     copies of the averaged iterates (x_bar, y_bar) of the last step
     recorded, as last, and of step sampled_t, as sampled.
 
-    The steps not yet recorded, at most capacity of them, are each step's
-    t and counters and copies of its client rows (the steps update the
-    clients' rows in place), in buffers allocated once and laid out for
-    the stacked calls:
+    The steps not yet recorded, at most capacity of them (at least
+    three), are each step's t and counters and copies of its client rows
+    (the steps update the clients' rows in place), in buffers allocated
+    once and laid out for the stacked calls:
 
     - X, Y: the exact oracle's input rows, each step's K client rows, then
       room for a K-row block of (x_bar, y*) per step;
@@ -288,7 +288,7 @@ class TraceRecorder:
         self.x_star, self.y_star = (sp if sp is not None else (None, None))
         self.is_auc = isinstance(problem, AucProblem)
         K, d, p = problem.K, problem.d, problem.p
-        self.capacity = max(2, _RECORD_ROWS // K)
+        self.capacity = max(3, _RECORD_ROWS // K)
         self.steps: list[tuple[int, int, int]] = []  # (t, sfo, comm)
         self.X, self.Y = np.empty((2 * self.capacity * K, d)), np.empty((2 * self.capacity * K, p))
         self.M = np.zeros((self.capacity, K, 3 * d + 2 * p))

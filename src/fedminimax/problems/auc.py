@@ -75,6 +75,7 @@ class AucProblem(DatasetProblem):
         X, labels, groups = self._draw(rng, n_total)
         plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
         self._set_clients(X, labels, plan)
+        self._rows = np.arange(max(2 * self.K, len(self._pool_X)))  # up to 2K rows or the pool
         self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
         self._set_hessians()
 
@@ -151,7 +152,7 @@ class AucProblem(DatasetProblem):
         dim, pr = self.dim, self.pos_ratio
         _, two_q, c_q, c_e, c_alpha, col = table
         h = np.matmul(x_items[:, None, :], X[:, :dim, None])[:, 0, 0]
-        rows, col = np.arange(len(X)), col.astype(np.intp)
+        rows, col = self._rows[:len(X)], col.astype(np.intp)
         t = h - X[rows, col]
         GX = np.zeros(X.shape)
         np.multiply((two_q * t + (2 * (1 + Y[:, 0])) * c_q)[:, None], x_items, out=GX[:, :dim])

@@ -187,7 +187,8 @@ class DatasetProblem(ProblemInstance):
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        rows = self._pool_start[ks] + items
+        rows = self._pool_start.take(ks)
+        rows += items
         return self._grad_rows(self._pool_X.take(rows, axis=0), self._pool_table.take(rows, axis=-1), X, Y)
 
 

@@ -110,14 +110,23 @@ class SyntheticProblem(ProblemInstance):
         # Viewed as (n, K, d) blocks; elementwise arithmetic keeps its bits when broadcast.
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
         t = self.t[:, None]
-        return (self.tau * X3 - t * Y3).reshape(X.shape), (-Y3 + self.b - t * X3).reshape(Y.shape)
+        GX, T = self.tau * X3, t * Y3
+        GX -= T
+        GY = -Y3
+        GY += self.b
+        GY -= np.multiply(t, X3, out=T)
+        return GX.reshape(X.shape), GY.reshape(Y.shape)
 
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         t = self.t.take(ks)[:, None]
-        GX = self.tau * X - t * Y
-        GY = -Y + self.b.take(ks, axis=0) - t * X
+        GX, T = self.tau * X, t * Y
+        GX -= T
+        GY = -Y
+        GY += self.b.take(ks, axis=0)
+        GY -= np.multiply(t, X, out=T)
+        # take(out=T) would be slower: numpy buffers out when checking bounds.
         rows = ks * (2 * self.n_per_client) + items
         GX += self._noise_rows.take(rows, axis=0)
         GY += self._noise_rows.take(rows + self.n_per_client, axis=0)

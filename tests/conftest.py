@@ -33,6 +33,31 @@ def numeric_inner_max(inst, x: np.ndarray) -> float:
     return -res.fun
 
 
+def same_bits_or_both_nan(a, b):
+    """Equal bits where either is a number; any NaN against any NaN.
+
+    Of two NaN operands, numpy's add and multiply pass the first in some
+    SIMD lanes and the second in others (on an AVX-512 build of numpy 2.4,
+    12 -NaN + 12 +NaN give eight -NaN, then four +NaN), so a - c m and the
+    branch-free a + c (-m), or a + b and b + a, may pass different NaNs
+    when both terms are NaN."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and bool(((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))).all())
+
+
+# Signed zeros, infinities, NaNs of both signs and +-1e300.
+EDGE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300])
+
+
+def edge_rows(rng, shape, share=0.15):
+    """Normal rows at a random scale, about share of their entries drawn
+    from EDGE_ENTRIES."""
+    A = 10.0 ** rng.integers(-3, 7) * rng.standard_normal(shape)
+    hit = rng.random(shape) < share
+    A[hit] = rng.choice(EDGE_ENTRIES, size=int(hit.sum()))
+    return A
+
+
 @pytest.fixture(scope="session")
 def synthetic():
     return fm.SyntheticProblem(K=10, dim=20, s=1.0, tau=10.0, seed=42)

@@ -1,6 +1,7 @@
 import warnings
 from copy import deepcopy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from fedminimax.algorithms import (
     sync_step,
 )
 from fedminimax.core import precondition, vec_mean
-from fedminimax.problems import grad_full, grad_stoch
+from fedminimax.estimators import MODE_ADABELIEF, MODE_ADAM, MODE_IDENTITY, AdaptiveAccumulator, storm_update
+from fedminimax.problems import EuclideanBall, Unconstrained, grad_full, grad_stoch
+
+from conftest import edge_rows, same_bits_or_both_nan
 
 
 def record_cells(trace):
@@ -153,6 +157,99 @@ class TestInitRound:
         _, server, _ = init_round(synthetic_small, hp)
         assert server.A.min() >= 0.2
         assert server.B.min() >= 0.2
+
+
+def _expression_step(problem, hp, eta_t, clients, server):
+    """algorithms._step as one expression per proposal and per
+    interpolation, dividing by the matrices in every mode (the reference)."""
+    X, Y = clients.X, clients.Y
+    Y_hat = Y + hp.lam * precondition(server.B, clients.V)
+    Y[:] = problem.y_constraint.project(Y + eta_t * (Y_hat - Y))
+    X_hat = X - hp.gamma * precondition(server.A, clients.W)
+    X[:] = X + eta_t * (X_hat - X)
+
+
+def _expression_storm(g_new, g_old, est, momentum):
+    """estimators.storm_update as one expression (the reference)."""
+    return g_new + (1.0 - momentum) * (est - g_old)
+
+
+class _ProjectionLog:
+    """A y-constraint that logs whether each projection moved its input."""
+
+    def __init__(self, constraint):
+        self.constraint, self.moved = constraint, []
+
+    def project(self, y):
+        out = self.constraint.project(y)
+        self.moved.append(out is not y)
+        return out
+
+
+class TestInPlaceArithmetic:
+    # In place, each side's sums and products may take their operands in
+    # the other order, which can pass the other of two NaNs
+    # (same_bits_or_both_nan); nothing else may differ.
+    @pytest.mark.parametrize("mode", [MODE_IDENTITY, MODE_ADAM, MODE_ADABELIEF])
+    @pytest.mark.parametrize("ball", ["none", "active", "inactive"])
+    def test_step_equals_its_expression_form_bitwise(self, mode, ball):
+        rng = np.random.default_rng(24)
+        K, d, p = 7, 5, 3
+        constraint = Unconstrained() if ball == "none" else EuclideanBall(1e-6 if ball == "active" else 1e6)
+        for _ in range(40):
+            server = AdaptiveAccumulator(mode=mode, rho=float(rng.uniform(1e-3, 1.0)))
+            for _ in range(2):  # adabelief's second generation has a reference
+                server.generate(rng.standard_normal(d), rng.standard_normal(p))
+            hp = HyperParams(gamma=float(rng.choice([0.0, rng.uniform(0, 2)])), lam=float(rng.uniform(0, 2)))
+            eta_t = float(rng.uniform(1e-3, 1.0))
+            if ball == "inactive":  # y rows that stay inside the ball
+                Y, V = rng.uniform(-1, 1, (K, p)), rng.uniform(-1, 1, (K, p))
+            else:
+                Y, V = edge_rows(rng, (K, p)), edge_rows(rng, (K, p))
+            start = SimpleNamespace(X=edge_rows(rng, (K, d)), Y=Y, W=edge_rows(rng, (K, d)), V=V)
+            got, want = deepcopy(start), deepcopy(start)
+            logs = []
+            with np.errstate(all="ignore"):
+                for fn, clients in ((algorithms._step, got), (_expression_step, want)):
+                    problem = SimpleNamespace(y_constraint=_ProjectionLog(constraint))
+                    fn(problem, hp, eta_t, clients, server)
+                    logs.append(problem.y_constraint.moved)
+            assert logs == [[ball == "active"]] * 2
+            assert same_bits_or_both_nan(got.X, want.X) and same_bits_or_both_nan(got.Y, want.Y)
+            assert got.W.tobytes() == start.W.tobytes() and got.V.tobytes() == start.V.tobytes()
+
+    @pytest.mark.parametrize("variant", [VARIANT_FGDA, VARIANT_MOMENTUM_LOCAL_SGDA])
+    def test_estimate_refresh_equals_its_expression_form_bitwise(self, monkeypatch, variant):
+        # the STORM refresh (estimators.storm_update) and the heavy-ball one
+        # of local_step, on the estimates and gradients the step is given
+        problem = fm.SyntheticProblem(K=6, dim=4, s=1.0, tau=10.0, seed=3)
+        hp = HyperParams(T=40, q=10, seed=1, variant=variant)
+        clients, server, counters = init_round(problem, hp)
+        K, rng = problem.K, np.random.default_rng(24)
+        for t in [t for t in range(1, hp.T + 1) if t % hp.q] * 4:
+            W, V = edge_rows(rng, (K, problem.d)), edge_rows(rng, (K, problem.p))
+            GX, GY = edge_rows(rng, (2 * K, problem.d)), edge_rows(rng, (2 * K, problem.p))
+            clients.W[:], clients.V[:] = W, V
+            monkeypatch.setattr(problem, "grad_stoch_rows", lambda ks, *_: (GX[:len(ks)].copy(), GY[:len(ks)].copy()))
+            with np.errstate(all="ignore"):
+                local_step(problem, hp, t, clients, server, counters)
+                if variant == VARIANT_MOMENTUM_LOCAL_SGDA:
+                    want_W, want_V = hp.beta_m * W + GX[:K], hp.beta_m * V + GY[:K]
+                else:
+                    want_W = _expression_storm(GX[:K], GX[K:], W, clients.sched.beta[t])
+                    want_V = _expression_storm(GY[:K], GY[K:], V, clients.sched.alpha[t])
+            assert same_bits_or_both_nan(clients.W, want_W) and same_bits_or_both_nan(clients.V, want_V)
+
+    def test_storm_update_refreshes_in_place_as_its_expression_form_bitwise(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 30)), int(rng.integers(1, 12)))
+            g_new, g_old, est = (edge_rows(rng, shape) for _ in range(3))
+            momentum = float(rng.choice([1.0, 1e-300, rng.uniform()]))
+            with np.errstate(all="ignore"):
+                want = _expression_storm(g_new, g_old, est, momentum)
+                got = storm_update(g_new, g_old, est, momentum)
+            assert got is est and same_bits_or_both_nan(got, want)
 
 
 class TestLocalStep:
@@ -532,6 +629,9 @@ def _finiteness_case(case):
     if case == "auc-imbalanced":  # K = 10, a sync every 20 steps; chunks 1-25, 26-50, 51-60
         cfg = apply_overrides(load_preset("auc-imbalanced"), {"algorithm.t": "60"})
         return cfg.build_problem(1), cfg.hp_for_seed(1), 25
+    if case == "synthetic-k100":  # chunks 1-3, 4-6, 7-8 (a sync at 4)
+        problem = fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1)
+        return problem, HyperParams(T=8, q=4, seed=1), 3
     problem = fm.SyntheticProblem(K=2, dim=3, s=1.0, tau=10.0, seed=1)  # chunks 1-125, 126-200
     return problem, HyperParams(T=200, q=10, seed=2, variant=VARIANT_ADAFGDA_ADABELIEF, gamma=0.02, lam=0.02), 125
 
@@ -539,10 +639,11 @@ def _finiteness_case(case):
 class TestChunkFiniteness:
     # The recorder checks a chunk's steps before measuring any of them.
     @pytest.mark.parametrize("case,s", [*(("auc-imbalanced", s) for s in (7, 20, 21, 25, 26, 60)),
-                                        *(("synthetic-k2", s) for s in (1, 110, 125, 126, 199))])
+                                        *(("synthetic-k2", s) for s in (1, 110, 125, 126, 199)),
+                                        *(("synthetic-k100", s) for s in (3, 4))])
     def test_non_finite_w_raises_at_its_own_step_without_warnings(self, monkeypatch, case, s):
         problem, hp, per_chunk = _finiteness_case(case)
-        assert metrics._RECORD_ROWS // problem.K == per_chunk
+        assert metrics.TraceRecorder(problem, hp.q, hp.T).capacity == per_chunk
         _poison_w_after_step(monkeypatch, s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -183,7 +183,7 @@ class TestRobustEndpointRule:
         monkeypatch.setattr(metrics, "ascend_y", lambda inst, x: rows.append(len(x)) or original(inst, x))
         trace = fm.run(problem, hp)
         heavy = sum(r.grad_norm_F is not None for r in trace.records)
-        steps = metrics._RECORD_ROWS // problem.K
+        steps = metrics.TraceRecorder(problem, hp.q, hp.T).capacity
         chunks = [range(a, min(a + steps, hp.T + 1)) for a in range(0, hp.T + 1, steps)]
         assert len(rows) == sum(any(t % hp.q == 0 for t in c) for c in chunks) and sum(rows) == heavy
 
@@ -619,6 +619,22 @@ class TestTraceTable:
         finally:
             tracemalloc.stop()
         assert peak <= 768 * 1024, peak
+
+    def test_one_k100_run_peaks_under_1152_kb(self):
+        # synthetic-k100 (perfbench's K = 100 workload) records 3 steps a
+        # chunk: about 1,090 KB at its peak (856 KB at 2 steps, 1,557 KB at 5)
+        cfg = apply_overrides(load_preset("synthetic-s1"), {
+            "problem.k": "100", "problem.dim": "20", "algorithm.variant": "fgda",
+            "algorithm.q": "20", "algorithm.t": "200"})
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fm.run(problem, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1152 * 1024, peak
 
     def test_auc_objective_at_a_chunk_peaks_under_320_kb(self):
         # global_value at the recorder's 25 stacked points: three (25, K_b,

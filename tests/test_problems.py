@@ -20,7 +20,7 @@ from fedminimax.theory import (
     estimate_constants,
 )
 
-from conftest import fd_grad, numeric_inner_max
+from conftest import edge_rows, fd_grad, numeric_inner_max, same_bits_or_both_nan
 
 
 class TestSyntheticConstruction:
@@ -165,6 +165,21 @@ class TestSyntheticGradients:
         ggx, ggy = inst.global_grad(x, y)
         assert np.allclose(gx, ggx) and np.allclose(gy, ggy)
 
+    def test_in_place_oracles_equal_their_expression_forms_bitwise(self):
+        # the in-place oracles commute no sum or product, but NaNs of both
+        # signs can meet, as in same_bits_or_both_nan
+        inst = fm.SyntheticProblem(K=5, dim=4, s=1.0, tau=10.0, seed=3, n_per_client=7)
+        rng = np.random.default_rng(24)
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            X, Y = edge_rows(rng, (n * inst.K, inst.d)), edge_rows(rng, (n * inst.K, inst.p))
+            ks, items = rng.integers(inst.K, size=n * inst.K), rng.integers(inst.n_per_client, size=n * inst.K)
+            with np.errstate(all="ignore"):
+                pairs = ((inst.grad_full_all(X, Y), _expression_grad_full_all(inst, X, Y)),
+                         (inst.grad_stoch_rows(ks, items, X, Y), _expression_grad_stoch_rows(inst, ks, items, X, Y)))
+            for got, want in pairs:
+                assert all(same_bits_or_both_nan(g, w) for g, w in zip(got, want))
+
     def test_index_errors(self, synthetic_small):
         inst = synthetic_small
         x, y = np.ones(inst.d), np.ones(inst.p)
@@ -176,6 +191,24 @@ class TestSyntheticGradients:
             grad_stoch(inst, 0, x, y, 10**6)
         with pytest.raises(IndexError):
             grad_stoch(inst, 0, x, y, inst.sizes[0])
+
+
+def _expression_grad_full_all(inst, X, Y):
+    """SyntheticProblem.grad_full_all as one expression per side (the reference)."""
+    X3, Y3 = X.reshape(-1, inst.K, inst.d), Y.reshape(-1, inst.K, inst.p)
+    t = inst.t[:, None]
+    return (inst.tau * X3 - t * Y3).reshape(X.shape), (-Y3 + inst.b - t * X3).reshape(Y.shape)
+
+
+def _expression_grad_stoch_rows(inst, ks, items, X, Y):
+    """SyntheticProblem.grad_stoch_rows as one expression per side (the reference)."""
+    t = inst.t.take(ks)[:, None]
+    GX = inst.tau * X - t * Y
+    GY = -Y + inst.b.take(ks, axis=0) - t * X
+    rows = ks * (2 * inst.n_per_client) + items
+    GX += inst._noise_rows.take(rows, axis=0)
+    GY += inst._noise_rows.take(rows + inst.n_per_client, axis=0)
+    return GX, GY
 
 
 class TestSyntheticSaddle:
@@ -762,17 +795,6 @@ def _where_value_block(inst, Xs, labs, x, y):
     return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
 
 
-def _same_bits_or_both_nan(a, b):
-    """Equal bits where either is a number; any NaN against any NaN.
-
-    Of two NaN operands, numpy's add and multiply pass the first in some
-    SIMD lanes and the second in others (on an AVX-512 build of numpy 2.4,
-    12 -NaN + 12 +NaN give eight -NaN, then four +NaN), so a - c m and the
-    branch-free a + c (-m) may pass different NaNs when both terms are NaN."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and bool(((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))).all())
-
-
 # Signed zeros, infinities, NaNs of both signs and 1e300; alpha takes no
 # +-1e300, whose square as a Python float raises OverflowError (both forms).
 _EDGE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300])
@@ -939,12 +961,12 @@ class TestStackedOracle:
         # edge entries in x, in y or in both, a tenth of the items at
         # x_i = 0 (0 * inf is NaN), 60 rows (a SIMD tail): every bit while
         # the non-finite entries are on one side; on both, two NaN terms can
-        # meet, and which passes is numpy's (_same_bits_or_both_nan)
+        # meet, and which passes is numpy's (same_bits_or_both_nan)
         inst = AUC_KERNEL_CASES[case]()
         rng = np.random.default_rng(101)
         pool_y = np.concatenate(inst.clients_y)
         for sides in ("", "x", "y", "xy"):
-            same = _same_bits_or_both_nan if sides == "xy" else _same_bits
+            same = same_bits_or_both_nan if sides == "xy" else _same_bits
             for _ in range(20):
                 ks = rng.integers(inst.K, size=60)
                 items = rng.integers(inst.sizes[ks])
@@ -969,7 +991,7 @@ class TestStackedOracle:
         inst = AUC_KERNEL_CASES[case]()
         rng = np.random.default_rng(103)
         for sides in ("", "x", "y", "xy"):
-            same = _same_bits_or_both_nan if sides == "xy" else _same_bits
+            same = same_bits_or_both_nan if sides == "xy" else _same_bits
             for S in (0, 1, 25):
                 x, y = _auc_edge_points(inst, rng, S, sides, alpha_big=False)
                 points = [(x, y), (x[:, None], np.stack([y, -y], axis=1))] + ([(x[0], y[0])] if S else [])
