@@ -366,7 +366,7 @@ class TestCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_test" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert not list(tmp_path.rglob("*.csv")) and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_auc_pos_ratio_without_a_negative_cluster_is_an_error_exit(self, command, tmp_path, capsys):
@@ -380,7 +380,7 @@ class TestCommands:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("error: pos_ratio=0.9 ") and "Traceback" not in err
-        assert not (tmp_path / "out").exists()  # nor its directory: no problem was built
+        assert not list(tmp_path.rglob("*.csv")) and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("preset", ["auc-imbalanced", "robust-q6"])
     def test_problem_name_override_is_refused_in_any_case(self, preset, tmp_path, capsys):

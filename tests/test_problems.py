@@ -20,7 +20,7 @@ from fedminimax.theory import (
     estimate_constants,
 )
 
-from conftest import edge_rows, fd_grad, numeric_inner_max, same_bits_or_both_nan
+from conftest import EDGE_ENTRIES, edge_rows, fd_grad, numeric_inner_max, same_bits_or_both_nan
 
 
 class TestSyntheticConstruction:
@@ -166,8 +166,7 @@ class TestSyntheticGradients:
         assert np.allclose(gx, ggx) and np.allclose(gy, ggy)
 
     def test_in_place_oracles_equal_their_expression_forms_bitwise(self):
-        # the in-place oracles commute no sum or product, but NaNs of both
-        # signs can meet, as in same_bits_or_both_nan
+        # the same operations in the same order, in place: every bit
         inst = fm.SyntheticProblem(K=5, dim=4, s=1.0, tau=10.0, seed=3, n_per_client=7)
         rng = np.random.default_rng(24)
         for _ in range(150):
@@ -178,7 +177,7 @@ class TestSyntheticGradients:
                 pairs = ((inst.grad_full_all(X, Y), _expression_grad_full_all(inst, X, Y)),
                          (inst.grad_stoch_rows(ks, items, X, Y), _expression_grad_stoch_rows(inst, ks, items, X, Y)))
             for got, want in pairs:
-                assert all(same_bits_or_both_nan(g, w) for g, w in zip(got, want))
+                assert all(_same_bits(g, w) for g, w in zip(got, want))
 
     def test_index_errors(self, synthetic_small):
         inst = synthetic_small
@@ -795,11 +794,6 @@ def _where_value_block(inst, Xs, labs, x, y):
     return (vals - pr * (1 - pr) * alpha_sq).mean(axis=-1)
 
 
-# Signed zeros, infinities, NaNs of both signs and 1e300; alpha takes no
-# +-1e300, whose square as a Python float raises OverflowError (both forms).
-_EDGE_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300])
-
-
 def _auc_edge_points(inst, rng, n, sides, alpha_big=True):
     """n points X (n, d), Y (n, 1) at a random scale, about 15% of the
     entries of each side named in sides ("x", "y") set to edge entries."""
@@ -807,7 +801,9 @@ def _auc_edge_points(inst, rng, n, sides, alpha_big=True):
     Y = 10.0 ** rng.integers(-3, 4) * rng.standard_normal((n, 1))
     for side, A in (("x", X), ("y", Y)):
         if side in sides:
-            entries = _EDGE_ENTRIES if side == "x" or alpha_big else _EDGE_ENTRIES[:6]
+            # without alpha_big, alpha takes no +-1e300, whose square as a
+            # Python float raises OverflowError (both forms)
+            entries = EDGE_ENTRIES if side == "x" or alpha_big else EDGE_ENTRIES[:6]
             hit = rng.random(A.shape) < 0.15
             A[hit] = rng.choice(entries, size=int(hit.sum()))
     return X, Y
