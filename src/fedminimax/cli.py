@@ -127,7 +127,6 @@ def cmd_run(args, overrides) -> int:
     diverged = False
     for seed in cfg.output.seeds:
         problem = cfg.build_problem(seed)
-        out_dir.mkdir(parents=True, exist_ok=True)  # not before a problem is built: it may be refused
         hp = cfg.hp_for_seed(seed)
         report = _validate(problem, hp, _constants_for(problem, hp))
         if not report.all_satisfied:
@@ -140,6 +139,7 @@ def cmd_run(args, overrides) -> int:
             diverged = True
             continue
         stem = f"{problem.name}_{hp.variant}_seed{seed}"
+        out_dir.mkdir(parents=True, exist_ok=True)  # only now: a seed may be refused or diverge
         metrics.emit_csv(trace, out_dir / f"{stem}.csv", config_hash=chash)
         (out_dir / f"{stem}.summary.txt").write_text(metrics.render_summary(trace) + "\n")
         last = trace.final()
@@ -172,6 +172,8 @@ def cmd_validate(args, overrides) -> int:
 def cmd_probe(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ConfigError("--checks names no check")
     unknown = set(checks) - set(PROBE_CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}; available: {PROBE_CHECKS}")
@@ -217,7 +219,7 @@ def cmd_probe(args, overrides) -> int:
             for k in range(problem.K):
                 x = rng.standard_normal(problem.d)
                 y = rng.standard_normal(problem.p)
-                gx, gy = grad_full(problem, k, x, y)
+                GX, GY = grad_full(problem, x, y)
                 n_k = problem.sizes[k]
                 SX, SY = problem.grad_stoch_rows(
                     np.full(n_k, k), np.arange(n_k), np.tile(x, (n_k, 1)), np.tile(y, (n_k, 1))
@@ -225,8 +227,8 @@ def cmd_probe(args, overrides) -> int:
                 sx, sy = index_sum(SX), index_sum(SY)
                 worst = max(
                     worst,
-                    float(np.linalg.norm(sx / n_k - gx)),
-                    float(np.linalg.norm(sy / n_k - gy)),
+                    float(np.linalg.norm(sx / n_k - GX[k])),
+                    float(np.linalg.norm(sy / n_k - GY[k])),
                 )
             ok = worst < 1e-10
             any_fail |= not ok

@@ -167,6 +167,8 @@ def _read_config(raw: dict[str, dict[str, str]]) -> RunConfig:
     if name not in PROBLEM_SCHEMAS:
         raise ConfigError(f"unknown problem {name!r}; expected one of {sorted(PROBLEM_SCHEMAS)}")
     params = _read_section(prob_raw, "problem", PROBLEM_SCHEMAS[name])
+    if params["seed"] is not None and params["seed"] < 0:
+        raise ConfigError(f"problem.seed must be >= 0 or none, got {params['seed']}")
     if "scheme" in params and params["scheme"] not in SCHEMES:
         raise ConfigError(f"problem.scheme must be one of {SCHEMES}")
 
@@ -181,6 +183,8 @@ def _read_config(raw: dict[str, dict[str, str]]) -> RunConfig:
     out = _read_section(raw.get("output", {}), "output", OUTPUT_SCHEMA)
     if not out["seeds"]:
         raise ConfigError("output.seeds must list at least one seed")
+    if min(out["seeds"]) < 0 or len(set(out["seeds"])) < len(out["seeds"]):
+        raise ConfigError(f"output.seeds must be distinct and >= 0, got {_render_value(out['seeds'])}")
     if out["heavy_cadence"] < 0:
         raise ConfigError(f"output.heavy_cadence must be >= 0 (0 turns heavy metrics off), got {out['heavy_cadence']}")
 

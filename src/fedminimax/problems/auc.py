@@ -160,20 +160,14 @@ class AucProblem(DatasetProblem):
         GX += 0.0
         return GX, ((c_alpha * h + 0.0) - 2 * pr * (1 - pr) * Y[:, 0])[:, None]
 
-    def _affine_grads(self, ks: slice, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H_k z + g_k of the clients ks at points X (..., B, d), Y (..., B, 1):
-        one gemv per point, so a row's bits do not depend on the rows with it."""
-        G = np.matmul(self._hessians[ks], np.concatenate([X, Y], axis=-1)[..., None])[..., 0]
-        G += self._grads_at_0[ks]
-        return np.ascontiguousarray(G[..., :self.d]), np.ascontiguousarray(G[..., self.d:])
-
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        GX, GY = self._affine_grads(slice(k, k + 1), x[None], y[None])
-        return GX[0], GY[0]
-
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        GX, GY = self._affine_grads(slice(None), X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, 1))
-        return GX.reshape(X.shape), GY.reshape(Y.shape)
+        # H_k z + g_k on the (n, K, d + 1) blocks of z = (x, y): one gemv per
+        # row, so a row's bits do not depend on the rows with it.
+        Z = np.concatenate([X, Y], axis=-1).reshape(-1, self.K, self.d + 1, 1)
+        G = np.matmul(self._hessians, Z)[..., 0]
+        G += self._grads_at_0
+        G = G.reshape(len(X), -1)
+        return np.ascontiguousarray(G[:, :self.d]), np.ascontiguousarray(G[:, self.d:])
 
     def y_star(self, x: Vector) -> Vector:
         """Closed-form inner maximizer alpha*(w) of the averaged objective: the

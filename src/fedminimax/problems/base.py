@@ -8,8 +8,10 @@ one row per (client, point), for
 plus whatever closed forms the family admits (saddle point, inner
 maximizer y*(x), value function gradient). Instances are immutable after
 construction and the oracles are pure functions, so concurrent reads are
-safe. The module functions grad_stoch and grad_full are the checked
-one-row forms: each raises IndexError on an out-of-range client or item.
+safe. grad_full_all is each family's only exact-gradient oracle: the module
+function grad_full reads every client's row of it at one shared point. The
+module function grad_stoch is the checked one-item form, which raises
+IndexError on an out-of-range client or item.
 
 Each family is a keyword-only dataclass: its fields are its generation
 parameters (the [problem] config keys, K for k), and __post_init__ draws
@@ -67,16 +69,13 @@ class ProblemInstance(ABC):
         (S, K), row s bitwise equal to values(x[s], y[s])."""
 
     @abstractmethod
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        """Exact per-client partial gradients (df/dx, df/dy)."""
-
-    @abstractmethod
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact partial gradients of every client at its own point.
 
         X is (nK, d) and Y is (nK, p): n stacked blocks of one row per
-        client, so row i belongs to client i mod K. Row i of each output is
-        bitwise equal to grad_full(i mod K, X[i], Y[i]).
+        client, so row i belongs to client i mod K. A row's bits do not
+        depend on the rows with it: row i of each output is bitwise row
+        i mod K of the module function grad_full at (X[i], Y[i]).
         """
 
     @abstractmethod
@@ -86,9 +85,6 @@ class ProblemInstance(ABC):
         """Partial gradients of sampled realizations, one per row: row i is
         item items[i] of client ks[i], at the point (X[i], Y[i])."""
 
-    def value(self, k: int, x: Vector, y: Vector) -> float:
-        return float(self.values(x, y)[k])
-
     def global_value(self, x: Vector, y: Vector) -> float | np.ndarray:
         """The averaged objective at (x, y), a float; at S row-stacked
         points, the (S,) array of each point's value."""
@@ -96,9 +92,7 @@ class ProblemInstance(ABC):
         return float(v) if v.ndim == 0 else v
 
     def global_grad(self, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        # Real copies, not broadcast views: matmul on zero-stride operands
-        # leaves BLAS and sums in another order.
-        GX, GY = self.grad_full_all(np.tile(x, (self.K, 1)), np.tile(y, (self.K, 1)))
+        GX, GY = grad_full(self, x, y)
         return vec_mean(GX), vec_mean(GY)
 
     # Closed forms: y_star exists iff has_closed_form_inner_max.
@@ -192,25 +186,24 @@ class DatasetProblem(ProblemInstance):
         return self._grad_rows(self._pool_X.take(rows, axis=0), self._pool_table.take(rows, axis=-1), X, Y)
 
 
-def _check_client(inst: ProblemInstance, k: int) -> None:
-    if not 0 <= k < inst.K:
-        raise IndexError(f"client index {k} out of range [0, {inst.K})")
-
-
 def grad_stoch(inst: ProblemInstance, k: int, x: Vector, y: Vector, item: int) -> tuple[Vector, Vector]:
     """Partial gradients of item `item` of client k; uniform sampling over
-    the client's finite dataset makes this estimator unbiased for grad_full."""
-    _check_client(inst, k)
+    the client's finite dataset makes this estimator unbiased for row k of
+    grad_full."""
+    if not 0 <= k < inst.K:
+        raise IndexError(f"client index {k} out of range [0, {inst.K})")
     if not 0 <= item < inst.sizes[k]:
         raise IndexError(f"item index {item} out of range for client {k}")
     GX, GY = inst.grad_stoch_rows(np.array([k]), np.array([item]), x[None], y[None])
     return GX[0], GY[0]
 
 
-def grad_full(inst: ProblemInstance, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-    """Exact per-client partial gradients."""
-    _check_client(inst, k)
-    return inst.grad_full(k, x, y)
+def grad_full(inst: ProblemInstance, x: Vector, y: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Exact partial gradients of every client at one shared point: (K, d)
+    and (K, p), row k client k's."""
+    # Real copies, not broadcast views: matmul on zero-stride operands
+    # leaves BLAS and sums in another order.
+    return inst.grad_full_all(np.tile(x, (inst.K, 1)), np.tile(y, (inst.K, 1)))
 
 
 def grad_F(inst: ProblemInstance, x: Vector) -> Vector:

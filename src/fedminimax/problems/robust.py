@@ -74,10 +74,6 @@ class RobustProblem(DatasetProblem):
         z = np.matmul(Xs, x[..., None, :, None])[..., 0] + row_dots(x, y)[..., None, None]
         return np.logaddexp(0.0, -labs * z).mean(axis=-1)
 
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        GX, GY = self._grad_block(self.clients_X[k][None], self.clients_y[k][None], x[None], y[None])
-        return GX[0], GY[0]
-
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The n K-row blocks as (n, K, .), each size block's data broadcast over
         # them in pieces of at most base._ORACLE_ELEMENTS (blocks, K_b, n_b)

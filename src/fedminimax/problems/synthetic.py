@@ -101,11 +101,6 @@ class SyntheticProblem(ProblemInstance):
         xx, yy, yx = row_dots(0.5 * self.tau * x, x), row_dots(0.5 * y, y), row_dots(y, x)
         return xx[..., None] - (yy[..., None] - by + self.t * yx[..., None])
 
-    def grad_full(self, k: int, x: Vector, y: Vector) -> tuple[Vector, Vector]:
-        gx = self.tau * x - self.t[k] * y
-        gy = -y + self.b[k] - self.t[k] * x
-        return gx, gy
-
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Viewed as (n, K, d) blocks; elementwise arithmetic keeps its bits when broadcast.
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)

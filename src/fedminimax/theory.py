@@ -307,17 +307,20 @@ def grad_check(inst: ProblemInstance, k: int, x: Vector, y: Vector, h: float = 1
     gradients, both blocks; returns the max relative error."""
     if not 1e-8 < h < 1e-3:
         raise ValueError("h must lie in (1e-8, 1e-3)")
-    gx, gy = grad_full(inst, k, x, y)
+    if not 0 <= k < inst.K:  # a negative k would read another client's row
+        raise IndexError(f"client index {k} out of range [0, {inst.K})")
+    GX, GY = grad_full(inst, x, y)
+    gx, gy = GX[k], GY[k]
     fd_x = np.zeros_like(gx)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = h
-        fd_x[i] = (inst.value(k, x + e, y) - inst.value(k, x - e, y)) / (2.0 * h)
+        fd_x[i] = (inst.values(x + e, y)[k] - inst.values(x - e, y)[k]) / (2.0 * h)
     fd_y = np.zeros_like(gy)
     for i in range(len(y)):
         e = np.zeros_like(y)
         e[i] = h
-        fd_y[i] = (inst.value(k, x, y + e) - inst.value(k, x, y - e)) / (2.0 * h)
+        fd_y[i] = (inst.values(x, y + e)[k] - inst.values(x, y - e)[k]) / (2.0 * h)
     scale = max(1.0, float(np.abs(gx).max(initial=0.0)), float(np.abs(gy).max(initial=0.0)))
     err = max(float(np.abs(fd_x - gx).max(initial=0.0)), float(np.abs(fd_y - gy).max(initial=0.0)))
     return err / scale
@@ -411,10 +414,10 @@ def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
     worst = 0.0
     for x, y in zip(*_draw_probes(inst, max(1, n_samples // 10), rng, scale=2.0)):
         SX, SY = inst.grad_stoch_rows(ks, items, np.tile(x, (len(ks), 1)), np.tile(y, (len(ks), 1)))
+        GX, GY = grad_full(inst, x, y)
         start = 0
         for k, n_k in enumerate(inst.sizes):
-            gx, gy = grad_full(inst, k, x, y)
-            sq = row_dots(SX[start:start + n_k] - gx) + row_dots(SY[start:start + n_k] - gy)
+            sq = row_dots(SX[start:start + n_k] - GX[k]) + row_dots(SY[start:start + n_k] - GY[k])
             worst = max(worst, float(index_sum(sq)) / n_k)
             start += n_k
     return math.sqrt(worst)

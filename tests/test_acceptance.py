@@ -184,8 +184,9 @@ def test_criterion_5_assumption_probes():
     for inst in (synth, auc, rob):
         x = rng.standard_normal(inst.d)
         y = rng.standard_normal(inst.p)
+        GX, GY = grad_full(inst, x, y)
         for k in range(inst.K):
-            gx, gy = grad_full(inst, k, x, y)
+            gx, gy = GX[k], GY[k]
             n = inst.sizes[k]
             accx, accy = np.zeros_like(gx), np.zeros_like(gy)
             for item in range(n):

@@ -130,10 +130,9 @@ class TestInitRound:
         inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=1, noise_sigma=0.0)
         hp = HyperParams(T=5, q=1, seed=0)
         clients, _, _ = init_round(inst, hp)
-        for k in range(inst.K):
-            gx, gy = grad_full(inst, k, clients.X[k], clients.Y[k])
-            assert np.allclose(clients.W[k], gx)
-            assert np.allclose(clients.V[k], gy)
+        GX, GY = inst.grad_full_all(clients.X, clients.Y)  # row k: client k at its own point
+        assert np.allclose(clients.W, GX)
+        assert np.allclose(clients.V, GY)
 
     def test_all_clients_share_start(self, synthetic_small):
         hp = HyperParams(T=10, q=5, seed=0)
@@ -277,7 +276,8 @@ class TestLocalStep:
         after = clients
         assert np.allclose(after.Y[0], y0 + hp.lam * v0)
         assert np.allclose(after.X[0], x0 - hp.gamma * w0)
-        gx, gy = grad_full(inst, 0, after.X[0], after.Y[0])
+        GX, GY = grad_full(inst, after.X[0], after.Y[0])
+        gx, gy = GX[0], GY[0]
         assert np.array_equal(after.V[0], gy)  # noiseless: estimate equals the fresh gradient
         assert np.array_equal(after.W[0], gx)
 

@@ -107,6 +107,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(MINIMAL + "[output]\nseeds =\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("[output]\nseeds = -1\n", r"output\.seeds must be distinct and >= 0, got -1$"),
+        ("[output]\nseeds = 1,1\n", r"output\.seeds must be distinct and >= 0, got 1,1$"),
+        ("[output]\nseeds = 2,0,-4\n", r"output\.seeds must be distinct and >= 0, got 2,0,-4$"),
+        ("seed = -3\n", r"problem\.seed must be >= 0 or none, got -3$"),
+    ])
+    def test_negative_or_repeated_seed_rejected(self, text, message):
+        # numpy would refuse a negative seed without naming the key, and a
+        # repeated run seed would run twice and overwrite its own files
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + text)
+        cfg = parse_config(MINIMAL + "seed = 0\n[output]\nseeds = 0,3\n")
+        assert cfg.output.seeds == (0, 3) and cfg.problem.params["seed"] == 0
+
     def test_negative_heavy_cadence_rejected(self):
         with pytest.raises(ConfigError, match=r"output\.heavy_cadence must be >= 0 .*got -2"):
             parse_config(MINIMAL + "[output]\nheavy_cadence = -2\n")
@@ -307,6 +321,7 @@ class TestCommands:
         for seed in (1, 2, 3):
             assert re.search(rf"^seed {seed}: diverged: non-finite iterate or estimate at t=\d+$", err, re.M)
         assert "Traceback" not in err
+        assert not out.exists()  # no seed wrote, so no directory was made
 
     def test_auc_run_whose_objective_overflows_exits_3(self, tmp_path, capsys):
         # alpha grows past sqrt(max float) while every iterate stays finite:
@@ -342,6 +357,29 @@ class TestCommands:
         assert "seed 2: diverged: non-finite iterate or estimate at t=7" in capsys.readouterr().err
         stems = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
         assert stems == ["synthetic_fgda_seed1.csv", "synthetic_fgda_seed3.csv"]
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["--output.seeds=-1"], "output.seeds must be distinct and >= 0, got -1"),
+        (["--output.seeds", "1,1"], "output.seeds must be distinct and >= 0, got 1,1"),
+        (["--problem.seed", "-3"], "problem.seed must be >= 0 or none, got -3"),
+    ])
+    def test_negative_or_repeated_seed_is_an_error_exit(self, overrides, message, tmp_path, capsys):
+        argv = ["run", "--preset", "robust-q6", "--algorithm.t", "13", *overrides,
+                "--output.csv_dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_refused_by_the_run_leaves_no_directory(self, tmp_path, capsys):
+        # q exceeds the dataset: init_round refuses the seed after the
+        # problem is built and its constants are estimated
+        argv = ["run", "--preset", "robust-q6", "--algorithm.q", "50", "--algorithm.t", "7",
+                "--output.csv_dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: q=50 exceeds client 0 dataset size 40\n") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_heavy_cadence_is_an_error_exit(self, tmp_path, capsys):
         argv = ["run", "--preset", "robust-q6", "--algorithm.t", "13", "--output.seeds", "1",
@@ -398,8 +436,10 @@ class TestCommands:
                 "--output.csv_dir", str(tmp_path / "taken" / under)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        # the directory is made at the seed's first write, after its run
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
         assert (tmp_path / "taken").read_text() == "x"
+        assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.ini"
@@ -483,6 +523,13 @@ class TestCommands:
         assert code == 2
         assert captured.err == f"error: --points must be >= 1, got {points}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_probe_without_checks_is_a_config_error(self, checks, capsys):
+        # an empty list would check nothing and exit 0
+        assert main(["probe", "--preset", "synthetic-s1", "--checks", checks, "--points", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --checks names no check\n" and captured.out == ""
 
     def test_probe_skips_unsupported_with_warning(self, capsys):
         code = main(["probe", "--preset", "robust-q6", "--checks", "pl,gradcheck", "--points", "20"])

@@ -18,6 +18,7 @@ from fedminimax.theory import (
     _robust_curvatures,
     _robust_hessian_norms,
     estimate_constants,
+    grad_check,
 )
 
 from conftest import EDGE_ENTRIES, edge_rows, fd_grad, numeric_inner_max, same_bits_or_both_nan
@@ -126,28 +127,30 @@ class TestSyntheticGradients:
             k = int(rng.integers(inst.K))
             x = rng.standard_normal(inst.d)
             y = rng.standard_normal(inst.p)
-            gx, gy = grad_full(inst, k, x, y)
+            GX, GY = grad_full(inst, x, y)
+            gx, gy = GX[k], GY[k]
             assert np.allclose(gx, inst.tau * x - inst.t[k] * y)
             assert np.allclose(gy, -y + inst.b[k] - inst.t[k] * x)
-            assert np.allclose(gx, fd_grad(lambda z: inst.value(k, z, y), x), atol=1e-6)
-            assert np.allclose(gy, fd_grad(lambda z: inst.value(k, x, z), y), atol=1e-6)
+            assert np.allclose(gx, fd_grad(lambda z: inst.values(z, y)[k], x), atol=1e-6)
+            assert np.allclose(gy, fd_grad(lambda z: inst.values(x, z)[k], y), atol=1e-6)
 
     def test_zero_noise_oracle_is_exact(self):
         inst = fm.SyntheticProblem(K=3, dim=4, s=1.0, tau=10.0, seed=5, noise_sigma=0.0)
         x, y = np.ones(4), np.ones(4)
+        GX, GY = grad_full(inst, x, y)
         for k in range(3):
             sx, sy = grad_stoch(inst, k, x, y, 0)
-            gx, gy = grad_full(inst, k, x, y)
-            assert np.array_equal(sx, gx)
-            assert np.array_equal(sy, gy)
+            assert np.array_equal(sx, GX[k])
+            assert np.array_equal(sy, GY[k])
 
     def test_finite_population_unbiasedness(self, synthetic_small):
         inst = synthetic_small
         rng = np.random.default_rng(1)
         x = rng.standard_normal(inst.d)
         y = rng.standard_normal(inst.p)
+        GX, GY = grad_full(inst, x, y)
         for k in range(inst.K):
-            gx, gy = grad_full(inst, k, x, y)
+            gx, gy = GX[k], GY[k]
             accx = np.zeros_like(gx)
             accy = np.zeros_like(gy)
             n = inst.sizes[k]
@@ -161,9 +164,10 @@ class TestSyntheticGradients:
     def test_identical_clients_match_global(self):
         inst = fm.SyntheticProblem(K=1, dim=4, s=1.0, tau=10.0, seed=3)
         x, y = np.ones(4), -np.ones(4)
-        gx, gy = grad_full(inst, 0, x, y)
+        GX, GY = grad_full(inst, x, y)
         ggx, ggy = inst.global_grad(x, y)
-        assert np.allclose(gx, ggx) and np.allclose(gy, ggy)
+        assert GX.shape == (1, 4) and GY.shape == (1, 4)
+        assert np.allclose(GX[0], ggx) and np.allclose(GY[0], ggy)
 
     def test_in_place_oracles_equal_their_expression_forms_bitwise(self):
         # the same operations in the same order, in place: every bit
@@ -182,8 +186,9 @@ class TestSyntheticGradients:
     def test_index_errors(self, synthetic_small):
         inst = synthetic_small
         x, y = np.ones(inst.d), np.ones(inst.p)
-        with pytest.raises(IndexError):
-            grad_full(inst, inst.K, x, y)
+        for k in (inst.K, -1):  # -1 would otherwise read the last client's row
+            with pytest.raises(IndexError):
+                grad_check(inst, k, x, y)
         with pytest.raises(IndexError):
             grad_stoch(inst, inst.K, x, y, 0)
         with pytest.raises(IndexError):
@@ -377,9 +382,9 @@ class TestAuc:
         for k in (0, 2):
             x = rng.standard_normal(inst.d)
             y = rng.standard_normal(1)
-            gx, gy = grad_full(inst, k, x, y)
-            assert np.allclose(gx, fd_grad(lambda z: inst.value(k, z, y), x), atol=1e-5)
-            assert np.allclose(gy, fd_grad(lambda z: inst.value(k, x, z), y), atol=1e-5)
+            GX, GY = grad_full(inst, x, y)
+            assert np.allclose(GX[k], fd_grad(lambda z: inst.values(z, y)[k], x), atol=1e-5)
+            assert np.allclose(GY[k], fd_grad(lambda z: inst.values(x, z)[k], y), atol=1e-5)
 
     def test_inner_max_closed_form_matches_numeric(self, auc_inst):
         inst = auc_inst
@@ -408,8 +413,9 @@ class TestAuc:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(inst.d)
         y = rng.standard_normal(1)
+        GX, GY = grad_full(inst, x, y)
         for k in range(inst.K):
-            gx, gy = grad_full(inst, k, x, y)
+            gx, gy = GX[k], GY[k]
             n = inst.sizes[k]
             accx, accy = np.zeros_like(gx), np.zeros_like(gy)
             for item in range(n):
@@ -455,7 +461,7 @@ class TestRobust:
         rng = np.random.default_rng(8)
         w = rng.standard_normal(inst.d)
         z0 = np.zeros(inst.p)
-        gx, _ = grad_full(inst, 0, w, z0)
+        gx = grad_full(inst, w, z0)[0][0]
         X, lab = inst.clients_X[0], inst.clients_y[0]
         zz = X @ w
         s = -lab / (1 + np.exp(lab * zz))
@@ -466,7 +472,7 @@ class TestRobust:
         rng = np.random.default_rng(9)
         w = rng.standard_normal(inst.d)
         rho = rng.standard_normal(inst.p) * 0.1
-        _, gy = grad_full(inst, 0, w, rho)
+        gy = grad_full(inst, w, rho)[1][0]
         cross = gy - (gy @ w) / (w @ w) * w
         assert np.linalg.norm(cross) < 1e-12
 
@@ -476,9 +482,9 @@ class TestRobust:
         for k in (0, 3):
             w = rng.standard_normal(inst.d)
             rho = inst.y_constraint.project(rng.standard_normal(inst.p))
-            gx, gy = grad_full(inst, k, w, rho)
-            assert np.allclose(gx, fd_grad(lambda z: inst.value(k, z, rho), w), atol=1e-6)
-            assert np.allclose(gy, fd_grad(lambda z: inst.value(k, w, z), rho), atol=1e-6)
+            GX, GY = grad_full(inst, w, rho)
+            assert np.allclose(GX[k], fd_grad(lambda z: inst.values(z, rho)[k], w), atol=1e-6)
+            assert np.allclose(GY[k], fd_grad(lambda z: inst.values(w, z)[k], rho), atol=1e-6)
 
     def test_boundary_point_is_projection_fixed_point(self, robust_inst):
         y = np.zeros(robust_inst.p)
@@ -530,11 +536,11 @@ class TestGradF:
         def max_gap(inst):
             worst_x = worst_y = 0.0
             for x, y in pts:
-                gs = [grad_full(inst, k, x, y) for k in range(inst.K)]
+                GX, GY = grad_full(inst, x, y)
                 for i in range(inst.K):
                     for j in range(i + 1, inst.K):
-                        worst_x = max(worst_x, float(np.linalg.norm(gs[i][0] - gs[j][0])))
-                        worst_y = max(worst_y, float(np.linalg.norm(gs[i][1] - gs[j][1])))
+                        worst_x = max(worst_x, float(np.linalg.norm(GX[i] - GX[j])))
+                        worst_y = max(worst_y, float(np.linalg.norm(GY[i] - GY[j])))
             return worst_x, worst_y
 
         ax, ay = max_gap(a)
@@ -543,6 +549,11 @@ class TestGradF:
         # the x-side couplings are shared between the two instances; the
         # offset-driven y-side gap is the s-sensitive one
         assert by > ay
+
+
+def _plain_grad_synthetic(inst, k, x, y):
+    """Client k's exact gradient written as a plain one-client formula."""
+    return inst.tau * x - inst.t[k] * y, -y + inst.b[k] - inst.t[k] * x
 
 
 def _plain_grad_robust(inst, k, x, y):
@@ -831,7 +842,7 @@ AUC_KERNEL_CASES = {
     **{case: STACKED_CASES[case] for case in ("auc-iid", "auc-by_group", "auc-dirichlet")},
     "auc-dim=1": lambda: fm.AucProblem(K=5, dim=1, n_per_client=33, pos_ratio=0.3, seed=5),
 }
-PLAIN_GRAD = {"auc": _plain_grad_auc, "robust": _plain_grad_robust}
+PLAIN_GRAD = {"synthetic": _plain_grad_synthetic, "auc": _plain_grad_auc, "robust": _plain_grad_robust}
 PLAIN_VALUE = {"synthetic": _plain_value_synthetic, "auc": _plain_value_auc, "robust": _plain_value_robust}
 PLAIN_STOCH = {"synthetic": _plain_stoch_synthetic, "auc": _plain_stoch_auc, "robust": _plain_stoch_robust}
 
@@ -857,11 +868,8 @@ class TestStackedOracle:
             GX, GY = inst.grad_full_all(X, Y)
             assert GX.shape == X.shape and GY.shape == Y.shape
             for k in range(inst.K):
-                gx, gy = grad_full(inst, k, X[k], Y[k])
-                assert np.array_equal(GX[k], gx) and np.array_equal(GY[k], gy)
-                if inst.name in PLAIN_GRAD:
-                    px, py = PLAIN_GRAD[inst.name](inst, k, X[k], Y[k])
-                    assert np.array_equal(gx, px) and np.array_equal(gy, py)
+                px, py = PLAIN_GRAD[inst.name](inst, k, X[k], Y[k])
+                assert np.array_equal(GX[k], px) and np.array_equal(GY[k], py)
 
     @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_values_equal_plain_per_client_objectives_bitwise(self, case):
@@ -875,7 +883,7 @@ class TestStackedOracle:
             acc = 0.0
             for k in range(inst.K):
                 ref = PLAIN_VALUE[inst.name](inst, k, x, y)
-                assert vals[k] == ref and inst.value(k, x, y) == ref
+                assert vals[k] == ref
                 acc += ref
             assert inst.global_value(x, y) == acc / inst.K
 
@@ -1109,6 +1117,22 @@ class TestStackedOracle:
                 gx, gy = inst.grad_full_all(X[rows], Y[rows])
                 assert np.array_equal(GX[rows], gx) and np.array_equal(GY[rows], gy)
 
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_stacked_row_equals_grad_full_at_that_rows_point_bitwise(self, case):
+        # grad_full tiles one point over the K clients; row i of a call on
+        # n blocks of distinct points is row i mod K of grad_full there
+        inst = STACKED_CASES[case]()
+        K = inst.K
+        rng = np.random.default_rng(61)
+        for n in (2, 5):
+            X = 2.0 * rng.standard_normal((n * K, inst.d))
+            Y = inst.y_constraint.project(2.0 * rng.standard_normal((n * K, inst.p)))
+            GX, GY = inst.grad_full_all(X, Y)
+            for i in range(n * K):
+                gx, gy = grad_full(inst, X[i], Y[i])
+                assert gx.shape == (K, inst.d) and gy.shape == (K, inst.p)
+                assert _same_bits(GX[i], gx[i % K]) and _same_bits(GY[i], gy[i % K])
+
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_exact_oracle_in_pieces_equals_one_unsplit_call_bitwise(self, case, monkeypatch):
         # grad_full_all bounds its kernel's temporaries by taking the point
@@ -1171,7 +1195,7 @@ class TestStackedOracle:
             x = 2.0 * rng.standard_normal(inst.d)
             y = 2.0 * rng.standard_normal(inst.p)
             for k in range(inst.K):
-                gx, gy = grad_full(inst, k, x, y)
+                gx, gy = PLAIN_GRAD[inst.name](inst, k, x, y)
                 acc = 0.0
                 for item in range(inst.sizes[k]):
                     sx, sy = PLAIN_STOCH[inst.name](inst, k, x, y, item)
@@ -1200,7 +1224,7 @@ class TestStackedOracle:
             y = 2.0 * rng.standard_normal(inst.p)
             acc_x, acc_y = np.zeros(inst.d), np.zeros(inst.p)
             for k in range(inst.K):
-                gx, gy = grad_full(inst, k, x, y)
+                gx, gy = PLAIN_GRAD[inst.name](inst, k, x, y)
                 acc_x += gx
                 acc_y += gy
             gx, gy = inst.global_grad(x, y)
@@ -1214,7 +1238,7 @@ class TestStackedOracle:
         for _ in range(n_samples):
             x = 2.0 * rng.standard_normal(inst.d)
             y = 2.0 * rng.standard_normal(inst.p)
-            gs = [grad_full(inst, k, x, y) for k in range(inst.K)]
+            gs = [_plain_grad_synthetic(inst, k, x, y) for k in range(inst.K)]
             for a in range(inst.K):
                 for b in range(a + 1, inst.K):
                     dx = max(dx, float(np.linalg.norm(gs[a][0] - gs[b][0])))

@@ -8,6 +8,7 @@ import fedminimax as fm
 from fedminimax.algorithms import HyperParams
 from fedminimax.config import apply_overrides
 from fedminimax.presets import load_preset, preset_names
+from fedminimax.problems import grad_full
 from fedminimax import theory
 from fedminimax.core import index_sum, row_dots
 from fedminimax.theory import (
@@ -421,8 +422,7 @@ class TestPairwiseDistanceScreen:
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         c = estimate_constants(problem, n_samples=50, seed=hp.seed)
         Z = 2.0 * np.random.default_rng(np.random.SeedSequence(hp.seed)).standard_normal((50, problem.d + problem.p))
-        G = np.array([[problem.grad_full(k, z[:problem.d], z[problem.d:])[0] for k in range(problem.K)]
-                      for z in Z])
+        G = np.array([grad_full(problem, z[:problem.d], z[problem.d:])[0] for z in Z])
         assert all(len(np.unique(rows, axis=0)) == 1 for rows in G)
         assert c.delta_x == _reference_max_distance(G) == 0.0
         assert c.delta_y > 0.0
