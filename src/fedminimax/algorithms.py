@@ -296,7 +296,8 @@ def _step(
     ascent proposal on y and a descent proposal on x, each interpolated by
     eta_t (y projected). Each side is Z + eta_t * (Z_hat - Z) in one
     scratch array (bitwise, see core); identity matrices skip the
-    division, since G / 1 is G bitwise."""
+    division, since G / 1 is G bitwise, and a projection that returns its
+    input skips the copy back."""
     for Z, G, a, c, propose in ((clients.Y, clients.V, server.B, hp.lam, np.add),
                                 (clients.X, clients.W, server.A, hp.gamma, np.subtract)):
         if server.mode == MODE_IDENTITY:
@@ -308,7 +309,9 @@ def _step(
         U -= Z
         U *= eta_t
         Z += U
-    clients.Y[:] = problem.y_constraint.project(clients.Y)
+    Y = problem.y_constraint.project(clients.Y)
+    if Y is not clients.Y:  # only a ball with a row outside it returns a new array
+        clients.Y[:] = Y
 
 
 def local_step(

@@ -119,9 +119,20 @@ def _validate(problem, hp, c: theory.ConstantSet) -> theory.ConstraintReport:
     return theory.validate_theorem2(hp, c, problem.K)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse a CSV directory that no seed could make: an existing file, or
+    a path whose nearest existing ancestor is a file."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output.csv_dir {str(out_dir)!r}: {str(path)!r} is not a directory")
+            return
+
+
 def cmd_run(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     out_dir = Path(cfg.output.csv_dir)
+    _check_out_dir(out_dir)  # before any seed; the directory is made at the first write
     cfg_text = render_config(cfg)
     chash = metrics.config_hash(cfg_text)
     diverged = False

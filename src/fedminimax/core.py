@@ -31,7 +31,8 @@ row:
   np.cumsum(A, axis=0)[-1] against adding the rows of A one by one in
   index order (np.add.accumulate, which np.cumsum calls, never
   reassociates), also along the K axis of an (S, K, d) stack against each
-  (K, d) slice's own cumsum, and in place (out=A);
+  (K, d) slice's own cumsum, along the last axis of a (P, K, n) stack
+  against each row's own (theory's sigma probe), and in place (out=A);
 - np.add.reduce(A, axis) against that cumsum's last slice, where the axis
   is not the last and A is C-contiguous with a trailing length of at
   least 2: numpy adds whole rows in index order and sums pairwise only
@@ -58,12 +59,12 @@ row:
   each matrix, and U[:, :, None] * U[:, None, :] against np.outer(u, u).
 
 Not bitwise equal: np.add.reduceat, np.einsum, np.linalg.norm(axis=1),
-A @ v (one gemv) against the row dots A[k] @ v, the Gram form
-N_a + N_b - 2 G_a.G_b of a squared distance against row_dots(G_a - G_b)
-(theory uses it only to screen pairs, within a proven slack, before the
-row dots), and add.reduce, sum or mean along the fast axis, or across
-clients on a (K, 1) array, which sum pairwise; these stay forbidden for
-cross-client reductions.
+A @ v (one gemv) against the row dots A[k] @ v, the augmented product
+[G_a, N_a, 1] . [-2 G_b; 1; N_b] = N_a + N_b - 2 G_a.G_b of a squared
+distance against row_dots(G_a - G_b) (theory uses it only as a screen of
+pairs, within a proven slack, before the row dots), and add.reduce, sum or
+mean along the fast axis, or across clients on a (K, 1) array, which sum
+pairwise; these stay forbidden for cross-client reductions.
 Cross-client means are therefore index_sum's: add.reduce where it adds
 rows in index order, the index-order add.accumulate elsewhere. vec_mean
 takes a stacked (K, d) array as well as a list of vectors.

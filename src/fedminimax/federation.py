@@ -56,21 +56,10 @@ def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float 
     if labels.shape[0] != n_items:
         raise ValueError("labels length must equal n_items")
 
-    parts: list[list[int]] = [[] for _ in range(K)]
-    if scheme == "iid":
-        perm = rng.permutation(n_items)
-        for pos, idx in enumerate(perm):
-            parts[pos % K].append(int(idx))
-    elif scheme == "by_group":
-        groups = [np.flatnonzero(labels == g) for g in np.unique(labels)]
-        if len(groups) < K:
-            raise ValueError(f"by_group needs at least K={K} groups, got {len(groups)}")
-        order = rng.permutation(len(groups))
-        for pos, gi in enumerate(order):
-            parts[pos % K].extend(int(i) for i in groups[gi])
-    else:  # dirichlet
+    if scheme == "dirichlet":
         if beta <= 0:
             raise ValueError("dirichlet beta must be positive")
+        parts: list[list[int]] = [[] for _ in range(K)]
         for cls in np.unique(labels):
             idx = rng.permutation(np.flatnonzero(labels == cls))
             props = rng.dirichlet(np.full(K, beta))
@@ -82,10 +71,26 @@ def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float 
                 parts[k].extend(int(i) for i in idx[start:stop])
                 start = stop
         _ensure_every_client_nonempty(parts)
+        assignment = [np.array(sorted(p), dtype=int) for p in parts]
+    else:
+        # Items (iid) or groups (by_group) dealt round-robin in a shuffled
+        # order: owner[i] is item i's client.
+        if scheme == "iid":
+            owner = np.empty(n_items, dtype=int)
+            owner[rng.permutation(n_items)] = np.arange(n_items) % K
+        else:
+            values, group_of = np.unique(labels, return_inverse=True)
+            if len(values) < K:
+                raise ValueError(f"by_group needs at least K={K} groups, got {len(values)}")
+            deal = np.empty(len(values), dtype=int)
+            deal[rng.permutation(len(values))] = np.arange(len(values)) % K
+            owner = deal[group_of]
+        # The stable sort keeps each client's items in index order.
+        assignment = np.split(np.argsort(owner, kind="stable"), np.cumsum(np.bincount(owner, minlength=K))[:-1])
 
-    plan = PartitionPlan(scheme=scheme, assignment=[np.array(sorted(p), dtype=int) for p in parts])
-    covered = np.concatenate(plan.assignment)
-    if len(covered) != n_items or len(np.unique(covered)) != n_items:
+    plan = PartitionPlan(scheme=scheme, assignment=assignment)
+    counts = np.bincount(np.concatenate(plan.assignment), minlength=n_items)  # no sort, unlike np.unique
+    if len(counts) != n_items or not (counts == 1).all():
         raise AssertionError("partition is not a disjoint cover")
     if any(len(a) == 0 for a in plan.assignment):
         raise AssertionError("a client received no items")

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core import Vector, index_sum, row_dots
 from ..federation import partition
+from . import base
 from .base import DatasetProblem, Unconstrained
 
 
@@ -75,7 +76,8 @@ class AucProblem(DatasetProblem):
         X, labels, groups = self._draw(rng, n_total)
         plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
         self._set_clients(X, labels, plan)
-        self._rows = np.arange(max(2 * self.K, len(self._pool_X)))  # up to 2K rows or the pool
+        # Up to 2K rows (a step), the pool or one pass of theory's sigma probe.
+        self._rows = np.arange(max(2 * self.K, len(self._pool_X), base._PROBE_ITEMS))
         self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
         self._set_hessians()
 
@@ -190,10 +192,21 @@ class AucProblem(DatasetProblem):
         vanishes off span{v, e_ab, e}; in the orthonormal frame v/r, e_ab, e,
         r = |x_i|, it is [[c r^2, -c r, s r], [-c r, c, 0], [s r, 0, -2p(1-p)]],
         whose eigenvalues are the Hessian's nonzero ones (at r = 0 too).
+
+        eigvalsh runs only on the blocks that can hold the largest: a block's
+        norm lies between its largest |entry| and its largest absolute row
+        sum, and eigvalsh returns it within far less than the relative slack
+        of 1e-8 that the screen allows, so the block whose |eigenvalue| is
+        largest is kept (and eigvalsh of a stack is bitwise that of each
+        block, see core). A NaN bound keeps every block.
         """
         _, c, _, _, s, _ = self._pool_table
         r = np.sqrt(r_sq := row_dots(self._pool_X))
-        blocks = np.zeros((len(r), 3, 3))  # eigvalsh reads the lower triangle
-        blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = c * r_sq, -c * r, c
-        blocks[:, 2, 0], blocks[:, 2, 2] = s * r, -self.mu
+        a00, a10, a20, mu = c * r_sq, c * r, s * r, self.mu
+        upper = np.maximum(np.maximum(a00 + a10 + np.abs(a20), a10 + c), np.abs(a20) + mu)
+        lower = np.maximum(np.maximum(a00, a10), np.maximum(np.abs(a20), c)).max(initial=mu)
+        keep = ~(upper < lower * (1.0 - 1e-8))
+        blocks = np.zeros((int(keep.sum()), 3, 3))  # eigvalsh reads the lower triangle
+        blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = a00[keep], -a10[keep], c[keep]
+        blocks[:, 2, 0], blocks[:, 2, 2] = a20[keep], -mu
         return float(np.abs(np.linalg.eigvalsh(blocks)).max())

@@ -33,6 +33,11 @@ from ..federation import PartitionPlan
 # one call of the robust gradient kernel or of theory's PL probe makes.
 _ORACLE_ELEMENTS = 12_000
 
+# The most item rows that one pass of theory's sigma and robust L_f probes
+# holds, one probe at least (the AUC row table is sized for it): 2 probes a
+# pass at 400 items, whose temporaries stay below a run's own.
+_PROBE_ITEMS = 1_000
+
 
 @dataclass(frozen=True)
 class Unconstrained:

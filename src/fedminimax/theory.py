@@ -29,7 +29,7 @@ import numpy as np
 from .algorithms import HyperParams
 from .core import Vector, expit, index_sum, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
-from .problems.base import _ORACLE_ELEMENTS
+from .problems.base import _ORACLE_ELEMENTS, _PROBE_ITEMS
 
 CONSTRAINT_NAMES = (
     "m_min_two",
@@ -344,39 +344,41 @@ def _max_pairwise_distance(G: np.ndarray) -> float:
     row_dots(G[s, a] - G[s, b]), a < b, bitwise the max of np.linalg.norm per
     pair (max and sqrt are exact).
 
-    Screen, then verify. With N = row_dots(G) and one Gram gemm G G^T,
-    S_ab = N_a + N_b - 2 Gram_ab holds every squared distance at once, but
+    Screen, then verify. With N = row_dots(G), one gemm of the augmented
+    rows [G_a, N_a, 1] against the columns [-2 G_b; 1; N_b] gives
+    S_ab = -2 G_a.G_b + N_a + N_b, every squared distance at once, but
     summed in another order, so it only screens: E_ab is taken, in chunks of
     at most B*K pairs, on the pairs with S_ab >= max S - slack.
 
     The slack. Let u = 2^-53, n = max N and T_ab the exact squared
-    distance. A length-m dot product in any summation order, FMA or not, is
-    within m*u*(sum of |terms|) of exact to first order, and a product that
+    distance. A length-k dot product in any summation order, FMA or not, is
+    within k*u*(sum of |terms|) of exact to first order, and a product that
     underflows adds at most 2^-1075. To first order in u:
-    - |S_ab - T_ab| <= (4m + 7) u n: m u (N_a + N_b) from the norms,
-      m u (N_a + N_b) from 2 |Gram_ab| <= N_a + N_b, and 7 u n from the two
-      additions that form S;
+    - |S_ab - T_ab| <= (6m + 8) u n: m u (N_a + N_b) from the norms, and
+      (m + 2) u (4 n) from the gemm's sum of m + 2 terms (-2 G_b is exact),
+      whose |terms| add to 2 sum |G_ai G_bi| + N_a + N_b <= 2 (N_a + N_b);
     - |E_ab - T_ab| <= (m + 2) u T_ab <= (4m + 8) u n: the rounded
       difference, then the dot, with T_ab <= 2 (N_a + N_b) <= 4 n;
-    so |S_ab - E_ab| <= (8m + 15) u n + 5m 2^-1075. The 17 u n left below
-    8 (m + 4) u n covers the second-order terms for m < 10^7, so with
-    M = 8 n, slack = 16 (m + 4) (u M + 2^-1074) is at least twice the bound.
-    Then the maximizing pair ab of E survives: S_ab >= E_ab - slack/2 and
-    max S <= E_ab + slack/2.
+    so |S_ab - E_ab| <= (10m + 16) u n + 4m 2^-1075. With M = 8 n,
+    slack = 16 (m + 4) (u M + 2^-1074) = 128 (m + 4) u n + 32 (m + 4)
+    2^-1075, and slack/2 is at least 6 times the bound, which leaves room
+    for the second-order terms for m < 10^7. Then the maximizing pair ab of
+    E survives: S_ab >= E_ab - slack/2 and max S <= E_ab + slack/2.
 
-    Overflow. Every step forming S stays within 4 n, so nothing overflows
-    while M = 8 n is finite. Past that, slack is infinite, max S - slack is
-    -inf or NaN, and the ~(<) form keeps every pair. (With M = n, -2 Gram
-    can overflow to -inf on near-parallel rows of squared norm above 2^1023
-    and drop the maximizing pair; the tests hold such a stack.)
+    Overflow. Every partial sum forming S stays within 4 n, so nothing
+    overflows while M = 8 n is finite. Past that, slack is infinite, max S -
+    slack is -inf or NaN, and the ~(<) form keeps every pair. (With M = n,
+    -2 G_a.G_b can overflow to -inf on near-parallel rows of squared norm
+    above 2^1023 and drop the maximizing pair; the tests hold such a stack.)
     """
     B, K, m = G.shape
     with np.errstate(over="ignore", invalid="ignore"):
         N = row_dots(G)
-        S = np.matmul(G, G.transpose(0, 2, 1))
-        S *= -2.0
-        S += N[:, :, None]
-        S += N[:, None, :]
+        rows, cols = np.empty((B, K, m + 2)), np.empty((B, m + 2, K))
+        rows[..., :m], rows[..., m], rows[..., m + 1] = G, N, 1.0
+        np.multiply(G.transpose(0, 2, 1), -2.0, out=cols[:, :m])
+        cols[:, m], cols[:, m + 1] = 1.0, N
+        S = np.matmul(rows, cols)
         slack = 16.0 * (m + 4) * (2.0**-53 * (8.0 * N.max()) + 2.0**-1074)
         keep = ~(S < S.max() - slack)
     s, a, b = np.unravel_index(np.flatnonzero(keep), S.shape)
@@ -408,18 +410,36 @@ def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple
 
 
 def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
-    # One stochastic call per probe on every client's items, in client order.
-    ks = np.repeat(np.arange(inst.K), inst.sizes)
-    items = np.concatenate([np.arange(n_k) for n_k in inst.sizes])
+    """Largest mean squared deviation of a client's stochastic gradients
+    from its exact ones over sampled points, as its square root.
+
+    Every client's items in client order, for as many probes a pass as keep
+    its rows within _PROBE_ITEMS (one at least): one stochastic call per
+    pass, one grad_full call per probe. Each client's sum is an
+    np.add.accumulate along its items, one per size block, bitwise the
+    sequential 1-D index_sum of one probe at a time."""
+    sizes = inst.sizes
+    n_rows = int(sizes.sum())
+    starts = np.cumsum(sizes) - sizes
+    ks = np.repeat(np.arange(inst.K), sizes)
+    items = np.arange(n_rows) - np.repeat(starts, sizes)
+    blocks = [(n, starts[sizes == n][:, None] + np.arange(n)) for n in np.unique(sizes)]
+    X, Y = _draw_probes(inst, max(1, n_samples // 10), rng, scale=2.0)
+    step = max(1, _PROBE_ITEMS // n_rows)
     worst = 0.0
-    for x, y in zip(*_draw_probes(inst, max(1, n_samples // 10), rng, scale=2.0)):
-        SX, SY = inst.grad_stoch_rows(ks, items, np.tile(x, (len(ks), 1)), np.tile(y, (len(ks), 1)))
-        GX, GY = grad_full(inst, x, y)
-        start = 0
-        for k, n_k in enumerate(inst.sizes):
-            sq = row_dots(SX[start:start + n_k] - GX[k]) + row_dots(SY[start:start + n_k] - GY[k])
-            worst = max(worst, float(index_sum(sq)) / n_k)
-            start += n_k
+    for i in range(0, len(X), step):
+        x, y = X[i:i + step], Y[i:i + step]
+        P = len(x)
+        SX, SY = inst.grad_stoch_rows(np.tile(ks, P), np.tile(items, P),
+                                      np.repeat(x, n_rows, axis=0), np.repeat(y, n_rows, axis=0))
+        for j in range(P):
+            GX, GY = grad_full(inst, x[j], y[j])
+            SX[j * n_rows:(j + 1) * n_rows] -= np.repeat(GX, sizes, axis=0)
+            SY[j * n_rows:(j + 1) * n_rows] -= np.repeat(GY, sizes, axis=0)
+        sq = (row_dots(SX) + row_dots(SY)).reshape(P, n_rows)
+        for n, idx in blocks:
+            means = np.add.accumulate(sq[:, idx], axis=-1)[..., -1] / n
+            worst = max(worst, *means.ravel().tolist())  # Python's max passes over a NaN
     return math.sqrt(worst)
 
 
@@ -455,16 +475,19 @@ def estimate_constants(inst: ProblemInstance, n_samples: int, seed: int,
 
 def _robust_curvatures(Xr: np.ndarray, lab: np.ndarray, w: Vector) -> tuple[np.ndarray, np.ndarray]:
     """l' and l'' of the logistic loss at each item's margin w.(x + rho),
-    Xr holding the rows x + rho; the sigmoid is libm's (core.expit)."""
-    ez = expit(-lab * row_dots(Xr, np.tile(w, (len(Xr), 1))))
+    Xr holding the rows x + rho, (n, d) against w (d,), or (P, n, d)
+    against P probes' w (P, 1, d); the sigmoid is libm's (core.expit)."""
+    ez = expit(-lab * row_dots(Xr, np.tile(w, (Xr.shape[-2], 1))))
     return -lab * ez, ez * (1.0 - ez)
 
 
 def _robust_hessian_norms(Xr: np.ndarray, lab: np.ndarray, w: Vector) -> np.ndarray:
     """Spectral norm of each item's Hessian of loss(w.(x+rho)) in (w, rho),
-    Xr holding the rows a = x + rho (closed form: see _estimate_robust_L_f)."""
+    Xr holding the rows a = x + rho, shaped as in _robust_curvatures (closed
+    form: see _estimate_robust_L_f). Every item's arithmetic is its own, so
+    a stack of probes has the bits of one probe at a time."""
     lp, lpp = _robust_curvatures(Xr, lab, w)
-    W = np.tile(w, (len(Xr), 1))
+    W = np.tile(w, (Xr.shape[-2], 1))
     s = lpp * row_dots(Xr + W) / 4.0
     t = lpp * row_dots(Xr - W) / 4.0
     return s + t + np.sqrt((s - t + lp) ** 2 + 4.0 * s * t)
@@ -479,11 +502,19 @@ def _estimate_robust_L_f(inst: RobustProblem, n_samples: int, rng) -> float:
     is l''[p m]^T[p m] + l'diag(1, -1), p^2 = |a+w|^2/2, m^2 = |a-w|^2/2: with
     s = l''p^2/2, t = l''m^2/2 >= 0, its eigenvalues are s + t +- sqrt((s - t
     + l')^2 + 4st), and the + root also bounds H = l'J's +-l' off that span.
+
+    The probes go as many a pass as keep its items within _PROBE_ITEMS (one
+    at least), as (P, n, d) stacks.
     """
     X, lab = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
     W, R = _draw_probes(inst, max(1, n_samples // 10), rng, scale=1.0)
     R = inst.y_constraint.project(R)
-    return max(float(_robust_hessian_norms(X + rho_v, lab, w).max()) for w, rho_v in zip(W, R))
+    step = max(1, _PROBE_ITEMS // len(X))
+    worst = []
+    for i in range(0, len(W), step):
+        norms = _robust_hessian_norms(X + R[i:i + step, None], lab, W[i:i + step, None])
+        worst += norms.max(axis=-1).tolist()
+    return max(worst)  # probe by probe, as a loop: Python's max passes over a NaN
 
 
 def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:

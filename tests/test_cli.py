@@ -436,8 +436,9 @@ class TestCommands:
                 "--output.csv_dir", str(tmp_path / "taken" / under)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        # the directory is made at the seed's first write, after its run
-        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        # refused before the seed starts: no constraint warning, only the error
+        assert [line.startswith("error: ") for line in err.splitlines()] == [True]
+        assert "not a directory" in err
         assert (tmp_path / "taken").read_text() == "x"
         assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 

@@ -13,6 +13,21 @@ def assert_disjoint_cover(plan: PartitionPlan, n_items: int):
     assert all(len(a) >= 1 for a in plan.assignment)
 
 
+def _dealt_per_item(n_items, labels, K, scheme, seed):
+    """iid and by_group dealt one item at a time into lists (the reference):
+    a shuffled item or group order, round-robin over the clients."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = [[] for _ in range(K)]
+    if scheme == "iid":
+        for pos, idx in enumerate(rng.permutation(n_items)):
+            parts[pos % K].append(int(idx))
+    else:
+        groups = [np.flatnonzero(labels == g) for g in np.unique(labels)]
+        for pos, gi in enumerate(rng.permutation(len(groups))):
+            parts[pos % K].extend(int(i) for i in groups[gi])
+    return [np.array(sorted(p), dtype=int) for p in parts]
+
+
 class TestPartition:
     def test_single_client_owns_everything(self):
         for scheme in ("iid", "by_group", "dirichlet"):
@@ -52,6 +67,21 @@ class TestPartition:
         labels[:n_groups] = np.arange(n_groups)
         plan = partition(n, labels, K, scheme, seed=seed, beta=0.3)
         assert_disjoint_cover(plan, n)
+
+    @pytest.mark.parametrize("scheme", ["iid", "by_group"])
+    @pytest.mark.parametrize("n,K,n_groups,seed", [(12, 1, 2, 0), (7, 7, 7, 1), (40, 3, 5, 2), (400, 10, 20, 3),
+                                                   (401, 7, 9, 4), (1000, 100, 150, 5), (333, 16, 40, 6)])
+    def test_iid_and_by_group_equal_per_item_dealing(self, scheme, n, K, n_groups, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_groups, size=n)
+        labels[:n_groups] = np.arange(n_groups)
+        # gapped, negative and float labels group as their distinct values do
+        for labs in (labels, 3 * labels - 50, labels / 4.0):
+            plan = partition(n, labs, K, scheme, seed=seed)
+            want = _dealt_per_item(n, labs, K, scheme, seed)
+            assert len(plan.assignment) == K
+            for got, ref in zip(plan.assignment, want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_dirichlet_large_beta_approaches_uniform(self):
         n, K = 10_000, 5

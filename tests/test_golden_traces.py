@@ -328,8 +328,9 @@ print(json.dumps({
 def test_benchmark_workload_digests_hold_at_one_and_two_blas_threads(tmp_path):
     # core.py's claim: bit-reproducible across thread counts. The variable
     # must be set before numpy loads, hence one fresh process per count.
-    # The heterogeneity probe at K = 100 screens pairs with a Gram gemm,
-    # whose summation order may follow the thread count; its result may not.
+    # The heterogeneity probe at K = 100 screens pairs with one gemm of
+    # augmented rows, whose summation order may follow the thread count; its
+    # result may not.
     path = os.pathsep.join([str(Path(fedminimax.__file__).parents[1]), str(Path(__file__).parent)])
     runs = []
     for threads in ("1", "2"):

@@ -9,6 +9,7 @@ from scipy.special import expit
 import fedminimax as fm
 from fedminimax.config import apply_overrides
 from fedminimax.core import row_dots
+from fedminimax import theory
 from fedminimax.presets import load_preset
 from fedminimax.problems import base
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
@@ -950,6 +951,25 @@ class TestStackedOracle:
                 X = scale * rng.standard_normal((n * inst.K, inst.d))
                 assert _same_bits(inst.grad_y_all(X, Y), inst.grad_full_all(X, Y)[1])
 
+    @pytest.mark.parametrize("items", ["as drawn", "first zero", "every zero", "all equal", "one scaled 1e100"])
+    @pytest.mark.parametrize("case", sorted(AUC_KERNEL_CASES) + ["auc-imbalanced"])
+    def test_auc_lipschitz_screen_equals_eigvalsh_of_every_block_bitwise(self, case, items):
+        # eigvalsh on the screened blocks only, against every item's block
+        inst = AUC_KERNEL_CASES[case]() if case in AUC_KERNEL_CASES else load_preset(case).build_problem(7)
+        if items.endswith("zero"):
+            _auc_with_zero_items(inst, every=items == "every zero")
+        elif items == "all equal":  # every block ties: all are kept
+            inst._pool_X[:] = inst._pool_X[0]
+        elif items == "one scaled 1e100":
+            inst._pool_X[3] *= 1e100
+        _, c, _, _, s, _ = inst._pool_table
+        r_sq = row_dots(inst._pool_X)
+        r = np.sqrt(r_sq)
+        blocks = np.zeros((len(r), 3, 3))
+        blocks[:, 0, 0], blocks[:, 1, 0], blocks[:, 1, 1] = c * r_sq, -c * r, c
+        blocks[:, 2, 0], blocks[:, 2, 2] = s * r, -inst.mu
+        assert inst.lipschitz_L_f.hex() == float(np.abs(np.linalg.eigvalsh(blocks)).max()).hex()
+
     @pytest.mark.parametrize("zeros", ["none", "first", "every"])
     @pytest.mark.parametrize("case", sorted(AUC_KERNEL_CASES))
     def test_auc_lipschitz_is_within_1e_13_of_the_per_item_hessian_loop(self, case, zeros):
@@ -1016,6 +1036,23 @@ class TestStackedOracle:
         for seed in range(5):
             got = _estimate_robust_L_f(inst, 30, np.random.default_rng(seed))
             assert got == pytest.approx(_plain_robust_L_f(inst, 30, np.random.default_rng(seed)), rel=1e-13)
+
+    @pytest.mark.parametrize("probes_a_pass", [1, 2, "default"])
+    @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust"))
+                             + ["robust-q6", "robust-q12"])
+    def test_robust_lipschitz_estimate_equals_the_per_probe_loop_bitwise(self, case, probes_a_pass, monkeypatch):
+        # one _robust_hessian_norms call per probe point (the reference)
+        # against stacked passes: 2 over 5 probes makes passes of 2, 2 and 1
+        inst = STACKED_CASES[case]() if case in STACKED_CASES else load_preset(case).build_problem(7)
+        X, lab = np.concatenate(inst.clients_X), np.concatenate(inst.clients_y)
+        if probes_a_pass != "default":
+            monkeypatch.setattr(theory, "_PROBE_ITEMS", probes_a_pass * len(X))
+        for seed in range(3):
+            got = _estimate_robust_L_f(inst, 50, np.random.default_rng(seed))
+            Z = np.random.default_rng(seed).standard_normal((5, inst.d + inst.p))
+            W, R = Z[:, :inst.d], inst.y_constraint.project(Z[:, inst.d:])
+            want = max(float(_robust_hessian_norms(X + rho_v, lab, w).max()) for w, rho_v in zip(W, R))
+            assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("case", sorted(c for c in STACKED_CASES if c.startswith("robust")))
     def test_robust_hessian_norms_equal_per_item_largest_eigenvalue(self, case):
@@ -1202,6 +1239,35 @@ class TestStackedOracle:
                     acc += float((sx - gx) @ (sx - gx) + (sy - gy) @ (sy - gy))
                 worst = max(worst, acc / inst.sizes[k])
         assert _estimate_sigma(inst, n_samples, np.random.default_rng(seed)) == math.sqrt(worst)
+
+    @pytest.mark.parametrize("probes_a_pass", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
+    def test_sigma_estimate_in_several_passes_equals_per_item_loop_bitwise(self, case, probes_a_pass, monkeypatch):
+        # 0: a budget below one probe's rows still makes one probe a pass;
+        # 2 over 5 probes: passes of 2, 2 and 1
+        inst = STACKED_CASES[case]()
+        n_samples, seed, n_rows = 50, 41, int(inst.sizes.sum())
+        monkeypatch.setattr(theory, "_PROBE_ITEMS", max(1, probes_a_pass * n_rows))
+        stoch, full = [], []
+        monkeypatch.setattr(inst, "grad_stoch_rows",
+                            lambda ks, items, X, Y, f=inst.grad_stoch_rows: stoch.append(len(ks)) or f(ks, items, X, Y))
+        monkeypatch.setattr(theory, "grad_full", lambda i, x, y: full.append(1) or grad_full(i, x, y))
+        got = _estimate_sigma(inst, n_samples, np.random.default_rng(seed))
+        per_pass = max(1, probes_a_pass)
+        assert stoch == [n_rows * min(per_pass, 5 - i) for i in range(0, 5, per_pass)] and len(full) == 5
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(n_samples // 10):
+            x = 2.0 * rng.standard_normal(inst.d)
+            y = 2.0 * rng.standard_normal(inst.p)
+            for k in range(inst.K):
+                gx, gy = PLAIN_GRAD[inst.name](inst, k, x, y)
+                acc = 0.0
+                for item in range(inst.sizes[k]):
+                    sx, sy = PLAIN_STOCH[inst.name](inst, k, x, y, item)
+                    acc += float((sx - gx) @ (sx - gx) + (sy - gy) @ (sy - gy))
+                worst = max(worst, acc / inst.sizes[k])
+        assert got == math.sqrt(worst)
 
     def test_ball_projection_of_rows_equals_per_row_projection_bitwise(self):
         ball = EuclideanBall(1.5)
