@@ -140,8 +140,8 @@ def cmd_run(args, overrides) -> int:
         problem = cfg.build_problem(seed)
         hp = cfg.hp_for_seed(seed)
         report = _validate(problem, hp, _constants_for(problem, hp))
-        if not report.all_satisfied:
-            bad = [c.name for c in report.constraints if not c.satisfied]
+        bad = [c.name for c in report.constraints if not c.satisfied]  # none where the system does not apply
+        if bad:
             print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
         try:
             trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
@@ -178,6 +178,10 @@ def cmd_validate(args, overrides) -> int:
         )
         print(f"bound scale constant (informational, never asserted): G={G:.6g}")
     return 0 if report.all_satisfied else 1
+
+
+def _number(v: float | None) -> str:
+    return "none" if v is None else f"{v:.6g}"
 
 
 def cmd_probe(args, overrides) -> int:
@@ -249,8 +253,8 @@ def cmd_probe(args, overrides) -> int:
             print("constants:")
             for name in ("L_f", "mu", "sigma", "delta_x", "delta_y"):
                 prov = c.provenance.get(name, "?")
-                print(f"  {name}={getattr(c, name):.6g} ({prov})")
-            print(f"  kappa={c.kappa:.6g} L={c.L:.6g}")
+                print(f"  {name}={_number(getattr(c, name))} ({prov})")
+            print(f"  kappa={_number(c.kappa)} L={_number(c.L)}")
     return 1 if any_fail else 0
 
 

@@ -37,7 +37,7 @@ row:
   is not the last and A is C-contiguous with a trailing length of at
   least 2: numpy adds whole rows in index order and sums pairwise only
   along the fast axis (index_sum: vec_mean, the recorder's (S, K, .)
-  stack, theory's gradient-growth probe);
+  stack);
 - np.exp of a reversed (negative-stride) 1-D view against libm exp
   (math.exp, inf past its overflow edge) at every float, NaN, infinities
   and signed zeros included: numpy's SIMD loop takes only positive strides,

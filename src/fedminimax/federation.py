@@ -27,16 +27,6 @@ class PartitionPlan:
         return "\n".join(lines)
 
 
-def _ensure_every_client_nonempty(parts: list[list[int]]) -> None:
-    # Move spare items from the largest clients into empty ones; deterministic.
-    for k, items in enumerate(parts):
-        while not items:
-            donor = max(range(len(parts)), key=lambda j: len(parts[j]))
-            if len(parts[donor]) <= 1:
-                raise ValueError("not enough items to give every client at least one")
-            parts[k].append(parts[donor].pop())
-
-
 def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float = 1.0) -> PartitionPlan:
     """Split item indices 0..n_items-1 across K clients.
 
@@ -56,37 +46,48 @@ def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float 
     if labels.shape[0] != n_items:
         raise ValueError("labels length must equal n_items")
 
-    if scheme == "dirichlet":
+    # owner[i] is item i's client.
+    if scheme == "iid":  # items dealt round-robin in a shuffled order
+        owner = np.empty(n_items, dtype=int)
+        owner[rng.permutation(n_items)] = np.arange(n_items) % K
+    elif scheme == "by_group":  # groups dealt round-robin in a shuffled order
+        values, group_of = np.unique(labels, return_inverse=True)
+        if len(values) < K:
+            raise ValueError(f"by_group needs at least K={K} groups, got {len(values)}")
+        deal = np.empty(len(values), dtype=int)
+        deal[rng.permutation(len(values))] = np.arange(len(values)) % K
+        owner = deal[group_of]
+    else:
         if beta <= 0:
             raise ValueError("dirichlet beta must be positive")
-        parts: list[list[int]] = [[] for _ in range(K)]
-        for cls in np.unique(labels):
-            idx = rng.permutation(np.flatnonzero(labels == cls))
-            props = rng.dirichlet(np.full(K, beta))
-            # Cumulative shares -> contiguous slices of the shuffled class.
-            bounds = np.floor(np.cumsum(props) * len(idx)).astype(int)
-            start = 0
-            for k in range(K):
-                stop = bounds[k] if k < K - 1 else len(idx)
-                parts[k].extend(int(i) for i in idx[start:stop])
-                start = stop
-        _ensure_every_client_nonempty(parts)
-        assignment = [np.array(sorted(p), dtype=int) for p in parts]
-    else:
-        # Items (iid) or groups (by_group) dealt round-robin in a shuffled
-        # order: owner[i] is item i's client.
-        if scheme == "iid":
-            owner = np.empty(n_items, dtype=int)
-            owner[rng.permutation(n_items)] = np.arange(n_items) % K
-        else:
-            values, group_of = np.unique(labels, return_inverse=True)
-            if len(values) < K:
-                raise ValueError(f"by_group needs at least K={K} groups, got {len(values)}")
-            deal = np.empty(len(values), dtype=int)
-            deal[rng.permutation(len(values))] = np.arange(len(values)) % K
-            owner = deal[group_of]
-        # The stable sort keeps each client's items in index order.
-        assignment = np.split(np.argsort(owner, kind="stable"), np.cumsum(np.bincount(owner, minlength=K))[:-1])
+        # Each class (its items in index order) shuffled, then cut into
+        # contiguous client runs at its cumulative Dirichlet shares: order[j]
+        # is the j-th item dealt, bounds[c, k] the deal position where class
+        # c's run of client k ends, and dealt[j] the client whose run holds j.
+        _, class_of = np.unique(labels, return_inverse=True)
+        sizes = np.bincount(class_of)
+        ends = np.cumsum(sizes)
+        members = np.split(np.argsort(class_of, kind="stable"), ends[:-1])
+        order, bounds = [], np.empty((len(sizes), K), dtype=int)
+        for c, idx in enumerate(members):
+            order.append(rng.permutation(idx))
+            bounds[c] = np.floor(np.cumsum(rng.dirichlet(np.full(K, beta))) * len(idx))
+        bounds[:, -1] = sizes
+        bounds += (ends - sizes)[:, None]  # now non-decreasing along bounds.ravel()
+        order = np.concatenate(order)
+        dealt = np.searchsorted(bounds.ravel(), np.arange(n_items), side="right") % K
+        # An empty client, in client order, takes the last-dealt item of the
+        # first of the largest clients; n_items >= K leaves that one two items.
+        counts = np.bincount(dealt, minlength=K)
+        for k in np.flatnonzero(counts == 0):
+            donor = np.argmax(counts)
+            dealt[np.flatnonzero(dealt == donor)[-1]] = k
+            counts[donor] -= 1
+            counts[k] = 1
+        owner = np.empty(n_items, dtype=int)
+        owner[order] = dealt
+    # The stable sort keeps each client's items in index order.
+    assignment = np.split(np.argsort(owner, kind="stable"), np.cumsum(np.bincount(owner, minlength=K))[:-1])
 
     plan = PartitionPlan(scheme=scheme, assignment=assignment)
     counts = np.bincount(np.concatenate(plan.assignment), minlength=n_items)  # no sort, unlike np.unique

@@ -248,7 +248,7 @@ def robust_accuracy(inst: RobustProblem, w: Vector) -> float:
 
 
 # Client rows (K per step) the recorder measures per call. Its buffers grow
-# with them; the robust exact oracle's slopes stay within base._ORACLE_ELEMENTS
+# with them; the robust exact oracle's slopes stay within its _ORACLE_ELEMENTS
 # (robust-q6's 29 blocks a call in one piece). At least three steps: a call's
 # fixed ~80 numpy calls were half of a K = 100 run at two; five raise its peak 1.4x.
 _RECORD_ROWS = 250

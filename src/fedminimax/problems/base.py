@@ -29,10 +29,6 @@ from ..core import Vector, index_sum, row_dots, vec_mean
 from ..federation import PartitionPlan
 
 
-# The most (points x clients x items) slopes, the largest temporaries, that
-# one call of the robust gradient kernel or of theory's PL probe makes.
-_ORACLE_ELEMENTS = 12_000
-
 # The most item rows that one pass of theory's sigma and robust L_f probes
 # holds, one probe at least (the AUC row table is sized for it): 2 probes a
 # pass at 400 items, whose temporaries stay below a run's own.
@@ -175,9 +171,8 @@ class DatasetProblem(ProblemInstance):
         (..., R), one row each, at points X (R, d) and Y (R, p)."""
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        # x and y broadcast against each other over their leading axes: the
-        # robust family's PL probe passes x's (P, 1, d) against y's (P, 8, p),
-        # and ascend_y x's (S, 1, d) against their endpoints (S, 2, p).
+        # x and y broadcast against each other over their leading axes:
+        # ascend_y passes x's (S, 1, d) against their endpoints (S, 2, p).
         out = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (self.K,))
         for ks, Xs, table in self._blocks:
             out[..., ks] = self._value_block(Xs, table, x, y)

@@ -26,8 +26,11 @@ import numpy as np
 
 from ..core import Vector, expit, row_dots
 from ..federation import partition
-from . import base
 from .base import DatasetProblem, EuclideanBall
+
+# The most (points x clients x items) slopes, the largest temporaries, that
+# one call of the exact gradient kernel makes.
+_ORACLE_ELEMENTS = 12_000
 
 
 @dataclass(eq=False, kw_only=True)
@@ -76,12 +79,12 @@ class RobustProblem(DatasetProblem):
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The n K-row blocks as (n, K, .), each size block's data broadcast over
-        # them in pieces of at most base._ORACLE_ELEMENTS (blocks, K_b, n_b)
+        # them in pieces of at most _ORACLE_ELEMENTS (blocks, K_b, n_b)
         # slopes, one block at least; a block's bits do not depend on the others.
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
         GX, GY = np.empty_like(X3), np.empty_like(Y3)
         for ks, Xs, labs in self._blocks:
-            step = max(1, base._ORACLE_ELEMENTS // labs.size)
+            step = max(1, _ORACLE_ELEMENTS // labs.size)
             for i in range(0, len(X3), step):
                 piece = slice(i, i + step)
                 GX[piece, ks], GY[piece, ks] = self._grad_block(Xs, labs, X3[piece, ks], Y3[piece, ks])
@@ -114,21 +117,6 @@ class RobustProblem(DatasetProblem):
         s *= -labs
         m = (np.add.reduce(s, axis=-1) / labs.shape[-1])[..., None]
         return s, m, m * X
-
-    def grad_y_all(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The y-gradients of grad_full_all(X, Y), bitwise, without the
-        x-gradients' gemvs. X (..., m K, d) and Y (..., n K, p) may have
-        leading axes, and their K-row blocks broadcast against each other
-        over those axes and the block axis, as (..., m, K, .) against
-        (..., n, K, .): a block of X that several blocks of Y share (theory's
-        PL probe: one x, 8 y's) has its products with the clients' data made
-        once, not once per block of Y."""
-        K = self.K
-        X4, Y4 = X.reshape(*X.shape[:-2], -1, K, self.d), Y.reshape(*Y.shape[:-2], -1, K, self.p)
-        GY = np.empty(np.broadcast_shapes(X4.shape[:-1], Y4.shape[:-1]) + (self.p,))
-        for ks, Xs, labs in self._blocks:
-            GY[..., ks, :] = self._slopes_and_grad_y(Xs, labs, X4[..., ks, :], Y4[..., ks, :])[2]
-        return GY.reshape(*GY.shape[:-3], -1, self.p)
 
 
 def worst_perturbation(w: Vector, radius: float, loss: Callable[[Vector], float]) -> Vector:

@@ -12,6 +12,11 @@ two step sizes satisfy gamma <= lam * mu / (16 rho_u L) in the same system,
 which forces gamma < lam, so the smaller-over-larger ratio is the only
 feasible reading of the coupling.
 
+The system applies only to a family with a modulus mu > 0 in y (strong
+concavity, or the gradient-growth condition): synthetic and AUC. The robust
+family's inner problem is convex in y, so its constant set has mu=None and
+its report is "not applicable", with no records.
+
 Probes check, on concrete instances, the gradient-growth inequality behind
 the analysis (probe_pl), the Lipschitz constants of the inner maximizer
 and the value-function gradient (probe_lipschitz), the analytic gradient
@@ -27,9 +32,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import HyperParams
-from .core import Vector, expit, index_sum, row_dots
+from .core import Vector, expit, row_dots
 from .problems import AucProblem, ProblemInstance, RobustProblem, SyntheticProblem, grad_F, grad_full
-from .problems.base import _ORACLE_ELEMENTS, _PROBE_ITEMS
+from .problems.base import _PROBE_ITEMS
 
 CONSTRAINT_NAMES = (
     "m_min_two",
@@ -48,10 +53,11 @@ CONSTRAINT_NAMES = (
 @dataclass
 class ConstantSet:
     """Problem constants feeding the validator, with per-field provenance
-    ("analytic", "estimated" or "config")."""
+    ("analytic", "estimated", "config", or "none" for a mu the family does
+    not have)."""
 
     L_f: float
-    mu: float
+    mu: float | None
     sigma: float
     delta_x: float
     delta_y: float
@@ -60,18 +66,18 @@ class ConstantSet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mu <= 0 or self.L_f < self.mu:
+        if self.mu is not None and (self.mu <= 0 or self.L_f < self.mu):
             raise ValueError("require L_f >= mu > 0")
         if self.rho <= 0 or self.rho_u <= 0:
             raise ValueError("rho and rho_u must be positive")
 
     @property
-    def kappa(self) -> float:
-        return self.L_f / self.mu
+    def kappa(self) -> float | None:
+        return None if self.mu is None else self.L_f / self.mu
 
     @property
-    def L(self) -> float:
-        return self.L_f * (1.0 + self.L_f / self.mu)
+    def L(self) -> float | None:
+        return None if self.mu is None else self.L_f * (1.0 + self.L_f / self.mu)
 
     def with_safety_margin(self, factor: float = 1.1) -> "ConstantSet":
         """Inflate estimated fields by `factor` before feeding the validator,
@@ -99,11 +105,15 @@ class ConstraintRecord:
 
 @dataclass
 class ConstraintReport:
+    """The ten records, or none and the reason the system does not apply
+    (never satisfied)."""
+
     constraints: list[ConstraintRecord]
+    not_applicable: str | None = None
 
     @property
     def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.constraints)
+        return self.not_applicable is None and all(c.satisfied for c in self.constraints)
 
     def by_name(self, name: str) -> ConstraintRecord:
         for c in self.constraints:
@@ -112,6 +122,8 @@ class ConstraintReport:
         raise KeyError(name)
 
     def render(self) -> str:
+        if self.not_applicable is not None:
+            return f"not applicable: {self.not_applicable}"
         width = max(len(c.name) for c in self.constraints)
         lines = []
         for c in self.constraints:
@@ -121,6 +133,8 @@ class ConstraintReport:
         return "\n".join(lines)
 
     def machine_lines(self) -> str:
+        if self.not_applicable is not None:
+            return f"theorem=not_applicable|{self.not_applicable}"
         return "\n".join(
             f"{c.name}={'satisfied' if c.satisfied else 'violated'}|{c.lhs:.17g}|{c.rhs:.17g}"
             for c in self.constraints
@@ -128,6 +142,8 @@ class ConstraintReport:
 
 
 def _theorem_system(hp: HyperParams, c: ConstantSet, K: int, rho: float, rho_l: float, rho_u: float) -> ConstraintReport:
+    if c.mu is None:
+        return ConstraintReport([], not_applicable="no modulus mu > 0 in y (neither strongly concave nor PL)")
     # A Python float's ** raises OverflowError where * gives inf.
     try:
         records = _constraint_records(hp, c, K, rho, rho_l, rho_u)
@@ -460,10 +476,11 @@ def estimate_constants(inst: ProblemInstance, n_samples: int, seed: int,
         sigma = _estimate_sigma(inst, n_samples, rng)
         prov.update(L_f="analytic", mu="analytic", sigma="estimated")
     elif isinstance(inst, RobustProblem):
-        L_f = _estimate_robust_L_f(inst, n_samples, rng)
-        mu = _estimate_pl_ratio(inst, n_samples, rng)
+        L_f, mu = _estimate_robust_L_f(inst, n_samples, rng), None  # convex in y: no mu
+        # Discarded: the draw of a retired mu probe, so sigma keeps its bits.
+        rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * inst.p))
         sigma = _estimate_sigma(inst, n_samples, rng)
-        prov.update(L_f="estimated", mu="estimated", sigma="estimated")
+        prov.update(L_f="estimated", mu="none", sigma="estimated")
     else:
         raise TypeError(f"unknown problem family {inst.name!r}")
 
@@ -515,35 +532,3 @@ def _estimate_robust_L_f(inst: RobustProblem, n_samples: int, rng) -> float:
         norms = _robust_hessian_norms(X + R[i:i + step, None], lab, W[i:i + step, None])
         worst += norms.max(axis=-1).tolist()
     return max(worst)  # probe by probe, as a loop: Python's max passes over a NaN
-
-
-def _estimate_pl_ratio(inst: RobustProblem, n_samples: int, rng) -> float:
-    """Sampled surrogate for a gradient-growth constant: the least
-    ||grad_y f(x, y)||^2 / (2 gap) over probes of one x and 8 y's each, the
-    gap being the y's value below the best of the 8. The robust family's
-    inner problem is convex, not concave, so no true constant exists; this
-    is a nominal estimate for record-keeping, floored away from zero.
-
-    P probes a call, as many as keep the (P, 8, K, n) slopes within
-    _ORACLE_ELEMENTS: one global_value call at the P x's (P, 1, d) against
-    their y's (P, 8, p), and one y-only exact call of each probe's K-row x
-    block against its 8 K-row y blocks, so the products of each x with the
-    clients' data are made once, not once per y. Every value, gradient and
-    ratio has the bits of one probe at a time (see core)."""
-    K, d, p = inst.K, inst.d, inst.p
-    Z = rng.standard_normal((max(2, n_samples // 5), d + 8 * p))
-    step = max(1, _ORACLE_ELEMENTS // (8 * int(inst.sizes.sum())))
-    best = math.inf
-    for i in range(0, len(Z), step):
-        x, ys = Z[i:i + step, :d], inst.y_constraint.project(Z[i:i + step, d:].reshape(-1, 8, p))
-        P = len(x)
-        vals = inst.global_value(x[:, None], ys)
-        gaps = vals.max(axis=1, keepdims=True) - vals
-        X = np.repeat(x[:, None], K, axis=1)
-        Y = np.repeat(ys[:, :, None], K, axis=2).reshape(P, 8 * K, p)
-        gy = index_sum(inst.grad_y_all(X, Y).reshape(P, 8, K, p), axis=2) / K
-        due = gaps > 1e-12
-        ratios = np.full(gaps.shape, math.inf)
-        ratios[due] = row_dots(gy[due]) / (2.0 * gaps[due])
-        best = min(best, *ratios.min(axis=1).tolist())  # probe by probe: Python's min passes over a NaN
-    return max(1e-6, 0.0 if math.isinf(best) else best)

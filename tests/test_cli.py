@@ -31,6 +31,7 @@ from fedminimax.config import (
 )
 from fedminimax.metrics import config_hash, read_trace_csv
 from fedminimax.presets import load_preset, preset_names
+from fedminimax.theory import CONSTRAINT_NAMES
 
 MINIMAL = """
 [problem]
@@ -507,6 +508,21 @@ class TestCommands:
         assert main(["run", str(cfgfile)]) == 0
         assert "warning: constraint system not satisfied" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset", ["robust-q6", "robust-q12"])
+    def test_validate_on_a_family_without_mu_is_not_applicable(self, preset, capsys):
+        # exit 0 means "satisfied", so a system that does not apply exits 1
+        assert main(["validate", "--preset", preset]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("not applicable: ")
+        assert lines[1].startswith("theorem=not_applicable|")
+        assert not any(name in "\n".join(lines) for name in CONSTRAINT_NAMES)
+
+    def test_robust_run_leaves_stderr_empty(self, tmp_path, capsys):
+        argv = ["run", "--preset", "robust-q6", "--algorithm.t", "13", "--output.csv_dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 3
+
     def test_probe_synthetic_all_checks_pass(self, capsys):
         code = main(["probe", "--preset", "synthetic-s1", "--checks",
                      "pl,lipschitz,gradcheck,unbiased,constants", "--points", "50"])
@@ -606,14 +622,17 @@ class TestCommands:
 # item); its terms moved in their last digits, its verdict and exit did not.
 # The robust probes were re-pinned when the robust exact x-gradient moved to
 # one gemv per point: unbiased's worst_gap went from 3.451e-16 to 6.783e-16,
-# still ok against 1e-10, and the exit stayed 0.
+# still ok against 1e-10, and the exit stayed 0. The robust reports and probes
+# were re-pinned when the family's nominal mu was retired: validate prints the
+# one not-applicable line (exit 1, as before), and probe prints mu, kappa and
+# L as none; its other lines did not move.
 _EMPTY = hashlib.sha256(b"").hexdigest()
 CLI_OUTPUT_PINS = {
     "--help": (0, "1cc03bae71c68e510a210d0261ad3d81a893fd8db4438ce1ff2ca9dce1f33097", _EMPTY),
     "validate --preset auc-imbalanced":
         (1, "35389707762889d8ff586b6019a92326de4e55a38778b98880eae80be61f81ef", _EMPTY),
-    "validate --preset robust-q12": (1, "86cd2506e487823ccca5d9378b04903dc8388d82f8183dfdd27a936e4f62d7f8", _EMPTY),
-    "validate --preset robust-q6": (1, "43270ba7b0d73f4cbaf5ea1d3a42639b0bf50ea65b7ba294fb144ebe151c2ba8", _EMPTY),
+    "validate --preset robust-q12": (1, "d97b7ea752ab2eb0e225a11adcb151ab8971302d866a72ecac44cff1c2bbca1f", _EMPTY),
+    "validate --preset robust-q6": (1, "d97b7ea752ab2eb0e225a11adcb151ab8971302d866a72ecac44cff1c2bbca1f", _EMPTY),
     "validate --preset synthetic-s1": (1, "53fbd699ea1ee4f8abcd818e445e53a9c7cb0cc71cf3b987f0f41425a8d2d12d", _EMPTY),
     "validate --preset synthetic-s10": (1, "53a783e0ee1ca7eba07472b95890eee646f5812d6dd91c8687ebaf9ac7c376b7", _EMPTY),
     "validate --preset synthetic-theorem":
@@ -621,10 +640,10 @@ CLI_OUTPUT_PINS = {
     "probe --preset auc-imbalanced --points 20":
         (0, "874179fd7eead21048303174ba559837548e9e0b1af820e04228d9db65ee04f5", _EMPTY),
     "probe --preset robust-q12 --points 20":
-        (0, "08fa0dc04714d63e7dafe65b823bcc6191315c3898a7bf71b1954756d5b5d7a9",
+        (0, "963379d3aabd63202f8aaa22ffb953a68c519532a6c9e027abc0bfe184f0643c",
          "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
     "probe --preset robust-q6 --points 20":
-        (0, "08fa0dc04714d63e7dafe65b823bcc6191315c3898a7bf71b1954756d5b5d7a9",
+        (0, "963379d3aabd63202f8aaa22ffb953a68c519532a6c9e027abc0bfe184f0643c",
          "c9c4eeac9f4d962fa4e37146f26da65335f9f9bd4320cdd5b599c44e748cb87c"),
     "probe --preset synthetic-s1 --points 20":
         (0, "86ad028385580cda1ef413f06f6a8b305eecb2a132cb27880c252f307a21c12b", _EMPTY),

@@ -28,6 +28,31 @@ def _dealt_per_item(n_items, labels, K, scheme, seed):
     return [np.array(sorted(p), dtype=int) for p in parts]
 
 
+def _dirichlet_in_lists(n_items, labels, K, seed, beta):
+    """dirichlet dealt into per-client lists (the reference): each class's
+    shuffled items cut at its cumulative Dirichlet shares, then each empty
+    client, in client order, takes the last-dealt item of the first of the
+    largest clients. Also returns how many items that fix-up moved."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = [[] for _ in range(K)]
+    for cls in np.unique(labels):
+        idx = rng.permutation(np.flatnonzero(labels == cls))
+        props = rng.dirichlet(np.full(K, beta))
+        bounds = np.floor(np.cumsum(props) * len(idx)).astype(int)
+        start = 0
+        for k in range(K):
+            stop = bounds[k] if k < K - 1 else len(idx)
+            parts[k].extend(int(i) for i in idx[start:stop])
+            start = stop
+    moved = 0
+    for k, items in enumerate(parts):
+        while not items:
+            donor = max(range(K), key=lambda j: len(parts[j]))
+            parts[k].append(parts[donor].pop())
+            moved += 1
+    return [np.array(sorted(p), dtype=int) for p in parts], moved
+
+
 class TestPartition:
     def test_single_client_owns_everything(self):
         for scheme in ("iid", "by_group", "dirichlet"):
@@ -80,6 +105,24 @@ class TestPartition:
             plan = partition(n, labs, K, scheme, seed=seed)
             want = _dealt_per_item(n, labs, K, scheme, seed)
             assert len(plan.assignment) == K
+            for got, ref in zip(plan.assignment, want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n,K,n_classes,beta,seed,moves", [
+        (12, 1, 2, 1.0, 0, False), (400, 10, 2, 1.0, 4, False), (1000, 100, 10, 0.3, 5, False),
+        (401, 7, 20, 0.5, 9, False),
+        # small beta or K close to n: the empty-client fix-up moves items
+        (10, 10, 1, 0.05, 1, True), (20, 19, 3, 0.05, 2, True), (50, 40, 2, 0.1, 3, True),
+        (333, 16, 5, 0.01, 6, True), (30, 30, 30, 0.5, 7, True), (64, 60, 4, 1.0, 8, True),
+    ])
+    def test_dirichlet_equals_dealing_into_lists(self, n, K, n_classes, beta, seed, moves):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_classes, size=n)
+        # gapped, negative and float labels group as their distinct values do
+        for labs in (labels, 3 * labels - 50, labels / 4.0):
+            plan = partition(n, labs, K, "dirichlet", seed=seed, beta=beta)
+            want, moved = _dirichlet_in_lists(n, labs, K, seed, beta)
+            assert (moved > 0) == moves and len(plan.assignment) == K
             for got, ref in zip(plan.assignment, want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 

@@ -655,7 +655,7 @@ class TestTraceTable:
 
     def test_robust_exact_oracle_on_50_blocks_peaks_under_421_kb(self):
         # the heterogeneity probe's call at K = 10: 50 K-row blocks, taken in
-        # pieces of at most base._ORACLE_ELEMENTS slopes; about 408 KB (626
+        # pieces of at most robust._ORACLE_ELEMENTS slopes; about 408 KB (626
         # KB in one piece; the item-major (n, B, P, dim) product took 421 KB)
         problem = load_preset("robust-q6").build_problem(1)
         rng = np.random.default_rng(0)

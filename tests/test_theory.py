@@ -10,12 +10,10 @@ from fedminimax.config import apply_overrides
 from fedminimax.presets import load_preset, preset_names
 from fedminimax.problems import grad_full
 from fedminimax import theory
-from fedminimax.core import index_sum, row_dots
 from fedminimax.theory import (
     CONSTRAINT_NAMES,
     ConstantSet,
     _estimate_heterogeneity,
-    _estimate_pl_ratio,
     _max_pairwise_distance,
     estimate_constants,
     grad_check,
@@ -44,6 +42,20 @@ def passing_hp():
 
 
 class TestValidator:
+    @pytest.mark.parametrize("validate", [validate_theorem1, validate_theorem2])
+    def test_no_mu_gives_a_not_applicable_report(self, validate):
+        # the set-up of `fedmm run` and of the benchmark's robust-q6 workload
+        cfg = load_preset("robust-q6")
+        problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
+        c = estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u).with_safety_margin()
+        assert c.mu is None
+        report = validate(hp, c, problem.K)
+        assert report.constraints == [] and report.not_applicable and not report.all_satisfied
+        assert report.render() == f"not applicable: {report.not_applicable}"
+        assert report.machine_lines() == f"theorem=not_applicable|{report.not_applicable}"
+        with pytest.raises(KeyError):
+            report.by_name("gamma_upper")
+
     def test_exactly_ten_named_constraints(self, passing_hp, synth_constants):
         report = validate_theorem1(passing_hp, synth_constants, K=10)
         assert len(report.constraints) == 10
@@ -244,11 +256,13 @@ class TestEstimateConstants:
         c = estimate_constants(inst, n_samples=10, seed=0)
         assert c.sigma < 1e-12
 
-    def test_robust_everything_estimated(self, robust_inst):
+    def test_robust_estimates_L_f_and_sigma_and_has_no_mu(self, robust_inst):
         c = estimate_constants(robust_inst, n_samples=10, seed=0)
-        assert c.provenance["L_f"] == "estimated"
-        assert c.provenance["mu"] == "estimated"
-        assert c.L_f > 0 and c.mu > 0
+        assert c.provenance["L_f"] == c.provenance["sigma"] == "estimated"
+        assert c.provenance["mu"] == "none"
+        assert c.L_f > 0 and c.sigma > 0
+        assert c.mu is None and c.kappa is None and c.L is None
+        assert c.with_safety_margin().mu is None
 
 
 # Every shipped preset, plus K = 100 and two splits whose clients hold
@@ -268,13 +282,17 @@ PIN_CONFIGS = {
 # their L_f (by at most 4.6e-16) when it moved to one 3 x 3 block per item;
 # the robust rows' delta_x (by at most 2.3e-16) when the robust exact
 # x-gradient moved to one gemv per point. The robust L_f is None: its closed form is checked against eigvalsh below.
+# The robust mu is None: the family has no modulus in y, and its nominal
+# gradient-growth estimate is gone (it was 0x1.fc2f8188d130ep-17 and
+# 0x1.e8a708114c7f2p-15 on robust-q6 and -q12 at seeds 1 and 7,
+# 0x1.11c3f26cbf921p-17 and 0x1.ac9ae72786496p-17 on the dirichlet split).
 CONSTANT_PINS = {
     ("auc-imbalanced", 1): ("0x1.d9118e19c9f25p+3", "0x1.943cb57397fd2p+2", "0x1.39e9506643c7cp+4", "0x1.851eb851eb852p-4", "0x1.f6a333fcf0960p+3"),
     ("auc-imbalanced", 7): ("0x1.661826a9007bbp+4", "0x1.d02830634d019p+2", "0x1.57c3b706a9fe3p+4", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba6p+4"),
-    ("robust-q12", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
-    ("robust-q12", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
-    ("robust-q6", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", "0x1.fc2f8188d130ep-17", None),
-    ("robust-q6", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", "0x1.e8a708114c7f2p-15", None),
+    ("robust-q12", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", None, None),
+    ("robust-q12", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", None, None),
+    ("robust-q6", 1): ("0x1.28411e4378ae9p+1", "0x1.4343d99701097p+1", "0x1.6a5e0e7ec3919p+2", None, None),
+    ("robust-q6", 7): ("0x1.673a93569ee39p+1", "0x1.783504570cdb3p+1", "0x1.acc3fdc0f12e8p+2", None, None),
     ("synthetic-s1", 1): ("0x1.13877754cdd97p+0", "0x1.176e8c61d77c6p+3", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("synthetic-s1", 7): ("0x1.43af28ba29753p+0", "0x1.d948ed114f342p+2", "0x1.4791d6ddc7d0ep-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("synthetic-s10", 1): ("0x1.13877754cdd97p+0", "0x1.5bdba6468d95fp+6", "0x1.43d2e286acce9p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
@@ -285,8 +303,8 @@ CONSTANT_PINS = {
     ("synthetic-s1 k=100", 7): ("0x1.5b3fe9d87154bp+0", "0x1.47d77d58cd4e0p+3", "0x1.4b0ad48a85cb2p-1", "0x1.0000000000000p+0", "0x1.4000000000000p+3"),
     ("auc-imbalanced scheme=dirichlet", 1): ("0x1.5e6afee584707p+2", "0x1.572367860cd7ep+1", "0x1.7c8a4c1ba9ee6p+3", "0x1.851eb851eb852p-4", "0x1.f6a333fcf0960p+3"),
     ("auc-imbalanced scheme=dirichlet", 7): ("0x1.dcd3115ba736cp+2", "0x1.2cfebfa4ae3f4p+1", "0x1.cd16bf47fa9e3p+3", "0x1.851eb851eb852p-4", "0x1.6b8009e882ba6p+4"),
-    ("robust-q6 scheme=dirichlet", 1): ("0x1.22520f972c0e6p+3", "0x1.121c7c599d1ffp+3", "0x1.65f56d1764e20p+2", "0x1.11c3f26cbf921p-17", None),
-    ("robust-q6 scheme=dirichlet", 7): ("0x1.2866137070a65p+3", "0x1.275723735c9dfp+3", "0x1.6b59e9ca8a48fp+2", "0x1.ac9ae72786496p-17", None),
+    ("robust-q6 scheme=dirichlet", 1): ("0x1.22520f972c0e6p+3", "0x1.121c7c599d1ffp+3", "0x1.65f56d1764e20p+2", None, None),
+    ("robust-q6 scheme=dirichlet", 7): ("0x1.2866137070a65p+3", "0x1.275723735c9dfp+3", "0x1.6b59e9ca8a48fp+2", None, None),
 }
 
 # float.hex of (delta_x, delta_y) from 1 and 7 heterogeneity probes, neither a
@@ -343,7 +361,7 @@ class TestConstantPins:
         problem, hp = _pin_problem(label, seed)
         c = estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u)
         *pinned, L_f = CONSTANT_PINS[(label, seed)]
-        assert [v.hex() for v in (c.delta_x, c.delta_y, c.sigma, c.mu)] == pinned
+        assert [v if v is None else v.hex() for v in (c.delta_x, c.delta_y, c.sigma, c.mu)] == pinned
         if L_f is not None:
             assert c.L_f.hex() == L_f
         else:  # the reference draws the heterogeneity probes' points first
@@ -442,25 +460,6 @@ class TestPairwiseDistanceScreen:
             estimate_constants(inst, n_samples=7, seed=1)
 
 
-def _pl_ratio_one_probe_at_a_time(inst, n_samples, rng):
-    """theory._estimate_pl_ratio with one probe per call: one global_value
-    call at x against its 8 y's, one grad_y_all call of x tiled once
-    against the 8 K-row y blocks (the reference)."""
-    K, p = inst.K, inst.p
-    Z = rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * p))
-    best = math.inf
-    for x, ys in zip(Z[:, :inst.d], Z[:, inst.d:].reshape(len(Z), 8, p)):
-        ys = inst.y_constraint.project(ys)
-        vals = inst.global_value(x, ys)
-        gaps = vals.max() - vals
-        GY = inst.grad_y_all(np.tile(x, (K, 1)), np.repeat(ys, K, axis=0))
-        gy = index_sum(GY.reshape(8, K, p), axis=1) / K
-        due = gaps > 1e-12
-        if due.any():
-            best = min(best, float((row_dots(gy[due]) / (2.0 * gaps[due])).min()))
-    return max(1e-6, 0.0 if math.isinf(best) else best)
-
-
 def _heterogeneity_one_probe_at_a_time(inst, n_samples, rng):
     """theory._estimate_heterogeneity with one probe per exact call and
     every pair's np.linalg.norm (the reference)."""
@@ -483,23 +482,6 @@ def robust_preset_problem(request):
 
 class TestStackedProbes:
     N_SAMPLES = 50
-
-    @pytest.mark.parametrize("chunk", [1, 3, "all", "default"])
-    def test_pl_ratio_equals_the_per_probe_loop_bitwise(self, robust_preset_problem, chunk, monkeypatch):
-        inst, seed = robust_preset_problem
-        n_probes = max(2, self.N_SAMPLES // 5)
-        slopes = 8 * int(inst.sizes.sum())  # (8, K, n) slope elements per probe
-        if chunk != "default":
-            monkeypatch.setattr(theory, "_ORACLE_ELEMENTS", slopes * (n_probes if chunk == "all" else chunk))
-        per_call = theory._ORACLE_ELEMENTS // slopes
-        assert chunk == "default" or per_call == (n_probes if chunk == "all" else chunk)
-        calls = []
-        monkeypatch.setattr(inst, "grad_y_all", lambda X, Y, f=inst.grad_y_all: calls.append(len(X)) or f(X, Y))
-        got = _estimate_pl_ratio(inst, self.N_SAMPLES, np.random.default_rng(seed))
-        monkeypatch.undo()
-        want = _pl_ratio_one_probe_at_a_time(inst, self.N_SAMPLES, np.random.default_rng(seed))
-        assert got.hex() == want.hex() and got > 1e-6
-        assert calls == [min(per_call, n_probes - i) for i in range(0, n_probes, per_call)]
 
     @pytest.mark.parametrize("chunk", [1, 3, "all", "default"])
     def test_heterogeneity_equals_the_per_probe_loop_bitwise(self, robust_preset_problem, chunk, monkeypatch):
