@@ -523,6 +523,13 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err == "" and len(captured.out.splitlines()) == 3
 
+    @pytest.mark.parametrize("preset", ["robust-q6", "robust-q12"])
+    def test_probe_constants_on_a_family_without_mu_print_none(self, preset, capsys):
+        assert main(["probe", "--preset", preset, "--checks", "constants", "--points", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "  mu=none (none)" in lines and "  kappa=none L=none" in lines
+        assert any(line.startswith("  L_f=") and line.endswith(" (estimated)") for line in lines)
+
     def test_probe_synthetic_all_checks_pass(self, capsys):
         code = main(["probe", "--preset", "synthetic-s1", "--checks",
                      "pl,lipschitz,gradcheck,unbiased,constants", "--points", "50"])

@@ -56,6 +56,17 @@ class TestValidator:
         with pytest.raises(KeyError):
             report.by_name("gamma_upper")
 
+    @pytest.mark.parametrize("validate", [validate_theorem1, validate_theorem2])
+    def test_no_mu_is_not_applicable_whatever_the_step_sizes(self, validate, passing_hp, synth_constants):
+        # the system is never evaluated, so step sizes that would violate it
+        # (or overflow its ** terms) give the same report as passing ones
+        c = replace(synth_constants, mu=None)
+        want = validate(passing_hp, c, 10)
+        assert want.constraints == [] and not want.all_satisfied
+        for mutate in (dict(gamma=1e300, lam=1e-300), dict(rho=2.0), dict(q=1)):
+            got = validate(replace(passing_hp, **mutate), c, 10)
+            assert got == want
+
     def test_exactly_ten_named_constraints(self, passing_hp, synth_constants):
         report = validate_theorem1(passing_hp, synth_constants, K=10)
         assert len(report.constraints) == 10
@@ -159,6 +170,18 @@ class TestConstantSet:
     def test_invariants(self):
         with pytest.raises(ValueError):
             ConstantSet(L_f=0.5, mu=1.0, sigma=0.0, delta_x=0.0, delta_y=0.0)
+
+    def test_no_mu_has_no_kappa_or_L(self):
+        # without a mu, L_f is not bounded below by it
+        c = ConstantSet(L_f=0.5, mu=None, sigma=0.0, delta_x=0.0, delta_y=0.0)
+        assert c.mu is None and c.kappa is None and c.L is None
+
+    @pytest.mark.parametrize("fields", [dict(mu=0.0), dict(mu=-1.0), dict(mu=None, rho=0.0),
+                                        dict(mu=None, rho_u=-1.0)])
+    def test_invariants_with_and_without_mu(self, fields):
+        # a set mu must be positive; rho and rho_u are checked either way
+        with pytest.raises(ValueError):
+            ConstantSet(**{**dict(L_f=10.0, sigma=0.0, delta_x=0.0, delta_y=0.0), **fields})
 
     def test_safety_margin_touches_only_estimated_fields(self):
         c = ConstantSet(L_f=10.0, mu=1.0, sigma=2.0, delta_x=1.0, delta_y=1.0,
