@@ -10,6 +10,9 @@ row:
 - elementwise arithmetic on (K, d) rows (the client step), a stacked
   oracle on the rows of two calls concatenated (new and old points), and
   the exact oracle on n stacked K-row blocks against one call per block;
+- a per-client scalar repeated across the client's row, (rows, d),
+  against a (rows, 1) column broadcast in an elementwise kernel; the column
+  costs one inner loop per row, so the synthetic oracles take the rows;
 - elementwise arithmetic in place (out=, +=) against a temporary per
   operation, and a + b, a * b against b + a, b * a but for which of two
   NaNs comes through (see below): the client step, the estimate

@@ -69,6 +69,9 @@ class SyntheticProblem(ProblemInstance):
         b_raw = rng.normal(0.0, self.s, size=(K, dim))
         self.b = _center_rows(b_raw) if self.center_b else b_raw
         self.t = rng.uniform(0.0, 0.1, size=K)
+        # t_k repeated across client k's row: a (rows, 1) column would cost
+        # the products below one inner loop per row, with the same bits.
+        self._t_rows = np.repeat(self.t[:, None], dim, axis=1)
 
         # Per-client noise realizations for both gradient blocks, in one draw
         # (client k's x-table, then its y-table, as a per-client loop draws
@@ -95,16 +98,16 @@ class SyntheticProblem(ProblemInstance):
         self.t_bar = index_sum(self.t) / K
 
     def values(self, x: Vector, y: Vector) -> np.ndarray:
-        # Per-row dots against y repeated per client: self.b @ y (gemv) sums
-        # in another order.
-        by = row_dots(self.b, np.repeat(y[..., None, :], self.K, axis=-2))
+        # One dot b_k . y per client, y broadcast over the clients: self.b @ y
+        # (gemv) sums in another order.
+        by = np.matmul(self.b[:, None, :], y[..., None, :, None])[..., 0, 0]
         xx, yy, yx = row_dots(0.5 * self.tau * x, x), row_dots(0.5 * y, y), row_dots(y, x)
         return xx[..., None] - (yy[..., None] - by + self.t * yx[..., None])
 
     def grad_full_all(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Viewed as (n, K, d) blocks; elementwise arithmetic keeps its bits when broadcast.
         X3, Y3 = X.reshape(-1, self.K, self.d), Y.reshape(-1, self.K, self.p)
-        t = self.t[:, None]
+        t = self._t_rows
         GX, T = self.tau * X3, t * Y3
         GX -= T
         GY = -Y3
@@ -115,7 +118,7 @@ class SyntheticProblem(ProblemInstance):
     def grad_stoch_rows(
         self, ks: np.ndarray, items: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        t = self.t.take(ks)[:, None]
+        t = self._t_rows.take(ks, axis=0)
         GX, T = self.tau * X, t * Y
         GX -= T
         GY = -Y

@@ -302,8 +302,8 @@ def probe_lipschitz(inst: ProblemInstance, n_pairs: int, seed: int, c: ConstantS
     Requires closed forms for y* and grad F (synthetic, AUC)."""
     if not inst.has_closed_form_inner_max:
         raise ValueError(f"{inst.name} has no closed-form inner maximizer")
-    if c is None:
-        c = estimate_constants(inst, n_samples=50, seed=seed)
+    if c is None:  # both families have analytic L_f and mu; only kappa and L are read
+        c = ConstantSet(L_f=inst.lipschitz_L_f, mu=inst.mu, sigma=0.0, delta_x=0.0, delta_y=0.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r_y = 0.0
     r_F = 0.0

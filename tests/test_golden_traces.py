@@ -11,7 +11,8 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
 - The three benchmark workload configs at seed 1, emitted the way
   `fedmm run` emits them (config-hash line included), and emitted by
   `fedmm run` itself; these match the digests printed by
-  `perfbench/run.py`. They are also computed in two
+  `perfbench/run.py`, and their presets and overrides equal
+  `perfbench/workloads.py`'s. They are also computed in two
   fresh processes, with OpenBLAS held to one thread and to two, along with
   the K = 100 heterogeneity probe pinned in test_theory.
 - The AUC and robust traces above, and each family's workload at seed 7,
@@ -25,6 +26,7 @@ names the traces that changed and why in CHANGES.md, and re-pins them here.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -308,6 +310,22 @@ def test_benchmark_workload_digest(name, tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     [csv] = (tmp_path / load_preset(preset).output.csv_dir).glob("*_seed1.csv")
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+def test_workload_configs_equal_the_benchmarks():
+    # perfbench/workloads.py loaded under a private name, so that the
+    # benchmark's own tests still import theirs as `workloads`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclass resolves its annotations there
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    assert {name: (w.preset, w.overrides) for name, w in bench.WORKLOADS.items()} == {
+        name: (preset, overrides) for name, (preset, overrides, _) in WORKLOADS.items()
+    }
 
 
 _WORKLOAD_DIGESTS = """

@@ -831,6 +831,9 @@ def _auc_with_zero_items(inst, every):
 
 STACKED_CASES = {
     "synthetic": lambda: fm.SyntheticProblem(K=7, dim=5, s=1.0, tau=10.0, seed=4),
+    # the benchmark's shape, and a one-column coefficient table
+    "synthetic-k100": lambda: fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1),
+    "synthetic-dim=1": lambda: fm.SyntheticProblem(K=6, dim=1, s=1.0, tau=10.0, n_per_client=9, seed=2),
     "auc-iid": lambda: fm.AucProblem(K=12, dim=8, n_per_client=30, pos_ratio=0.1, seed=3, scheme="iid"),
     "auc-by_group": lambda: fm.AucProblem(K=11, dim=8, n_per_client=40, pos_ratio=0.05, seed=1),
     "auc-dirichlet": lambda: fm.AucProblem(K=10, dim=6, n_per_client=30, pos_ratio=0.2, seed=2, scheme="dirichlet"),
@@ -853,7 +856,7 @@ class TestStackedOracle:
     def test_sizes_count_each_clients_items(self, case):
         # iid, by_group and dirichlet splits: one label per item
         inst = STACKED_CASES[case]()
-        counts = [inst.n_per_client] * inst.K if case == "synthetic" else [len(labs) for labs in inst.clients_y]
+        counts = [inst.n_per_client] * inst.K if inst.name == "synthetic" else [len(labs) for labs in inst.clients_y]
         assert inst.sizes.shape == (inst.K,) and inst.sizes.tolist() == counts
         assert inst.sizes.sum() == inst.K * inst.n_per_client
 
@@ -914,11 +917,10 @@ class TestStackedOracle:
             want = [_plain_value_auc(inst, k, x, y) for k in range(inst.K)]
             assert inst.values(x, y).tolist() == want and all(map(math.isfinite, want))
 
-    @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_values_and_y_star_at_stacked_points_equal_one_call_per_point_bitwise(self, case):
         # the recorder evaluates a chunk's S points in one call each
-        make = STACKED_CASES.get(case, lambda: fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1))
-        inst = make()
+        inst = STACKED_CASES[case]()
         rng = np.random.default_rng(71)
         for scale in (1e-3, 1.0, 1e3):
             for S in (1, 2, 7):
@@ -1118,14 +1120,13 @@ class TestStackedOracle:
                 gx, gy = inst.grad_stoch_rows(ks, items, X[half], Y[half])
                 assert np.array_equal(GX[half], gx) and np.array_equal(GY[half], gy)
 
-    @pytest.mark.parametrize("case", [*sorted(STACKED_CASES), "synthetic-k100"])
+    @pytest.mark.parametrize("case", sorted(STACKED_CASES))
     def test_exact_oracle_on_stacked_k_row_blocks_equals_one_call_per_block_bitwise(self, case):
         # the recorder evaluates a chunk's client points and (x_bar, y*)
         # tiled in one call on a few K-row blocks each, the constants' probes
         # on 5K and 8K rows; row i belongs to client i mod K. A dataset family
         # broadcasts its data over however many blocks a call brings.
-        make = STACKED_CASES.get(case, lambda: fm.SyntheticProblem(K=100, dim=20, s=1.0, tau=10.0, seed=1))
-        inst = make()
+        inst = STACKED_CASES[case]()
         K = inst.K
         rng = np.random.default_rng(43)
         for n in (2, 2, 2, 3, 5, 8, 2):

@@ -240,6 +240,18 @@ class TestProbeLipschitz:
         with pytest.raises(ValueError):
             probe_lipschitz(robust_inst, n_pairs=10, seed=0)
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("preset", ["synthetic-s1", "auc-imbalanced"])
+    def test_default_kappa_and_L_are_the_estimated_sets_bitwise(self, preset, seed, monkeypatch):
+        # with no constant set, kappa and L come from the analytic L_f and
+        # mu, as estimate_constants gives them, without running it
+        inst = load_preset(preset).build_problem(seed)
+        c = estimate_constants(inst, n_samples=50, seed=seed)
+        monkeypatch.setattr(theory, "estimate_constants", None)
+        rep = probe_lipschitz(inst, n_pairs=2, seed=seed)
+        assert (rep.kappa, rep.L) == (c.kappa, c.L)
+        assert type(rep.kappa) is type(rep.L) is float
+
 
 class TestGradCheck:
     def test_synthetic_nearly_exact(self, synthetic_small):
