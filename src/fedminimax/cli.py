@@ -8,6 +8,8 @@ Subcommands:
 
 Configurations come from a file or a named preset; any key can be
 overridden with dotted flags, e.g. `--algorithm.gamma 0.05`.
+`run` checks the step-size system on the closed-form L_f and mu alone
+(theory.theorem_constants); `validate` and `probe` estimate the rest.
 Constraint violations at run time are warnings, not errors: experiment
 rates are grid-searched and need not satisfy the worst-case constants.
 
@@ -108,11 +110,6 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     return rest, overrides
 
 
-def _constants_for(problem, hp) -> theory.ConstantSet:
-    c = theory.estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u)
-    return c.with_safety_margin()
-
-
 def _validate(problem, hp, c: theory.ConstantSet) -> theory.ConstraintReport:
     if hp.variant in (VARIANT_ADAFGDA_ADAM, VARIANT_ADAFGDA_ADABELIEF):
         return theory.validate_theorem1(hp, c, problem.K)
@@ -139,7 +136,7 @@ def cmd_run(args, overrides) -> int:
     for seed in cfg.output.seeds:
         problem = cfg.build_problem(seed)
         hp = cfg.hp_for_seed(seed)
-        report = _validate(problem, hp, _constants_for(problem, hp))
+        report = _validate(problem, hp, theory.theorem_constants(problem, hp.rho, hp.rho_u))
         bad = [c.name for c in report.constraints if not c.satisfied]  # none where the system does not apply
         if bad:
             print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
@@ -163,7 +160,7 @@ def cmd_validate(args, overrides) -> int:
     seed = cfg.output.seeds[0]
     problem = cfg.build_problem(seed)
     hp = cfg.hp_for_seed(seed)
-    c = _constants_for(problem, hp)
+    c = theory.estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u).with_safety_margin()
     report = _validate(problem, hp, c)
     print(report.render())
     print(report.machine_lines())

@@ -281,7 +281,6 @@ class TraceRecorder:
         self.sampled_t = sampled_t
         self.last = self.sampled = (None, None)
         self.n = 0  # steps recorded
-        self.overflow_t: int | None = None
         self.columns = {f.name: np.empty(T, _DTYPES.get(f.type, float)) for f in _FIELDS}
         self.has = {_FIELDS[j].name: np.zeros(T, bool) for j in _OPTIONAL}
         sp = problem.saddle()
@@ -310,9 +309,9 @@ class TraceRecorder:
 
         A non-finite entry in any step's X, Y, W or V raises
         FloatingPointError naming the first such step, before anything is
-        measured; overflow_t keeps the first step with a non-finite
-        objective. Each metric is computed for all the steps at once, every
-        bit as one step at a time:
+        measured, and so does a non-finite objective (finite iterates whose
+        value overflows) once it is taken. Each metric is computed for all
+        the steps at once, every bit as one step at a time:
 
         - one index-order sum (core.index_sum: an add.reduce adding whole
           rows, or a running sum for a (., 1) column) over the K axis of an
@@ -341,8 +340,8 @@ class TraceRecorder:
         x_bar, y_bar = index_sum(X, axis=1) / K, index_sum(Y, axis=1) / K
         x_bar[sync], y_bar[sync] = X[sync, 0], Y[sync, 0]
         objective = problem.global_value(x_bar, y_bar)
-        if self.overflow_t is None and not np.isfinite(objective).all():
-            self.overflow_t = t[int(np.argmin(np.isfinite(objective)))]
+        if not np.isfinite(objective).all():
+            raise FloatingPointError(f"non-finite objective at t={t[int(np.argmin(np.isfinite(objective)))]}")
         self.last = x_bar[-1].copy(), y_bar[-1].copy()
         if self.sampled_t in t:
             i = t.index(self.sampled_t)

@@ -17,11 +17,11 @@ concavity, or the gradient-growth condition): synthetic and AUC. The robust
 family's inner problem is convex in y, so its constant set has mu=None and
 its report is "not applicable", with no records.
 
-Probes check, on concrete instances, the gradient-growth inequality behind
-the analysis (probe_pl), the Lipschitz constants of the inner maximizer
-and the value-function gradient (probe_lipschitz), the analytic gradient
-oracles against finite differences (grad_check), and the constants
-themselves (estimate_constants).
+The system reads the closed-form L_f and mu (theorem_constants). Probes
+check, on concrete instances, the gradient-growth inequality behind the
+analysis (probe_pl), the Lipschitz constants of the inner maximizer and the
+value-function gradient (probe_lipschitz) and the analytic gradient oracles
+(grad_check), and estimate the other constants (estimate_constants).
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ CONSTRAINT_NAMES = (
 class ConstantSet:
     """Problem constants feeding the validator, with per-field provenance
     ("analytic", "estimated", "config", or "none" for a mu the family does
-    not have)."""
+    not have). Only estimate_constants sets sigma and the deltas, and the
+    robust L_f."""
 
-    L_f: float
+    L_f: float | None
     mu: float | None
-    sigma: float
-    delta_x: float
-    delta_y: float
+    sigma: float | None = None
+    delta_x: float | None = None
+    delta_y: float | None = None
     rho: float = 1.0
     rho_u: float = 1.0
     provenance: dict = field(default_factory=dict)
@@ -302,8 +303,8 @@ def probe_lipschitz(inst: ProblemInstance, n_pairs: int, seed: int, c: ConstantS
     Requires closed forms for y* and grad F (synthetic, AUC)."""
     if not inst.has_closed_form_inner_max:
         raise ValueError(f"{inst.name} has no closed-form inner maximizer")
-    if c is None:  # both families have analytic L_f and mu; only kappa and L are read
-        c = ConstantSet(L_f=inst.lipschitz_L_f, mu=inst.mu, sigma=0.0, delta_x=0.0, delta_y=0.0)
+    if c is None:  # only kappa and L are read
+        c = theorem_constants(inst)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r_y = 0.0
     r_F = 0.0
@@ -406,6 +407,7 @@ def _max_pairwise_distance(G: np.ndarray) -> float:
     return math.sqrt(worst)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite gradient raises below
 def _estimate_heterogeneity(inst: ProblemInstance, n_samples: int, rng) -> tuple[float, float]:
     """Largest distance between two clients' exact x- and y-gradients over
     n_samples probe points, evaluated max(1, _PROBE_ROWS // K) points per
@@ -459,35 +461,37 @@ def _estimate_sigma(inst: ProblemInstance, n_samples: int, rng) -> float:
     return math.sqrt(worst)
 
 
+def theorem_constants(inst: ProblemInstance, rho: float = 1.0, rho_u: float = 1.0) -> ConstantSet:
+    """L_f and mu, the constants the step-size system reads, from the
+    family's closed forms (synthetic, AUC). Robust has neither: it is convex
+    in y, so it has no mu and its system does not apply."""
+    prov = {"rho": "config", "rho_u": "config"}
+    if isinstance(inst, RobustProblem):
+        return ConstantSet(L_f=None, mu=None, rho=rho, rho_u=rho_u, provenance={**prov, "mu": "none"})
+    if not isinstance(inst, (SyntheticProblem, AucProblem)):
+        raise TypeError(f"unknown problem family {inst.name!r}")
+    prov.update(L_f="analytic", mu="analytic")
+    return ConstantSet(L_f=inst.lipschitz_L_f, mu=inst.mu, rho=rho, rho_u=rho_u, provenance=prov)
+
+
 def estimate_constants(inst: ProblemInstance, n_samples: int, seed: int,
                        rho: float = 1.0, rho_u: float = 1.0) -> ConstantSet:
-    """Analytic constants where the family admits them, max-over-probes
-    estimates elsewhere; provenance recorded per field."""
+    """theorem_constants, plus max-over-probes estimates of sigma (analytic
+    on synthetic), the heterogeneity deltas and the robust L_f; provenance
+    recorded per field."""
+    c = theorem_constants(inst, rho, rho_u)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     delta_x, delta_y = _estimate_heterogeneity(inst, n_samples, rng)
-    prov = {"delta_x": "estimated", "delta_y": "estimated", "rho": "config", "rho_u": "config"}
-
-    if isinstance(inst, SyntheticProblem):
-        L_f, mu = inst.lipschitz_L_f, inst.mu
-        sigma = inst.sigma_bound
-        prov.update(L_f="analytic", mu="analytic", sigma="analytic")
-    elif isinstance(inst, AucProblem):
-        L_f, mu = inst.lipschitz_L_f, inst.mu
-        sigma = _estimate_sigma(inst, n_samples, rng)
-        prov.update(L_f="analytic", mu="analytic", sigma="estimated")
-    elif isinstance(inst, RobustProblem):
-        L_f, mu = _estimate_robust_L_f(inst, n_samples, rng), None  # convex in y: no mu
+    prov = {**c.provenance, "delta_x": "estimated", "delta_y": "estimated"}
+    if isinstance(inst, RobustProblem):
+        c.L_f, prov["L_f"] = _estimate_robust_L_f(inst, n_samples, rng), "estimated"
         # Discarded: the draw of a retired mu probe, so sigma keeps its bits.
         rng.standard_normal((max(2, n_samples // 5), inst.d + 8 * inst.p))
-        sigma = _estimate_sigma(inst, n_samples, rng)
-        prov.update(L_f="estimated", mu="none", sigma="estimated")
+    if isinstance(inst, SyntheticProblem):
+        sigma, prov["sigma"] = inst.sigma_bound, "analytic"
     else:
-        raise TypeError(f"unknown problem family {inst.name!r}")
-
-    return ConstantSet(
-        L_f=L_f, mu=mu, sigma=sigma, delta_x=delta_x, delta_y=delta_y,
-        rho=rho, rho_u=rho_u, provenance=prov,
-    )
+        sigma, prov["sigma"] = _estimate_sigma(inst, n_samples, rng), "estimated"
+    return replace(c, sigma=sigma, delta_x=delta_x, delta_y=delta_y, provenance=prov)
 
 
 def _robust_curvatures(Xr: np.ndarray, lab: np.ndarray, w: Vector) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 import numpy as np
 
 import fedminimax
-from fedminimax import cli
+from fedminimax import cli, theory
 from fedminimax.algorithms import VARIANTS, init_round, initial_point
 from fedminimax.cli import main
 from fedminimax.config import (
@@ -320,9 +321,21 @@ class TestCommands:
         assert code == 3
         err = capsys.readouterr().err
         for seed in (1, 2, 3):
-            assert re.search(rf"^seed {seed}: diverged: non-finite iterate or estimate at t=\d+$", err, re.M)
+            assert re.search(rf"^seed {seed}: diverged: non-finite objective at t=\d+$", err, re.M)
         assert "Traceback" not in err
         assert not out.exists()  # no seed wrote, so no directory was made
+
+    def test_divergence_is_reported_at_the_same_step_whatever_T(self, tmp_path, capsys):
+        # the objective overflows at t = 64 and the iterates at t = 133: the
+        # chunk holding t = 64 raises, so a longer run reports the same step
+        lines = []
+        for T in ("132", "200"):
+            argv = ["run", "--preset", "synthetic-s1", "--algorithm.gamma", "50", "--algorithm.t", T,
+                    "--output.seeds", "1", "--output.csv_dir", str(tmp_path / "out")]
+            assert main(argv) == 3
+            lines.append(capsys.readouterr().err.splitlines()[-1])
+        assert lines == ["seed 1: diverged: non-finite objective at t=64"] * 2
+        assert not (tmp_path / "out").exists()
 
     def test_auc_run_whose_objective_overflows_exits_3(self, tmp_path, capsys):
         # alpha grows past sqrt(max float) while every iterate stays finite:
@@ -374,7 +387,7 @@ class TestCommands:
 
     def test_seed_refused_by_the_run_leaves_no_directory(self, tmp_path, capsys):
         # q exceeds the dataset: init_round refuses the seed after the
-        # problem is built and its constants are estimated
+        # problem is built and its step sizes are checked
         argv = ["run", "--preset", "robust-q6", "--algorithm.q", "50", "--algorithm.t", "7",
                 "--output.csv_dir", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -449,25 +462,37 @@ class TestCommands:
         assert main(["run", str(cfgfile)]) != 0
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_probe_gradient_is_an_error_exit(self, capsys):
-        # tau * x overflows at the heterogeneity probe points
-        assert main(["validate", "--preset", "synthetic-s1", "--problem.tau", "1e308"]) == 2
-        err = capsys.readouterr().err
-        assert "error: synthetic: non-finite exact gradient" in err and "Traceback" not in err
+        # tau * x overflows at the heterogeneity probe points, silently: the
+        # probe reports it (pyproject makes a RuntimeWarning an error here)
+        for command in (["validate"], ["probe", "--checks", "constants"]):
+            assert main([*command, "--preset", "synthetic-s1", "--problem.tau", "1e308"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: synthetic: non-finite exact gradient at a heterogeneity probe point\n"
+            assert captured.out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_constraint_terms_past_a_float_are_an_error_exit(self, command, tmp_path, capsys):
         # L_f = 1e200: the gradients stay finite, but powers of L_f in the
-        # step-size system overflow a Python float; the probe gradients'
-        # squared norms overflow too, and print no warning
+        # step-size system overflow a Python float; for validate, the probe
+        # gradients' squared norms overflow too, and print no warning (run
+        # evaluates no probe gradient)
         argv = [command, "--preset", "synthetic-s1", "--problem.tau", "1e200", "--output.csv_dir", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert errors == ["error: step-size constraint terms overflow a float (L_f=1e+200, mu=1)"]
         assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+    def test_run_meets_a_float_sized_L_f_before_any_gradient(self, tmp_path, capsys):
+        # where validate's probe gradients overflow (tau = 1e308), run, which
+        # evaluates none, stops at its step-size check
+        argv = ["run", "--preset", "synthetic-s1", "--problem.tau", "1e308", "--output.csv_dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: step-size constraint terms overflow a float (L_f=1e+308, mu=1)\n"
+        assert captured.out == "" and not list(tmp_path.iterdir())
 
     def test_validate_passing_preset(self, capsys):
         assert main(["validate", "--preset", "synthetic-theorem"]) == 0
@@ -581,7 +606,7 @@ class TestCommands:
         assert [str(w.message) for w in caught] == []
         assert code == 3
         captured = capsys.readouterr()
-        assert re.search(r"^fgda: diverged: non-finite iterate or estimate at t=\d+$", captured.err, re.M)
+        assert re.search(r"^fgda: diverged: non-finite objective at t=\d+$", captured.err, re.M)
         assert "adafgda_adam: diverged" not in captured.err
         assert "Traceback" not in captured.err
         rows = [ln.split()[0] for ln in captured.out.splitlines()[1:]]
@@ -674,6 +699,54 @@ def test_cli_output_is_pinned(args):
                           timeout=120, env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"})
     digest = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest())
     assert digest == CLI_OUTPUT_PINS[args], proc.stdout.decode() + proc.stderr.decode()
+
+
+# (exit code, sha256 of stdout, sha256 of stderr) of `fedmm run --preset P
+# --algorithm.t 2q+1`, every seed of P, taken while `run` still estimated every
+# constant for its step-size check; the summaries hold wall_time_s, so they
+# are not pinned.
+RUN_OUTPUT_PINS = {
+    "auc-imbalanced": (0, "0466d70027804d30aeafa21cd3b2bffbf66060b0cc306880581ff1a2d18423a0",
+                       "a8f59369c25ae71450a4c16490eb84a80f2cdfa050122b4f6d06694b3583ffbf"),
+    "robust-q12": (0, "87db822ee78e16964b8e7bd78a870d568d1ad2c0a51738322b82bb6e12a2e866", _EMPTY),
+    "robust-q6": (0, "22655b015a0a5ea413f825e781228967c169017e74fece66234ea4704e9ab4b9", _EMPTY),
+    "synthetic-s1": (0, "2ad1f6d080d95ae1c97fec0be4d63c7475ad196e089e6dfc44bcfd9bb3393d20",
+                     "a8f59369c25ae71450a4c16490eb84a80f2cdfa050122b4f6d06694b3583ffbf"),
+    "synthetic-s10": (0, "f94c2876dd9e6377b135015d47a83a5240825bf6905947d2ddfae5a86f8fd25b",
+                      "a8f59369c25ae71450a4c16490eb84a80f2cdfa050122b4f6d06694b3583ffbf"),
+    "synthetic-theorem": (0, "507215990399f332e38c7dc653e8c3e57b0f0715108ac9bd66d882c3d522d782", _EMPTY),
+}
+
+
+def _run_short(preset: str, out_dir: Path, capsys) -> tuple[tuple[int, str, str], dict[str, bytes]]:
+    """(exit code, stdout sha256, stderr sha256) of `fedmm run` at T = 2q + 1,
+    and the CSVs it wrote."""
+    q = load_preset(preset).algorithm.q
+    code = main(["run", "--preset", preset, "--algorithm.t", str(2 * q + 1), "--output.csv_dir", str(out_dir)])
+    captured = capsys.readouterr()
+    digest = (code, hashlib.sha256(captured.out.encode()).hexdigest(), hashlib.sha256(captured.err.encode()).hexdigest())
+    return digest, {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_run_output_is_pinned(preset, tmp_path, capsys):
+    assert _run_short(preset, tmp_path / "out", capsys)[0] == RUN_OUTPUT_PINS[preset]
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_run_estimates_no_constants(preset, tmp_path, capsys, monkeypatch):
+    # the step-size check reads the closed-form L_f and mu, so the run ends
+    # as it does unpatched: same exit, stdout, stderr and CSVs (one directory
+    # for both, since the CSVs' config hash covers csv_dir)
+    out_dir = tmp_path / "out"
+    plain = _run_short(preset, out_dir, capsys)
+    shutil.rmtree(out_dir)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fedmm run estimated constants")
+
+    monkeypatch.setattr(theory, "estimate_constants", refuse)
+    assert _run_short(preset, out_dir, capsys) == plain
 
 
 def test_import_and_robust_run_load_no_scipy(tmp_path):

@@ -44,7 +44,8 @@ def passing_hp():
 class TestValidator:
     @pytest.mark.parametrize("validate", [validate_theorem1, validate_theorem2])
     def test_no_mu_gives_a_not_applicable_report(self, validate):
-        # the set-up of `fedmm run` and of the benchmark's robust-q6 workload
+        # the set-up of the benchmark's robust-q6 workload (`fedmm run` reads
+        # theorem_constants, whose mu is None too)
         cfg = load_preset("robust-q6")
         problem, hp = cfg.build_problem(1), cfg.hp_for_seed(1)
         c = estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u).with_safety_margin()
@@ -298,6 +299,33 @@ class TestEstimateConstants:
         assert c.L_f > 0 and c.sigma > 0
         assert c.mu is None and c.kappa is None and c.L is None
         assert c.with_safety_margin().mu is None
+
+
+class TestTheoremConstants:
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_closed_forms_are_the_estimated_sets_bitwise(self, preset, seed):
+        # `fedmm run` checks the step-size system on these, with no probe
+        cfg = load_preset(preset)
+        inst, hp = cfg.build_problem(seed), cfg.hp_for_seed(seed)
+        t = theory.theorem_constants(inst, hp.rho, hp.rho_u)
+        c = estimate_constants(inst, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u)
+        assert (t.sigma, t.delta_x, t.delta_y) == (None, None, None)  # not estimated, so not set
+        assert (t.rho, t.rho_u) == (c.rho, c.rho_u) == (hp.rho, hp.rho_u)
+        if inst.name == "robust":
+            assert t.mu is None and c.mu is None and t.L_f is None
+            assert t.provenance["mu"] == "none" and "L_f" not in t.provenance
+        else:
+            assert (t.L_f.hex(), t.mu.hex()) == (c.L_f.hex(), c.mu.hex())
+            assert t.provenance["L_f"] == t.provenance["mu"] == c.provenance["L_f"] == "analytic"
+
+    def test_an_estimate_takes_the_auc_closed_form_once(self, monkeypatch):
+        # the AUC lipschitz_L_f is an eigvalsh over the items' blocks
+        inst = load_preset("auc-imbalanced").build_problem(1)
+        real, calls = type(inst).lipschitz_L_f, []
+        monkeypatch.setattr(type(inst), "lipschitz_L_f", property(lambda self: calls.append(1) or real.fget(self)))
+        estimate_constants(inst, n_samples=10, seed=1)
+        assert len(calls) == 1
 
 
 # Every shipped preset, plus K = 100 and two splits whose clients hold
