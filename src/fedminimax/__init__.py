@@ -13,7 +13,7 @@ from .algorithms import (
 )
 from .core import Counters, precondition, vec_mean
 from .estimators import AdaptiveAccumulator, momentum_schedule, storm_update
-from .federation import PartitionPlan, expected_comm_rounds, expected_sfo, partition
+from .federation import expected_comm_rounds, expected_sfo, partition
 from .metrics import RunTrace, TraceRecord, auc_score, emit_csv, grad_norm_F, read_trace_csv
 from .problems import AucProblem, RobustProblem, SyntheticProblem
 from .theory import (

@@ -2,33 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 SCHEMES = ("iid", "by_group", "dirichlet")
 
 
-@dataclass
-class PartitionPlan:
-    """Disjoint, covering assignment of item indices to K clients."""
-
-    scheme: str
-    assignment: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def K(self) -> int:
-        return len(self.assignment)
-
-    def to_text(self) -> str:
-        lines = [f"scheme={self.scheme}"]
-        for k, items in enumerate(self.assignment):
-            lines.append(f"client {k}: " + " ".join(str(i) for i in items))
-        return "\n".join(lines)
-
-
-def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float = 1.0) -> PartitionPlan:
-    """Split item indices 0..n_items-1 across K clients.
+def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float = 1.0) -> list[np.ndarray]:
+    """Split item indices 0..n_items-1 across K clients: a disjoint cover,
+    client k's item indices (in index order) at [k].
 
     iid: uniform shuffle-split.
     by_group: each distinct label is a group; groups are dealt round-robin to
@@ -89,13 +70,12 @@ def partition(n_items: int, labels, K: int, scheme: str, seed: int, beta: float 
     # The stable sort keeps each client's items in index order.
     assignment = np.split(np.argsort(owner, kind="stable"), np.cumsum(np.bincount(owner, minlength=K))[:-1])
 
-    plan = PartitionPlan(scheme=scheme, assignment=assignment)
-    counts = np.bincount(np.concatenate(plan.assignment), minlength=n_items)  # no sort, unlike np.unique
+    counts = np.bincount(np.concatenate(assignment), minlength=n_items)  # no sort, unlike np.unique
     if len(counts) != n_items or not (counts == 1).all():
         raise AssertionError("partition is not a disjoint cover")
-    if any(len(a) == 0 for a in plan.assignment):
+    if any(len(a) == 0 for a in assignment):
         raise AssertionError("a client received no items")
-    return plan
+    return assignment
 
 
 def expected_comm_rounds(T: int, q: int) -> int:

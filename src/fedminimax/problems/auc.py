@@ -74,8 +74,7 @@ class AucProblem(DatasetProblem):
 
         n_total = self.K * self.n_per_client
         X, labels, groups = self._draw(rng, n_total)
-        plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
-        self._set_clients(X, labels, plan)
+        self._set_clients(X, labels, partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1))
         # Up to 2K rows (a step), the pool or one pass of theory's sigma probe.
         self._rows = np.arange(max(2 * self.K, len(self._pool_X), base._PROBE_ITEMS))
         self.test_X, self.test_y, _ = self._draw(rng, self.n_test)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..core import Vector, index_sum, row_dots, vec_mean
-from ..federation import PartitionPlan
 
 
 # The most item rows that one pass of theory's sigma and robust L_f probes
@@ -136,13 +135,13 @@ class DatasetProblem(ProblemInstance):
     clients_X: list[np.ndarray]
     clients_y: list[np.ndarray]
 
-    def _set_clients(self, X: np.ndarray, labels: np.ndarray, plan: PartitionPlan) -> None:
-        """Give client k the items plan.assignment[k], then pool and block them."""
-        self.clients_X = [X[idx] for idx in plan.assignment]
-        self.clients_y = [labels[idx] for idx in plan.assignment]
-        pooled = np.concatenate(plan.assignment)
+    def _set_clients(self, X: np.ndarray, labels: np.ndarray, assignment: list[np.ndarray]) -> None:
+        """Give client k the items assignment[k], then pool and block them."""
+        self.clients_X = [X[idx] for idx in assignment]
+        self.clients_y = [labels[idx] for idx in assignment]
+        pooled = np.concatenate(assignment)
         self._pool_X, self._pool_table = X[pooled], self._item_table(labels[pooled])
-        self.sizes = sizes = np.array([len(idx) for idx in plan.assignment])
+        self.sizes = sizes = np.array([len(idx) for idx in assignment])
         self._pool_start = np.cumsum(sizes) - sizes
         self._blocks = []
         for n in np.unique(sizes):

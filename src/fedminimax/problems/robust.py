@@ -59,8 +59,7 @@ class RobustProblem(DatasetProblem):
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         n_total = self.K * self.n_per_client
         X, labels, groups = self._draw(rng, n_total)
-        plan = partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1)
-        self._set_clients(X, labels, plan)
+        self._set_clients(X, labels, partition(n_total, groups, self.K, self.scheme, seed=self.seed + 1))
         self.test_X, self.test_y, _ = self._draw(rng, self.n_test)
 
     def _draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -81,17 +81,13 @@ class ConstantSet:
         return None if self.mu is None else self.L_f * (1.0 + self.L_f / self.mu)
 
     def with_safety_margin(self, factor: float = 1.1) -> "ConstantSet":
-        """Inflate estimated fields by `factor` before feeding the validator,
-        so sampling error cannot understate a constant."""
+        """Inflate estimated fields (of L_f, sigma and the deltas; mu is
+        never estimated) by `factor` before feeding the validator, so
+        sampling error cannot understate a constant."""
         updates = {}
-        for name in ("L_f", "mu", "sigma", "delta_x", "delta_y"):
+        for name in ("L_f", "sigma", "delta_x", "delta_y"):
             if self.provenance.get(name) == "estimated":
-                val = getattr(self, name) * factor
-                # mu is a lower-bound-style constant; inflating it would be
-                # anti-conservative.
-                if name == "mu":
-                    val = getattr(self, name) / factor
-                updates[name] = val
+                updates[name] = getattr(self, name) * factor
         return replace(self, **updates) if updates else self
 
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import fedminimax as fm
-from fedminimax.federation import PartitionPlan, expected_comm_rounds, expected_sfo, partition
+from fedminimax.federation import expected_comm_rounds, expected_sfo, partition
 from fedminimax.theory import estimate_constants
 
 
-def assert_disjoint_cover(plan: PartitionPlan, n_items: int):
-    covered = np.concatenate(plan.assignment)
+def assert_disjoint_cover(plan: list[np.ndarray], n_items: int):
+    covered = np.concatenate(plan)
     assert len(covered) == n_items
     assert len(np.unique(covered)) == n_items
-    assert all(len(a) >= 1 for a in plan.assignment)
+    assert all(len(a) >= 1 for a in plan)
 
 
 def _dealt_per_item(n_items, labels, K, scheme, seed):
@@ -57,7 +57,7 @@ class TestPartition:
     def test_single_client_owns_everything(self):
         for scheme in ("iid", "by_group", "dirichlet"):
             plan = partition(12, [0, 1] * 6, 1, scheme, seed=0)
-            assert len(plan.assignment) == 1
+            assert len(plan) == 1
             assert_disjoint_cover(plan, 12)
 
     def test_two_labels_two_clients_forced_assignment(self):
@@ -65,7 +65,7 @@ class TestPartition:
         plan = partition(12, labels, 2, "by_group", seed=3)
         assert_disjoint_cover(plan, 12)
         lab = np.array(labels)
-        for items in plan.assignment:
+        for items in plan:
             assert len(np.unique(lab[items])) == 1  # one pure group per client
 
     def test_by_group_needs_enough_groups(self):
@@ -104,8 +104,8 @@ class TestPartition:
         for labs in (labels, 3 * labels - 50, labels / 4.0):
             plan = partition(n, labs, K, scheme, seed=seed)
             want = _dealt_per_item(n, labs, K, scheme, seed)
-            assert len(plan.assignment) == K
-            for got, ref in zip(plan.assignment, want):
+            assert len(plan) == K
+            for got, ref in zip(plan, want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n,K,n_classes,beta,seed,moves", [
@@ -122,15 +122,15 @@ class TestPartition:
         for labs in (labels, 3 * labels - 50, labels / 4.0):
             plan = partition(n, labs, K, "dirichlet", seed=seed, beta=beta)
             want, moved = _dirichlet_in_lists(n, labs, K, seed, beta)
-            assert (moved > 0) == moves and len(plan.assignment) == K
-            for got, ref in zip(plan.assignment, want):
+            assert (moved > 0) == moves and len(plan) == K
+            for got, ref in zip(plan, want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_dirichlet_large_beta_approaches_uniform(self):
         n, K = 10_000, 5
         labels = np.zeros(n, dtype=int)
         plan = partition(n, labels, K, "dirichlet", seed=1, beta=1000.0)
-        shares = np.array([len(a) for a in plan.assignment]) / n
+        shares = np.array([len(a) for a in plan]) / n
         tv = 0.5 * np.abs(shares - 1.0 / K).sum()
         assert tv < 0.05
 
@@ -138,14 +138,8 @@ class TestPartition:
         n, K = 10_000, 5
         labels = np.zeros(n, dtype=int)
         plan = partition(n, labels, K, "dirichlet", seed=1, beta=0.05)
-        shares = np.array([len(a) for a in plan.assignment]) / n
+        shares = np.array([len(a) for a in plan]) / n
         assert shares.max() > 0.5
-
-    def test_plan_serializes(self):
-        plan = partition(6, [0, 0, 1, 1, 2, 2], 3, "by_group", seed=0)
-        text = plan.to_text()
-        assert text.startswith("scheme=by_group")
-        assert text.count("client ") == 3
 
 
 class TestComplexityFormulas:

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ from scipy.special import expit
 import fedminimax as fm
 from fedminimax.config import apply_overrides
 from fedminimax.core import row_dots
-from fedminimax import theory
+from fedminimax import algorithms, theory
 from fedminimax.presets import load_preset
 from fedminimax.problems import robust
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
@@ -277,13 +278,24 @@ class TestGlobalConsistency:
             assert np.allclose(gy, fd_grad(lambda z: inst.global_value(x, z), y), atol=1e-5)
 
 
+# the T of perfbench/workloads.py's workload of each preset
+_WORKLOAD_T = {"auc-imbalanced": "400", "robust-q6": "120"}
+
+
+@functools.cache
+def _workload_final(preset, seed):
+    """The final point (final_x, final_y) of the preset's benchmark workload
+    run (the preset as shipped, at the workload's T) at a seed."""
+    cfg = apply_overrides(load_preset(preset), {"algorithm.t": _WORKLOAD_T[preset]})
+    trace = algorithms.run(cfg.build_problem(seed), cfg.hp_for_seed(seed), heavy_cadence=cfg.output.heavy_cadence)
+    return trace.final_x, trace.final_y
+
+
 def _auc_preset_instance(seed, scheme):
     """The auc-imbalanced preset's instance at a seed and split, with the
     final point of the workload run at that seed (by_group only)."""
-    from test_golden_traces import AUC_WORKLOAD_FINAL  # it imports this module, through test_theory
-
     cfg = apply_overrides(load_preset("auc-imbalanced"), {"problem.scheme": scheme})
-    return cfg.build_problem(seed), AUC_WORKLOAD_FINAL[seed] if scheme == "by_group" else None
+    return cfg.build_problem(seed), _workload_final("auc-imbalanced", seed) if scheme == "by_group" else None
 
 
 AUC_ACCURACY_CASES = {
@@ -298,10 +310,8 @@ AUC_ACCURACY_CASES = {
 def _robust_preset_instance(preset, seed, scheme):
     """The preset's instance at a seed and split, with the final point of
     the robust-q6 workload run at that seed (robust-q6, iid only)."""
-    from test_golden_traces import ROBUST_WORKLOAD_FINAL  # it imports this module, through test_theory
-
     cfg = apply_overrides(load_preset(preset), {"problem.scheme": scheme})
-    final = ROBUST_WORKLOAD_FINAL[seed] if (preset, scheme) == ("robust-q6", "iid") else None
+    final = _workload_final(preset, seed) if (preset, scheme) == ("robust-q6", "iid") else None
     return cfg.build_problem(seed), final
 
 
@@ -441,8 +451,7 @@ class TestAuc:
         rng = np.random.default_rng(97)
         points = [scale * rng.standard_normal((8, inst.d)) for scale in (1e-3, 1.0, 1e3, 1e6)]
         if final is not None:
-            x = np.array([float.fromhex(v) for v in final[0]])
-            points.append(np.stack([c * x for c in (1.0, 1e-3, 1e3, 1e6)]))
+            points.append(np.stack([c * final[0] for c in (1.0, 1e-3, 1e3, 1e6)]))
         worst = 0.0
         for X in points:
             for x, alpha in zip(X, inst.y_star(X)):
@@ -625,14 +634,14 @@ def _long_double_y_star_auc(inst, x):
 
 def _accuracy_points(inst, final, rng):
     """Stacked (X, Y) client rows for _oracle_error: random points of four
-    scales, each client its own point, and the run's final point (float.hex
-    pairs, or None) at four scales, tiled; each y projected onto the
-    family's constraint."""
+    scales, each client its own point, and the run's final point ((x, y),
+    or None) at four scales, tiled; each y projected onto the family's
+    constraint."""
     project = inst.y_constraint.project
     points = [(scale * rng.standard_normal((5 * inst.K, inst.d)),
                project(scale * rng.standard_normal((5 * inst.K, inst.p)))) for scale in (1e-3, 1.0, 1e3, 1e6)]
     if final is not None:
-        x, y = (np.array([float.fromhex(v) for v in half]) for half in final)
+        x, y = final
         points += [(np.tile(c * x, (inst.K, 1)), np.tile(project(c * y), (inst.K, 1))) for c in (1.0, 1e-3, 1e3, 1e6)]
     return points
 
