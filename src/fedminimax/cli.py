@@ -8,8 +8,9 @@ Subcommands:
 
 Configurations come from a file or a named preset; any key can be
 overridden with dotted flags, e.g. `--algorithm.gamma 0.05`.
-`run` checks the step-size system on the closed-form L_f and mu alone
-(theory.theorem_constants); `validate` and `probe` estimate the rest.
+`run` and `validate` check the step-size system on the closed-form L_f
+and mu alone (theory.theorem_constants); only `probe --checks constants`
+estimates the other constants. One seed of `run` is `run_seed`.
 Constraint violations at run time are warnings, not errors: experiment
 rates are grid-searched and need not satisfy the worst-case constants.
 
@@ -27,14 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, theory
-from .algorithms import (
-    VARIANT_ADAFGDA_ADABELIEF,
-    VARIANT_ADAFGDA_ADAM,
-    VARIANTS,
-    initial_point,
-    run as run_algorithm,
-)
+from . import algorithms, metrics, theory
+from .algorithms import VARIANT_ADAFGDA_ADABELIEF, VARIANT_ADAFGDA_ADAM, VARIANTS
 from .config import (
     ALGORITHM_SCHEMA,
     OUTPUT_SCHEMA,
@@ -110,10 +105,32 @@ def _split_overrides(argv: list[str]) -> tuple[list[str], dict[str, str]]:
     return rest, overrides
 
 
-def _validate(problem, hp, c: theory.ConstantSet) -> theory.ConstraintReport:
-    if hp.variant in (VARIANT_ADAFGDA_ADAM, VARIANT_ADAFGDA_ADABELIEF):
-        return theory.validate_theorem1(hp, c, problem.K)
-    return theory.validate_theorem2(hp, c, problem.K)
+def _checked_seed(cfg: RunConfig, seed: int):
+    """The seed's problem and hyperparameters, and the step-size system's
+    report on the closed-form L_f and mu."""
+    problem = cfg.build_problem(seed)
+    hp = cfg.hp_for_seed(seed)
+    c = theory.theorem_constants(problem, hp.rho, hp.rho_u)
+    adaptive = hp.variant in (VARIANT_ADAFGDA_ADAM, VARIANT_ADAFGDA_ADABELIEF)
+    report = (theory.validate_theorem1 if adaptive else theory.validate_theorem2)(hp, c, problem.K)
+    return problem, hp, report
+
+
+def run_seed(cfg: RunConfig, seed: int, out_dir: Path) -> tuple[str, metrics.RunTrace]:
+    """One seed of `fedmm run`: check the step sizes (a violation is a
+    warning on stderr), run, and write <stem>.csv, with the config-hash
+    line, and <stem>.summary.txt. out_dir is made only after the run, so a
+    refused or diverging seed (FloatingPointError) writes nothing."""
+    problem, hp, report = _checked_seed(cfg, seed)
+    bad = [c.name for c in report.constraints if not c.satisfied]  # none where the system does not apply
+    if bad:
+        print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
+    trace = algorithms.run(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+    stem = f"{problem.name}_{hp.variant}_seed{seed}"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics.emit_csv(trace, out_dir / f"{stem}.csv", config_hash=metrics.config_hash(render_config(cfg)))
+    (out_dir / f"{stem}.summary.txt").write_text(metrics.render_summary(trace) + "\n")
+    return stem, trace
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -130,26 +147,14 @@ def cmd_run(args, overrides) -> int:
     cfg = _load_config(args, overrides)
     out_dir = Path(cfg.output.csv_dir)
     _check_out_dir(out_dir)  # before any seed; the directory is made at the first write
-    cfg_text = render_config(cfg)
-    chash = metrics.config_hash(cfg_text)
     diverged = False
     for seed in cfg.output.seeds:
-        problem = cfg.build_problem(seed)
-        hp = cfg.hp_for_seed(seed)
-        report = _validate(problem, hp, theory.theorem_constants(problem, hp.rho, hp.rho_u))
-        bad = [c.name for c in report.constraints if not c.satisfied]  # none where the system does not apply
-        if bad:
-            print(f"warning: constraint system not satisfied ({', '.join(bad)})", file=sys.stderr)
         try:
-            trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+            stem, trace = run_seed(cfg, seed, out_dir)
         except FloatingPointError as exc:
             print(f"seed {seed}: diverged: {exc}", file=sys.stderr)
             diverged = True
             continue
-        stem = f"{problem.name}_{hp.variant}_seed{seed}"
-        out_dir.mkdir(parents=True, exist_ok=True)  # only now: a seed may be refused or diverge
-        metrics.emit_csv(trace, out_dir / f"{stem}.csv", config_hash=chash)
-        (out_dir / f"{stem}.summary.txt").write_text(metrics.render_summary(trace) + "\n")
         last = trace.final()
         print(f"{stem}: T={last.t} objective={last.objective:.6g} sfo={last.sfo} comm={last.comm}")
     return 3 if diverged else 0
@@ -157,23 +162,9 @@ def cmd_run(args, overrides) -> int:
 
 def cmd_validate(args, overrides) -> int:
     cfg = _load_config(args, overrides)
-    seed = cfg.output.seeds[0]
-    problem = cfg.build_problem(seed)
-    hp = cfg.hp_for_seed(seed)
-    c = theory.estimate_constants(problem, n_samples=50, seed=hp.seed, rho=hp.rho, rho_u=hp.rho_u).with_safety_margin()
-    report = _validate(problem, hp, c)
+    _, _, report = _checked_seed(cfg, cfg.output.seeds[0])
     print(report.render())
     print(report.machine_lines())
-    sp = problem.saddle()
-    if sp is not None and problem.has_closed_form_inner_max:
-        x1, y1 = initial_point(problem, hp)
-        G = theory.bound_constant_G(
-            hp, c, problem.K,
-            F_init=problem.inner_max_value(x1),
-            f_init=problem.global_value(x1, y1),
-            F_star=problem.inner_max_value(sp[0]),
-        )
-        print(f"bound scale constant (informational, never asserted): G={G:.6g}")
     return 0 if report.all_satisfied else 1
 
 
@@ -270,7 +261,7 @@ def cmd_bench(args, overrides) -> int:
     for variant in variants:
         hp = replace(cfg.hp_for_seed(seed), variant=variant)
         try:
-            trace = run_algorithm(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
+            trace = algorithms.run(problem, hp, heavy_cadence=cfg.output.heavy_cadence)
         except FloatingPointError as exc:
             print(f"{variant}: diverged: {exc}", file=sys.stderr)
             diverged = True

@@ -221,38 +221,6 @@ def validate_theorem2(hp: HyperParams, c: ConstantSet, K: int) -> ConstraintRepo
     return _theorem_system(hp, c, K, rho=1.0, rho_l=1.0, rho_u=1.0)
 
 
-def bound_constant_G(
-    hp: HyperParams,
-    c: ConstantSet,
-    K: int,
-    F_init: float,
-    f_init: float,
-    F_star: float,
-) -> float:
-    """Scale constant of the convergence guarantee, for display only.
-
-    Its absolute value hides unknown factors at desk scale, so nothing is
-    ever asserted against it. The guarantee's printed grouping is
-    ambiguous around the duality-gap term; the reading here closes that
-    bracket before the following additive term.
-    """
-    n, m = hp.eta_n, hp.eta_m
-    c1, c2, q = hp.c1, hp.c2, hp.q
-    gamma, lam = hp.gamma, hp.lam
-    rho, rho_u = hp.rho, c.rho_u
-    L_f, mu, sigma = c.L_f, c.mu, c.sigma
-    Delta = (c1**2 + c2**2) * sigma**2 + 3.0 * c2**2 * c.delta_x**2 + 3.0 * c1**2 * c.delta_y**2
-    Lam = 1.0 / 16.0 + L_f**2 * rho_u / (4.0 * mu**2) + 16.0 * lam**2 * L_f**2 / (K * rho**2)
-    return (
-        4.0 * (F_init - F_star) / (rho * gamma * n)
-        + 36.0 * rho_u * L_f**2 / (rho * lam * mu**2 * n) * (F_init - f_init)
-        + 8.0 * m ** (1.0 / 3.0) * sigma**2 / (q * K ** (4.0 / 3.0) * n**2 * rho)
-        + 8.0 * K * n**2
-        * ((c1**2 + c2**2) * sigma**2 / (rho**2 * K) + Lam * Delta / (15.0 * K * lam**2 * L_f**2))
-        * math.log(m + hp.T)
-    )
-
-
 def pl_slack(inst: ProblemInstance, x: Vector, y: Vector, mu: float | None = None) -> float:
     """Slack ||grad_y f(x, y)||^2 - 2 mu (max_y' f(x, y') - f(x, y)) at one point."""
     if not inst.has_closed_form_inner_max:

@@ -15,7 +15,7 @@ import pytest
 import numpy as np
 
 import fedminimax
-from fedminimax import cli, theory
+from fedminimax import algorithms, cli, theory
 from fedminimax.algorithms import VARIANTS, init_round, initial_point
 from fedminimax.cli import main
 from fedminimax.config import (
@@ -352,15 +352,14 @@ class TestCommands:
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_diverging_seed_does_not_stop_the_others(self, tmp_path, capsys, monkeypatch):
-        import fedminimax.cli as cli
-
+        # patched on the module: run_seed looks the run up through it
         def run_or_diverge(problem, hp, heavy_cadence=1):
             if hp.seed == 2:
                 raise FloatingPointError("non-finite iterate or estimate at t=7")
             return real_run(problem, hp, heavy_cadence=heavy_cadence)
 
-        real_run = cli.run_algorithm
-        monkeypatch.setattr(cli, "run_algorithm", run_or_diverge)
+        real_run = algorithms.run
+        monkeypatch.setattr(algorithms, "run", run_or_diverge)
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(
             "[problem]\nname = synthetic\nk = 2\ndim = 3\n"
@@ -465,19 +464,17 @@ class TestCommands:
     def test_non_finite_probe_gradient_is_an_error_exit(self, capsys):
         # tau * x overflows at the heterogeneity probe points, silently: the
         # probe reports it (pyproject makes a RuntimeWarning an error here)
-        for command in (["validate"], ["probe", "--checks", "constants"]):
-            assert main([*command, "--preset", "synthetic-s1", "--problem.tau", "1e308"]) == 2
-            captured = capsys.readouterr()
-            assert captured.err == "error: synthetic: non-finite exact gradient at a heterogeneity probe point\n"
-            assert captured.out == ""
+        assert main(["probe", "--checks", "constants", "--preset", "synthetic-s1", "--problem.tau", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: synthetic: non-finite exact gradient at a heterogeneity probe point\n"
+        assert captured.out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_constraint_terms_past_a_float_are_an_error_exit(self, command, tmp_path, capsys):
         # L_f = 1e200: the gradients stay finite, but powers of L_f in the
-        # step-size system overflow a Python float; for validate, the probe
-        # gradients' squared norms overflow too, and print no warning (run
-        # evaluates no probe gradient)
+        # step-size system overflow a Python float; neither command evaluates
+        # a gradient before that check, so none warns
         argv = [command, "--preset", "synthetic-s1", "--problem.tau", "1e200", "--output.csv_dir", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -485,10 +482,11 @@ class TestCommands:
         assert errors == ["error: step-size constraint terms overflow a float (L_f=1e+200, mu=1)"]
         assert "Traceback" not in err and not list(tmp_path.iterdir())
 
-    def test_run_meets_a_float_sized_L_f_before_any_gradient(self, tmp_path, capsys):
-        # where validate's probe gradients overflow (tau = 1e308), run, which
-        # evaluates none, stops at its step-size check
-        argv = ["run", "--preset", "synthetic-s1", "--problem.tau", "1e308", "--output.csv_dir", str(tmp_path)]
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_run_meets_a_float_sized_L_f_before_any_gradient(self, command, tmp_path, capsys):
+        # where the probe's gradients overflow (tau = 1e308), run and
+        # validate, which evaluate none, stop at their step-size check
+        argv = [command, "--preset", "synthetic-s1", "--problem.tau", "1e308", "--output.csv_dir", str(tmp_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: step-size constraint terms overflow a float (L_f=1e+308, mu=1)\n"
@@ -500,7 +498,7 @@ class TestCommands:
         assert "overall: satisfied" in out
         assert "m_lower=satisfied|" in out
 
-    def test_validate_starts_where_the_run_starts(self, monkeypatch, capsys):
+    def test_initial_point_is_where_the_run_starts(self):
         # On robust-q6 a start of 5 in every y coordinate lies outside the
         # ball, so the projection is active.
         cfg = apply_overrides(load_preset("robust-q6"), {"algorithm.y_init_scale": "5"})
@@ -510,13 +508,6 @@ class TestCommands:
         assert problem.y_constraint.radius < 5 * np.sqrt(problem.p)
         assert np.linalg.norm(y1) == pytest.approx(problem.y_constraint.radius)
         assert np.array_equal(x1, clients.X[0]) and np.array_equal(y1, clients.Y[0])
-        # validate takes the point it bounds from initial_point (only the
-        # synthetic family has a saddle, so only it reports a bound).
-        seen = []
-        monkeypatch.setattr(cli, "initial_point", lambda p, h: seen.append(h) or initial_point(p, h))
-        assert main(["validate", "--preset", "synthetic-theorem", "--algorithm.y_init_scale", "5"]) == 0
-        assert [h.y_init_scale for h in seen] == [5.0]
-        assert "G=" in capsys.readouterr().out
 
     def test_validate_flags_violations_by_name(self, capsys):
         assert main(["validate", "--preset", "synthetic-theorem", "--algorithm.gamma", "1e9"]) == 1
@@ -657,7 +648,9 @@ class TestCommands:
 # still ok against 1e-10, and the exit stayed 0. The robust reports and probes
 # were re-pinned when the family's nominal mu was retired: validate prints the
 # one not-applicable line (exit 1, as before), and probe prints mu, kappa and
-# L as none; its other lines did not move.
+# L as none; its other lines did not move. The synthetic reports were re-pinned
+# when validate stopped estimating constants: their informational bound-scale
+# line (G=...) went, and no other line moved.
 _EMPTY = hashlib.sha256(b"").hexdigest()
 CLI_OUTPUT_PINS = {
     "--help": (0, "1cc03bae71c68e510a210d0261ad3d81a893fd8db4438ce1ff2ca9dce1f33097", _EMPTY),
@@ -665,10 +658,10 @@ CLI_OUTPUT_PINS = {
         (1, "35389707762889d8ff586b6019a92326de4e55a38778b98880eae80be61f81ef", _EMPTY),
     "validate --preset robust-q12": (1, "d97b7ea752ab2eb0e225a11adcb151ab8971302d866a72ecac44cff1c2bbca1f", _EMPTY),
     "validate --preset robust-q6": (1, "d97b7ea752ab2eb0e225a11adcb151ab8971302d866a72ecac44cff1c2bbca1f", _EMPTY),
-    "validate --preset synthetic-s1": (1, "53fbd699ea1ee4f8abcd818e445e53a9c7cb0cc71cf3b987f0f41425a8d2d12d", _EMPTY),
-    "validate --preset synthetic-s10": (1, "53a783e0ee1ca7eba07472b95890eee646f5812d6dd91c8687ebaf9ac7c376b7", _EMPTY),
+    "validate --preset synthetic-s1": (1, "279d551697e326b014819861c23e66e3d70a08456238f01d43437781dfb5428d", _EMPTY),
+    "validate --preset synthetic-s10": (1, "279d551697e326b014819861c23e66e3d70a08456238f01d43437781dfb5428d", _EMPTY),
     "validate --preset synthetic-theorem":
-        (0, "59b4078e0044748594f2ae21943c4c901389a98f56d16bcd0ee8303671e205c2", _EMPTY),
+        (0, "19836fca494257ded57214a1b037765f81496e3b5dd2f05df3684eb9d19a2fd6", _EMPTY),
     "probe --preset auc-imbalanced --points 20":
         (0, "874179fd7eead21048303174ba559837548e9e0b1af820e04228d9db65ee04f5", _EMPTY),
     "probe --preset robust-q12 --points 20":
@@ -718,11 +711,12 @@ RUN_OUTPUT_PINS = {
 }
 
 
-def _run_short(preset: str, out_dir: Path, capsys) -> tuple[tuple[int, str, str], dict[str, bytes]]:
-    """(exit code, stdout sha256, stderr sha256) of `fedmm run` at T = 2q + 1,
-    and the CSVs it wrote."""
+def _run_short(preset: str, out_dir: Path, capsys,
+               command: str = "run") -> tuple[tuple[int, str, str], dict[str, bytes]]:
+    """(exit code, stdout sha256, stderr sha256) of `fedmm run` (or another
+    command) at T = 2q + 1, and the CSVs it wrote."""
     q = load_preset(preset).algorithm.q
-    code = main(["run", "--preset", preset, "--algorithm.t", str(2 * q + 1), "--output.csv_dir", str(out_dir)])
+    code = main([command, "--preset", preset, "--algorithm.t", str(2 * q + 1), "--output.csv_dir", str(out_dir)])
     captured = capsys.readouterr()
     digest = (code, hashlib.sha256(captured.out.encode()).hexdigest(), hashlib.sha256(captured.err.encode()).hexdigest())
     return digest, {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
@@ -734,19 +728,20 @@ def test_run_output_is_pinned(preset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("preset", preset_names())
-def test_run_estimates_no_constants(preset, tmp_path, capsys, monkeypatch):
-    # the step-size check reads the closed-form L_f and mu, so the run ends
-    # as it does unpatched: same exit, stdout, stderr and CSVs (one directory
-    # for both, since the CSVs' config hash covers csv_dir)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_run_estimates_no_constants(command, preset, tmp_path, capsys, monkeypatch):
+    # the step-size check reads the closed-form L_f and mu, so run and
+    # validate end as they do unpatched: same exit, stdout, stderr and CSVs
+    # (one directory for both, since the CSVs' config hash covers csv_dir)
     out_dir = tmp_path / "out"
-    plain = _run_short(preset, out_dir, capsys)
-    shutil.rmtree(out_dir)
+    plain = _run_short(preset, out_dir, capsys, command)
+    shutil.rmtree(out_dir, ignore_errors=True)  # validate writes none
 
     def refuse(*args, **kwargs):
-        raise AssertionError("fedmm run estimated constants")
+        raise AssertionError(f"fedmm {command} estimated constants")
 
     monkeypatch.setattr(theory, "estimate_constants", refuse)
-    assert _run_short(preset, out_dir, capsys) == plain
+    assert _run_short(preset, out_dir, capsys, command) == plain
 
 
 def test_import_and_robust_run_load_no_scipy(tmp_path):

@@ -20,9 +20,10 @@ The roster, `_runs()`:
   local step), seed 1;
 - every shipped preset as shipped (its own variant and full T), seed 1;
 - two configs whose clients hold datasets of different sizes, seed 1;
-- the three benchmark workload configs at seeds 1 and 7, emitted the way
-  `fedmm run` emits them (config-hash line included).
-The others are emitted without the config-hash line.
+- the three benchmark workload configs at seeds 1 and 7, with the
+  config-hash line.
+Every run goes through `cli.run_seed`, the seed sequence of `fedmm run`;
+the others are pinned without its config-hash line.
 
 `WORKLOADS` also pins each workload's whole seed-1 CSV: the digests
 `perfbench/run.py` prints, which `fedmm run` itself writes too; their
@@ -46,22 +47,21 @@ import pytest
 
 import fedminimax
 
-from fedminimax import algorithms, cli, metrics
-from fedminimax.config import apply_overrides, render_config
+from fedminimax import algorithms, cli
+from fedminimax.config import apply_overrides
 from fedminimax.presets import load_preset, preset_names
 
+from test_problems import _WORKLOAD_T
 from test_theory import HETEROGENEITY_PINS
 
 
 def _emit(preset: str, overrides: dict, tmp_path, with_hash: bool = False, seed: int = 1):
-    """The CSV bytes of one seed's run, and its trace."""
+    """The CSV bytes of one seed's `cli.run_seed`, cut before its config-hash
+    line unless with_hash, and its trace."""
     cfg = apply_overrides(load_preset(preset), overrides)
-    problem = cfg.build_problem(seed)
-    trace = algorithms.run(problem, cfg.hp_for_seed(seed), heavy_cadence=cfg.output.heavy_cadence)
-    path = tmp_path / "trace.csv"
-    chash = metrics.config_hash(render_config(cfg)) if with_hash else None
-    metrics.emit_csv(trace, path, config_hash=chash)
-    return path.read_bytes(), trace
+    stem, trace = cli.run_seed(cfg, seed, tmp_path)
+    csv = (tmp_path / f"{stem}.csv").read_bytes()
+    return (csv if with_hash else csv[:csv.rindex(b"# config_sha256=")]), trace
 
 
 def _csv_digest(preset: str, overrides: dict, tmp_path, with_hash: bool = False) -> str:
@@ -272,6 +272,11 @@ def test_workload_configs_equal_the_benchmarks():
         del sys.modules[spec.name]
     assert {name: (w.preset, w.overrides) for name, w in bench.WORKLOADS.items()} == {
         name: (preset, overrides) for name, (preset, overrides, _) in WORKLOADS.items()
+    }
+    # test_problems runs the auc and robust workloads, each its preset as
+    # shipped at the workload's T, for the points of its accuracy tests
+    assert {preset: WORKLOADS[preset][:2] for preset in _WORKLOAD_T} == {
+        preset: (preset, {"algorithm.t": t}) for preset, t in _WORKLOAD_T.items()
     }
 
 

@@ -1,6 +1,8 @@
 import functools
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy.special import expit
 import fedminimax as fm
 from fedminimax.config import apply_overrides
 from fedminimax.core import row_dots
-from fedminimax import algorithms, theory
+from fedminimax import cli, theory
 from fedminimax.presets import load_preset
 from fedminimax.problems import robust
 from fedminimax.problems import PROBLEMS, EuclideanBall, grad_F, grad_full, grad_stoch
@@ -287,7 +289,8 @@ def _workload_final(preset, seed):
     """The final point (final_x, final_y) of the preset's benchmark workload
     run (the preset as shipped, at the workload's T) at a seed."""
     cfg = apply_overrides(load_preset(preset), {"algorithm.t": _WORKLOAD_T[preset]})
-    trace = algorithms.run(cfg.build_problem(seed), cfg.hp_for_seed(seed), heavy_cadence=cfg.output.heavy_cadence)
+    with tempfile.TemporaryDirectory() as out_dir:
+        _, trace = cli.run_seed(cfg, seed, Path(out_dir))
     return trace.final_x, trace.final_y
 
 

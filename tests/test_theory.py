@@ -153,15 +153,6 @@ class TestValidator:
             assert passing_hp.c2 * eta**2 <= 1.0
 
 
-class TestBoundConstant:
-    def test_finite_and_positive_for_passing_config(self, passing_hp, synth_constants):
-        from fedminimax.theory import bound_constant_G
-
-        G = bound_constant_G(passing_hp, synth_constants, K=10,
-                             F_init=120.0, f_init=70.0, F_star=0.0)
-        assert np.isfinite(G) and G > 0
-
-
 class TestConstantSet:
     def test_derived_quantities(self):
         c = ConstantSet(L_f=10.0, mu=1.0, sigma=0.0, delta_x=0.0, delta_y=0.0)
